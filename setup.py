@@ -1,15 +1,6 @@
-from setuptools import setup, Extension
+from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("emclab._kernel", sources=["src/emclab/_kernel.pyx"])],
-        compiler_directives={"language_level": 3, "boundscheck": False, "wraparound": False},
-    )
-except ImportError:
-    # pure-Python fallback is selected at import time, so building without
-    # Cython is fine
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# The compiled kernel builds from the shipped C file, so Cython is not needed.
+# Without a C compiler the extension is skipped and emclab.kernel uses the
+# pure-Python twin.
+setup(ext_modules=[Extension("emclab._kernel", ["src/emclab/_kernel.c"], optional=True)])

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from emclab.intervals import Box, Certificate, Interval
-from emclab.scalars import DELTA
+from emclab.scalars import DELTA, c_coeff
 
 FOUR = 4 - DELTA
 D1 = 1 - DELTA
@@ -51,27 +51,6 @@ def eval_calculate_margin(x, y, z, mutation: str | None = None) -> Fraction:
     elif mutation is not None:
         raise ValueError(f"unknown mutation {mutation!r}")
     return lead - (FOUR * x - 3 * y) * h - (FOUR * x - 3 * y) * p
-
-
-def c_coeff(i: int, alpha, mu, beta, mutation: str | None = None):
-    """C_i as a polynomial in (alpha, mu, beta); works on Fractions and
-    Intervals alike (ring operations only)."""
-    if i == 1:
-        return (beta + D1) * (6 * mu**2 * alpha**2 - 9 * mu * alpha + 3)
-    if i == 2:
-        return (6 * alpha**2 * (27 * beta - 45 * beta * mu + (beta + D1) * mu**2)
-                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + 3 * D1)
-    if i == 3:
-        return (6 * alpha**2 * (-36 * beta * mu + (27 * beta + D1) * mu**2)
-                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + 3 * D1)
-    if i == 4:
-        return (6 * alpha**2 * (27 * beta - 9 * beta * mu + (beta + D1) * mu**2)
-                - 9 * alpha * D1 * mu + 3 * D1)
-    if i == 5:
-        sign = -1 if mutation == "negate-c5-term" else 1
-        return (6 * alpha**2 * (sign * 27 * beta * mu**2 + D1 * mu**2)
-                - 9 * alpha * D1 * mu + 3 * D1)
-    raise ValueError("i must be 1..5")
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import click
 from emclab import __version__
 from emclab.hypergraph import (HypergraphError, closeness, complete_hypergraph,
                                parse_khg, serialize_khg)
-from emclab.lp import (check_complementary_slackness, fractional_cover_number,
+from emclab.lp import (check_complementary_slackness, fractional_matching_and_cover,
                        fractional_matching_number)
 from emclab.matching import cover_number, matching_number
 
@@ -102,7 +102,10 @@ def gen(family, n, k, s, i_, u_size, p, out):
 def nu(path):
     """Exact matching number."""
     h = _load(path)
-    value, witness = matching_number(h)
+    try:
+        value, witness = matching_number(h)
+    except HypergraphError as exc:
+        raise click.UsageError(str(exc))
     click.echo(_report({"nu": value, "witness": [list(e) for e in witness.edges]}))
 
 
@@ -111,7 +114,11 @@ def nu(path):
 def tau(path):
     """Exact vertex cover number."""
     h = _load(path)
-    click.echo(_report({"tau": cover_number(h)}))
+    try:
+        value = cover_number(h)
+    except HypergraphError as exc:
+        raise click.UsageError(str(exc))
+    click.echo(_report({"tau": value}))
 
 
 @cli.command()
@@ -124,13 +131,12 @@ def nufrac(path, dual, slackness, trace):
     """Exact fractional matching number (LP optimum)."""
     h = _load(path)
     pivots = [] if trace else None
-    nu_star, fm = fractional_matching_number(h, trace=pivots)
+    nu_star, fm, fc = fractional_matching_and_cover(h, trace=pivots)
     payload = {"nu_star": str(nu_star),
                "weights": {" ".join(map(str, e)): str(w)
                            for e, w in sorted(fm.weights.items())}}
     if dual or slackness:
-        tau_star, fc = fractional_cover_number(h)
-        payload["tau_star"] = str(tau_star)
+        payload["tau_star"] = str(fc.size)
         if dual:
             payload["cover"] = {str(v): str(w) for v, w in sorted(fc.weights.items()) if w}
         if slackness:
@@ -323,7 +329,10 @@ def round_cmd(path, t, s, copies, seed, out):
     from emclab.hypergraph import induced
     from emclab.sampling import degree_histogram, round_to_sparse, sample_batch
     h = _load(path)
-    batch = sample_batch(h, t, s, copies, seed)
+    try:
+        batch = sample_batch(h, t, s, copies, seed)
+    except HypergraphError as exc:
+        raise click.UsageError(str(exc))
     pfms = []
     for i, r in enumerate(batch.copies):
         sub = induced(h, r)

@@ -17,8 +17,6 @@ from typing import Iterable
 from emclab.hypergraph import (Hypergraph, HypergraphError, binom, is_stable,
                                new_hypergraph)
 
-DELTA = Fraction(1, 10**10)
-
 
 def build_Hi(n: int, k: int, s: int, i: int) -> Hypergraph:
     """All k-sets of [n] meeting [i(s+1)-1] in at least i vertices."""

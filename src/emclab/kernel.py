@@ -1,20 +1,19 @@
-"""Kernel selector: compiled extension if available, pure Python otherwise.
+"""The bitmask search kernel: one contract, two implementations.
 
-Set EMCLAB_KERNEL=python to force the fallback (used by the benchmark and by
-tests that compare the two implementations).
+Vertex v maps to bit v-1 of an edge mask, so the kernel handles n <= 63.
+The compiled ``_kernel`` (built from the shipped ``_kernel.c``) is used when
+it imports and the pure-Python ``_kernel_py`` otherwise; both return
+identical answers, witnesses and node counts.
 """
 
 from __future__ import annotations
 
-import os
+from emclab.hypergraph import HypergraphError
 
-if os.environ.get("EMCLAB_KERNEL", "").lower() == "python":
+try:
+    from emclab import _kernel as _impl  # type: ignore[attr-defined]
+except ImportError:
     from emclab import _kernel_py as _impl
-else:
-    try:
-        from emclab import _kernel as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from emclab import _kernel_py as _impl
 
 IMPL: str = _impl.IMPL
 find_matching = _impl.find_matching
@@ -29,3 +28,11 @@ def edge_mask(edge) -> int:
     for v in edge:
         m |= 1 << (v - 1)
     return m
+
+
+def edge_masks(n: int, edges) -> list[int]:
+    """Masks of `edges` on the ground set [n]; rejects n past the kernel's
+    limit before consuming `edges`."""
+    if n > MAX_KERNEL_VERTICES:
+        raise HypergraphError(f"search kernels support n <= {MAX_KERNEL_VERTICES}")
+    return [edge_mask(e) for e in edges]

@@ -250,23 +250,29 @@ def _matching_rows(h: Hypergraph):
     return rows
 
 
+def _packing_lp(h: Hypergraph, trace=None) -> tuple[Fraction, FractionalMatching, list[Fraction]]:
+    """Solve the edge-packing LP: its optimum, a maximum fractional matching
+    and the optimal duals, one per vertex."""
+    if not h.edges:
+        return (ZERO, FractionalMatching(weights={}, loads={v: ZERO for v in h.vertices},
+                                         size=ZERO), [ZERO] * len(h.vertices))
+    c = [ONE] * len(h.edges)
+    value, x, duals = solve_lp(c, _matching_rows(h), maximize=True, trace=trace)
+    weights = {e: w for e, w in zip(h.edges, x) if w}
+    return value, make_fractional_matching(h, weights), duals
+
+
 def fractional_matching_number(h: Hypergraph, trace=None) -> tuple[Fraction, FractionalMatching]:
     """Exact LP optimum of the edge-packing relaxation, with a witness."""
-    if not h.edges:
-        return ZERO, FractionalMatching(weights={}, loads={v: ZERO for v in h.vertices}, size=ZERO)
-    c = [ONE] * len(h.edges)
-    value, x, _ = solve_lp(c, _matching_rows(h), maximize=True, trace=trace)
-    weights = {e: w for e, w in zip(h.edges, x) if w}
-    return value, make_fractional_matching(h, weights)
+    value, fm, _ = _packing_lp(h, trace)
+    return value, fm
 
 
-def fractional_cover_number(h: Hypergraph, trace=None) -> tuple[Fraction, FractionalCover]:
-    """Exact dual optimum; equals the fractional matching number exactly."""
-    if not h.edges:
-        return ZERO, FractionalCover(weights={v: ZERO for v in h.vertices}, size=ZERO,
-                                     support=frozenset())
-    c = [ONE] * len(h.edges)
-    value, _, duals = solve_lp(c, _matching_rows(h), maximize=True, trace=trace)
+def fractional_matching_and_cover(h: Hypergraph, trace=None
+                                  ) -> tuple[Fraction, FractionalMatching, FractionalCover]:
+    """One solve of the edge-packing LP: its optimum, a maximum fractional
+    matching and, from the duals, a minimum fractional cover."""
+    value, fm, duals = _packing_lp(h, trace)
     weights = {v: d for v, d in zip(h.vertices, duals)}
     for v, w in weights.items():
         if not (0 <= w <= 1):
@@ -277,8 +283,14 @@ def fractional_cover_number(h: Hypergraph, trace=None) -> tuple[Fraction, Fracti
     size = sum(weights.values(), ZERO)
     if size != value:
         raise LPError("strong duality violated (solver bug)")
-    return value, FractionalCover(weights=weights, size=size,
-                                  support=frozenset(v for v, w in weights.items() if w > 0))
+    return value, fm, FractionalCover(weights=weights, size=size,
+                                      support=frozenset(v for v, w in weights.items() if w > 0))
+
+
+def fractional_cover_number(h: Hypergraph, trace=None) -> tuple[Fraction, FractionalCover]:
+    """Exact dual optimum; equals the fractional matching number exactly."""
+    value, _, fc = fractional_matching_and_cover(h, trace)
+    return value, fc
 
 
 @dataclass(frozen=True)

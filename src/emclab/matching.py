@@ -25,12 +25,6 @@ class MatchingWitness:
     size: int
 
 
-def _masks(h: Hypergraph) -> list[int]:
-    if h.n > kernel.MAX_KERNEL_VERTICES:
-        raise HypergraphError(f"search kernels support n <= {kernel.MAX_KERNEL_VERTICES}")
-    return [kernel.edge_mask(e) for e in h.edges]
-
-
 def _greedy_cover_size(h: Hypergraph) -> int:
     """Integral cover by repeated max-degree vertex; an upper bound on tau."""
     edges = list(h.edges)
@@ -68,7 +62,7 @@ def has_matching_of_size(h: Hypergraph, s: int) -> tuple[bool, MatchingWitness |
         raise HypergraphError("matching size must be nonnegative")
     if s == 0:
         return True, MatchingWitness(edges=(), size=0)
-    masks = _masks(h)
+    masks = kernel.edge_masks(h.n, h.edges)
     idx = kernel.find_matching(masks, h.k, s)
     if idx is None:
         return False, None
@@ -77,7 +71,7 @@ def has_matching_of_size(h: Hypergraph, s: int) -> tuple[bool, MatchingWitness |
 
 def matching_number(h: Hypergraph) -> tuple[int, MatchingWitness]:
     """Exact maximum matching size with an attaining witness."""
-    masks = _masks(h)
+    masks = kernel.edge_masks(h.n, h.edges)
     if not masks:
         return 0, MatchingWitness(edges=(), size=0)
     lb_idx = kernel.greedy_matching(masks)
@@ -96,7 +90,7 @@ def matching_number(h: Hypergraph) -> tuple[int, MatchingWitness]:
 
 def cover_number(h: Hypergraph) -> int:
     """Exact minimum vertex cover size, by branching on a max-degree vertex."""
-    masks = _masks(h)
+    masks = kernel.edge_masks(h.n, h.edges)
     if not masks:
         return 0
     best = _greedy_cover_size(h)

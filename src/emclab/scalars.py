@@ -228,6 +228,29 @@ def eval_Cp_Cq(a, b, rho, eta=None) -> tuple[Fraction, Fraction]:
     return cp, cq
 
 
+def c_coeff(i: int, alpha, mu, beta, mutation: str | None = None):
+    """C_i as a polynomial in (alpha, mu, beta); works on Fractions and
+    Intervals alike (ring operations only).  The term grouping fixes the
+    interval enclosures, and so the certificates, of ``certify``."""
+    d1 = 1 - DELTA
+    if i == 1:
+        return (beta + d1) * (6 * mu**2 * alpha**2 - 9 * mu * alpha + 3)
+    if i == 2:
+        return (6 * alpha**2 * (27 * beta - 45 * beta * mu + (beta + d1) * mu**2)
+                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + 3 * d1)
+    if i == 3:
+        return (6 * alpha**2 * (-36 * beta * mu + (27 * beta + d1) * mu**2)
+                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + 3 * d1)
+    if i == 4:
+        return (6 * alpha**2 * (27 * beta - 9 * beta * mu + (beta + d1) * mu**2)
+                - 9 * alpha * d1 * mu + 3 * d1)
+    if i == 5:
+        sign = -1 if mutation == "negate-c5-term" else 1
+        return (6 * alpha**2 * (sign * 27 * beta * mu**2 + d1 * mu**2)
+                - 9 * alpha * d1 * mu + 3 * d1)
+    raise ValueError("i must be 1..5")
+
+
 def eval_C_coeffs(alpha, a, b, i: int) -> Fraction:
     """The five m^2-coefficients C_i(alpha) of the scaled second derivatives
     in the convexity argument (i in 1..5)."""
@@ -239,22 +262,7 @@ def eval_C_coeffs(alpha, a, b, i: int) -> Fraction:
     if not (Fraction(1, 4) <= b <= a < 1):
         raise ValueError("need 1/4 <= b <= a < 1")
     mu, beta = _mu_beta(a, b)
-    d1 = 1 - DELTA
-    if i == 1:
-        return (beta + d1) * (6 * mu**2 * alpha**2 - 9 * mu * alpha + 3)
-    if i == 2:
-        return (6 * (27 * beta - 45 * beta * mu + (beta + d1) * mu**2) * alpha**2
-                + 9 * (4 * beta - 1 + DELTA) * mu * alpha + 3 * d1)
-    if i == 3:
-        return (6 * (-36 * beta * mu + (27 * beta + d1) * mu**2) * alpha**2
-                + 9 * (4 * beta - 1 + DELTA) * mu * alpha + 3 * d1)
-    if i == 4:
-        return (6 * (27 * beta - 9 * beta * mu + (beta + d1) * mu**2) * alpha**2
-                - 9 * d1 * mu * alpha + 3 * d1)
-    if i == 5:
-        return (6 * (27 * beta + d1) * mu**2 * alpha**2
-                - 9 * d1 * mu * alpha + 3 * d1)
-    raise ValueError("i must be 1..5")
+    return c_coeff(i, alpha, mu, beta)
 
 
 def c45_identity_check(alpha, a, b) -> dict:

@@ -15,29 +15,25 @@ from fractions import Fraction
 from itertools import combinations
 
 from emclab import kernel
-from emclab.constructions import DELTA, build_Hi, emc_bound
+from emclab.constructions import build_Hi, emc_bound
 from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
                                is_stable, new_hypergraph, trace_family)
 from emclab.lp import (ZERO, FractionalCover, LPError,
                        dominance_maximal_edges, fractional_matching_number,
                        solve_lp)
 from emclab.matching import matching_number
+from emclab.scalars import DELTA
 from emclab.shifting import stabilize
 
 
-def _candidates(n: int, k: int):
-    """All k-subsets of [n] in lex order, with immediate dominance successors."""
-    cands = list(combinations(range(1, n + 1), k))
-    index = {e: i for i, e in enumerate(cands)}
-    succs = []
-    for e in cands:
-        out = []
-        for i, a in enumerate(e):
-            b = a + 1
-            if b <= n and b not in e:
-                out.append(index[tuple(sorted(e[:i] + (b,) + e[i + 1:]))])
-        succs.append(out)
-    return cands, succs
+def _candidates(n: int, k: int) -> tuple[list[int], list[list[int]]]:
+    """Masks of all k-subsets of [n] in lex order, with the indices of each
+    one's immediate dominance successors (one vertex v moved up to v+1)."""
+    masks = kernel.edge_masks(n, combinations(range(1, n + 1), k))
+    index = {m: i for i, m in enumerate(masks)}
+    succs = [[index[m ^ (3 << b)] for b in range(n - 1) if (m >> b) & 3 == 1]
+             for m in masks]
+    return masks, succs
 
 
 def max_edges_given_nu(n: int, k: int, s: int, budget: int = 10**7
@@ -49,14 +45,12 @@ def max_edges_given_nu(n: int, k: int, s: int, budget: int = 10**7
     the value is only a lower bound (best found so far) — never silently
     wrong, just honest about incompleteness.
     """
-    if n > kernel.MAX_KERNEL_VERTICES:
-        raise HypergraphError(f"search supports n <= {kernel.MAX_KERNEL_VERTICES}")
     if s < 0:
         raise HypergraphError("s must be nonnegative")
-    cands, succs = _candidates(n, k)
-    masks = [kernel.edge_mask(e) for e in cands]
+    masks, succs = _candidates(n, k)
     best, wit_idx, exhausted, nodes = kernel.downset_max_edges(masks, succs, s, budget)
-    witness = new_hypergraph(n, k, [cands[i] for i in wit_idx])
+    witness = new_hypergraph(n, k, [[v for v in range(1, n + 1) if masks[i] >> (v - 1) & 1]
+                                    for i in wit_idx])
     return best, witness, exhausted, nodes
 
 

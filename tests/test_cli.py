@@ -251,3 +251,40 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as ei:
             main(["nu", str(src)])
         assert ei.value.code == 3
+
+    # one invalid invocation per subcommand; every one must exit 3
+    INVALID = {
+        "gen": ["gen", "--family", "hi", "--n", "3", "--k", "3", "--s", "2",
+                "-o", "{out}"],
+        "nu": ["nu", "{wide}"],
+        "tau": ["tau", "{wide}"],
+        "nufrac": ["nufrac", "{bad}"],
+        "shift": ["shift", "{bad}"],
+        "verify-emc": ["verify-emc", "--n", "64", "--k", "2", "--s", "1"],
+        "closeness": ["closeness", "{small}", "{small}", "--epsilon", "abc"],
+        "profile": ["profile", "{small}", "--s", "1", "--epsilon", "1/100"],
+        "verify-ineq": ["verify-ineq", "--target", "calculate", "--zmax", "1"],
+        "verify-cert": ["verify-cert", "{bad}"],
+        "sample": ["sample", "{small}", "--t", "0", "--s", "0", "--copies", "0",
+                   "--seed", "1"],
+        "round-t": ["round", "{small}", "--t", "9", "--s", "0", "--seed", "1"],
+        "round-copies": ["round", "{small}", "--t", "0", "--s", "0",
+                         "--copies", "0", "--seed", "1"],
+        "greedy": ["greedy", "{bad}"],
+    }
+
+    def test_invalid_input_covers_every_subcommand(self):
+        assert {args[0] for args in self.INVALID.values()} == set(cli.commands)
+
+    @pytest.mark.parametrize("case", sorted(INVALID))
+    def test_invalid_input_exits_3(self, case, tmp_path):
+        files = {"out": tmp_path / "out.khg", "wide": tmp_path / "wide.khg",
+                 "bad": tmp_path / "bad.khg", "small": tmp_path / "small.khg"}
+        files["wide"].write_text("64 2 1\n1 64\n")  # n past the kernel's 63
+        files["bad"].write_text("not a header\n")
+        files["small"].write_text("4 2 1\n1 2\n")
+        args = [a.format(**{k: str(v) for k, v in files.items()})
+                for a in self.INVALID[case]]
+        with pytest.raises(SystemExit) as ei:
+            main(args)
+        assert ei.value.code == 3
