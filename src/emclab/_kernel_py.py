@@ -2,8 +2,8 @@
 
 Hot loops of the exact matching number and the stable-family edge-count
 maximizer.  Vertex v maps to bit v-1, so these kernels require n <= 63.
-The compiled twin in ``_kernel.pyx`` implements the same contract; the
-selector in ``kernel.py`` picks one at import time.
+The compiled twin in ``_kernel.c`` implements the same contract step for
+step; ``kernel.py`` picks one at import time.
 """
 
 from __future__ import annotations

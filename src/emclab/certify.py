@@ -169,7 +169,6 @@ def certify_calculate_lemma(z_max, max_depth: int = 60, max_boxes: int = 10**7,
             return None
         y_pt = mu_pt * x_pt
         z_pt = min(z.hi, z_max, y_pt / 6)
-        z_pt = min(z_pt, y_pt / 6)
         if z_pt <= 0:
             z_pt = min(z_max, y_pt / 6)
         if z_pt <= 0 or not (5 * z_pt < y_pt <= x_pt <= Fraction(3, 4)):
@@ -228,7 +227,7 @@ def certify_maxvalue_coeffs(max_depth: int = 60, max_boxes: int = 10**7,
 # replay
 # ---------------------------------------------------------------------------
 
-def replay_certificate(cert: Certificate, z_max=None) -> dict:
+def replay_certificate(cert: Certificate) -> dict:
     """Independently re-verify a certificate: recompute every leaf margin
     from scratch and check strict positivity plus agreement with the stored
     enclosure."""

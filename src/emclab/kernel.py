@@ -1,9 +1,10 @@
 """The bitmask search kernel: one contract, two implementations.
 
 Vertex v maps to bit v-1 of an edge mask, so the kernel handles n <= 63.
-The compiled ``_kernel`` (built from the shipped ``_kernel.c``) is used when
-it imports and the pure-Python ``_kernel_py`` otherwise; both return
-identical answers, witnesses and node counts.
+The compiled ``_kernel`` (built from the hand-written ``_kernel.c``) is used
+when it imports and the pure-Python ``_kernel_py`` otherwise; both return
+identical answers, witnesses and node counts.  ``IMPL`` says which one runs:
+``"c"`` or ``"python"``.
 """
 
 from __future__ import annotations

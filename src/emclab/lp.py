@@ -501,9 +501,12 @@ def monotone_cover_bound(h: Hypergraph) -> Fraction:
 
     Only the dominance-maximal edges need explicit constraints: under a
     nonincreasing weight vector every dominated edge is covered whenever its
-    dominating edge is.  Any feasible cover upper-bounds nu* by weak duality,
-    so this is a sound (and for stable families usually tight) bound that
-    avoids the full edge-indexed LP.
+    dominating edge is.  Any feasible cover upper-bounds nu* by weak duality.
+    On a stable family with ground set [n] the bound is exact: swapping a
+    smaller earlier weight with a larger later one keeps a cover, because an
+    edge through the later vertex but not the earlier one shifts to an edge
+    of the family, so some minimum cover is nonincreasing.  It avoids the
+    full edge-indexed LP.
     """
     if not h.edges:
         return ZERO

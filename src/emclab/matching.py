@@ -40,12 +40,16 @@ def _greedy_cover_size(h: Hypergraph) -> int:
     return size
 
 
-def _upper_bound(h: Hypergraph, masks: list[int]) -> int:
+def _upper_bound(h: Hypergraph, masks: list[int], lb: int) -> int:
+    """An upper bound on nu; skips the LP and monotone-cover solves when the
+    cheap bounds already meet the lower bound `lb`."""
     active = 0
     for m in masks:
         active |= m
     ub = bin(active).count("1") // h.k if h.k else 0
     ub = min(ub, _greedy_cover_size(h))
+    if ub <= lb:
+        return ub
     if h.num_edges <= _LP_EDGE_LIMIT:
         from emclab.lp import fractional_matching_number
         nu_star, _ = fractional_matching_number(h)
@@ -76,7 +80,7 @@ def matching_number(h: Hypergraph) -> tuple[int, MatchingWitness]:
         return 0, MatchingWitness(edges=(), size=0)
     lb_idx = kernel.greedy_matching(masks)
     lb = len(lb_idx)
-    ub = _upper_bound(h, masks)
+    ub = _upper_bound(h, masks, lb)
     best = lb_idx
     size = lb
     while size < ub:

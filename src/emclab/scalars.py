@@ -112,13 +112,19 @@ def eval_prebound(m: int, s, mu, case: str) -> Fraction:
         raise ValueError("need 0 < mu <= 1")
     if s > (m - 2) / (4 - DELTA):
         raise ValueError(f"need s <= (m-2)/(4-delta), got s={s}")
+    if case not in ("half", "general"):
+        raise ValueError(f"unknown case {case!r}")
+    return _link_bound(m, s, mu, general=case == "general")
+
+
+def _link_bound(m: int, s: Fraction, mu: Fraction, general: bool) -> Fraction:
+    """The bare max term of `eval_prebound`, plus its pair-degree correction
+    when `general`; also the two lower branches of h0 in `eval_h0_h`."""
     core = max(genbinom(3 * s - 1, 3) - genbinom(3 * s - 1 - mu * s, 3),
                genbinom(3 * mu * s + 2, 3))
-    if case == "half":
-        return core
-    if case == "general":
+    if general:
         return core + genbinom(2 * mu * s, 2) * genbinom(m - 3 * s + 1, 1)
-    raise ValueError(f"unknown case {case!r}")
+    return core
 
 
 # ---------------------------------------------------------------------------
@@ -166,14 +172,9 @@ def eval_h0_h(s_val, m: int, a, b) -> H0HReport:
     mu, beta = _mu_beta(a, b)
 
     def h0_branch(branch: str) -> Fraction:
-        core = max(genbinom(3 * s_val - 1, 3)
-                   - genbinom(3 * s_val - 1 - mu * s_val, 3),
-                   genbinom(3 * mu * s_val + 2, 3))
         if branch == _BRANCHES[0]:
             return genbinom(m, 3) - genbinom(m - mu * s_val, 3)
-        if branch == _BRANCHES[1]:
-            return core + genbinom(2 * mu * s_val, 2) * genbinom(m - 3 * s_val + 1, 1)
-        return core
+        return _link_bound(m, s_val, mu, general=branch == _BRANCHES[1])
 
     branch = _branch_of(b)
     h0 = h0_branch(branch)

@@ -18,8 +18,8 @@ from emclab import kernel
 from emclab.constructions import build_Hi, emc_bound
 from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
                                is_stable, new_hypergraph, trace_family)
-from emclab.lp import (ZERO, FractionalCover, LPError,
-                       dominance_maximal_edges, fractional_matching_number,
+from emclab.lp import (ZERO, FractionalCover, dominance_maximal_edges,
+                       fractional_matching_number, monotone_cover_bound,
                        solve_lp)
 from emclab.matching import matching_number
 from emclab.scalars import DELTA
@@ -81,6 +81,17 @@ class MatchingTooLarge(HypergraphError):
         super().__init__(f"nu* = {nu_star} exceeds s = {s}")
 
 
+def _tau_star(h: Hypergraph) -> tuple[Fraction, bool]:
+    """tau* (= nu*), and whether h is stable on its full ground set [n].
+
+    There `monotone_cover_bound` is exact and, by the swap argument in its
+    docstring, the lexicographically greatest minimum cover is nonincreasing.
+    """
+    if h.vertices == tuple(range(1, h.n + 1)) and is_stable(h):
+        return monotone_cover_bound(h), True
+    return fractional_matching_number(h)[0], False
+
+
 def min_cover_sorted(h: Hypergraph) -> FractionalCover:
     """Minimum fractional cover whose weight vector is lexicographically
     greatest, found by sequential LP refinement: fix the total at tau*, then
@@ -90,7 +101,7 @@ def min_cover_sorted(h: Hypergraph) -> FractionalCover:
     if not h.edges:
         return FractionalCover(weights={v: ZERO for v in verts}, size=ZERO,
                                support=frozenset())
-    tau_star, _ = fractional_matching_number(h)
+    tau_star, stable = _tau_star(h)
 
     def base_rows(cover_edges, monotone):
         rows = []
@@ -110,18 +121,12 @@ def min_cover_sorted(h: Hypergraph) -> FractionalCover:
         rows.append(([Fraction(1)] * n, "==", tau_star))
         return rows
 
-    # On a stable full-ground-set graph a minimum cover can be taken
-    # nonincreasing, and then only the dominance-maximal edges need explicit
-    # constraints — a huge reduction for dense families.
-    rows = None
-    if h.vertices == tuple(range(1, h.n + 1)) and is_stable(h):
-        try_rows = base_rows(dominance_maximal_edges(h), monotone=True)
-        try:
-            solve_lp([ZERO] * n, try_rows, maximize=True)
-            rows = try_rows
-        except LPError:
-            rows = None  # monotone cover misses tau*; fall back
-    if rows is None:
+    # On a stable full-ground-set graph the sought cover is nonincreasing, so
+    # only the dominance-maximal edges need explicit constraints — a huge
+    # reduction for dense families.
+    if stable:
+        rows = base_rows(dominance_maximal_edges(h), monotone=True)
+    else:
         rows = base_rows(h.edges, monotone=False)
     x = None
     fixed = ZERO
@@ -197,7 +202,7 @@ def extremal_profile(g: Hypergraph, s: int, epsilon: Fraction
         raise HypergraphError("need 0 <= s < n - 1")
     if not is_stable(g):
         raise HypergraphError("G must be stable")
-    nu_star, _ = fractional_matching_number(g)
+    nu_star, _ = _tau_star(g)
     if nu_star > s:
         raise MatchingTooLarge(nu_star, s)
     raw = _profile_of(g, s, epsilon)

@@ -1,9 +1,10 @@
 """The kernel contract, and a differential test of its two implementations.
 
-The compiled kernel is built from the shipped ``_kernel.c`` into a temporary
-directory and loaded without registering it as a module, so the rest of the
-session keeps whichever kernel ``emclab.kernel`` picked at import.  Both
-kernels must agree exactly: answers, witnesses and node counts.
+The compiled kernel is built from ``_kernel.c`` into a temporary directory,
+with warnings as errors, and loaded without registering it as a module, so
+the rest of the session keeps whichever kernel ``emclab.kernel`` picked at
+import.  Both kernels must agree exactly: answers, witnesses and node counts.
+Malformed input must raise in the compiled kernel, never crash it.
 """
 
 import importlib.util
@@ -63,7 +64,7 @@ def missing_toolchain():
 
 @pytest.fixture(scope="module")
 def compiled(tmp_path_factory):
-    """The compiled kernel, built from the shipped C source outside src/."""
+    """The compiled kernel, built from its C source outside src/."""
     reason = missing_toolchain()
     if reason:
         pytest.skip(reason)
@@ -71,7 +72,8 @@ def compiled(tmp_path_factory):
     from setuptools.command.build_ext import build_ext
     out = tmp_path_factory.mktemp("kernel_build")
     cmd = build_ext(Distribution(
-        {"ext_modules": [Extension("emclab._kernel", [str(C_SOURCE)])]}))
+        {"ext_modules": [Extension("emclab._kernel", [str(C_SOURCE)],
+                                   extra_compile_args=["-Wall", "-Werror"])]}))
     cmd.build_lib = str(out / "lib")
     cmd.build_temp = str(out / "tmp")
     cmd.ensure_finalized()
@@ -115,7 +117,7 @@ class TestContract:
 
 class TestCompiledMatchesPython:
     def test_loaded_aside(self, compiled):
-        assert compiled.IMPL == "cython"
+        assert compiled.IMPL == "c"
         assert kernel.IMPL == IMPL_AT_IMPORT
         assert sys.modules.get("emclab._kernel") is not compiled
         assert getattr(sys.modules["emclab"], "_kernel", None) is not compiled
@@ -142,3 +144,39 @@ class TestCompiledMatchesPython:
             for u in (0, used):
                 assert compiled.greedy_matching(masks, u) == \
                     _kernel_py.greedy_matching(masks, u)
+
+
+class TestCompiledRejectsMalformedInput:
+    def test_negative_mask(self, compiled):
+        with pytest.raises(OverflowError):
+            compiled.find_matching([3, -1], 2, 1)
+        with pytest.raises(OverflowError):
+            compiled.find_matching([3], 2, 1, -1)
+        with pytest.raises(OverflowError):
+            compiled.greedy_matching([3, -1])
+        with pytest.raises(OverflowError):
+            compiled.downset_max_edges([-3], [[]], 1, 10)
+
+    def test_successor_out_of_range(self, compiled):
+        masks, succs = _candidates(5, 2)
+        for bad in (len(masks), -1):
+            with pytest.raises(IndexError):
+                compiled.downset_max_edges(masks, succs[:-1] + [[bad]], 1, 10)
+
+    def test_succs_length_mismatch(self, compiled):
+        masks, succs = _candidates(5, 2)
+        for bad in (succs[:-1], succs + [[]]):
+            with pytest.raises(ValueError):
+                compiled.downset_max_edges(masks, bad, 1, 10)
+
+    def test_huge_need(self, compiled):
+        masks = kernel.edge_masks(8, [(1, 2), (3, 4), (5, 6)])
+        # need * k overflows a C int, then a long long; no such matching
+        for need in (2**31, 2**62):
+            assert compiled.find_matching(masks, 2, need) is None
+            assert _kernel_py.find_matching(masks, 2, need) is None
+        with pytest.raises(OverflowError):
+            compiled.find_matching(masks, 2, 2**64)
+        masks, succs = _candidates(6, 2)
+        assert compiled.downset_max_edges(masks, succs, 100, 10) == \
+            _kernel_py.downset_max_edges(masks, succs, 100, 10)

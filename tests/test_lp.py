@@ -193,12 +193,14 @@ class TestMonotoneCoverBound:
             assert bound == nu_star == s
 
     def test_sound_upper_bound_random_stable(self):
+        # exact, not just sound: a stable family on [n] has a nonincreasing
+        # minimum cover, which verifier.min_cover_sorted relies on
         rng = random.Random(55)
         for _ in range(30):
             h = random_stable(rng, rng.randint(4, 9), rng.choice([2, 3]),
                               rng.randint(1, 12))
             nu_star, _ = fractional_matching_number(h)
-            assert monotone_cover_bound(h) >= nu_star
+            assert monotone_cover_bound(h) == nu_star
 
     def test_maximal_edges(self):
         h = build_Hi(8, 2, 1, 1)  # star at vertex 1 on 8 vertices
