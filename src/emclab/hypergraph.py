@@ -56,7 +56,7 @@ def new_hypergraph(n: int, k: int, raw_edges: Iterable[Sequence[int]],
     Raises HypergraphError identifying the first offending edge (wrong arity,
     repeated vertex, or vertex outside the ground set).
     """
-    if n < 1 or k < 0 or k > n:
+    if n < 1 or k < 1 or k > n:
         raise HypergraphError(f"need 1 <= k <= n, got n={n}, k={k}")
     ground = tuple(sorted(vertices)) if vertices is not None else tuple(range(1, n + 1))
     ground_set = set(ground)

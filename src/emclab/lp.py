@@ -1,8 +1,12 @@
 """Exact rational linear programming for fractional matchings and covers.
 
-Everything here runs on `fractions.Fraction`; there is no floating point in
-this module.  The solver is a dense two-phase primal simplex with Bland's
-anti-cycling rule, which keeps every result deterministic.
+There is no floating point in this module.  The solver is a dense two-phase
+primal simplex with Bland's anti-cycling rule, which keeps every result
+deterministic.  It pivots on a fraction-free integer tableau (Bareiss 1968;
+Edmonds 1967) with one common denominator; `fractions.Fraction` appears only
+at its boundary, in the inputs it scales to integers and in the optimum it
+returns.  Every optimum comes with a primal and dual certificate, checked in
+integer arithmetic before it is returned.
 
 Beyond the plain optima this module provides the two constructive pieces the
 stability machinery needs: the lexicographic load-maximizing fractional
@@ -16,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterable, Sequence
 
 from emclab.hypergraph import Hypergraph, HypergraphError, is_stable
@@ -44,8 +49,23 @@ def _simplex_min(c, rows, trace=None):
     """Minimize c.x subject to `rows` and x >= 0, exactly.
 
     rows: list of (coeffs, sense, rhs) with sense in {"<=", ">=", "=="}.
-    Returns (value, x, row_duals) where row_duals[i] = y_i with the sign
-    convention of the minimization dual (y free for "==", y <= 0 for "<=").
+    Returns (value, x, row_duals).  row_duals[i] is minus the final reduced
+    cost of row i's slack column (of its artificial for "=="), taken after
+    rows with a negative rhs are negated: the minimization dual y_i for "<="
+    and "==" rows (y_i <= 0 on "<="), and -y_i for ">=" rows.
+
+    Two-phase primal simplex with Bland's rule on a fraction-free integer
+    tableau (Bareiss 1968; Edmonds 1967).  After the rhs >= 0 flip every row
+    is scaled by one common L, the lcm of all coefficient and rhs
+    denominators, and the costs by their own lcm Lc.  The tableau holds D
+    times the rational tableau, D > 0 the previous pivot: a pivot p on row r,
+    column s replaces every other row i by (p*T[i] - T[i][s]*T[r]) // D, an
+    exact division, and D by p (row r is negated first if p < 0).  The
+    reduced-cost rows are tableau rows updated by the same step.  Common
+    scale factors change no sign and no ratio order, so Bland's rule makes
+    the same pivots as on the rational tableau.  `Fraction` appears only when
+    reading the input and writing the output, and every optimum passes
+    `_check_certificate` first.
     """
     nvars = len(c)
     m = len(rows)
@@ -59,131 +79,146 @@ def _simplex_min(c, rows, trace=None):
             rhs = -rhs
             sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
         norm.append((coeffs, sense, rhs))
+    scale = lcm(*(v.denominator for coeffs, _, rhs in norm for v in (*coeffs, rhs)))
+    A = [[v.numerator * (scale // v.denominator) for v in coeffs] for coeffs, _, _ in norm]
+    b = [rhs.numerator * (scale // rhs.denominator) for _, _, rhs in norm]
+    senses = [sense for _, sense, _ in norm]
+    cost_scale = lcm(*(v.denominator for v in c))
+    C = [v.numerator * (cost_scale // v.denominator) for v in c]
 
     slack_col = {}
     art_col = {}
     ncols = nvars
-    for i, (_, sense, _) in enumerate(norm):
-        if sense in ("<=", ">="):
+    for i, sense in enumerate(senses):
+        if sense != "==":
             slack_col[i] = ncols
             ncols += 1
-    for i, (_, sense, _) in enumerate(norm):
-        if sense in (">=", "=="):
+    first_art = ncols
+    for i, sense in enumerate(senses):
+        if sense != "<=":
             art_col[i] = ncols
             ncols += 1
 
-    tab = [[ZERO] * (ncols + 1) for _ in range(m)]
-    basis = [0] * m
-    for i, (coeffs, sense, rhs) in enumerate(norm):
-        row = tab[i]
-        for j, v in enumerate(coeffs):
-            row[j] = v
+    # rows 0..m-1: constraints; row m: phase-2 reduced costs; row m+1 (while
+    # phase 1 runs): phase-1 reduced costs.  Column ncols is the rhs.
+    tab = []
+    basis = []
+    for i, sense in enumerate(senses):
+        row = A[i] + [0] * (ncols + 1 - nvars)
         if sense == "<=":
-            row[slack_col[i]] = ONE
-            basis[i] = slack_col[i]
-        elif sense == ">=":
-            row[slack_col[i]] = -ONE
-            row[art_col[i]] = ONE
-            basis[i] = art_col[i]
+            row[slack_col[i]] = 1
+            basis.append(slack_col[i])
         else:
-            row[art_col[i]] = ONE
-            basis[i] = art_col[i]
-        row[ncols] = rhs
+            if sense == ">=":
+                row[slack_col[i]] = -1
+            row[art_col[i]] = 1
+            basis.append(art_col[i])
+        row[ncols] = b[i]
+        tab.append(row)
+    tab.append(C + [0] * (ncols + 1 - nvars))
+    D = 1
 
-    artificials = set(art_col.values())
-
-    def reduced_costs(cost):
-        r = list(cost) + [ZERO] * (ncols - len(cost))
-        z = ZERO
-        for i in range(m):
-            cb = r_base[basis[i]]
-            if cb:
-                row = tab[i]
-                for j in range(ncols):
-                    if row[j]:
-                        r[j] -= cb * row[j]
-                z -= cb * row[ncols]
-        return r, z
-
-    def pivot(pi, pj, phase):
+    def pivot(r, s, phase):
+        nonlocal D
         if trace is not None:
-            trace.append((phase, pj, basis[pi]))
-        row = tab[pi]
-        pv = row[pj]
-        if pv != 1:
-            tab[pi] = row = [x / pv for x in row]
-        for i in range(m):
-            if i == pi:
+            trace.append((phase, s, basis[r]))
+        prow = tab[r]
+        p = prow[s]
+        if p < 0:   # only when driving out artificials; keeps D > 0
+            prow = tab[r] = [-v for v in prow]
+            p = -p
+        for i, row in enumerate(tab):
+            if i == r:
                 continue
-            f = tab[i][pj]
+            f = row[s]
             if f:
-                tab[i] = [a - f * b for a, b in zip(tab[i], row)]
-        basis[pi] = pj
+                tab[i] = [(p * a - f * v) // D for a, v in zip(row, prow)]
+            elif p != D:
+                tab[i] = [p * a // D for a in row]
+        D = p
+        basis[r] = s
 
-    def run(cost, allowed, phase):
-        nonlocal r_base
+    def run(obj, allowed, phase):
+        """Bland's rule: enter the first allowed column with a negative
+        reduced cost; leave by the least ratio rhs/a over a > 0, compared by
+        cross-multiplying, ties to the least basic index."""
         while True:
-            r_base = list(cost) + [ZERO] * (ncols - len(cost))
-            r, _ = reduced_costs(cost)
-            enter = -1
-            for j in range(ncols):
-                if j in allowed and r[j] < 0:
-                    enter = j
-                    break
+            red = tab[obj]
+            enter = next((j for j in range(allowed) if red[j] < 0), -1)
             if enter < 0:
-                return r
+                return
             leave = -1
-            best = None
             for i in range(m):
                 a = tab[i][enter]
                 if a > 0:
-                    ratio = tab[i][ncols] / a
-                    if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                        best = ratio
-                        leave = i
+                    t = tab[i][ncols]
+                    if leave < 0 or t * best_a < best_t * a or (
+                            t * best_a == best_t * a and basis[i] < basis[leave]):
+                        leave, best_t, best_a = i, t, a
             if leave < 0:
                 raise Unbounded("LP is unbounded")
             pivot(leave, enter, phase)
 
-    r_base: list[Fraction] = []
-
-    # phase 1
-    if artificials:
-        cost1 = [ZERO] * ncols
-        for j in artificials:
-            cost1[j] = ONE
-        allowed = set(range(ncols))
-        run(cost1, allowed, 1)
-        val1 = sum(tab[i][ncols] for i in range(m) if basis[i] in artificials)
-        if val1 != 0:
+    if art_col:
+        phase1 = [int(j >= first_art) for j in range(ncols)] + [0]
+        for i in art_col:
+            phase1 = [a - v for a, v in zip(phase1, tab[i])]
+        tab.append(phase1)
+        run(m + 1, ncols, 1)
+        tab.pop()
+        if any(tab[i][ncols] for i in range(m) if basis[i] >= first_art):
             raise Infeasible("LP is infeasible")
         # drive basic artificials out where possible
         for i in range(m):
-            if basis[i] in artificials:
-                for j in range(ncols):
-                    if j not in artificials and tab[i][j] != 0:
+            if basis[i] >= first_art:
+                for j in range(first_art):
+                    if tab[i][j]:
                         pivot(i, j, 1)
                         break
 
-    cost2 = [Fraction(x) for x in c]
-    allowed = set(range(ncols)) - artificials
-    r = run(cost2, allowed, 2)
+    run(m, first_art, 2)
 
-    x = [ZERO] * nvars
-    value = ZERO
-    for i in range(m):
-        if basis[i] < nvars:
-            x[basis[i]] = tab[i][ncols]
-    value = sum(ci * xi for ci, xi in zip(cost2, x))
-
-    duals = []
-    for i in range(m):
-        col = slack_col.get(i)
-        if col is not None:
-            duals.append(-r[col])          # reduced cost of slack is -y_i
-        else:
-            duals.append(-r[art_col[i]])
+    X = [0] * nvars
+    for i, j in enumerate(basis):
+        if j < nvars:
+            X[j] = tab[i][ncols]
+    # minus the reduced cost of each row's slack (of its artificial for
+    # "=="): y_i, or -y_i on a ">=" row, whose slack has coefficient -1
+    red = tab[m]
+    neg_red = [-red[slack_col[i] if i in slack_col else art_col[i]] for i in range(m)]
+    Y = [-v if sense == ">=" else v for v, sense in zip(neg_red, senses)]
+    _check_certificate(A, senses, b, C, X, Y, D)
+    den = D * cost_scale
+    value = Fraction(sum(cj * xj for cj, xj in zip(C, X)), den)
+    x = [Fraction(v, D) for v in X]
+    duals = [Fraction(v * scale, den) for v in neg_red]
     return value, x, duals
+
+
+def _check_certificate(A, senses, b, c, X, Y, D):
+    """Raise LPError unless x = X/D and y = Y/D are optimal for
+    min c.x subject to A x (senses) b, x >= 0, and for its dual.
+
+    All arguments are integers (A, b and c are the scaled rows and costs the
+    simplex pivots on), so this costs about one pivot.  It checks primal
+    feasibility, the dual sign (y <= 0 on "<=", y >= 0 on ">=", free on
+    "=="), dual feasibility A^T y <= c, and equal objectives c.x == b.y,
+    which together prove both optimal (Applegate, Cook, Dash and Espinoza
+    2007).  It reads nothing of the tableau.
+    """
+    if D <= 0 or any(v < 0 for v in X):
+        raise LPError("certificate: x is not nonnegative")
+    for a, sense, bi, y in zip(A, senses, b, Y):
+        lhs, rhs = sum(aj * xj for aj, xj in zip(a, X)), bi * D
+        if not {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]:
+            raise LPError(f"certificate: x violates a {sense} row")
+        if {"<=": y > 0, ">=": y < 0, "==": False}[sense]:
+            raise LPError(f"certificate: dual of a {sense} row has the wrong sign")
+    for j, cj in enumerate(c):
+        if sum(a[j] * y for a, y in zip(A, Y)) > cj * D:
+            raise LPError(f"certificate: dual violates column {j}")
+    if sum(cj * xj for cj, xj in zip(c, X)) != sum(bi * y for bi, y in zip(b, Y)):
+        raise LPError("certificate: c.x != b.y")
 
 
 def solve_lp(c, rows, maximize=False, trace=None):
@@ -280,10 +315,7 @@ def fractional_matching_and_cover(h: Hypergraph, trace=None
     for e in h.edges:
         if sum(weights[v] for v in e) < 1:
             raise LPError(f"dual not a cover at edge {e}")
-    size = sum(weights.values(), ZERO)
-    if size != value:
-        raise LPError("strong duality violated (solver bug)")
-    return value, fm, FractionalCover(weights=weights, size=size,
+    return value, fm, FractionalCover(weights=weights, size=sum(weights.values(), ZERO),
                                       support=frozenset(v for v, w in weights.items() if w > 0))
 
 
@@ -347,10 +379,7 @@ def lex_max_fractional_matching(h: Hypergraph, order: Sequence[int],
     if x is None:  # empty order: any matching of the right size
         _, x, _ = solve_lp([ZERO] * len(h.edges), rows, maximize=True)
     weights = {e: w for e, w in zip(h.edges, x) if w}
-    fm = make_fractional_matching(h, weights)
-    if fm.size != target:
-        raise LPError("lexicographic chain lost the size constraint (solver bug)")
-    return fm
+    return make_fractional_matching(h, weights)
 
 
 class PerfectExtensionError(LPError):

@@ -46,7 +46,7 @@ def _upper_bound(h: Hypergraph, masks: list[int], lb: int) -> int:
     active = 0
     for m in masks:
         active |= m
-    ub = bin(active).count("1") // h.k if h.k else 0
+    ub = bin(active).count("1") // h.k
     ub = min(ub, _greedy_cover_size(h))
     if ub <= lb:
         return ub

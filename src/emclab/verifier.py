@@ -81,13 +81,14 @@ class MatchingTooLarge(HypergraphError):
         super().__init__(f"nu* = {nu_star} exceeds s = {s}")
 
 
-def _tau_star(h: Hypergraph) -> tuple[Fraction, bool]:
+def _tau_star(h: Hypergraph, stable: bool | None = None) -> tuple[Fraction, bool]:
     """tau* (= nu*), and whether h is stable on its full ground set [n].
 
     There `monotone_cover_bound` is exact and, by the swap argument in its
     docstring, the lexicographically greatest minimum cover is nonincreasing.
+    `stable` is `is_stable(h)` when the caller already knows it.
     """
-    if h.vertices == tuple(range(1, h.n + 1)) and is_stable(h):
+    if h.vertices == tuple(range(1, h.n + 1)) and (is_stable(h) if stable is None else stable):
         return monotone_cover_bound(h), True
     return fractional_matching_number(h)[0], False
 
@@ -96,12 +97,16 @@ def min_cover_sorted(h: Hypergraph) -> FractionalCover:
     """Minimum fractional cover whose weight vector is lexicographically
     greatest, found by sequential LP refinement: fix the total at tau*, then
     maximize omega(1), omega(2), ... in turn."""
+    return _min_cover_sorted(h, *_tau_star(h))
+
+
+def _min_cover_sorted(h: Hypergraph, tau_star: Fraction, stable: bool) -> FractionalCover:
+    """`min_cover_sorted` given `_tau_star(h)`."""
     n = len(h.vertices)
     verts = list(h.vertices)
     if not h.edges:
         return FractionalCover(weights={v: ZERO for v in verts}, size=ZERO,
                                support=frozenset())
-    tau_star, stable = _tau_star(h)
 
     def base_rows(cover_edges, monotone):
         rows = []
@@ -157,9 +162,11 @@ class ExtremalProfile:
     cover: dict[int, Fraction]
 
 
-def _profile_of(g: Hypergraph, s: int, epsilon: Fraction) -> ExtremalProfile:
+def _profile_of(g: Hypergraph, s: int, epsilon: Fraction,
+                tau: tuple[Fraction, bool]) -> ExtremalProfile:
+    """Profile of g, given `tau` = `_tau_star(g)`."""
     n = g.n
-    fc = min_cover_sorted(g)
+    fc = _min_cover_sorted(g, *tau)
     w = fc.weights
     a = sum(w.get(i, ZERO) for i in range(1, s + 1)) / s if s else ZERO
     b = w.get(s + 1, ZERO)
@@ -202,11 +209,12 @@ def extremal_profile(g: Hypergraph, s: int, epsilon: Fraction
         raise HypergraphError("need 0 <= s < n - 1")
     if not is_stable(g):
         raise HypergraphError("G must be stable")
-    nu_star, _ = _tau_star(g)
-    if nu_star > s:
-        raise MatchingTooLarge(nu_star, s)
-    raw = _profile_of(g, s, epsilon)
-    sat = _profile_of(saturate_by_cover(g, raw.cover), s, epsilon)
+    tau = _tau_star(g, stable=True)
+    if tau[0] > s:
+        raise MatchingTooLarge(tau[0], s)
+    raw = _profile_of(g, s, epsilon, tau)
+    sat_g = saturate_by_cover(g, raw.cover)
+    sat = _profile_of(sat_g, s, epsilon, _tau_star(sat_g))
     return {"raw": raw, "saturated": sat}
 
 

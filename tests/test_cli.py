@@ -252,6 +252,14 @@ class TestUsageErrors:
             main(["nu", str(src)])
         assert ei.value.code == 3
 
+    @pytest.mark.parametrize("text", ["3 0 1\n", "3 0 0\n"])
+    def test_k0_khg(self, tmp_path, text):
+        src = tmp_path / "k0.khg"
+        src.write_text(text)
+        with pytest.raises(SystemExit) as ei:
+            main(["nu", str(src)])
+        assert ei.value.code == 3
+
     # one invalid invocation per subcommand; every one must exit 3
     INVALID = {
         "gen": ["gen", "--family", "hi", "--n", "3", "--k", "3", "--s", "2",

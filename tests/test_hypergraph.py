@@ -48,6 +48,12 @@ class TestConstruction:
         with pytest.raises(HypergraphError):
             new_hypergraph(3, 4, [])
 
+    def test_k0_rejected(self):
+        # k = 0 would admit the empty edge, on which the matching search
+        # never terminates
+        with pytest.raises(HypergraphError, match="1 <= k"):
+            new_hypergraph(3, 0, [()])
+
     def test_complete_count(self):
         assert complete_hypergraph(7, 3).num_edges == binom(7, 3)
 

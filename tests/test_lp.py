@@ -7,8 +7,9 @@ import pytest
 from emclab.constructions import build_Hi
 from emclab.hypergraph import complete_hypergraph, is_stable, new_hypergraph
 from emclab.lp import (Infeasible, LPError, PerfectExtensionError, Unbounded,
-                       check_complementary_slackness, dominance_maximal_edges,
-                       extend_to_perfect_fm, fractional_cover_number,
+                       _check_certificate, check_complementary_slackness,
+                       dominance_maximal_edges, extend_to_perfect_fm,
+                       fractional_cover_number, fractional_matching_and_cover,
                        fractional_matching_number, full_degree_vertices,
                        has_perfect_fm, lex_max_fractional_matching,
                        make_fractional_matching, monotone_cover_bound,
@@ -51,6 +52,155 @@ class TestSimplex:
     def test_exact_rationals(self):
         v, x, _ = solve_lp([1], [([Fraction(3)], "<=", Fraction(1))], maximize=True)
         assert v == Fraction(1, 3)
+
+
+F = Fraction
+
+# (c, rows, maximize, pivot trace, result) recorded from the rational
+# Fraction tableau this solver replaced; result is (value, x, duals) or the
+# exception type.  The trace is kept up to the exception.
+GOLDEN = {
+    "triangle_packing": (
+        [1, 1, 1], [([1, 1, 0], "<=", 1), ([0, 1, 1], "<=", 1), ([1, 0, 1], "<=", 1)], True,
+        [(2, 0, 3), (2, 2, 5), (2, 1, 4)],
+        ("3/2", ["1/2", "1/2", "1/2"], ["1/2", "1/2", "1/2"])),
+    "phase1_eq_ge": (
+        [1, 2, 3], [([1, 1, 1], "==", 4), ([1, 0, 0], "<=", 3), ([0, 1, 2], ">=", 2)], False,
+        [(1, 0, 3), (1, 1, 5), (1, 2, 1), (1, 3, 6)],
+        ("6", ["3", "0", "1"], ["1", "0", "-1"])),
+    # row 3 = row 1 + row 2: its artificial is driven out on pivot -4
+    "redundant_eq_driveout": (
+        [-2, -3, -3], [([2, 1, 0], "==", 3), ([-2, 1, -2], "==", 3), ([0, 2, -2], "==", 6)],
+        False,
+        [(1, 1, 3), (1, 0, 4), (2, 2, 0)],
+        ("-9", ["0", "3", "0"], ["-9/2", "3/2", "0"])),
+    "coprime": (
+        [F(1, 3), F(2, 7), F(-1, 5), F(3, 7)],
+        [([F(1, 2), 1, F(1, 3), 1], "<=", F(2, 7)), ([1, F(1, 5), 1, 0], "<=", F(5, 3)),
+         ([0, -1, F(2, 3), 1], ">=", F(1, 7)), ([F(-1, 3), 1, 1, 0], "==", F(-1, 21))], True,
+        [(1, 0, 8), (1, 2, 4), (1, 3, 7), (2, 1, 2)],
+        ("148/1029", ["10/49", "1/49", "0", "8/49"], ["24/49", "0", "3/49", "13/49"])),
+    "infeasible": (
+        [1, 1], [([1, 1], ">=", 3), ([1, 0], "<=", 1), ([0, 1], "<=", 1)], False,
+        [(1, 0, 3), (1, 1, 4)], Infeasible),
+    "unbounded": (
+        [-1, 0], [([1, -1], "==", 1), ([0, 1], ">=", F(1, 2))], False,
+        [(1, 0, 3), (1, 1, 4)], Unbounded),
+}
+
+
+def minimization_duals(rows, duals, maximize):
+    """The dual y of min c.x (c negated when maximizing) over `rows` as
+    given, from solve_lp's documented convention: minus the slack's reduced
+    cost in the orientation with rhs >= 0, so -y on ">=" rows."""
+    out = []
+    for (_, sense, rhs), d in zip(rows, duals):
+        d = -d if maximize else d
+        flip = -1 if rhs < 0 else 1
+        normalized = {"<=": ">=", ">=": "<="}.get(sense, sense) if flip < 0 else sense
+        out.append(flip * (-d if normalized == ">=" else d))
+    return out
+
+
+def assert_optimal(c, rows, maximize, value, x, duals):
+    """Fraction check of primal and dual feasibility and equal objectives."""
+    cmin = [-F(v) for v in c] if maximize else [F(v) for v in c]
+    y = minimization_duals(rows, duals, maximize)
+    assert all(v >= 0 for v in x)
+    for (coeffs, sense, rhs), yi in zip(rows, y):
+        lhs = sum(F(a) * v for a, v in zip(coeffs, x))
+        assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]
+        assert {"<=": yi <= 0, ">=": yi >= 0, "==": True}[sense]
+    for j, cj in enumerate(cmin):
+        assert sum(F(coeffs[j]) * yi for (coeffs, _, _), yi in zip(rows, y)) <= cj
+    b_dot_y = sum(F(rhs) * yi for (_, _, rhs), yi in zip(rows, y))
+    assert (-b_dot_y if maximize else b_dot_y) == value == sum(F(a) * v for a, v in zip(c, x))
+
+
+class TestIntegerCore:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_trace_and_result(self, name):
+        c, rows, maximize, want_trace, want = GOLDEN[name]
+        trace = []
+        if isinstance(want, type):
+            with pytest.raises(want):
+                solve_lp(c, rows, maximize=maximize, trace=trace)
+        else:
+            value, x, duals = solve_lp(c, rows, maximize=maximize, trace=trace)
+            assert (value, x, duals) == (F(want[0]), [F(v) for v in want[1]],
+                                         [F(v) for v in want[2]])
+            assert all(type(v) is Fraction for v in (value, *x, *duals))
+        assert trace == want_trace
+
+    def test_nufrac_trace_h1_12_4_2(self):
+        trace = []
+        nu_star, _, fc = fractional_matching_and_cover(build_Hi(12, 4, 2, 1), trace=trace)
+        assert nu_star == fc.size == 2
+        assert trace == [(2, 0, 285), (2, 165, 286), (2, 45, 287), (2, 9, 288), (2, 1, 289),
+                         (2, 2, 0), (2, 17, 1), (2, 10, 9), (2, 24, 2), (2, 81, 10),
+                         (2, 53, 17), (2, 46, 45), (2, 60, 46), (2, 109, 53), (2, 88, 81),
+                         (2, 130, 24)]
+
+    def test_coprime_denominators_exact(self):
+        # max x1/3 + 2*x2/7 s.t. x1 + x2 <= 5/7, x1 - x2 == -1/3 (negative rhs)
+        c = [F(1, 3), F(2, 7)]
+        rows = [([1, 1], "<=", F(5, 7)), ([1, -1], "==", F(-1, 3))]
+        value, x, duals = solve_lp(c, rows, maximize=True)
+        assert x == [F(4, 21), F(11, 21)] and value == F(94, 441)
+        # both x > 0, so u + w = 1/3 and u - w = 2/7: u = 13/42, w = 1/42,
+        # reported for the row negated to rhs 1/3
+        assert duals == [F(13, 42), F(-1, 42)]
+        assert_optimal(c, rows, True, value, x, duals)
+
+    @pytest.mark.parametrize("name", ["phase1_eq_ge", "redundant_eq_driveout", "coprime"])
+    def test_ge_and_eq_duals_certify(self, name):
+        c, rows, maximize, _, _ = GOLDEN[name]
+        value, x, duals = solve_lp(c, rows, maximize=maximize)
+        assert_optimal(c, rows, maximize, value, x, duals)
+        y = minimization_duals(rows, duals, maximize)
+        assert any(yi for (_, sense, _), yi in zip(rows, y) if sense != "<=")
+
+    def test_random_lps_certify(self):
+        rng = random.Random(4)
+        solved = 0
+        for _ in range(300):
+            nv, m = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [([F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nv)],
+                     rng.choice(["<=", ">=", "=="]), F(rng.randint(-3, 3), rng.randint(1, 4)))
+                    for _ in range(m)]
+            c = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nv)]
+            maximize = rng.random() < 0.5
+            try:
+                value, x, duals = solve_lp(c, rows, maximize=maximize)
+            except (Infeasible, Unbounded):
+                continue
+            assert_optimal(c, rows, maximize, value, x, duals)
+            solved += 1
+        assert solved >= 40
+
+
+class TestCertificateCheck:
+    # min x1 + x2 s.t. x1 + x2 >= 2, x1 <= 5: x = (2, 0), y = (1, 0)
+    A, SENSES, B, C = [[1, 1], [1, 0]], [">=", "<="], [2, 5], [1, 1]
+
+    def check(self, X, Y, D=1):
+        _check_certificate(self.A, self.SENSES, self.B, self.C, X, Y, D)
+
+    def test_accepts_optimum(self):
+        self.check([2, 0], [1, 0])
+        self.check([6, 0], [3, 0], D=3)
+
+    @pytest.mark.parametrize("X, Y", [
+        ([1, 0], [1, 0]),     # x violates the ">=" row
+        ([-1, 3], [1, 0]),    # x negative
+        ([3, 0], [1, 0]),     # feasible but c.x != b.y
+        ([2, 0], [2, 0]),     # A^T y > c
+        ([2, 0], [-1, 0]),    # y < 0 on a ">=" row
+        ([2, 0], [1, 1]),     # y > 0 on a "<=" row
+    ])
+    def test_rejects_corrupted(self, X, Y):
+        with pytest.raises(LPError, match="certificate"):
+            self.check(X, Y)
 
 
 class TestDuality:

@@ -4,7 +4,7 @@ import pytest
 
 from emclab.constructions import build_Hi
 from emclab.hypergraph import binom, complete_hypergraph, new_hypergraph
-from emclab.lp import fractional_matching_number
+from emclab.lp import fractional_matching_number, solve_lp
 from emclab.verifier import (MatchingTooLarge, extremal_profile, is_close_400,
                              max_edges_given_nu, min_cover_sorted,
                              saturate_by_cover, stability_scan, verify_emc)
@@ -80,6 +80,21 @@ class TestExtremalProfile:
         assert raw.link_sizes[(4,)] == 0
         assert raw.link_sizes[(1,)] == binom(16, 3)
         assert raw.lhs_lowerbound >= raw.rhs_lowerbound
+
+    def test_tau_star_solved_once_per_graph(self, monkeypatch):
+        # tau* of G and of its saturation, one solve each, and 6 sequential
+        # cover solves; G's tau* is not solved again inside min_cover_sorted
+        import emclab.lp
+        import emclab.verifier
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve_lp(*args, **kwargs)
+        monkeypatch.setattr(emclab.lp, "solve_lp", counted)
+        monkeypatch.setattr(emclab.verifier, "solve_lp", counted)
+        extremal_profile(build_Hi(20, 4, 3, 1), 3, Fraction(1, 10**6))
+        assert len(calls) == 8
 
     def test_saturation_only_adds(self):
         h = build_Hi(14, 4, 2, 1)
