@@ -151,6 +151,8 @@ def certify_calculate_lemma(z_max, max_depth: int = 60, max_boxes: int = 10**7,
     superset of the open region.  The max inside h~ is enclosed outward, so
     no branch of the piecewise definition is ever silently dropped.
     """
+    if mutation not in (None, "negate-lead", "flip-p-sign"):
+        raise ValueError(f"unknown mutation {mutation!r} for target calculate")
     z_max = Fraction(z_max)
     if not (0 < z_max <= Fraction(1, 10**5)):
         raise ValueError("need 0 < z_max <= 1/10^5")
@@ -192,6 +194,8 @@ def certify_maxvalue_coeffs(max_depth: int = 60, max_boxes: int = 10**7,
     beta = (1-b)*(4-d-3mu) substituted; the closed boxes cover the open
     region's closure, so strict positivity there is stronger than required.
     """
+    if mutation not in (None, "negate-c5-term"):
+        raise ValueError(f"unknown mutation {mutation!r} for target maxvalue")
     alpha_iv = Interval.make(0, 1 / FOUR)
     roots = []
     for i in range(1, 6):

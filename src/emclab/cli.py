@@ -247,6 +247,8 @@ def profile(path, s, epsilon):
 def verify_ineq(target, zmax, depth, max_boxes, mutation, out):
     """Certify an inequality by interval branch-and-prune."""
     if target == "convex":
+        if mutation is not None:
+            raise click.UsageError(f"unknown mutation {mutation!r} for target convex")
         from emclab.scalars import check_convexity, eval_f_lemma_convex
         rep = check_convexity(
             lambda x: eval_f_lemma_convex(x, 30, 4, 5, Fraction(1, 2)),

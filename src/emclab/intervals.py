@@ -163,25 +163,30 @@ def parse_certificate(text: str) -> Certificate:
     point = None
     for ln in lines:
         parts = ln.split()
-        if parts[0] in ("target", "status", "splits", "boxes"):
-            meta[parts[0]] = parts[1]
-        elif parts[0] == "coords":
-            names = parts[1:]
-        elif parts[0] == "box":
-            tag = parts[1]
-            vals = parts[2:]
-            mi = vals.index("margin")
-            coord_vals = vals[:mi]
-            coords = {}
-            for i, n in enumerate(names):
-                coords[n] = Interval(Fraction(coord_vals[2 * i]),
-                                     Fraction(coord_vals[2 * i + 1]))
-            margin = Interval(Fraction(vals[mi + 1]), Fraction(vals[mi + 2]))
-            boxes.append((Box(coords, tag), margin))
-        elif parts[0] == "point":
-            point = {kv.split("=")[0]: Fraction(kv.split("=")[1]) for kv in parts[1:]}
-        else:
-            raise ValueError(f"bad certificate line: {ln!r}")
+        try:
+            if parts[0] in ("target", "status", "splits", "boxes"):
+                meta[parts[0]] = parts[1]
+            elif parts[0] == "coords":
+                names = parts[1:]
+            elif parts[0] == "box":
+                tag = parts[1]
+                vals = parts[2:]
+                mi = vals.index("margin")
+                if (mi, len(vals)) != (2 * len(names), mi + 3):
+                    raise ValueError(f"want 2 bounds per coord {names} and 2 margin bounds")
+                coord_vals = vals[:mi]
+                coords = {}
+                for i, n in enumerate(names):
+                    coords[n] = Interval(Fraction(coord_vals[2 * i]),
+                                         Fraction(coord_vals[2 * i + 1]))
+                margin = Interval(Fraction(vals[mi + 1]), Fraction(vals[mi + 2]))
+                boxes.append((Box(coords, tag), margin))
+            elif parts[0] == "point":
+                point = {kv.split("=")[0]: Fraction(kv.split("=")[1]) for kv in parts[1:]}
+            else:
+                raise ValueError("unknown key")
+        except (IndexError, ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad certificate line {ln!r}: {exc}") from None
     return Certificate(target=meta["target"], status=meta["status"],
                        boxes=tuple(boxes), splits=int(meta["splits"]),
                        counterexample=point)

@@ -12,7 +12,8 @@ Beyond the plain optima this module provides the two constructive pieces the
 stability machinery needs: the lexicographic load-maximizing fractional
 matching (a chain of LPs, each freezing the previously maximized loads as
 equality constraints), and the extension of such a matching to a perfect
-fractional matching on a graph with a full-degree apex prefix.
+fractional matching on a graph with a full-degree apex prefix.  `tau_star`
+is the one place that chooses which LP yields tau* = nu*.
 """
 
 from __future__ import annotations
@@ -49,10 +50,9 @@ def _simplex_min(c, rows, trace=None):
     """Minimize c.x subject to `rows` and x >= 0, exactly.
 
     rows: list of (coeffs, sense, rhs) with sense in {"<=", ">=", "=="}.
-    Returns (value, x, row_duals).  row_duals[i] is minus the final reduced
-    cost of row i's slack column (of its artificial for "=="), taken after
-    rows with a negative rhs are negated: the minimization dual y_i for "<="
-    and "==" rows (y_i <= 0 on "<="), and -y_i for ">=" rows.
+    Returns (value, x, row_duals).  row_duals[i] is the minimization dual
+    y_i of row i as the caller wrote it: y_i <= 0 on "<=", y_i >= 0 on ">=",
+    free on "==", and sum(rhs_i * y_i) == value.
 
     Two-phase primal simplex with Bland's rule on a fraction-free integer
     tableau (Bareiss 1968; Edmonds 1967).  After the rhs >= 0 flip every row
@@ -71,9 +71,11 @@ def _simplex_min(c, rows, trace=None):
     m = len(rows)
     # normalize to nonnegative rhs
     norm = []
+    signs = []   # -1 on the rows negated here
     for coeffs, sense, rhs in rows:
         coeffs = [Fraction(x) for x in coeffs]
         rhs = Fraction(rhs)
+        signs.append(-1 if rhs < 0 else 1)
         if rhs < 0:
             coeffs = [-x for x in coeffs]
             rhs = -rhs
@@ -191,7 +193,7 @@ def _simplex_min(c, rows, trace=None):
     den = D * cost_scale
     value = Fraction(sum(cj * xj for cj, xj in zip(C, X)), den)
     x = [Fraction(v, D) for v in X]
-    duals = [Fraction(v * scale, den) for v in neg_red]
+    duals = [Fraction(sign * y * scale, den) for sign, y in zip(signs, Y)]
     return value, x, duals
 
 
@@ -222,7 +224,8 @@ def _check_certificate(A, senses, b, c, X, Y, D):
 
 
 def solve_lp(c, rows, maximize=False, trace=None):
-    """Exact LP over x >= 0.  rows: (coeffs, sense, rhs)."""
+    """Exact LP over x >= 0.  rows: (coeffs, sense, rhs).  Returns (value, x,
+    duals), one dual per row as written, with sum(rhs_i * duals_i) == value."""
     if maximize:
         value, x, duals = _simplex_min([-Fraction(v) for v in c], rows, trace=trace)
         return -value, x, [-d for d in duals]
@@ -504,7 +507,7 @@ def extend_to_perfect_fm(h: Hypergraph, t: int, fm: FractionalMatching) -> Fract
 
 
 # ---------------------------------------------------------------------------
-# cheap certified upper bound for stable families
+# tau* = nu*: the monotone cover LP on stable families, the packing LP elsewhere
 # ---------------------------------------------------------------------------
 
 def dominance_maximal_edges(h: Hypergraph) -> list[tuple[int, ...]]:
@@ -525,6 +528,22 @@ def dominance_maximal_edges(h: Hypergraph) -> list[tuple[int, ...]]:
     return out
 
 
+def _monotone_cover_rows(h: Hypergraph) -> list:
+    """Rows of the nonincreasing cover LP over w_1..w_n: w(e) >= 1 for each
+    dominance-maximal edge e, then w_i - w_{i+1} >= 0."""
+    n = h.n
+    rows = []
+    for e in dominance_maximal_edges(h):
+        coeffs = [ONE if v in e else ZERO for v in range(1, n + 1)]
+        rows.append((coeffs, ">=", ONE))
+    for i in range(n - 1):
+        coeffs = [ZERO] * n
+        coeffs[i] = ONE
+        coeffs[i + 1] = -ONE
+        rows.append((coeffs, ">=", ZERO))
+    return rows
+
+
 def monotone_cover_bound(h: Hypergraph) -> Fraction:
     """Size of the best nonincreasing fractional cover of a stable family.
 
@@ -539,15 +558,17 @@ def monotone_cover_bound(h: Hypergraph) -> Fraction:
     """
     if not h.edges:
         return ZERO
-    n = h.n
-    rows = []
-    for e in dominance_maximal_edges(h):
-        coeffs = [ONE if v in e else ZERO for v in range(1, n + 1)]
-        rows.append((coeffs, ">=", ONE))
-    for i in range(n - 1):
-        coeffs = [ZERO] * n
-        coeffs[i] = ONE
-        coeffs[i + 1] = -ONE
-        rows.append((coeffs, ">=", ZERO))
-    value, _, _ = solve_lp([ONE] * n, rows, maximize=False)
+    value, _, _ = solve_lp([ONE] * h.n, _monotone_cover_rows(h))
     return value
+
+
+def tau_star(h: Hypergraph, stable: bool | None = None) -> tuple[Fraction, bool]:
+    """tau* (= nu*), and whether h is stable on its full ground set [n].
+
+    The one place that chooses how tau* is solved: the n-variable
+    `monotone_cover_bound`, exact on a stable family on [n], and the packing
+    LP on any other.  `stable` is `is_stable(h)` when the caller knows it.
+    """
+    if h.vertices == tuple(range(1, h.n + 1)) and (is_stable(h) if stable is None else stable):
+        return monotone_cover_bound(h), True
+    return fractional_matching_number(h)[0], False

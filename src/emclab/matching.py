@@ -1,22 +1,21 @@
 """Exact integral matching number and vertex cover number.
 
 Both are branch-and-bound searches over bitmask edge families (see
-``kernel``); inputs therefore need at most 63 vertices.  A stack of cheap
-certified upper bounds (vertex count, greedy integral covers, a monotone
-fractional cover for stable families, the exact LP optimum on small edge
-counts) usually pins the matching number before any search happens.
+``kernel``); inputs therefore need at most 63 vertices.  Certified upper
+bounds usually pin the matching number before any search happens: the
+vertex count and a greedy integral cover, then, unless those already meet
+the greedy lower bound, the exact tau* from ``lp.tau_star`` (the monotone
+cover LP on stable families, the packing LP on all others).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import floor
 
 from emclab import kernel
-from emclab.hypergraph import Hypergraph, HypergraphError, is_stable
-
-_LP_EDGE_LIMIT = 120  # beyond this the exact simplex is slower than search
+from emclab.hypergraph import Hypergraph, HypergraphError
+from emclab.lp import tau_star
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,8 @@ def _greedy_cover_size(h: Hypergraph) -> int:
 
 
 def _upper_bound(h: Hypergraph, masks: list[int], lb: int) -> int:
-    """An upper bound on nu; skips the LP and monotone-cover solves when the
-    cheap bounds already meet the lower bound `lb`."""
+    """An upper bound on nu; skips the tau* solve when the cheap bounds
+    already meet the lower bound `lb`."""
     active = 0
     for m in masks:
         active |= m
@@ -50,14 +49,7 @@ def _upper_bound(h: Hypergraph, masks: list[int], lb: int) -> int:
     ub = min(ub, _greedy_cover_size(h))
     if ub <= lb:
         return ub
-    if h.num_edges <= _LP_EDGE_LIMIT:
-        from emclab.lp import fractional_matching_number
-        nu_star, _ = fractional_matching_number(h)
-        ub = min(ub, floor(nu_star))
-    elif h.vertices == tuple(range(1, h.n + 1)) and is_stable(h):
-        from emclab.lp import monotone_cover_bound
-        ub = min(ub, floor(monotone_cover_bound(h)))
-    return ub
+    return min(ub, floor(tau_star(h)[0]))
 
 
 def has_matching_of_size(h: Hypergraph, s: int) -> tuple[bool, MatchingWitness | None]:

@@ -18,9 +18,8 @@ from emclab import kernel
 from emclab.constructions import build_Hi, emc_bound
 from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
                                is_stable, new_hypergraph, trace_family)
-from emclab.lp import (ZERO, FractionalCover, dominance_maximal_edges,
-                       fractional_matching_number, monotone_cover_bound,
-                       solve_lp)
+from emclab.lp import (ONE, ZERO, FractionalCover, _monotone_cover_rows, solve_lp,
+                       tau_star)
 from emclab.matching import matching_number
 from emclab.scalars import DELTA
 from emclab.shifting import stabilize
@@ -81,67 +80,37 @@ class MatchingTooLarge(HypergraphError):
         super().__init__(f"nu* = {nu_star} exceeds s = {s}")
 
 
-def _tau_star(h: Hypergraph, stable: bool | None = None) -> tuple[Fraction, bool]:
-    """tau* (= nu*), and whether h is stable on its full ground set [n].
-
-    There `monotone_cover_bound` is exact and, by the swap argument in its
-    docstring, the lexicographically greatest minimum cover is nonincreasing.
-    `stable` is `is_stable(h)` when the caller already knows it.
-    """
-    if h.vertices == tuple(range(1, h.n + 1)) and (is_stable(h) if stable is None else stable):
-        return monotone_cover_bound(h), True
-    return fractional_matching_number(h)[0], False
-
-
 def min_cover_sorted(h: Hypergraph) -> FractionalCover:
     """Minimum fractional cover whose weight vector is lexicographically
     greatest, found by sequential LP refinement: fix the total at tau*, then
     maximize omega(1), omega(2), ... in turn."""
-    return _min_cover_sorted(h, *_tau_star(h))
+    return _min_cover_sorted(h, *tau_star(h))
 
 
-def _min_cover_sorted(h: Hypergraph, tau_star: Fraction, stable: bool) -> FractionalCover:
-    """`min_cover_sorted` given `_tau_star(h)`."""
+def _min_cover_sorted(h: Hypergraph, tau: Fraction, stable: bool) -> FractionalCover:
+    """`min_cover_sorted` given `lp.tau_star(h)`."""
     n = len(h.vertices)
     verts = list(h.vertices)
     if not h.edges:
         return FractionalCover(weights={v: ZERO for v in verts}, size=ZERO,
                                support=frozenset())
-
-    def base_rows(cover_edges, monotone):
-        rows = []
-        for e in cover_edges:
-            coeffs = [Fraction(1) if v in e else ZERO for v in verts]
-            rows.append((coeffs, ">=", Fraction(1)))
-        if monotone:
-            for i in range(n - 1):
-                coeffs = [ZERO] * n
-                coeffs[i] = Fraction(1)
-                coeffs[i + 1] = Fraction(-1)
-                rows.append((coeffs, ">=", ZERO))
-        for i in range(n):
-            coeffs = [ZERO] * n
-            coeffs[i] = Fraction(1)
-            rows.append((coeffs, "<=", Fraction(1)))
-        rows.append(([Fraction(1)] * n, "==", tau_star))
-        return rows
-
     # On a stable full-ground-set graph the sought cover is nonincreasing, so
     # only the dominance-maximal edges need explicit constraints — a huge
     # reduction for dense families.
     if stable:
-        rows = base_rows(dominance_maximal_edges(h), monotone=True)
+        rows = _monotone_cover_rows(h)
     else:
-        rows = base_rows(h.edges, monotone=False)
+        rows = [([ONE if v in e else ZERO for v in verts], ">=", ONE) for e in h.edges]
+    units = [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+    rows += [(coeffs, "<=", ONE) for coeffs in units]
+    rows.append(([ONE] * n, "==", tau))
     x = None
     fixed = ZERO
-    for i in range(n):
-        coeffs = [ZERO] * n
-        coeffs[i] = Fraction(1)
+    for coeffs in units:
         value, x, _ = solve_lp(coeffs, rows, maximize=True)
         rows.append((coeffs, "==", value))
         fixed += value
-        if fixed == tau_star:
+        if fixed == tau:
             break  # the remaining weights are forced to zero
     weights = {v: w for v, w in zip(verts, x)}
     return FractionalCover(weights=weights, size=sum(x, ZERO),
@@ -164,7 +133,7 @@ class ExtremalProfile:
 
 def _profile_of(g: Hypergraph, s: int, epsilon: Fraction,
                 tau: tuple[Fraction, bool]) -> ExtremalProfile:
-    """Profile of g, given `tau` = `_tau_star(g)`."""
+    """Profile of g, given `tau` = `lp.tau_star(g)`."""
     n = g.n
     fc = _min_cover_sorted(g, *tau)
     w = fc.weights
@@ -209,12 +178,12 @@ def extremal_profile(g: Hypergraph, s: int, epsilon: Fraction
         raise HypergraphError("need 0 <= s < n - 1")
     if not is_stable(g):
         raise HypergraphError("G must be stable")
-    tau = _tau_star(g, stable=True)
+    tau = tau_star(g, stable=True)
     if tau[0] > s:
         raise MatchingTooLarge(tau[0], s)
     raw = _profile_of(g, s, epsilon, tau)
     sat_g = saturate_by_cover(g, raw.cover)
-    sat = _profile_of(sat_g, s, epsilon, _tau_star(sat_g))
+    sat = _profile_of(sat_g, s, epsilon, tau_star(sat_g))
     return {"raw": raw, "saturated": sat}
 
 

@@ -260,6 +260,29 @@ class TestUsageErrors:
             main(["nu", str(src)])
         assert ei.value.code == 3
 
+    @pytest.mark.parametrize("text", [
+        "target\n",
+        "target calculate\nstatus proved\nsplits 0\ncoords mu x z\n"
+        "box x<=5/8 0 1 0 1/2 margin 1 2\n",
+        "target calculate\nstatus proved\nsplits 0\ncoords mu x z\n"
+        "box x<=5/8 0 1 0 1/2 0 1 0 1 margin 1 2\n",
+    ])
+    def test_short_certificate_line(self, tmp_path, text):
+        cert = tmp_path / "short.cert"
+        cert.write_text(text)
+        with pytest.raises(SystemExit) as ei:
+            main(["verify-cert", str(cert)])
+        assert ei.value.code == 3
+
+    @pytest.mark.parametrize("target, mutation", [
+        ("maxvalue", "bogus"), ("maxvalue", "negate-lead"),
+        ("calculate", "bogus"), ("calculate", "negate-c5-term"), ("convex", "bogus"),
+    ])
+    def test_unknown_mutation(self, target, mutation):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify-ineq", "--target", target, "--mutation", mutation])
+        assert ei.value.code == 3
+
     # one invalid invocation per subcommand; every one must exit 3
     INVALID = {
         "gen": ["gen", "--family", "hi", "--n", "3", "--k", "3", "--s", "2",

@@ -67,7 +67,7 @@ GOLDEN = {
     "phase1_eq_ge": (
         [1, 2, 3], [([1, 1, 1], "==", 4), ([1, 0, 0], "<=", 3), ([0, 1, 2], ">=", 2)], False,
         [(1, 0, 3), (1, 1, 5), (1, 2, 1), (1, 3, 6)],
-        ("6", ["3", "0", "1"], ["1", "0", "-1"])),
+        ("6", ["3", "0", "1"], ["1", "0", "1"])),
     # row 3 = row 1 + row 2: its artificial is driven out on pivot -4
     "redundant_eq_driveout": (
         [-2, -3, -3], [([2, 1, 0], "==", 3), ([-2, 1, -2], "==", 3), ([0, 2, -2], "==", 6)],
@@ -79,7 +79,7 @@ GOLDEN = {
         [([F(1, 2), 1, F(1, 3), 1], "<=", F(2, 7)), ([1, F(1, 5), 1, 0], "<=", F(5, 3)),
          ([0, -1, F(2, 3), 1], ">=", F(1, 7)), ([F(-1, 3), 1, 1, 0], "==", F(-1, 21))], True,
         [(1, 0, 8), (1, 2, 4), (1, 3, 7), (2, 1, 2)],
-        ("148/1029", ["10/49", "1/49", "0", "8/49"], ["24/49", "0", "3/49", "13/49"])),
+        ("148/1029", ["10/49", "1/49", "0", "8/49"], ["24/49", "0", "-3/49", "-13/49"])),
     "infeasible": (
         [1, 1], [([1, 1], ">=", 3), ([1, 0], "<=", 1), ([0, 1], "<=", 1)], False,
         [(1, 0, 3), (1, 1, 4)], Infeasible),
@@ -91,15 +91,9 @@ GOLDEN = {
 
 def minimization_duals(rows, duals, maximize):
     """The dual y of min c.x (c negated when maximizing) over `rows` as
-    given, from solve_lp's documented convention: minus the slack's reduced
-    cost in the orientation with rhs >= 0, so -y on ">=" rows."""
-    out = []
-    for (_, sense, rhs), d in zip(rows, duals):
-        d = -d if maximize else d
-        flip = -1 if rhs < 0 else 1
-        normalized = {"<=": ">=", ">=": "<="}.get(sense, sense) if flip < 0 else sense
-        out.append(flip * (-d if normalized == ">=" else d))
-    return out
+    given: solve_lp reports duals in the rows' own orientation, negated
+    with the objective when maximizing."""
+    return [-d if maximize else d for d in duals]
 
 
 def assert_optimal(c, rows, maximize, value, x, duals):
@@ -147,9 +141,10 @@ class TestIntegerCore:
         rows = [([1, 1], "<=", F(5, 7)), ([1, -1], "==", F(-1, 3))]
         value, x, duals = solve_lp(c, rows, maximize=True)
         assert x == [F(4, 21), F(11, 21)] and value == F(94, 441)
-        # both x > 0, so u + w = 1/3 and u - w = 2/7: u = 13/42, w = 1/42,
-        # reported for the row negated to rhs 1/3
-        assert duals == [F(13, 42), F(-1, 42)]
+        # both x > 0, so u + w = 1/3 and u - w = 2/7: u = 13/42, w = 1/42;
+        # the "==" row is reported as written, rhs -1/3
+        assert duals == [F(13, 42), F(1, 42)]
+        assert F(5, 7) * duals[0] + F(-1, 3) * duals[1] == value
         assert_optimal(c, rows, True, value, x, duals)
 
     @pytest.mark.parametrize("name", ["phase1_eq_ge", "redundant_eq_driveout", "coprime"])

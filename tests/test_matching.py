@@ -62,6 +62,42 @@ class TestMatchingNumber:
         assert matching_number(h2)[0] >= matching_number(h)[0]
 
 
+class TestTauStarBound:
+    """`matching_number` takes its LP bound from `lp.tau_star`, at any size."""
+
+    @pytest.fixture()
+    def solves(self, monkeypatch):
+        import emclab.lp
+        solve_lp = emclab.lp.solve_lp
+        variables = []
+
+        def counted(c, rows, maximize=False, trace=None):
+            variables.append(len(c))
+            return solve_lp(c, rows, maximize=maximize, trace=trace)
+        monkeypatch.setattr(emclab.lp, "solve_lp", counted)
+        return variables
+
+    def test_packing_lp_on_large_non_stable_family(self, solves):
+        from emclab.constructions import build_Hi
+        from emclab.hypergraph import is_stable
+        h2 = build_Hi(15, 3, 4, 2)
+        drop = set(random.Random(0).sample(h2.edges, 3))
+        h = new_hypergraph(15, 3, [e for e in h2.edges if e not in drop])
+        assert h.num_edges == 297 and not is_stable(h)
+        nu, w = matching_number(h)
+        assert nu == w.size == len(w.edges) == 4
+        assert all(h.has_edge(e) for e in w.edges)
+        assert len({v for e in w.edges for v in e}) == 3 * 4
+        assert solves == [297]
+
+    def test_monotone_lp_on_stable_family(self, solves):
+        from emclab.constructions import build_Hi
+        h = build_Hi(12, 3, 2, 2)
+        assert h.num_edges == 80
+        assert matching_number(h)[0] == 2
+        assert solves == [12]
+
+
 class TestHasMatching:
     def test_size_zero_always(self):
         ok, w = has_matching_of_size(new_hypergraph(4, 2, []), 0)
