@@ -62,9 +62,24 @@ def _load(path: str):
         raise click.UsageError(f"cannot read hypergraph {path}: {exc}")
 
 
+class _Command(click.Command):
+    """Maps HypergraphError, the library's rejection of bad input, to this
+    subcommand's usage error (exit 3).  Any other exception is a fault and
+    propagates."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except HypergraphError as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
 @click.group()
 def cli():
     """Exact tools for matchings in uniform hypergraphs."""
+
+
+cli.command_class = _Command
 
 
 @cli.command()
@@ -80,17 +95,16 @@ def cli():
 def gen(family, n, k, s, i_, u_size, p, out):
     """Generate a named family as a .khg file."""
     from emclab.constructions import build_Hi, build_HpUW, build_HUW
-    try:
-        if family == "hi":
-            h = build_Hi(n, k, s, i_)
-        elif family == "huw":
-            h = build_HUW(range(1, u_size + 1), range(u_size + 1, n + 1), k)
-        elif family == "hpuw":
-            h = build_HpUW(range(1, u_size + 1), range(u_size + 1, n + 1), k, p)
-        else:
-            h = complete_hypergraph(n, k)
-    except HypergraphError as exc:
-        raise click.UsageError(str(exc))
+    if family in ("huw", "hpuw") and u_size > n:
+        raise HypergraphError(f"need u_size <= n, got u_size={u_size}, n={n}")
+    if family == "hi":
+        h = build_Hi(n, k, s, i_)
+    elif family == "huw":
+        h = build_HUW(range(1, u_size + 1), range(u_size + 1, n + 1), k)
+    elif family == "hpuw":
+        h = build_HpUW(range(1, u_size + 1), range(u_size + 1, n + 1), k, p)
+    else:
+        h = complete_hypergraph(n, k)
     with open(out, "w") as fh:
         fh.write(serialize_khg(h))
     click.echo(_report({"family": family, "n": h.n, "k": h.k, "edges": h.num_edges,
@@ -102,10 +116,7 @@ def gen(family, n, k, s, i_, u_size, p, out):
 def nu(path):
     """Exact matching number."""
     h = _load(path)
-    try:
-        value, witness = matching_number(h)
-    except HypergraphError as exc:
-        raise click.UsageError(str(exc))
+    value, witness = matching_number(h)
     click.echo(_report({"nu": value, "witness": [list(e) for e in witness.edges]}))
 
 
@@ -114,10 +125,7 @@ def nu(path):
 def tau(path):
     """Exact vertex cover number."""
     h = _load(path)
-    try:
-        value = cover_number(h)
-    except HypergraphError as exc:
-        raise click.UsageError(str(exc))
+    value = cover_number(h)
     click.echo(_report({"tau": value}))
 
 
@@ -177,10 +185,7 @@ def shift(path, out, show_log):
 def verify_emc_cmd(n, k, s, budget):
     """Brute-force the extremal edge count and compare to the formula."""
     from emclab.verifier import verify_emc
-    try:
-        rep = verify_emc(n, k, s, budget)
-    except HypergraphError as exc:
-        raise click.UsageError(str(exc))
+    rep = verify_emc(n, k, s, budget)
     click.echo(_report(rep))
     if not rep["exhausted"]:
         sys.exit(EXIT_BUDGET)
@@ -196,10 +201,7 @@ def closeness_cmd(g_path, h_path, epsilon):
     """Asymmetric edit-distance closeness |E(H) \\ E(G)| < eps * n^k."""
     g = _load(g_path)
     h = _load(h_path)
-    try:
-        rep = closeness(g, h, epsilon)
-    except HypergraphError as exc:
-        raise click.UsageError(str(exc))
+    rep = closeness(g, h, epsilon)
     click.echo(_report({"missing": rep.missing_count, "ratio": str(rep.ratio),
                         "epsilon": str(rep.epsilon), "is_close": rep.is_close}))
     if not rep.is_close:
@@ -220,8 +222,6 @@ def profile(path, s, epsilon):
         click.echo(_report({"error": "matching number too large",
                             "nu_star": str(exc.nu_star)}))
         sys.exit(EXIT_MISMATCH)
-    except HypergraphError as exc:
-        raise click.UsageError(str(exc))
     payload = {}
     for name, p in profs.items():
         payload[name] = {
@@ -238,7 +238,8 @@ def profile(path, s, epsilon):
 @cli.command("verify-ineq")
 @click.option("--target", type=click.Choice(["calculate", "maxvalue", "convex"]),
               required=True)
-@click.option("--zmax", type=RATIONAL, default=Fraction(1, 10**5))
+@click.option("--zmax", type=RATIONAL, default=None,
+              help="z_max for target calculate (default 1/10^5)")
 @click.option("--depth", type=int, default=60)
 @click.option("--max-boxes", type=int, default=10**7)
 @click.option("--mutation", type=str, default=None)
@@ -246,6 +247,8 @@ def profile(path, s, epsilon):
               help="write the certificate to this file")
 def verify_ineq(target, zmax, depth, max_boxes, mutation, out):
     """Certify an inequality by interval branch-and-prune."""
+    if zmax is not None and target != "calculate":
+        raise click.UsageError(f"--zmax applies only to target calculate, not {target}")
     if target == "convex":
         if mutation is not None:
             raise click.UsageError(f"unknown mutation {mutation!r} for target convex")
@@ -262,7 +265,8 @@ def verify_ineq(target, zmax, depth, max_boxes, mutation, out):
     from emclab.certify import certify_calculate_lemma, certify_maxvalue_coeffs
     try:
         if target == "calculate":
-            cert = certify_calculate_lemma(zmax, depth, max_boxes, mutation)
+            cert = certify_calculate_lemma(Fraction(1, 10**5) if zmax is None else zmax,
+                                           depth, max_boxes, mutation)
         else:
             cert = certify_maxvalue_coeffs(depth, max_boxes, mutation)
     except ValueError as exc:
@@ -306,10 +310,7 @@ def sample(path, t, s, copies, seed):
     """Sample seeded random vertex subsets and report their partitions."""
     from emclab.sampling import multiplicity_report, sample_batch
     h = _load(path)
-    try:
-        batch = sample_batch(h, t, s, copies, seed)
-    except HypergraphError as exc:
-        raise click.UsageError(str(exc))
+    batch = sample_batch(h, t, s, copies, seed)
     click.echo(_report({
         "n_base": batch.n_base, "t": batch.t, "copies": len(batch.copies),
         "sizes": [len(c) for c in batch.copies],
@@ -331,18 +332,10 @@ def round_cmd(path, t, s, copies, seed, out):
     from emclab.hypergraph import induced
     from emclab.sampling import degree_histogram, round_to_sparse, sample_batch
     h = _load(path)
-    try:
-        batch = sample_batch(h, t, s, copies, seed)
-    except HypergraphError as exc:
-        raise click.UsageError(str(exc))
+    batch = sample_batch(h, t, s, copies, seed)
     pfms = []
     for i, r in enumerate(batch.copies):
-        sub = induced(h, r)
-        if not r:
-            from emclab.lp import make_fractional_matching
-            pfms.append(make_fractional_matching(sub, {}))
-            continue
-        nu_star, fm = fractional_matching_number(sub)
+        nu_star, fm = fractional_matching_number(induced(h, r))
         if nu_star != Fraction(len(r), h.k):
             click.echo(_report({"error": f"copy {i} has no perfect fractional "
                                          f"matching (nu* = {nu_star}, |R| = {len(r)})"},
@@ -371,9 +364,6 @@ def greedy(path):
 def main(argv=None):
     try:
         cli.main(args=argv, standalone_mode=False)
-    except click.UsageError as exc:
-        exc.show()
-        sys.exit(EXIT_USAGE)
     except click.ClickException as exc:
         exc.show()
         sys.exit(EXIT_USAGE)

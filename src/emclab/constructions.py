@@ -117,7 +117,7 @@ def construction1(g: Hypergraph, s: int, eta: Fraction) -> tuple[Hypergraph, int
         raise HypergraphError(f"t = floor({t_frac}) < 0")
     h = _apex_extension(g, t)
     if not is_stable(h):
-        raise HypergraphError("apex extension lost stability (internal error)")
+        raise RuntimeError("apex extension lost stability (internal error)")
     return h, t
 
 

@@ -6,7 +6,7 @@ order, so iteration is deterministic and serialization is canonical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -21,18 +21,18 @@ class HypergraphError(ValueError):
 class Hypergraph:
     """A k-uniform edge family on a ground set of 1-based vertices.
 
-    ``vertices`` is the ground set (defaults to 1..n); induced subgraphs and
+    ``vertices`` is the ground set (None means 1..n); induced subgraphs and
     trace families keep original labels, so the ground set can be a proper
-    subset of [n].
+    subset of [n], and may be empty.
     """
 
     n: int
     k: int
     edges: tuple[tuple[int, ...], ...]
-    vertices: tuple[int, ...] = field(default=())
+    vertices: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if not self.vertices:
+        if self.vertices is None:
             object.__setattr__(self, "vertices", tuple(range(1, self.n + 1)))
 
     @property

@@ -9,7 +9,7 @@ text format that a replayer can re-verify box by box.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -113,15 +113,6 @@ class Box:
         lo = dict(self.coords); lo[name] = a
         hi = dict(self.coords); hi[name] = b
         return Box(lo, self.region_tag), Box(hi, self.region_tag)
-
-    def corners_and_center(self):
-        names = sorted(self.coords)
-        pts = [{}]
-        for n in names:
-            iv = self.coords[n]
-            pts = [dict(p, **{n: v}) for p in pts for v in {iv.lo, iv.hi}]
-        pts.append({n: self.coords[n].mid for n in names})
-        return pts
 
 
 @dataclass(frozen=True)

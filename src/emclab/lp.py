@@ -18,13 +18,13 @@ is the one place that chooses which LP yields tau* = nu*.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from emclab.hypergraph import Hypergraph, HypergraphError, is_stable
+from emclab.hypergraph import Hypergraph, is_stable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)

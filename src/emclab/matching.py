@@ -24,17 +24,24 @@ class MatchingWitness:
     size: int
 
 
-def _greedy_cover_size(h: Hypergraph) -> int:
+def _max_degree_bit(masks: list[int]) -> int:
+    """The bit of a vertex of maximum degree, the least label on ties (bit
+    v-1 sorts like vertex v)."""
+    deg: dict[int, int] = {}
+    for m in masks:
+        while m:
+            b = m & -m
+            deg[b] = deg.get(b, 0) + 1
+            m ^= b
+    return min(deg, key=lambda b: (-deg[b], b))
+
+
+def _greedy_cover_size(masks: list[int]) -> int:
     """Integral cover by repeated max-degree vertex; an upper bound on tau."""
-    edges = list(h.edges)
     size = 0
-    while edges:
-        deg: dict[int, int] = {}
-        for e in edges:
-            for v in e:
-                deg[v] = deg.get(v, 0) + 1
-        v = min(deg, key=lambda u: (-deg[u], u))
-        edges = [e for e in edges if v not in e]
+    while masks:
+        v = _max_degree_bit(masks)
+        masks = [m for m in masks if not m & v]
         size += 1
     return size
 
@@ -46,7 +53,7 @@ def _upper_bound(h: Hypergraph, masks: list[int], lb: int) -> int:
     for m in masks:
         active |= m
     ub = bin(active).count("1") // h.k
-    ub = min(ub, _greedy_cover_size(h))
+    ub = min(ub, _greedy_cover_size(masks))
     if ub <= lb:
         return ub
     return min(ub, floor(tau_star(h)[0]))
@@ -89,27 +96,16 @@ def cover_number(h: Hypergraph) -> int:
     masks = kernel.edge_masks(h.n, h.edges)
     if not masks:
         return 0
-    best = _greedy_cover_size(h)
-    k = h.k
-
-    def lower_bound(rem: list[int]) -> int:
-        return len(kernel.greedy_matching(rem))
+    best = _greedy_cover_size(masks)
 
     def search(rem: list[int], used: int):
         nonlocal best
         if not rem:
             best = min(best, bin(used).count("1"))
             return
-        if bin(used).count("1") + lower_bound(rem) >= best:
+        if bin(used).count("1") + len(kernel.greedy_matching(rem)) >= best:
             return
-        deg: dict[int, int] = {}
-        for m in rem:
-            mm = m
-            while mm:
-                b = mm & -mm
-                deg[b] = deg.get(b, 0) + 1
-                mm ^= b
-        pivot = min(deg, key=lambda b: (-deg[b], b))
+        pivot = _max_degree_bit(rem)
         # either cover with the pivot vertex ...
         search([m for m in rem if not (m & pivot)], used | pivot)
         # ... or cover the first pivot edge with another of its vertices

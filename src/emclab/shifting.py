@@ -23,7 +23,7 @@ def shift_ij(h: Hypergraph, i: int, j: int) -> Hypergraph:
         else:
             out.add(e)
     if len(out) != h.num_edges:
-        raise HypergraphError("shift changed the edge count (internal error)")
+        raise RuntimeError("shift changed the edge count (internal error)")
     return Hypergraph(n=h.n, k=h.k, edges=tuple(sorted(out)), vertices=h.vertices)
 
 
@@ -56,5 +56,5 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, list[tuple[int, int]]]:
                     cur = nxt
                     changed = True
     if not is_stable(cur):
-        raise HypergraphError("stabilization did not converge (internal error)")
+        raise RuntimeError("stabilization did not converge (internal error)")
     return cur, log

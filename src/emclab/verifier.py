@@ -46,6 +46,8 @@ def max_edges_given_nu(n: int, k: int, s: int, budget: int = 10**7
     """
     if s < 0:
         raise HypergraphError("s must be nonnegative")
+    if not 1 <= k <= n:
+        raise HypergraphError(f"need 1 <= k <= n, got n={n}, k={k}")
     masks, succs = _candidates(n, k)
     best, wit_idx, exhausted, nodes = kernel.downset_max_edges(masks, succs, s, budget)
     witness = new_hypergraph(n, k, [[v for v in range(1, n + 1) if masks[i] >> (v - 1) & 1]

@@ -302,6 +302,12 @@ class TestUsageErrors:
         "round-copies": ["round", "{small}", "--t", "0", "--s", "0",
                          "--copies", "0", "--seed", "1"],
         "greedy": ["greedy", "{bad}"],
+        "verify-emc-k0": ["verify-emc", "--n", "3", "--k", "0", "--s", "1"],
+        "verify-emc-k-1": ["verify-emc", "--n", "3", "--k", "-1", "--s", "1"],
+        "verify-ineq-zmax-maxvalue": ["verify-ineq", "--target", "maxvalue", "--zmax", "1"],
+        "verify-ineq-zmax-convex": ["verify-ineq", "--target", "convex", "--zmax", "1"],
+        "gen-u-size": ["gen", "--family", "huw", "--n", "5", "--k", "3", "--u-size", "9",
+                       "-o", "{out}"],
     }
 
     def test_invalid_input_covers_every_subcommand(self):
@@ -319,3 +325,28 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as ei:
             main(args)
         assert ei.value.code == 3
+
+    def test_internal_fault_is_not_a_usage_error(self, tmp_path, monkeypatch):
+        def broken(h):
+            raise RuntimeError("broken stabilize")
+
+        src = tmp_path / "u.khg"
+        src.write_text("4 2 1\n3 4\n")
+        with monkeypatch.context() as m:
+            m.setattr("emclab.shifting.stabilize", broken)
+            with pytest.raises(RuntimeError, match="broken stabilize"):
+                main(["shift", str(src)])
+        # the library's own consistency check is a fault too, not bad input
+        monkeypatch.setattr("emclab.shifting.is_stable", lambda h: False)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            main(["shift", str(src)])
+
+    def test_library_rejection_keeps_subcommand_usage(self, tmp_path, capsys):
+        src = tmp_path / "wide.khg"
+        src.write_text("64 2 1\n1 64\n")
+        with pytest.raises(SystemExit) as ei:
+            main(["nu", str(src)])
+        assert ei.value.code == 3
+        err = capsys.readouterr().err
+        assert "nu [OPTIONS] PATH" in err
+        assert "Error: search kernels support n <= 63" in err

@@ -125,6 +125,12 @@ class TestTraceAndInduced:
         assert sub.num_edges == 3
         assert sub.vertices == (2, 3, 4)
 
+    def test_empty_ground_set_stays_empty(self):
+        h = complete_hypergraph(6, 3)
+        assert induced(h, []).vertices == ()
+        assert trace_family(h, (), h.vertices).vertices == ()
+        assert Hypergraph(n=3, k=1, edges=()).vertices == (1, 2, 3)
+
 
 class TestCloseness:
     def test_symmetric_inputs_differ(self):

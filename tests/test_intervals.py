@@ -75,12 +75,6 @@ class TestBox:
         assert lo.coords["y"] == box.coords["y"]
         assert lo.region_tag == "tag"
 
-    def test_corners_and_center(self):
-        box = Box({"x": Interval.make(0, 1), "y": Interval.make(2, 3)})
-        pts = box.corners_and_center()
-        assert len(pts) == 5
-        assert pts[-1] == {"x": Fraction(1, 2), "y": Fraction(5, 2)}
-
 
 class TestCertificateFormat:
     def _sample(self):
