@@ -2,9 +2,9 @@
 
    Same contract as _kernel_py, which this file mirrors step for step, so
    answers, witnesses and node counts are identical.  Vertex v is bit v-1 of
-   an edge mask, so n <= 63.  The down-set search copies the successor lists
-   once into one flat array (CSR layout) and runs, matching search included,
-   over C arrays only. */
+   an edge mask, so n <= 63.  One matching search, find(), runs over indices
+   into one mask array: all of them, or the down-set search's closure.  That
+   search keeps the successor lists in one flat array (CSR layout). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -75,11 +75,11 @@ static int find(const u64 *masks, int k, int need, const int *avail, int n_avail
     return rc;
 }
 
-/* PyArg converter: raises on anything that is not an int in [0, 2**64) */
-static int to_u64(PyObject *obj, void *out)
+/* 0 with an exception set on anything that is not an int in [0, 2**64) */
+static int to_u64(PyObject *obj, u64 *out)
 {
-    *(u64 *)out = PyLong_AsUnsignedLongLong(obj);
-    return *(u64 *)out != (u64)-1 || !PyErr_Occurred();
+    *out = PyLong_AsUnsignedLongLong(obj);
+    return *out != (u64)-1 || !PyErr_Occurred();
 }
 
 /* The masks of a sequence as a malloc'd array, followed by room for as
@@ -123,15 +123,13 @@ static PyObject *int_list(const int *a, Py_ssize_t n)
 
 static PyObject *find_matching(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"masks", "k", "need", "used", NULL};
+    static char *kwlist[] = {"masks", "k", "need", NULL};
     PyObject *seq, *res = NULL;
-    int k, rc, n_avail = 0, out[MAX_NEED + 1];
-    int *avail;
+    int k, rc, out[MAX_NEED + 1], *avail;
     long long need;
     Py_ssize_t i, n;
-    u64 used = 0, *masks;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OiL|O&:find_matching", kwlist,
-                                     &seq, &k, &need, to_u64, &used))
+    u64 *masks;
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OiL:find_matching", kwlist, &seq, &k, &need))
         return NULL;
     if (need <= 0)
         return PyList_New(0);
@@ -141,9 +139,8 @@ static PyObject *find_matching(PyObject *self, PyObject *args, PyObject *kwds)
         return NULL;
     avail = (int *)(masks + n);
     for (i = 0; i < n; i++)
-        if (!(masks[i] & used))
-            avail[n_avail++] = (int)i;
-    rc = find(masks, k, (int)need, avail, n_avail, out);
+        avail[i] = (int)i;
+    rc = find(masks, k, (int)need, avail, (int)n, out);
     if (rc < 0)
         PyErr_NoMemory();
     else if (rc == 0)
@@ -156,13 +153,12 @@ static PyObject *find_matching(PyObject *self, PyObject *args, PyObject *kwds)
 
 static PyObject *greedy_matching(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"masks", "used", NULL};
+    static char *kwlist[] = {"masks", NULL};
     PyObject *seq, *res;
     Py_ssize_t i, n, n_out = 0;
     u64 used = 0, *masks;
     int *out;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O|O&:greedy_matching", kwlist,
-                                     &seq, to_u64, &used)
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:greedy_matching", kwlist, &seq)
         || (masks = read_masks(seq, &n)) == NULL)
         return NULL;
     out = (int *)(masks + n);
@@ -365,9 +361,9 @@ done:
 #define METHOD(f) #f, (PyCFunction)(void (*)(void))f, METH_VARARGS | METH_KEYWORDS
 
 static PyMethodDef methods[] = {
-    {METHOD(find_matching), "find_matching(masks, k, need, used=0)\n--\n\n"
-     "Indices of `need` pairwise-disjoint edges avoiding `used`, or None."},
-    {METHOD(greedy_matching), "greedy_matching(masks, used=0)\n--\n\n"
+    {METHOD(find_matching), "find_matching(masks, k, need)\n--\n\n"
+     "Indices of `need` pairwise-disjoint edges, or None."},
+    {METHOD(greedy_matching), "greedy_matching(masks)\n--\n\n"
      "Lexicographic greedy maximal matching; returns chosen indices."},
     {METHOD(downset_max_edges), "downset_max_edges(masks, succs, s, budget)\n--\n\n"
      "Maximize family size over dominance down-sets with matching number <= s.\n\n"

@@ -2,8 +2,9 @@
 
 Hot loops of the exact matching number and the stable-family edge-count
 maximizer.  Vertex v maps to bit v-1, so these kernels require n <= 63.
-The compiled twin in ``_kernel.c`` implements the same contract step for
-step; ``kernel.py`` picks one at import time.
+One matching search, ``_find``, runs over indices into one mask array: all
+of them, or the down-set search's closure.  The compiled twin in
+``_kernel.c`` mirrors it step for step; ``kernel.py`` picks one at import.
 """
 
 from __future__ import annotations
@@ -11,33 +12,23 @@ from __future__ import annotations
 IMPL = "python"
 
 
-def _active_count(masks, used):
-    acc = 0
-    for m in masks:
-        if not (m & used):
-            acc |= m
-    return bin(acc).count("1")
-
-
-def find_matching(masks, k, need, used=0):
-    """Indices of `need` pairwise-disjoint edges avoiding `used`, or None.
+def find_matching(masks, k, need):
+    """Indices of `need` pairwise-disjoint edges, or None.
 
     Deterministic DFS branching on the least active vertex; prunes branches
     where the surviving vertices cannot host enough disjoint edges.
     """
+    return _find(masks, k, need, range(len(masks)))
+
+
+def _find(masks, k, need, avail):
     if need <= 0:
-        return []
-    avail = [i for i, m in enumerate(masks) if not (m & used)]
-    return _find(masks, k, need, used, avail)
-
-
-def _find(masks, k, need, used, avail):
-    if need == 0:
         return []
     acc = 0
     for i in avail:
         acc |= masks[i]
-    if bin(acc).count("1") < need * k:
+    # acc == 0 decides only k <= 0, where the descent would never end
+    if acc == 0 or bin(acc).count("1") < need * k:
         return None
     v_bit = acc & (-acc)  # least active vertex
     # try high-index partners first: pairing a scarce low vertex with the
@@ -47,16 +38,17 @@ def _find(masks, k, need, used, avail):
     for i in with_v:
         m = masks[i]
         sub = [j for j in rest if not (masks[j] & m)]
-        res = _find(masks, k, need - 1, used | m, sub)
+        res = _find(masks, k, need - 1, sub)
         if res is not None:
             return [i] + res
     # least vertex left unmatched
-    return _find(masks, k, need, used | v_bit, rest)
+    return _find(masks, k, need, rest)
 
 
-def greedy_matching(masks, used=0):
+def greedy_matching(masks):
     """Lexicographic greedy maximal matching; returns chosen indices."""
     out = []
+    used = 0
     for i, m in enumerate(masks):
         if not (m & used):
             out.append(i)
@@ -121,13 +113,12 @@ def downset_max_edges(masks, succs, s, budget):
         closure = [i for i in range(m_count) if status[i] != 2]
         if len(closure) <= state["best"]:
             return
-        cmasks = [masks[i] for i in closure]
-        hit = find_matching(cmasks, k, s + 1)
+        hit = _find(masks, k, s + 1, closure)
         if hit is None:
             state["best"] = len(closure)
-            state["witness"] = list(closure)
+            state["witness"] = closure
             return
-        branch = [closure[j] for j in hit if status[closure[j]] != 1]
+        branch = [f for f in hit if status[f] != 1]
         if not branch:
             return  # an (s+1)-matching is already forced in
         for pos, f in enumerate(branch):

@@ -92,6 +92,8 @@ def _maxvalue_margin_box(box: Box, mutation: str | None) -> Interval:
 
 def _prove(target: str, roots: list[Box], margin_fn, point_fn, exact_fn,
            max_depth: int, max_boxes: int) -> Certificate:
+    if max_depth < 0 or max_boxes < 0:
+        raise ValueError(f"need depth, max_boxes >= 0, got {max_depth}, {max_boxes}")
     stack = [(b, 0) for b in reversed(roots)]
     leaves: list[tuple[Box, Interval]] = []
     processed = 0

@@ -308,7 +308,7 @@ def verify_cert(path):
 @click.option("--seed", type=int, required=True)
 def sample(path, t, s, copies, seed):
     """Sample seeded random vertex subsets and report their partitions."""
-    from emclab.sampling import multiplicity_report, sample_batch
+    from emclab.sampling import GENERATOR_ID, multiplicity_report, sample_batch
     h = _load(path)
     batch = sample_batch(h, t, s, copies, seed)
     click.echo(_report({
@@ -316,7 +316,7 @@ def sample(path, t, s, copies, seed):
         "sizes": [len(c) for c in batch.copies],
         "trimmed": list(batch.trimmed),
         "multiplicities": multiplicity_report(h, batch),
-        "generator": "mt19937-python",
+        "generator": GENERATOR_ID,
     }, seed=seed))
 
 

@@ -152,13 +152,15 @@ class ClosenessReport:
 def closeness(g: Hypergraph, h: Hypergraph, epsilon: Fraction) -> ClosenessReport:
     """Asymmetric edit distance check: |E(H) \\ E(G)| < epsilon * n^k (strict).
 
-    G and H must share (n, k).
+    G and H must share (n, k), and epsilon must be positive.
     """
     if (g.n, g.k) != (h.n, h.k):
         raise HypergraphError(f"mismatched (n,k): {(g.n, g.k)} vs {(h.n, h.k)}")
+    eps = Fraction(epsilon)
+    if eps <= 0:
+        raise HypergraphError(f"need epsilon > 0, got {eps}")
     missing = len(h.edge_set() - g.edge_set())
     norm = Fraction(g.n) ** g.k
-    eps = Fraction(epsilon)
     return ClosenessReport(
         missing_count=missing,
         normalizer=norm,

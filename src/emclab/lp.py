@@ -300,9 +300,9 @@ def _packing_lp(h: Hypergraph, trace=None) -> tuple[Fraction, FractionalMatching
     return value, make_fractional_matching(h, weights), duals
 
 
-def fractional_matching_number(h: Hypergraph, trace=None) -> tuple[Fraction, FractionalMatching]:
+def fractional_matching_number(h: Hypergraph) -> tuple[Fraction, FractionalMatching]:
     """Exact LP optimum of the edge-packing relaxation, with a witness."""
-    value, fm, _ = _packing_lp(h, trace)
+    value, fm, _ = _packing_lp(h)
     return value, fm
 
 
@@ -322,9 +322,9 @@ def fractional_matching_and_cover(h: Hypergraph, trace=None
                                       support=frozenset(v for v, w in weights.items() if w > 0))
 
 
-def fractional_cover_number(h: Hypergraph, trace=None) -> tuple[Fraction, FractionalCover]:
+def fractional_cover_number(h: Hypergraph) -> tuple[Fraction, FractionalCover]:
     """Exact dual optimum; equals the fractional matching number exactly."""
-    value, _, fc = fractional_matching_and_cover(h, trace)
+    value, _, fc = fractional_matching_and_cover(h)
     return value, fc
 
 

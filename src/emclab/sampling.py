@@ -51,7 +51,9 @@ def sample_batch(h: Hypergraph, t: int, s: int, copies: int, seed: int) -> Sampl
     n_base = len(h.vertices) - t
     if n_base < 1 or t < 0:
         raise HypergraphError(f"need 0 <= t < |V|, got t={t}")
-    p = float(n_base) ** -0.9
+    if s < 0:
+        raise HypergraphError(f"need s >= 0, got s={s}")
+    p = float(n_base) ** float(P_EXPONENT)
     k = h.k
     out_copies = []
     out_parts = []

@@ -48,6 +48,8 @@ def max_edges_given_nu(n: int, k: int, s: int, budget: int = 10**7
         raise HypergraphError("s must be nonnegative")
     if not 1 <= k <= n:
         raise HypergraphError(f"need 1 <= k <= n, got n={n}, k={k}")
+    if budget < 0:
+        raise HypergraphError(f"budget must be nonnegative, got {budget}")
     masks, succs = _candidates(n, k)
     best, wit_idx, exhausted, nodes = kernel.downset_max_edges(masks, succs, s, budget)
     witness = new_hypergraph(n, k, [[v for v in range(1, n + 1) if masks[i] >> (v - 1) & 1]
@@ -178,6 +180,8 @@ def extremal_profile(g: Hypergraph, s: int, epsilon: Fraction
         raise HypergraphError(f"expects k = 4, got {g.k}")
     if s < 0 or g.n <= s + 1:
         raise HypergraphError("need 0 <= s < n - 1")
+    if epsilon <= 0:
+        raise HypergraphError(f"need epsilon > 0, got {epsilon}")
     if not is_stable(g):
         raise HypergraphError("G must be stable")
     tau = tau_star(g, stable=True)

@@ -308,6 +308,15 @@ class TestUsageErrors:
         "verify-ineq-zmax-convex": ["verify-ineq", "--target", "convex", "--zmax", "1"],
         "gen-u-size": ["gen", "--family", "huw", "--n", "5", "--k", "3", "--u-size", "9",
                        "-o", "{out}"],
+        "closeness-epsilon-0": ["closeness", "{small}", "{small}", "--epsilon", "0"],
+        "closeness-epsilon-neg": ["closeness", "{small}", "{small}", "--epsilon", "-1"],
+        "profile-epsilon-neg": ["profile", "{four}", "--s", "1", "--epsilon", "-1"],
+        "verify-emc-budget": ["verify-emc", "--n", "7", "--k", "2", "--s", "2",
+                              "--budget", "-1"],
+        "verify-ineq-max-boxes": ["verify-ineq", "--target", "calculate", "--max-boxes", "-5"],
+        "verify-ineq-depth": ["verify-ineq", "--target", "maxvalue", "--depth", "-1"],
+        "sample-s": ["sample", "{small}", "--t", "0", "--s", "-1", "--seed", "1"],
+        "round-s": ["round", "{small}", "--t", "0", "--s", "-1", "--seed", "1"],
     }
 
     def test_invalid_input_covers_every_subcommand(self):
@@ -316,10 +325,12 @@ class TestUsageErrors:
     @pytest.mark.parametrize("case", sorted(INVALID))
     def test_invalid_input_exits_3(self, case, tmp_path):
         files = {"out": tmp_path / "out.khg", "wide": tmp_path / "wide.khg",
-                 "bad": tmp_path / "bad.khg", "small": tmp_path / "small.khg"}
+                 "bad": tmp_path / "bad.khg", "small": tmp_path / "small.khg",
+                 "four": tmp_path / "four.khg"}
         files["wide"].write_text("64 2 1\n1 64\n")  # n past the kernel's 63
         files["bad"].write_text("not a header\n")
         files["small"].write_text("4 2 1\n1 2\n")
+        files["four"].write_text("6 4 1\n1 2 3 4\n")  # stable, nu* = 1
         args = [a.format(**{k: str(v) for k, v in files.items()})
                 for a in self.INVALID[case]]
         with pytest.raises(SystemExit) as ei:

@@ -8,6 +8,7 @@ Malformed input must raise in the compiled kernel, never crash it.
 """
 
 import importlib.util
+import inspect
 import os
 import random
 import shutil
@@ -35,7 +36,7 @@ DOWNSET_CELLS = [
 
 
 def random_families(count=300, seed=2026):
-    """(n, k, masks, used) for seeded random families in random edge order."""
+    """(n, k, masks) for seeded random families in random edge order."""
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -43,8 +44,7 @@ def random_families(count=300, seed=2026):
         k = rng.choice([2, 3, 4])
         all_e = list(combinations(range(1, n + 1), k))
         edges = rng.sample(all_e, min(len(all_e), rng.randint(1, 40)))
-        used = kernel.edge_mask(rng.sample(range(1, n + 1), rng.randint(1, 3)))
-        out.append((n, k, kernel.edge_masks(n, edges), used))
+        out.append((n, k, kernel.edge_masks(n, edges)))
     return out
 
 
@@ -128,30 +128,36 @@ class TestCompiledMatchesPython:
         want = _kernel_py.downset_max_edges(masks, succs, s, budget)
         assert compiled.downset_max_edges(masks, succs, s, budget) == want
 
+    def test_same_signatures(self, compiled):
+        for name in ("find_matching", "greedy_matching", "downset_max_edges"):
+            assert inspect.signature(getattr(compiled, name)) == \
+                inspect.signature(getattr(_kernel_py, name)), name
+
     def test_find_matching(self, compiled):
         outcomes = set()
-        for n, k, masks, used in FAMILIES:
+        for n, k, masks in FAMILIES:
             for need in range(n // k + 2):
-                for u in (0, used):
-                    want = _kernel_py.find_matching(masks, k, need, u)
-                    assert compiled.find_matching(masks, k, need, u) == want, \
-                        (n, k, masks, need, u)
-                    outcomes.add(want is None)
+                want = _kernel_py.find_matching(masks, k, need)
+                assert compiled.find_matching(masks, k, need) == want, (n, k, masks, need)
+                outcomes.add(want is None)
         assert outcomes == {True, False}
 
+    def test_find_matching_empty_family(self, compiled):
+        # with k <= 0 the vertex-count prune never fires; no active vertex must
+        # still end the search
+        for k in (0, -1):
+            assert compiled.find_matching([], k, 1) is None
+            assert _kernel_py.find_matching([], k, 1) is None
+
     def test_greedy_matching(self, compiled):
-        for _n, _k, masks, used in FAMILIES:
-            for u in (0, used):
-                assert compiled.greedy_matching(masks, u) == \
-                    _kernel_py.greedy_matching(masks, u)
+        for _n, _k, masks in FAMILIES:
+            assert compiled.greedy_matching(masks) == _kernel_py.greedy_matching(masks)
 
 
 class TestCompiledRejectsMalformedInput:
     def test_negative_mask(self, compiled):
         with pytest.raises(OverflowError):
             compiled.find_matching([3, -1], 2, 1)
-        with pytest.raises(OverflowError):
-            compiled.find_matching([3], 2, 1, -1)
         with pytest.raises(OverflowError):
             compiled.greedy_matching([3, -1])
         with pytest.raises(OverflowError):
