@@ -180,7 +180,9 @@ typedef struct {
     int *stack;             /* exclude's cascade: at most 1 + off[m] entries */
     int *closure, *witness;
     int *hits;              /* `need` slots per search depth */
-    int m, k, need, best;
+    int m, k, need;
+    int excluded;           /* entries of status that are 2 */
+    int best, n_witness;    /* n_witness stays 0 until best beats `lower` */
     long long budget, nodes;
     int exhausted;
 } Downset;
@@ -249,6 +251,7 @@ static int exclude(Downset *d, int idx)
             return 0;
         d->status[j] = 2;
         d->trail[d->n_trail++] = j;
+        d->excluded++;
         for (p = d->off[j]; p < d->off[j + 1]; p++)
             d->stack[top++] = d->succ[p];
     }
@@ -271,14 +274,20 @@ static void undo(Downset *d, int mark)
     int j;
     while (d->n_trail > mark) {
         j = d->trail[--d->n_trail];
-        d->status[j < 0 ? -j - 1 : j] = 0;
+        if (j < 0) {
+            d->status[-j - 1] = 0;
+        } else {
+            d->status[j] = 0;
+            d->excluded--;
+        }
     }
 }
 
 /* Every feasible down-set must exclude (with its whole up-set) at least one
    edge of any (s+1)-matching found inside the current candidate closure.
-   Each level excludes one more element, so depth <= m.  0 done, -1 out of
-   memory. */
+   A closure no larger than d->best, which starts at the caller's `lower`,
+   cannot improve on it.  Each level excludes one more element, so
+   depth <= m.  0 done, -1 out of memory. */
 static int search(Downset *d, int depth)
 {
     int *branch = d->hits + (size_t)depth * d->need;
@@ -287,15 +296,15 @@ static int search(Downset *d, int depth)
         d->exhausted = 0;
         return 0;
     }
+    if (d->m - d->excluded <= d->best)
+        return 0;
     for (i = 0; i < d->m; i++)
         if (d->status[i] != 2)
             d->closure[n_closure++] = i;
-    if (n_closure <= d->best)
-        return 0;
     rc = find(d->masks, d->k, d->need, d->closure, n_closure, branch);
     if (rc <= 0) {
         if (rc == 0) {
-            d->best = n_closure;
+            d->best = d->n_witness = n_closure;
             memcpy(d->witness, d->closure, n_closure * sizeof(int));
         }
         return rc;
@@ -320,13 +329,13 @@ static int search(Downset *d, int depth)
 
 static PyObject *downset_max_edges(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"masks", "succs", "s", "budget", NULL};
+    static char *kwlist[] = {"masks", "succs", "s", "budget", "lower", NULL};
     PyObject *masks_obj, *succs_obj, *witness, *res = NULL;
-    Downset d = {.best = -1, .exhausted = 1};
+    Downset d = {.exhausted = 1};
     int s, rc = -1;
     Py_ssize_t m;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOiL:downset_max_edges", kwlist,
-                                     &masks_obj, &succs_obj, &s, &d.budget))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOiLi:downset_max_edges", kwlist,
+                                     &masks_obj, &succs_obj, &s, &d.budget, &d.best))
         return NULL;
     if ((d.masks = read_masks(masks_obj, &m)) == NULL || read_succs(succs_obj, m, &d) < 0)
         goto done;
@@ -343,11 +352,9 @@ static PyObject *downset_max_edges(PyObject *self, PyObject *args, PyObject *kwd
         d.hits = d.stack + d.off[m] + 1;
         rc = search(&d, 0);
     }
-    if (d.best < 0)
-        d.best = 0;
     if (rc < 0)
         PyErr_NoMemory();
-    else if ((witness = int_list(d.witness, d.best)) != NULL)
+    else if ((witness = int_list(d.witness, d.n_witness)) != NULL)
         res = Py_BuildValue("(iNOL)", d.best, witness, d.exhausted ? Py_True : Py_False, d.nodes);
 done:
     free(d.masks);
@@ -365,9 +372,12 @@ static PyMethodDef methods[] = {
      "Indices of `need` pairwise-disjoint edges, or None."},
     {METHOD(greedy_matching), "greedy_matching(masks)\n--\n\n"
      "Lexicographic greedy maximal matching; returns chosen indices."},
-    {METHOD(downset_max_edges), "downset_max_edges(masks, succs, s, budget)\n--\n\n"
-     "Maximize family size over dominance down-sets with matching number <= s.\n\n"
-     "Returns (best, witness_indices, exhausted, nodes)."},
+    {METHOD(downset_max_edges), "downset_max_edges(masks, succs, s, budget, lower)\n--\n\n"
+     "Maximize family size over dominance down-sets with matching number <= s,\n"
+     "counting only families larger than `lower`, the size of a feasible family\n"
+     "the caller already holds.\n\n"
+     "Returns (best, witness_indices, exhausted, nodes); best >= lower, and the\n"
+     "witness is [] when no family larger than `lower` was found."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -56,23 +56,29 @@ def greedy_matching(masks):
     return out
 
 
-def downset_max_edges(masks, succs, s, budget):
+def downset_max_edges(masks, succs, s, budget, lower):
     """Maximize family size over down-sets of the dominance order with
-    matching number <= s.
+    matching number <= s, counting only families larger than `lower`.
 
     masks: bitmasks of all candidate k-sets in a linear extension order
     succs: immediate successor indices (covers in the dominance order)
     s: matching bound; budget: node expansion cap
+    lower: size of a feasible family the caller already holds; the search
+    starts with it as the incumbent, so it prunes every branch that cannot
+    beat it
 
-    Returns (best, witness_indices, exhausted, nodes).  Branch-and-bound:
-    every feasible down-set must exclude (with its whole up-set) at least one
-    edge of any (s+1)-matching found inside the current candidate closure.
+    Returns (best, witness_indices, exhausted, nodes).  best is at least
+    `lower`; the witness is [] when no family larger than `lower` was found.
+    Branch-and-bound: every feasible down-set must exclude (with its whole
+    up-set) at least one edge of any (s+1)-matching found inside the current
+    candidate closure.
     """
     m_count = len(masks)
     k = bin(masks[0]).count("1") if masks else 1
     status = bytearray(m_count)  # 0 undecided, 1 included, 2 excluded
     trail: list[int] = []
-    state = {"best": -1, "witness": [], "nodes": 0, "exhausted": True}
+    state = {"best": lower, "witness": [], "nodes": 0, "exhausted": True,
+             "excluded": 0}
 
     def exclude(idx) -> bool:
         # cascade over the up-set; fails on an already-included element
@@ -86,6 +92,7 @@ def downset_max_edges(masks, succs, s, budget):
                 return False
             status[j] = 2
             trail.append(j)
+            state["excluded"] += 1
             stack.extend(succs[j])
         return True
 
@@ -104,15 +111,16 @@ def downset_max_edges(masks, succs, s, budget):
                 status[-j - 1] = 0
             else:
                 status[j] = 0
+                state["excluded"] -= 1
 
     def search():
         state["nodes"] += 1
         if state["nodes"] > budget:
             state["exhausted"] = False
             return
-        closure = [i for i in range(m_count) if status[i] != 2]
-        if len(closure) <= state["best"]:
+        if m_count - state["excluded"] <= state["best"]:
             return
+        closure = [i for i in range(m_count) if status[i] != 2]
         hit = _find(masks, k, s + 1, closure)
         if hit is None:
             state["best"] = len(closure)
@@ -136,4 +144,4 @@ def downset_max_edges(masks, succs, s, budget):
                 return
 
     search()
-    return max(state["best"], 0), state["witness"], state["exhausted"], state["nodes"]
+    return state["best"], state["witness"], state["exhausted"], state["nodes"]

@@ -87,14 +87,22 @@ cli.command_class = _Command
               required=True)
 @click.option("--n", type=int, required=True)
 @click.option("--k", type=int, required=True)
-@click.option("--s", type=int, default=0)
-@click.option("--i", "i_", type=int, default=1)
-@click.option("--u-size", type=int, default=0, help="|U| for huw/hpuw (U = [u_size])")
-@click.option("--p", type=int, default=0)
+@click.option("--s", type=int, default=None, help="s for hi (default 0)")
+@click.option("--i", "i_", type=int, default=None, help="i for hi (default 1)")
+@click.option("--u-size", type=int, default=None,
+              help="|U| for huw/hpuw (U = [u_size], default 0)")
+@click.option("--p", type=int, default=None, help="p for hpuw (default 0)")
 @click.option("--out", "-o", type=click.Path(), required=True)
 def gen(family, n, k, s, i_, u_size, p, out):
     """Generate a named family as a .khg file."""
     from emclab.constructions import build_Hi, build_HpUW, build_HUW
+    reads = {"hi": ("--s", "--i"), "huw": ("--u-size",), "hpuw": ("--u-size", "--p"),
+             "complete": ()}[family]
+    for flag, value in (("--s", s), ("--i", i_), ("--u-size", u_size), ("--p", p)):
+        if value is not None and flag not in reads:
+            raise click.UsageError(f"{flag} does not apply to family {family}")
+    s, u_size, p = s or 0, u_size or 0, p or 0
+    i_ = 1 if i_ is None else i_
     if family in ("huw", "hpuw") and u_size > n:
         raise HypergraphError(f"need u_size <= n, got u_size={u_size}, n={n}")
     if family == "hi":
@@ -240,8 +248,10 @@ def profile(path, s, epsilon):
               required=True)
 @click.option("--zmax", type=RATIONAL, default=None,
               help="z_max for target calculate (default 1/10^5)")
-@click.option("--depth", type=int, default=60)
-@click.option("--max-boxes", type=int, default=10**7)
+@click.option("--depth", type=int, default=None,
+              help="bisection depth limit for calculate and maxvalue (default 60)")
+@click.option("--max-boxes", type=int, default=None,
+              help="box budget for calculate and maxvalue (default 10^7)")
 @click.option("--mutation", type=str, default=None)
 @click.option("--out", "-o", type=click.Path(), default=None,
               help="write the certificate to this file")
@@ -252,6 +262,9 @@ def verify_ineq(target, zmax, depth, max_boxes, mutation, out):
     if target == "convex":
         if mutation is not None:
             raise click.UsageError(f"unknown mutation {mutation!r} for target convex")
+        for flag, value in (("--depth", depth), ("--max-boxes", max_boxes)):
+            if value is not None:
+                raise click.UsageError(f"{flag} does not apply to target convex")
         from emclab.scalars import check_convexity, eval_f_lemma_convex
         rep = check_convexity(
             lambda x: eval_f_lemma_convex(x, 30, 4, 5, Fraction(1, 2)),
@@ -263,12 +276,14 @@ def verify_ineq(target, zmax, depth, max_boxes, mutation, out):
             sys.exit(EXIT_MISMATCH)
         return
     from emclab.certify import certify_calculate_lemma, certify_maxvalue_coeffs
+    limits = {name: value for name, value in (("max_depth", depth), ("max_boxes", max_boxes))
+              if value is not None}
     try:
         if target == "calculate":
             cert = certify_calculate_lemma(Fraction(1, 10**5) if zmax is None else zmax,
-                                           depth, max_boxes, mutation)
+                                           mutation=mutation, **limits)
         else:
-            cert = certify_maxvalue_coeffs(depth, max_boxes, mutation)
+            cert = certify_maxvalue_coeffs(mutation=mutation, **limits)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if out:

@@ -27,9 +27,10 @@ def build_Hi(n: int, k: int, s: int, i: int) -> Hypergraph:
     if s < 0:
         raise HypergraphError("s must be nonnegative")
     prefix = i * (s + 1) - 1
-    edges = [e for e in combinations(range(1, n + 1), k)
-             if sum(1 for v in e if v <= prefix) >= i]
-    return new_hypergraph(n, k, edges)
+    # combinations() yields sorted k-sets in lex order, already canonical; a
+    # sorted k-set meets [prefix] in at least i vertices iff its i-th does
+    edges = tuple(e for e in combinations(range(1, n + 1), k) if e[i - 1] <= prefix)
+    return Hypergraph(n=n, k=k, edges=edges)
 
 
 def build_HUW(u: Iterable[int], w: Iterable[int], k: int) -> Hypergraph:

@@ -5,6 +5,14 @@ The oracle maximizes e(G) over all G on [n] with matching number at most s.
 Compression (see ``shifting``) lets the search range over stable families
 only, i.e. down-sets of the coordinatewise dominance order on k-subsets of
 [n]; the kernel explores that lattice with an honest node budget.
+
+When n >= k(s+1) the search starts from an incumbent: the larger of the two
+conjectured extremal families, the cover construction H_1 and the clique H_k.
+The incumbent is checked in the same run, never taken from the formula: it
+must be a down-set, and a pigeonhole cover certificate must show nu <= s
+(every edge meets P = [i(s+1)-1] in at least i vertices, and |P| < i(s+1),
+so s+1 disjoint edges cannot fit).  The certificate is linear in the edge
+count, where an exact matching search on H_1 takes seconds at n = 16.
 """
 
 from __future__ import annotations
@@ -35,15 +43,31 @@ def _candidates(n: int, k: int) -> tuple[list[int], list[list[int]]]:
     return masks, succs
 
 
-def max_edges_given_nu(n: int, k: int, s: int, budget: int = 10**7
-                       ) -> tuple[int, Hypergraph, bool, int]:
-    """Exact maximum of e(G) over G on [n] with nu(G) <= s, as long as the
-    search exhausts within `budget` node expansions.
+def _incumbent(n: int, k: int, s: int, masks: list[int], succs: list[list[int]]
+               ) -> tuple[str, Hypergraph, list[int]] | None:
+    """The larger of H_1 and H_k as (name, family, its candidate indices), or
+    None when n < k(s+1).  Raises RuntimeError unless the family is a
+    down-set with a cover certificate for nu <= s."""
+    if n < k * (s + 1):
+        return None
+    i, name = (k, "H_k") if emc_bound(n, k, s).winner == "clique" else (1, "H_1")
+    family = build_Hi(n, k, s, i)
+    index = {m: j for j, m in enumerate(masks)}
+    seed = [index[m] for m in kernel.edge_masks(n, family.edges)]
+    member = bytearray(len(masks))
+    for j in seed:
+        member[j] = 1
+    if any(member[t] for j, row in enumerate(succs) if not member[j] for t in row):
+        raise RuntimeError(f"incumbent {name} is not a down-set (internal error)")
+    prefix = (1 << (i * (s + 1) - 1)) - 1  # P = [i(s+1)-1], so |P| < i(s+1)
+    if any(bin(masks[j] & prefix).count("1") < i for j in seed):
+        raise RuntimeError(f"incumbent {name} fails its cover certificate (internal error)")
+    return name, family, seed
 
-    Returns (max_edges, witness, exhausted, nodes).  When exhausted is False
-    the value is only a lower bound (best found so far) — never silently
-    wrong, just honest about incompleteness.
-    """
+
+def _search(n: int, k: int, s: int, budget: int
+            ) -> tuple[int, Hypergraph, bool, int, dict | None]:
+    """`max_edges_given_nu`, plus the incumbent the search started from."""
     if s < 0:
         raise HypergraphError("s must be nonnegative")
     if not 1 <= k <= n:
@@ -51,16 +75,35 @@ def max_edges_given_nu(n: int, k: int, s: int, budget: int = 10**7
     if budget < 0:
         raise HypergraphError(f"budget must be nonnegative, got {budget}")
     masks, succs = _candidates(n, k)
-    best, wit_idx, exhausted, nodes = kernel.downset_max_edges(masks, succs, s, budget)
-    witness = new_hypergraph(n, k, [[v for v in range(1, n + 1) if masks[i] >> (v - 1) & 1]
-                                    for i in wit_idx])
-    return best, witness, exhausted, nodes
+    incumbent = _incumbent(n, k, s, masks, succs)
+    lower = incumbent[1].num_edges if incumbent else 0
+    best, wit_idx, exhausted, nodes = kernel.downset_max_edges(masks, succs, s, budget, lower)
+    if wit_idx or not incumbent:
+        witness = new_hypergraph(n, k, [[v for v in range(1, n + 1) if masks[i] >> (v - 1) & 1]
+                                        for i in wit_idx])
+    else:
+        witness = incumbent[1]
+    report = incumbent and {"family": incumbent[0], "edges": lower}
+    return best, witness, exhausted, nodes, report
+
+
+def max_edges_given_nu(n: int, k: int, s: int, budget: int = 10**7
+                       ) -> tuple[int, Hypergraph, bool, int]:
+    """Exact maximum of e(G) over G on [n] with nu(G) <= s, as long as the
+    search exhausts within `budget` node expansions.
+
+    Returns (max_edges, witness, exhausted, nodes).  When exhausted is False
+    the value is only a lower bound (the best family found so far, or the
+    checked incumbent) — never silently wrong, just honest about
+    incompleteness.
+    """
+    return _search(n, k, s, budget)[:4]
 
 
 def verify_emc(n: int, k: int, s: int, budget: int = 10**7) -> dict:
     """Compare the brute-force oracle against the closed-form bound."""
     t0 = time.monotonic()
-    oracle, witness, exhausted, nodes = max_edges_given_nu(n, k, s, budget)
+    oracle, witness, exhausted, nodes, incumbent = _search(n, k, s, budget)
     report = emc_bound(n, k, s)
     return {
         "n": n, "k": k, "s": s,
@@ -71,6 +114,7 @@ def verify_emc(n: int, k: int, s: int, budget: int = 10**7) -> dict:
         "nodes_expanded": nodes,
         "wall_time_ms": int((time.monotonic() - t0) * 1000),
         "witness_edges": witness.num_edges,
+        "incumbent": incumbent,
     }
 
 

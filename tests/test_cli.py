@@ -315,6 +315,15 @@ class TestUsageErrors:
                               "--budget", "-1"],
         "verify-ineq-max-boxes": ["verify-ineq", "--target", "calculate", "--max-boxes", "-5"],
         "verify-ineq-depth": ["verify-ineq", "--target", "maxvalue", "--depth", "-1"],
+        "verify-ineq-depth-convex": ["verify-ineq", "--target", "convex", "--depth", "60"],
+        "verify-ineq-max-boxes-convex": ["verify-ineq", "--target", "convex",
+                                         "--max-boxes", "100"],
+        "gen-unread-options": ["gen", "--family", "complete", "--n", "6", "--k", "2",
+                               "--s", "5", "--i", "7", "-o", "{out}"],
+        "gen-p-hi": ["gen", "--family", "hi", "--n", "9", "--k", "3", "--s", "2",
+                     "--p", "1", "-o", "{out}"],
+        "gen-s-huw": ["gen", "--family", "huw", "--n", "5", "--k", "3", "--u-size", "2",
+                      "--s", "0", "-o", "{out}"],
         "sample-s": ["sample", "{small}", "--t", "0", "--s", "-1", "--seed", "1"],
         "round-s": ["round", "{small}", "--t", "0", "--s", "-1", "--seed", "1"],
     }

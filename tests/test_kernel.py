@@ -3,8 +3,9 @@
 The compiled kernel is built from ``_kernel.c`` into a temporary directory,
 with warnings as errors, and loaded without registering it as a module, so
 the rest of the session keeps whichever kernel ``emclab.kernel`` picked at
-import.  Both kernels must agree exactly: answers, witnesses and node counts.
-Malformed input must raise in the compiled kernel, never crash it.
+import.  Both kernels must agree exactly: answers, witnesses and node counts,
+at every incumbent size `lower` tested.  Malformed input must raise in the
+compiled kernel, never crash it.
 """
 
 import importlib.util
@@ -20,9 +21,10 @@ from pathlib import Path
 import pytest
 
 from emclab import _kernel_py, kernel
+from emclab.constructions import emc_bound
 from emclab.hypergraph import HypergraphError, new_hypergraph
 from emclab.matching import matching_number
-from emclab.verifier import _candidates, max_edges_given_nu
+from emclab.verifier import _candidates, _incumbent, max_edges_given_nu
 
 C_SOURCE = Path(_kernel_py.__file__).with_name("_kernel.c")
 IMPL_AT_IMPORT = kernel.IMPL
@@ -33,6 +35,16 @@ DOWNSET_CELLS = [
     (11, 4, 1, 10**7), (12, 3, 3, 10**7), (12, 4, 1, 10**7), (13, 3, 2, 10**7),
     (13, 3, 3, 10**7), (15, 5, 2, 300), (16, 4, 3, 50),
 ]
+
+# cells the search exhausts from the verified incumbent only in a compiled
+# kernel's time: (n, k, s, nodes)
+COMPILED_EXACT_CELLS = [(16, 4, 3, 8314), (14, 5, 1, 12060)]
+
+
+def seeded(n, k, s):
+    """Candidates of the (n, k) down-set search and its verified incumbent."""
+    masks, succs = _candidates(n, k)
+    return masks, succs, _incumbent(n, k, s, masks, succs)[2]
 
 
 def random_families(count=300, seed=2026):
@@ -124,14 +136,36 @@ class TestCompiledMatchesPython:
 
     @pytest.mark.parametrize("n,k,s,budget", DOWNSET_CELLS)
     def test_downset_max_edges(self, compiled, n, k, s, budget):
+        masks, succs, seed = seeded(n, k, s)
+        want = _kernel_py.downset_max_edges(masks, succs, s, budget, len(seed))
+        assert compiled.downset_max_edges(masks, succs, s, budget, len(seed)) == want
+        assert want[0] >= len(seed)
+
+    @pytest.mark.parametrize("n,k,s,budget", DOWNSET_CELLS)
+    def test_downset_above_optimum(self, compiled, n, k, s, budget):
+        # no family beats lower = formula + 1 (the optimum on the exhaustive
+        # cells), so best stays lower and the witness is []
         masks, succs = _candidates(n, k)
-        want = _kernel_py.downset_max_edges(masks, succs, s, budget)
-        assert compiled.downset_max_edges(masks, succs, s, budget) == want
+        lower = emc_bound(n, k, s).emc_bound + 1
+        want = _kernel_py.downset_max_edges(masks, succs, s, budget, lower)
+        assert compiled.downset_max_edges(masks, succs, s, budget, lower) == want
+        assert want[:2] == (lower, [])
+
+    @pytest.mark.parametrize("n,k,s,nodes", COMPILED_EXACT_CELLS)
+    def test_compiled_exact_cell(self, compiled, n, k, s, nodes):
+        masks, succs, seed = seeded(n, k, s)
+        best, witness, exhausted, got = compiled.downset_max_edges(
+            masks, succs, s, 10**7, len(seed))
+        # the incumbent is optimal, so nothing larger is found
+        assert (best, witness, exhausted, got) == \
+            (emc_bound(n, k, s).emc_bound, [], True, nodes)
 
     def test_same_signatures(self, compiled):
         for name in ("find_matching", "greedy_matching", "downset_max_edges"):
             assert inspect.signature(getattr(compiled, name)) == \
                 inspect.signature(getattr(_kernel_py, name)), name
+        assert list(inspect.signature(compiled.downset_max_edges).parameters) == \
+            ["masks", "succs", "s", "budget", "lower"]
 
     def test_find_matching(self, compiled):
         outcomes = set()
@@ -161,19 +195,19 @@ class TestCompiledRejectsMalformedInput:
         with pytest.raises(OverflowError):
             compiled.greedy_matching([3, -1])
         with pytest.raises(OverflowError):
-            compiled.downset_max_edges([-3], [[]], 1, 10)
+            compiled.downset_max_edges([-3], [[]], 1, 10, 0)
 
     def test_successor_out_of_range(self, compiled):
         masks, succs = _candidates(5, 2)
         for bad in (len(masks), -1):
             with pytest.raises(IndexError):
-                compiled.downset_max_edges(masks, succs[:-1] + [[bad]], 1, 10)
+                compiled.downset_max_edges(masks, succs[:-1] + [[bad]], 1, 10, 0)
 
     def test_succs_length_mismatch(self, compiled):
         masks, succs = _candidates(5, 2)
         for bad in (succs[:-1], succs + [[]]):
             with pytest.raises(ValueError):
-                compiled.downset_max_edges(masks, bad, 1, 10)
+                compiled.downset_max_edges(masks, bad, 1, 10, 0)
 
     def test_huge_need(self, compiled):
         masks = kernel.edge_masks(8, [(1, 2), (3, 4), (5, 6)])
@@ -184,5 +218,5 @@ class TestCompiledRejectsMalformedInput:
         with pytest.raises(OverflowError):
             compiled.find_matching(masks, 2, 2**64)
         masks, succs = _candidates(6, 2)
-        assert compiled.downset_max_edges(masks, succs, 100, 10) == \
-            _kernel_py.downset_max_edges(masks, succs, 100, 10)
+        assert compiled.downset_max_edges(masks, succs, 100, 10, 0) == \
+            _kernel_py.downset_max_edges(masks, succs, 100, 10, 0)

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import emclab.verifier
 from emclab.constructions import build_Hi
 from emclab.hypergraph import binom, complete_hypergraph, new_hypergraph
 from emclab.lp import fractional_matching_number, solve_lp
@@ -40,6 +41,51 @@ class TestOracle:
         assert rep["match"] and rep["exhausted"]
         assert rep["oracle"] == rep["formula"] == 11
         assert rep["nodes_expanded"] > 0
+        assert rep["incumbent"] == {"family": "H_1", "edges": 11}
+
+    def test_no_incumbent_below_k_times_s_plus_1(self):
+        rep = verify_emc(5, 2, 2)  # n < k(s+1) = 6: no H_i
+        assert rep["incumbent"] is None
+        assert rep["match"] and rep["oracle"] == 10
+
+    @pytest.mark.parametrize("n,k,s,family,nodes", [
+        (12, 4, 2, "H_k", 1149), (13, 4, 2, "H_1", 3660), (14, 4, 2, "H_1", 7190),
+    ])
+    def test_exact_cells_from_incumbent(self, n, k, s, family, nodes):
+        rep = verify_emc(n, k, s)
+        assert rep["match"] and rep["exhausted"]
+        assert rep["oracle"] == rep["formula"] == rep["witness_edges"]
+        assert rep["nodes_expanded"] == nodes
+        assert rep["incumbent"] == {"family": family, "edges": rep["formula"]}
+
+    def test_budgeted_probe_reports_incumbent(self):
+        rep = verify_emc(16, 4, 3, budget=50)
+        assert not rep["exhausted"] and not rep["match"]
+        assert rep["oracle"] == rep["witness_edges"] == rep["incumbent"]["edges"] == 1365
+
+
+class TestIncumbentIsChecked:
+    """A forged incumbent must be caught, never searched from."""
+
+    def forge(self, monkeypatch, edit):
+        def forged(n, k, s, i):
+            h = build_Hi(n, k, s, i)
+            return new_hypergraph(n, k, edit(list(h.edges), s, k))
+        monkeypatch.setattr(emclab.verifier, "build_Hi", forged)
+
+    def test_not_a_downset(self, monkeypatch):
+        # drop the lowest edge {1..k}; the edges above it stay
+        self.forge(monkeypatch, lambda edges, s, k: edges[1:])
+        with pytest.raises(RuntimeError, match="not a down-set"):
+            max_edges_given_nu(11, 4, 1)
+
+    def test_fails_cover_certificate(self, monkeypatch):
+        # {s+1..s+k} misses [s] but every set below it meets [s], so this is
+        # still a down-set; it completes an (s+1)-matching
+        self.forge(monkeypatch,
+                   lambda edges, s, k: edges + [tuple(range(s + 1, s + k + 1))])
+        with pytest.raises(RuntimeError, match="cover certificate"):
+            max_edges_given_nu(11, 4, 1)
 
 
 class TestMinCoverSorted:
