@@ -91,7 +91,7 @@ cli.command_class = _Command
 @click.option("--i", "i_", type=int, default=None, help="i for hi (default 1)")
 @click.option("--u-size", type=int, default=None,
               help="|U| for huw/hpuw (U = [u_size], default 0)")
-@click.option("--p", type=int, default=None, help="p for hpuw (default 0)")
+@click.option("--p", type=int, default=None, help="p for hpuw (required, 1 <= p <= k)")
 @click.option("--out", "-o", type=click.Path(), required=True)
 def gen(family, n, k, s, i_, u_size, p, out):
     """Generate a named family as a .khg file."""
@@ -101,7 +101,9 @@ def gen(family, n, k, s, i_, u_size, p, out):
     for flag, value in (("--s", s), ("--i", i_), ("--u-size", u_size), ("--p", p)):
         if value is not None and flag not in reads:
             raise click.UsageError(f"{flag} does not apply to family {family}")
-    s, u_size, p = s or 0, u_size or 0, p or 0
+    if family == "hpuw" and p is None:
+        raise click.UsageError("family hpuw needs --p (1 <= p <= k)")
+    s, u_size = s or 0, u_size or 0
     i_ = 1 if i_ is None else i_
     if family in ("huw", "hpuw") and u_size > n:
         raise HypergraphError(f"need u_size <= n, got u_size={u_size}, n={n}")

@@ -86,6 +86,17 @@ def incidence_stats(batch: SampleBatch, probes) -> dict[tuple[int, ...], int]:
     return out
 
 
+def _copy_hosts(h: Hypergraph, batch: SampleBatch) -> dict[tuple[int, ...], list[int]]:
+    """Each edge of H lying in some copy, in edge order, mapped to the
+    indices of the copies that contain it.  An edge outside the union of the
+    copies is skipped with one subset test, so the cost stays within
+    O(edges x copies) and is about O(edges) when the copies are sparse."""
+    copy_sets = [frozenset(c) for c in batch.copies]
+    inside_union = frozenset().union(*copy_sets).issuperset
+    return {e: [i for i, cs in enumerate(copy_sets) if cs.issuperset(e)]
+            for e in h.edges if inside_union(e)}
+
+
 def multiplicity_report(h: Hypergraph, batch: SampleBatch) -> dict:
     """Empirical frequencies of the rare events the sparsification relies
     on: pairs hit by >= 3 copies and edges inside >= 2 copies."""
@@ -100,10 +111,7 @@ def multiplicity_report(h: Hypergraph, batch: SampleBatch) -> dict:
     for (u, v) in pairs_seen:
         if sum(1 for cs in copy_sets if u in cs and v in cs) >= 3:
             pair_bad += 1
-    edge_multi = 0
-    for e in h.edges:
-        if sum(1 for cs in copy_sets if set(e) <= cs) >= 2:
-            edge_multi += 1
+    edge_multi = sum(1 for hosts in _copy_hosts(h, batch).values() if len(hosts) >= 2)
     return {"pairs_with_Y_ge_3": pair_bad, "edges_with_Y_ge_2": edge_multi,
             "copies": len(copy_sets)}
 
@@ -120,7 +128,6 @@ def round_to_sparse(h: Hypergraph, batch: SampleBatch,
     """
     if len(pfms) != len(batch.copies):
         raise HypergraphError("need one perfect fractional matching per copy")
-    copy_sets = [set(c) for c in batch.copies]
     for i, (r, pfm) in enumerate(zip(batch.copies, pfms)):
         for v in r:
             if pfm.loads.get(v, 0) != 1:
@@ -128,9 +135,7 @@ def round_to_sparse(h: Hypergraph, batch: SampleBatch,
                     f"matching for copy {i} is not perfect at vertex {v}")
     rng = random.Random(seed)
     kept = []
-    for e in h.edges:
-        es = set(e)
-        hosts = [i for i, cs in enumerate(copy_sets) if es <= cs]
+    for e, hosts in _copy_hosts(h, batch).items():
         if len(hosts) != 1:
             continue
         w = pfms[hosts[0]].weights.get(e, Fraction(0))

@@ -3,6 +3,16 @@
 The (i,j)-shift replaces j by i in every edge where the exchange is not
 blocked by an existing edge.  Iterating shifts over all pairs i < j produces
 a stable family with the same number of edges and no larger matching number.
+
+Internally an edge is a bitmask, vertex v being bit v of a plain Python int
+(so any n works), and one shift updates a mutable set of masks in place.
+That equals the simultaneous shift, in which every blocking test looks at
+the family before the shift.  A mover m (bit j set, bit i clear) becomes
+f = m ^ (1<<i) ^ (1<<j), which has bit i set and bit j clear, so no image
+is a mover; and two distinct movers have distinct images.  So while the
+movers are replaced one by one, no earlier step adds or removes f, and
+testing f against the partly updated set gives the answer the family
+before the shift would give.
 """
 
 from __future__ import annotations
@@ -10,21 +20,40 @@ from __future__ import annotations
 from emclab.hypergraph import Hypergraph, HypergraphError, is_stable
 
 
+def _masks(h: Hypergraph) -> set[int]:
+    return {sum(1 << v for v in e) for e in h.edges}
+
+
+def _from_masks(h: Hypergraph, masks: set[int]) -> Hypergraph:
+    """The family `masks` on h's ground set; it must keep h's edge count."""
+    if len(masks) != h.num_edges:
+        raise RuntimeError("shift changed the edge count (internal error)")
+    labels = range(1, h.n + 1)
+    edges = sorted(tuple(v for v in labels if m >> v & 1) for m in masks)
+    return Hypergraph(n=h.n, k=h.k, edges=tuple(edges), vertices=h.vertices)
+
+
+def _shift_masks(masks: set[int], i: int, j: int) -> bool:
+    """Apply the (i,j)-shift to `masks` in place; True iff an edge moved."""
+    bi, bj = 1 << i, 1 << j
+    swap = bi | bj
+    moved = False
+    for m in [m for m in masks if m & swap == bj]:
+        f = m ^ swap
+        if f not in masks:
+            masks.remove(m)
+            masks.add(f)
+            moved = True
+    return moved
+
+
 def shift_ij(h: Hypergraph, i: int, j: int) -> Hypergraph:
     """Replace j by i in each edge with j but not i, unless blocked."""
     if not (1 <= i < j):
         raise HypergraphError(f"shift needs 1 <= i < j, got ({i}, {j})")
-    edge_set = h.edge_set()
-    out = set()
-    for e in h.edges:
-        if j in e and i not in e:
-            f = tuple(sorted(v if v != j else i for v in e))
-            out.add(e if f in edge_set else f)
-        else:
-            out.add(e)
-    if len(out) != h.num_edges:
-        raise RuntimeError("shift changed the edge count (internal error)")
-    return Hypergraph(n=h.n, k=h.k, edges=tuple(sorted(out)), vertices=h.vertices)
+    masks = _masks(h)
+    _shift_masks(masks, i, j)
+    return _from_masks(h, masks)
 
 
 def label_sum(h: Hypergraph) -> int:
@@ -37,24 +66,23 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, list[tuple[int, int]]]:
     """Shift until stable.  Returns the stable family and the log of the
     effective (i,j) shifts, in the order applied.
 
-    Sweeps (i,j) pairs in lexicographic order and restarts the sweep after
-    every full pass with a change; the result depends on this fixed order,
-    which is chosen once for determinism.
+    Sweeps the pairs i < j with j outer and i inner, and repeats the sweep
+    after every full pass with a change; the result depends on this fixed
+    order, which is chosen once for determinism.
     """
     if h.vertices != tuple(range(1, h.n + 1)):
         raise HypergraphError("stabilize expects the full ground set [n]")
     log: list[tuple[int, int]] = []
-    cur = h
+    masks = _masks(h)
     changed = True
     while changed:
         changed = False
-        for j in range(2, cur.n + 1):
+        for j in range(2, h.n + 1):
             for i in range(1, j):
-                nxt = shift_ij(cur, i, j)
-                if nxt.edges != cur.edges:
+                if _shift_masks(masks, i, j):
                     log.append((i, j))
-                    cur = nxt
                     changed = True
-    if not is_stable(cur):
+    out = _from_masks(h, masks)
+    if not is_stable(out):
         raise RuntimeError("stabilization did not converge (internal error)")
-    return cur, log
+    return out, log

@@ -283,6 +283,14 @@ class TestUsageErrors:
             main(["verify-ineq", "--target", target, "--mutation", mutation])
         assert ei.value.code == 3
 
+    def test_hpuw_needs_p(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as ei:
+            main(["gen", "--family", "hpuw", "--n", "5", "--k", "3", "--u-size", "2",
+                  "-o", str(tmp_path / "x.khg")])
+        assert ei.value.code == 3
+        assert "Error: family hpuw needs --p (1 <= p <= k)" in capsys.readouterr().err
+        assert not (tmp_path / "x.khg").exists()
+
     # one invalid invocation per subcommand; every one must exit 3
     INVALID = {
         "gen": ["gen", "--family", "hi", "--n", "3", "--k", "3", "--s", "2",

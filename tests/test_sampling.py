@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -85,10 +87,66 @@ class TestIncidenceStats:
     def test_multiplicity_report_keys(self):
         h = complete_hypergraph(30, 4)
         batch = sample_batch(h, 0, 0, copies=4, seed=5)
+        assert multiplicity_report(h, batch) == brute_multiplicities(h, batch)
+
+
+def brute_multiplicities(h, batch):
+    """multiplicity_report by direct counting over all pairs and edges."""
+    copies = [set(c) for c in batch.copies]
+
+    def y(a):
+        return sum(1 for c in copies if set(a) <= c)
+    return {"pairs_with_Y_ge_3": sum(1 for p in combinations(h.vertices, 2) if y(p) >= 3),
+            "edges_with_Y_ge_2": sum(1 for e in h.edges if y(e) >= 2),
+            "copies": len(copies)}
+
+
+class TestMultiplicityReport:
+    def test_seeded_batches_match_brute_force(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            n = rng.randint(4, 12)
+            k = rng.randint(1, 4)
+            all_e = list(combinations(range(1, n + 1), k))
+            h = new_hypergraph(n, k, rng.sample(all_e, rng.randint(0, len(all_e))))
+            copies = [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+                      for _ in range(rng.randint(1, 6))]
+            batch = make_batch(copies, n_base=n)
+            assert multiplicity_report(h, batch) == brute_multiplicities(h, batch)
+
+    def test_sampled_batches_match_brute_force(self):
+        h = complete_hypergraph(12, 3)
+        for seed in range(10):
+            batch = sample_batch(h, 2, 1, copies=40, seed=seed)
+            assert multiplicity_report(h, batch) == brute_multiplicities(h, batch)
+
+    @pytest.mark.parametrize("copies, want", [
+        # overlapping: {3,4,5,6} lies in both copies; pair (3,4) only in two
+        ([tuple(range(1, 7)), tuple(range(3, 9))], (0, 1)),
+        # duplicated: every pair and edge of [1,6] lies in all three copies
+        ([tuple(range(1, 7))] * 3, (15, 15)),
+        # empty copies host nothing and leave the counts alone
+        ([(), tuple(range(1, 7)), ()], (0, 0)),
+        ([(), ()], (0, 0)),
+        # three copies overlap only in (1,2), too small for an edge
+        ([(1, 2, 3, 4), (1, 2, 5, 6), (1, 2, 7, 8)], (1, 0)),
+    ])
+    def test_hand_made_batches(self, copies, want):
+        h = complete_hypergraph(8, 4)
+        batch = make_batch(copies)
         rep = multiplicity_report(h, batch)
-        assert rep["copies"] == 4
-        assert rep["pairs_with_Y_ge_3"] >= 0
-        assert rep["edges_with_Y_ge_2"] >= 0
+        assert (rep["pairs_with_Y_ge_3"], rep["edges_with_Y_ge_2"]) == want
+        assert rep == brute_multiplicities(h, batch)
+
+    @pytest.mark.parametrize("n, k, t, s, copies, seed, want", [
+        (30, 4, 2, 2, 12, 1, (0, 0)), (30, 4, 2, 2, 12, 2, (0, 0)),
+        (10, 3, 0, 0, 60, 1, (1, 0)), (10, 3, 0, 0, 60, 2, (2, 2)),
+    ])
+    def test_pinned_values(self, n, k, t, s, copies, seed, want):
+        h = complete_hypergraph(n, k)
+        rep = multiplicity_report(h, sample_batch(h, t, s, copies=copies, seed=seed))
+        assert rep == {"pairs_with_Y_ge_3": want[0], "edges_with_Y_ge_2": want[1],
+                       "copies": copies}
 
 
 class TestRounding:
@@ -128,6 +186,24 @@ class TestRounding:
         b = round_to_sparse(h, batch, [pm], seed=5)
         assert a.edges == b.edges
         assert all(pm.weights.get(e, 0) > 0 for e in a.edges)
+
+    @pytest.mark.parametrize("seed, kept", [
+        (3, ((1, 2, 3, 4), (3, 4, 7, 8), (6, 8, 10, 12), (7, 8, 11, 12))),
+        (4, ((1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 7, 8), (5, 6, 9, 10), (5, 7, 9, 11))),
+    ])
+    def test_fractional_weights_pinned(self, seed, kept):
+        # copies [1,8] and [5,12] share (5,6,7,8), which is dropped although
+        # both matchings weight it; the other edges are kept with
+        # probability 1/2 (first copy) or 1/3 (second copy)
+        h = complete_hypergraph(12, 4)
+        batch = make_batch([tuple(range(1, 9)), tuple(range(5, 13))], n_base=12)
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        pm1 = make_fractional_matching(h, {(1, 2, 3, 4): half, (5, 6, 7, 8): half,
+                                           (1, 2, 5, 6): half, (3, 4, 7, 8): half})
+        pm2 = make_fractional_matching(h, {(5, 6, 7, 8): third, (9, 10, 11, 12): third,
+                                           (5, 6, 9, 10): third, (7, 8, 11, 12): third,
+                                           (5, 7, 9, 11): third, (6, 8, 10, 12): third})
+        assert round_to_sparse(h, batch, [pm1, pm2], seed=seed).edges == kept
 
     def test_imperfect_matching_rejected(self):
         h = complete_hypergraph(8, 4)

@@ -1,10 +1,11 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from emclab.hypergraph import (HypergraphError, complete_hypergraph, is_stable,
-                               new_hypergraph)
+from emclab.hypergraph import (Hypergraph, HypergraphError, complete_hypergraph,
+                               is_stable, new_hypergraph)
 from emclab.matching import matching_number
 from emclab.shifting import label_sum, shift_ij, stabilize
 
@@ -12,6 +13,78 @@ from emclab.shifting import label_sum, shift_ij, stabilize
 def random_hypergraph(rng, n, k, m):
     all_e = list(combinations(range(1, n + 1), k))
     return new_hypergraph(n, k, rng.sample(all_e, min(m, len(all_e))))
+
+
+def sparse_random_hypergraph(rng, n, k, m):
+    """m distinct random k-sets of [n], without listing all of them."""
+    edges = set()
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), k))))
+    return new_hypergraph(n, k, edges)
+
+
+def reference_shift_ij(h, i, j):
+    """The simultaneous (i,j)-shift on tuple sets: every blocking test looks
+    at the family before the shift."""
+    before = set(h.edges)
+    out = set()
+    for e in h.edges:
+        if j in e and i not in e:
+            f = tuple(sorted(v if v != j else i for v in e))
+            out.add(e if f in before else f)
+        else:
+            out.add(e)
+    return Hypergraph(n=h.n, k=h.k, edges=tuple(sorted(out)), vertices=h.vertices)
+
+
+def reference_stabilize(h):
+    log = []
+    cur = h
+    changed = True
+    while changed:
+        changed = False
+        for j in range(2, h.n + 1):
+            for i in range(1, j):
+                nxt = reference_shift_ij(cur, i, j)
+                if nxt.edges != cur.edges:
+                    log.append((i, j))
+                    cur = nxt
+                    changed = True
+    return cur, log
+
+
+def seeded_families(seed, count):
+    """n <= 12, k = 1..5, edge counts from empty to a third of all k-sets."""
+    rng = random.Random(seed)
+    for idx in range(count):
+        n = rng.randint(1, 12)
+        k = rng.randint(1, min(5, n))
+        m = 0 if idx % 10 == 0 else rng.randint(0, max(1, comb(n, k) // 3))
+        yield random_hypergraph(rng, n, k, m)
+
+
+class TestAgainstReference:
+    def test_stabilize_matches_reference(self):
+        for h in seeded_families(900, 300):
+            assert stabilize(h) == reference_stabilize(h)
+
+    def test_shift_ij_matches_reference(self):
+        rng = random.Random(901)
+        for h in seeded_families(902, 300):
+            if h.n < 2:
+                continue
+            i = rng.randint(1, h.n - 1)
+            j = rng.randint(i + 1, h.n)
+            assert shift_ij(h, i, j) == reference_shift_ij(h, i, j)
+
+    def test_seventy_vertices(self):
+        # vertex labels past 63 exceed one machine word as bitmasks
+        rng = random.Random(903)
+        h = sparse_random_hypergraph(rng, 70, 4, 120)
+        out, log = stabilize(h)
+        assert (out, log) == reference_stabilize(h)
+        assert log and max(max(e) for e in h.edges) > 63
+        assert shift_ij(h, 1, 70) == reference_shift_ij(h, 1, 70)
 
 
 class TestShiftIJ:
