@@ -1,10 +1,14 @@
 /* Compiled search kernels over bitmask edge families.
 
-   Same contract as _kernel_py, which this file mirrors step for step, so
-   answers, witnesses and node counts are identical.  Vertex v is bit v-1 of
-   an edge mask, so n <= 63.  One matching search, find(), runs over indices
-   into one mask array: all of them, or the down-set search's closure.  That
-   search keeps the successor lists in one flat array (CSR layout). */
+   Same contract as _kernel_py and the same DFS: both branch on the same
+   vertices and edges in the same order, so answers, witnesses and node
+   counts are identical.  _kernel_py keeps its edge sets as index bitsets in
+   Python ints; this file keeps them as index arrays.  Vertex v is bit v-1
+   of an edge mask, so n <= 63.  One matching search, find(), runs over
+   indices into one mask array: all of them, or the down-set search's
+   closure.  That search keeps the successor lists in one flat array (CSR
+   layout); every successor index must exceed its predecessor's, as in a
+   linear extension, and both kernels reject any other. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -188,7 +192,8 @@ typedef struct {
 } Downset;
 
 /* Copies the successor lists into d: the successors of j are
-   d->succ[d->off[j] .. d->off[j + 1]).  The caller frees both arrays. */
+   d->succ[d->off[j] .. d->off[j + 1]), each larger than j as in a linear
+   extension.  The caller frees both arrays. */
 static int read_succs(PyObject *seq, Py_ssize_t m, Downset *d)
 {
     PyObject *fast = PySequence_Fast(seq, "succs must be a sequence"), *row = NULL;
@@ -221,6 +226,10 @@ static int read_succs(PyObject *seq, Py_ssize_t m, Downset *d)
                 goto done;
             if (v < 0 || v >= m) {
                 PyErr_SetString(PyExc_IndexError, "successor index out of range");
+                goto done;
+            }
+            if (v <= j) {
+                PyErr_SetString(PyExc_ValueError, "successor index not after its predecessor");
                 goto done;
             }
             d->succ[nnz++] = (int)v;

@@ -1,15 +1,50 @@
 """Pure-Python search kernels over bitmask edge families.
 
 Hot loops of the exact matching number and the stable-family edge-count
-maximizer.  Vertex v maps to bit v-1, so these kernels require n <= 63.
-One matching search, ``_find``, runs over indices into one mask array: all
-of them, or the down-set search's closure.  The compiled twin in
-``_kernel.c`` mirrors it step for step; ``kernel.py`` picks one at import.
+maximizer.  Vertex v maps to bit v-1 of an edge mask, so these kernels
+require n <= 63.
+
+A set of edges is one Python int over indices into the mask array: bit i
+stands for masks[i].  ``by_vertex[b]`` is the index bitset of the masks that
+hold vertex bit b, so dropping every edge that meets a given edge takes one
+AND and one XOR per vertex of it.  The down-set search also keeps ``up[i]``,
+the index bitset of the up-set of masks[i] in the dominance order: one int
+per candidate, about C(n,k)^2/8 bytes in all.  One matching search,
+``_find``, runs over an index bitset: all of the masks, or the down-set
+search's closure.  The compiled twin in ``_kernel.c`` runs the same DFS over
+index arrays, so answers, witnesses and node counts are identical;
+``kernel.py`` picks one at import.
 """
 
 from __future__ import annotations
 
 IMPL = "python"
+
+
+def _check_masks(masks):
+    if masks and min(masks) < 0:
+        raise OverflowError("masks must be nonnegative")
+
+
+def _tables(masks):
+    """(by_vertex, above): by_vertex[b] is the index bitset of the masks
+    holding vertex bit b; above[i] lists the vertex bits of masks[i] other
+    than its least one."""
+    union = 0
+    for m in masks:
+        union |= m
+    by_vertex = [0] * union.bit_length()
+    above = []
+    for i, m in enumerate(masks):
+        row = []
+        while m:
+            low = m & -m
+            b = low.bit_length() - 1
+            row.append(b)
+            by_vertex[b] |= 1 << i
+            m ^= low
+        above.append(row[1:])
+    return by_vertex, above
 
 
 def find_matching(masks, k, need):
@@ -18,35 +53,55 @@ def find_matching(masks, k, need):
     Deterministic DFS branching on the least active vertex; prunes branches
     where the surviving vertices cannot host enough disjoint edges.
     """
-    return _find(masks, k, need, range(len(masks)))
-
-
-def _find(masks, k, need, avail):
     if need <= 0:
         return []
-    acc = 0
-    for i in avail:
-        acc |= masks[i]
-    # acc == 0 decides only k <= 0, where the descent would never end
-    if acc == 0 or bin(acc).count("1") < need * k:
+    _check_masks(masks)
+    by_vertex, above = _tables(masks)
+    return _find(by_vertex, above, k, need, (1 << len(masks)) - 1)
+
+
+def _find(by_vertex, above, k, need, avail):
+    if need <= 0:
+        return []
+    if not avail:
         return None
-    v_bit = acc & (-acc)  # least active vertex
+    target = need * k
+    count = 0
+    for b, col in enumerate(by_vertex):
+        if avail & col:
+            if not count:
+                v = b  # least active vertex
+            count += 1
+            if count >= target:
+                break
+    # count == 0 decides only k <= 0, where the descent would never end
+    if not count or count < target:
+        return None
+    with_v = avail & by_vertex[v]
+    rest = avail ^ with_v
     # try high-index partners first: pairing a scarce low vertex with the
     # greediest partner wastes the fewest other scarce vertices
-    with_v = [i for i in reversed(avail) if masks[i] & v_bit]
-    rest = [i for i in avail if not (masks[i] & v_bit)]
-    for i in with_v:
-        m = masks[i]
-        sub = [j for j in rest if not (masks[j] & m)]
-        res = _find(masks, k, need - 1, sub)
-        if res is not None:
+    if need == 1:
+        return [with_v.bit_length() - 1]
+    while with_v:
+        i = with_v.bit_length() - 1
+        with_v ^= 1 << i
+        # v is i's least vertex and no edge of `rest` holds it; drop the
+        # edges that meet i's other vertices
+        sub = rest
+        for b in above[i]:
+            sub ^= sub & by_vertex[b]
+        # an empty `sub` cannot hold need - 1 >= 1 edges: skip the call
+        res = sub and _find(by_vertex, above, k, need - 1, sub)
+        if res:
             return [i] + res
     # least vertex left unmatched
-    return _find(masks, k, need, rest)
+    return _find(by_vertex, above, k, need, rest)
 
 
 def greedy_matching(masks):
     """Lexicographic greedy maximal matching; returns chosen indices."""
+    _check_masks(masks)
     out = []
     used = 0
     for i, m in enumerate(masks):
@@ -56,12 +111,33 @@ def greedy_matching(masks):
     return out
 
 
+def _up_sets(succs, m_count):
+    """up[i]: the index bitset of the up-set of i.  Successors must come
+    after their predecessor, as they do in a linear extension."""
+    if len(succs) != m_count:
+        raise ValueError("succs needs one successor list per mask")
+    for i, row in enumerate(succs):
+        for j in row:
+            if not 0 <= j < m_count:
+                raise IndexError("successor index out of range")
+            if j <= i:
+                raise ValueError("successor index not after its predecessor")
+    up = [0] * m_count
+    for i in range(m_count - 1, -1, -1):
+        acc = 1 << i
+        for j in succs[i]:
+            acc |= up[j]
+        up[i] = acc
+    return up
+
+
 def downset_max_edges(masks, succs, s, budget, lower):
     """Maximize family size over down-sets of the dominance order with
     matching number <= s, counting only families larger than `lower`.
 
     masks: bitmasks of all candidate k-sets in a linear extension order
-    succs: immediate successor indices (covers in the dominance order)
+    succs: immediate successor indices (covers in the dominance order),
+    each larger than its predecessor's index
     s: matching bound; budget: node expansion cap
     lower: size of a feasible family the caller already holds; the search
     starts with it as the incumbent, so it prunes every branch that cannot
@@ -73,75 +149,49 @@ def downset_max_edges(masks, succs, s, budget, lower):
     up-set) at least one edge of any (s+1)-matching found inside the current
     candidate closure.
     """
+    _check_masks(masks)
     m_count = len(masks)
+    up = _up_sets(succs, m_count)
+    by_vertex, above = _tables(masks)
     k = bin(masks[0]).count("1") if masks else 1
-    status = bytearray(m_count)  # 0 undecided, 1 included, 2 excluded
-    trail: list[int] = []
-    state = {"best": lower, "witness": [], "nodes": 0, "exhausted": True,
-             "excluded": 0}
+    need = s + 1
+    best = lower
+    witness: list[int] = []
+    nodes = 0
+    exhausted = True
 
-    def exclude(idx) -> bool:
-        # cascade over the up-set; fails on an already-included element
-        stack = [idx]
-        while stack:
-            j = stack.pop()
-            st = status[j]
-            if st == 2:
-                continue
-            if st == 1:
-                return False
-            status[j] = 2
-            trail.append(j)
-            state["excluded"] += 1
-            stack.extend(succs[j])
-        return True
-
-    def include(idx) -> bool:
-        if status[idx] == 2:
-            return False
-        if status[idx] == 0:
-            status[idx] = 1
-            trail.append(-idx - 1)
-        return True
-
-    def undo(mark):
-        while len(trail) > mark:
-            j = trail.pop()
-            if j < 0:
-                status[-j - 1] = 0
-            else:
-                status[j] = 0
-                state["excluded"] -= 1
-
-    def search():
-        state["nodes"] += 1
-        if state["nodes"] > budget:
-            state["exhausted"] = False
+    def search(alive, included):
+        # alive: the closure, every candidate not excluded; included: the
+        # candidates forced in.  Each level excludes one more up-set.
+        nonlocal best, witness, nodes, exhausted
+        nodes += 1
+        if nodes > budget:
+            exhausted = False
             return
-        if m_count - state["excluded"] <= state["best"]:
+        size = alive.bit_count()
+        if size <= best:
             return
-        closure = [i for i in range(m_count) if status[i] != 2]
-        hit = _find(masks, k, s + 1, closure)
+        hit = _find(by_vertex, above, k, need, alive)
         if hit is None:
-            state["best"] = len(closure)
-            state["witness"] = closure
+            best = size
+            witness = [i for i, c in enumerate(bin(alive)[:1:-1]) if c == "1"]
             return
-        branch = [f for f in hit if status[f] != 1]
-        if not branch:
-            return  # an (s+1)-matching is already forced in
+        branch = [f for f in hit if not included >> f & 1]
+        # branch == []: an (s+1)-matching is already forced in
         for pos, f in enumerate(branch):
-            mark = len(trail)
-            ok = exclude(f)
-            if ok:
-                for g in branch[:pos]:
-                    if not include(g):
-                        ok = False
-                        break
-            if ok:
-                search()
-            undo(mark)
-            if not state["exhausted"]:
-                return
+            if up[f] & included:
+                continue
+            sub = alive ^ (alive & up[f])
+            # include the earlier branch edges; one excluded with f fails
+            inc = included
+            for g in branch[:pos]:
+                if not sub >> g & 1:
+                    break
+                inc |= 1 << g
+            else:
+                search(sub, inc)
+                if not exhausted:
+                    return
 
-    search()
-    return state["best"], state["witness"], state["exhausted"], state["nodes"]
+    search((1 << m_count) - 1, 0)
+    return best, witness, exhausted, nodes

@@ -2,9 +2,10 @@
 
 Vertex v maps to bit v-1 of an edge mask, so the kernel handles n <= 63.
 The compiled ``_kernel`` (built from the hand-written ``_kernel.c``) is used
-when it imports and the pure-Python ``_kernel_py`` otherwise; both return
-identical answers, witnesses and node counts.  ``IMPL`` says which one runs:
-``"c"`` or ``"python"``.
+when it imports and the pure-Python ``_kernel_py`` otherwise.  Both run the
+same DFS, the C one over index arrays and the Python one over index bitsets
+held in Python ints, so they return identical answers, witnesses and node
+counts.  ``IMPL`` says which one runs: ``"c"`` or ``"python"``.
 """
 
 from __future__ import annotations

@@ -88,13 +88,26 @@ def incidence_stats(batch: SampleBatch, probes) -> dict[tuple[int, ...], int]:
 
 def _copy_hosts(h: Hypergraph, batch: SampleBatch) -> dict[tuple[int, ...], list[int]]:
     """Each edge of H lying in some copy, in edge order, mapped to the
-    indices of the copies that contain it.  An edge outside the union of the
-    copies is skipped with one subset test, so the cost stays within
-    O(edges x copies) and is about O(edges) when the copies are sparse."""
-    copy_sets = [frozenset(c) for c in batch.copies]
-    inside_union = frozenset().union(*copy_sets).issuperset
-    return {e: [i for i, cs in enumerate(copy_sets) if cs.issuperset(e)]
-            for e in h.edges if inside_union(e)}
+    ascending indices of the copies that contain it.
+
+    in_copies[v] has bit i set when copy i holds vertex v, so an edge's
+    hosts are the AND over its vertices.  An edge outside the union of the
+    copies is skipped with one subset test first; the rest cost k ANDs each,
+    however many copies there are."""
+    in_copies: dict[int, int] = {}
+    for i, c in enumerate(batch.copies):
+        for v in c:
+            in_copies[v] = in_copies.get(v, 0) | 1 << i
+    inside_union = frozenset(in_copies).issuperset
+    out = {}
+    for e in h.edges:
+        if inside_union(e):
+            hosts = -1
+            for v in e:
+                hosts &= in_copies[v]
+            if hosts:
+                out[e] = [i for i, bit in enumerate(bin(hosts)[:1:-1]) if bit == "1"]
+    return out
 
 
 def multiplicity_report(h: Hypergraph, batch: SampleBatch) -> dict:

@@ -6,7 +6,7 @@ import pytest
 
 from emclab.hypergraph import HypergraphError, complete_hypergraph, new_hypergraph
 from emclab.lp import make_fractional_matching
-from emclab.sampling import (GENERATOR_ID, P_EXPONENT, SampleBatch,
+from emclab.sampling import (GENERATOR_ID, P_EXPONENT, SampleBatch, _copy_hosts,
                              degree_histogram, greedy_near_perfect_matching,
                              incidence_stats, multiplicity_report,
                              round_to_sparse, sample_batch)
@@ -147,6 +147,49 @@ class TestMultiplicityReport:
         rep = multiplicity_report(h, sample_batch(h, t, s, copies=copies, seed=seed))
         assert rep == {"pairs_with_Y_ge_3": want[0], "edges_with_Y_ge_2": want[1],
                        "copies": copies}
+
+
+def brute_hosts(h, batch):
+    """Each edge in some copy, in edge order, with its host copies ascending."""
+    copies = [set(c) for c in batch.copies]
+    hosts = {e: [i for i, c in enumerate(copies) if set(e) <= c] for e in h.edges}
+    return {e: found for e, found in hosts.items() if found}
+
+
+class TestCopyHosts:
+    @pytest.mark.parametrize("n, copies, seed", [
+        # sparse copies: the union of the copies misses most vertices
+        (30, 12, 1), (30, 12, 2),
+        # many tiny copies whose union covers [n]
+        (16, 300, 2), (16, 300, 4),
+    ])
+    def test_sampled_batches_match_brute_force(self, n, copies, seed):
+        h = complete_hypergraph(n, 4)
+        batch = sample_batch(h, 0, 0, copies=copies, seed=seed)
+        got = _copy_hosts(h, batch)
+        assert got == brute_hosts(h, batch)
+        assert list(got) == [e for e in h.edges if e in got]
+        if copies == 300:
+            assert set().union(*batch.copies) == set(h.vertices)
+
+    def test_hand_made_batches_match_brute_force(self):
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.randint(4, 12)
+            k = rng.randint(1, 4)
+            all_e = list(combinations(range(1, n + 1), k))
+            h = new_hypergraph(n, k, rng.sample(all_e, rng.randint(0, len(all_e))))
+            copies = [tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, n))))
+                      for _ in range(rng.randint(1, 6))]
+            copies += rng.sample(copies, rng.randint(0, len(copies)))  # duplicates
+            assert _copy_hosts(h, make_batch(copies, n_base=n)) == \
+                brute_hosts(h, make_batch(copies, n_base=n))
+
+    def test_edges_in_no_copy_are_left_out(self):
+        # (1,2,5,6) lies inside the union of the copies but in neither copy
+        h = new_hypergraph(8, 4, [(1, 2, 3, 4), (1, 2, 5, 6), (3, 4, 5, 6)])
+        batch = make_batch([(1, 2, 3, 4), (3, 4, 5, 6), (3, 4, 5, 6)])
+        assert _copy_hosts(h, batch) == {(1, 2, 3, 4): [0], (3, 4, 5, 6): [1, 2]}
 
 
 class TestRounding:

@@ -48,15 +48,28 @@ class TestOracle:
         assert rep["incumbent"] is None
         assert rep["match"] and rep["oracle"] == 10
 
+    # the acceptance grid k = 4, s <= 3, n <= 16 and k = 5, s <= 2, n <= 15,
+    # from n = k(s+1) - 1 up; below n = k(s+1) there is no incumbent (None)
     @pytest.mark.parametrize("n,k,s,family,nodes", [
-        (12, 4, 2, "H_k", 1149), (13, 4, 2, "H_1", 3660), (14, 4, 2, "H_1", 7190),
+        (7, 4, 1, None, 1), (8, 4, 1, "H_1", 143), (9, 4, 1, "H_1", 99),
+        (10, 4, 1, "H_1", 250), (11, 4, 1, "H_1", 633), (12, 4, 1, "H_1", 1410),
+        (13, 4, 1, "H_1", 2761), (14, 4, 1, "H_1", 5379), (15, 4, 1, "H_1", 10063),
+        (16, 4, 1, "H_1", 17678),
+        (11, 4, 2, None, 1), (12, 4, 2, "H_k", 1149), (13, 4, 2, "H_1", 3660),
+        (14, 4, 2, "H_1", 7190), (15, 4, 2, "H_1", 19732), (16, 4, 2, "H_1", 55772),
+        (15, 4, 3, None, 1), (16, 4, 3, "H_k", 8314),
+        (9, 5, 1, None, 1), (10, 5, 1, "H_1", 74289), (11, 5, 1, "H_1", 1691),
+        (12, 5, 1, "H_1", 1662), (13, 5, 1, "H_1", 4403), (14, 5, 1, "H_1", 12060),
+        (15, 5, 1, "H_1", 29177),
+        (14, 5, 2, None, 1),
     ])
     def test_exact_cells_from_incumbent(self, n, k, s, family, nodes):
         rep = verify_emc(n, k, s)
         assert rep["match"] and rep["exhausted"]
         assert rep["oracle"] == rep["formula"] == rep["witness_edges"]
         assert rep["nodes_expanded"] == nodes
-        assert rep["incumbent"] == {"family": family, "edges": rep["formula"]}
+        want = family and {"family": family, "edges": rep["formula"]}
+        assert rep["incumbent"] == want
 
     def test_budgeted_probe_reports_incumbent(self):
         rep = verify_emc(16, 4, 3, budget=50)
