@@ -16,6 +16,7 @@ artifact.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 
 from emclab.intervals import Box, Certificate, Interval
@@ -62,27 +63,27 @@ def _calc_margin_box(box: Box, mutation: str | None) -> Interval:
     x = box.coords["x"]
     z = box.coords["z"]
     if box.region_tag == "x<=5/8":
-        h = Interval.point(FOUR**3) - (Interval.point(FOUR) - mu) ** 3
+        h = FOUR**3 - (FOUR - mu) ** 3
         p = 52 * FOUR**3 * z**3
     else:
         h = (27 * mu - 9 * mu**2 + mu**3).max_with(27 * mu**3)
         if box.region_tag == "5/8<x<=2/3":
             h = h + 3 * D1 * FOUR * mu**2
-        p = Interval.point(FOUR**3 / 8100)
-    lead = D1 * (Interval.point(FOUR) - mu) ** 3
+        p = FOUR**3 / 8100
+    lead = D1 * (FOUR - mu) ** 3
     if mutation == "negate-lead":
         lead = -lead
     elif mutation == "flip-p-sign":
         p = -p
-    return lead - x * (Interval.point(FOUR) - 3 * mu) * (h + p)
+    return lead - x * (FOUR - 3 * mu) * (h + p)
 
 
 def _maxvalue_margin_box(box: Box, mutation: str | None) -> Interval:
-    i = int(box.region_tag[1])
+    i = int(box.region_tag[1:])
     alpha = box.coords["alpha"]
     mu = box.coords["mu"]
     b = box.coords["b"]
-    beta = (Interval.point(1) - b) * (Interval.point(FOUR) - 3 * mu)
+    beta = (1 - b) * (FOUR - 3 * mu)
     return c_coeff(i, alpha, mu, beta, mutation)
 
 
@@ -143,6 +144,30 @@ _CALC_PIECES = (
 )
 
 
+def _check_zmax(z_max) -> Fraction:
+    z_max = Fraction(z_max)
+    if not (0 < z_max <= Fraction(1, 10**5)):
+        raise ValueError("need 0 < z_max <= 1/10^5")
+    return z_max
+
+
+def _calc_roots(z_max: Fraction) -> list[Box]:
+    return [Box({"mu": Interval.make(0, 1), "x": Interval.make(xlo, xhi),
+                 "z": Interval.make(0, z_max)}, tag)
+            for tag, xlo, xhi in _CALC_PIECES]
+
+
+def _maxvalue_roots() -> list[Box]:
+    alpha_iv = Interval.make(0, 1 / FOUR)
+    roots = []
+    for i in range(1, 6):
+        b_iv = Interval.make(Fraction(1, 3), Fraction(3, 8)) if i in (2, 3) \
+            else Interval.make(Fraction(1, 4), 1)
+        roots.append(Box({"alpha": alpha_iv, "mu": Interval.make(0, 1),
+                          "b": b_iv}, f"C{i}"))
+    return roots
+
+
 def certify_calculate_lemma(z_max, max_depth: int = 60, max_boxes: int = 10**7,
                             mutation: str | None = None) -> Certificate:
     """Certify the cubic inequality on 5z < y <= x <= 3/4, 0 < z <= z_max.
@@ -155,13 +180,7 @@ def certify_calculate_lemma(z_max, max_depth: int = 60, max_boxes: int = 10**7,
     """
     if mutation not in (None, "negate-lead", "flip-p-sign"):
         raise ValueError(f"unknown mutation {mutation!r} for target calculate")
-    z_max = Fraction(z_max)
-    if not (0 < z_max <= Fraction(1, 10**5)):
-        raise ValueError("need 0 < z_max <= 1/10^5")
-
-    roots = [Box({"mu": Interval.make(0, 1), "x": Interval.make(xlo, xhi),
-                  "z": Interval.make(0, z_max)}, tag)
-             for tag, xlo, xhi in _CALC_PIECES]
+    z_max = _check_zmax(z_max)
 
     def point_fn(box: Box):
         mu = box.coords["mu"]
@@ -182,9 +201,10 @@ def certify_calculate_lemma(z_max, max_depth: int = 60, max_boxes: int = 10**7,
     def exact_fn(pt):
         return eval_calculate_margin(pt["x"], pt["y"], pt["z"], mutation)
 
-    return _prove("calculate", roots,
+    cert = _prove("calculate", _calc_roots(z_max),
                   lambda b: _calc_margin_box(b, mutation),
                   point_fn, exact_fn, max_depth, max_boxes)
+    return replace(cert, zmax=z_max)
 
 
 def certify_maxvalue_coeffs(max_depth: int = 60, max_boxes: int = 10**7,
@@ -198,14 +218,6 @@ def certify_maxvalue_coeffs(max_depth: int = 60, max_boxes: int = 10**7,
     """
     if mutation not in (None, "negate-c5-term"):
         raise ValueError(f"unknown mutation {mutation!r} for target maxvalue")
-    alpha_iv = Interval.make(0, 1 / FOUR)
-    roots = []
-    for i in range(1, 6):
-        b_iv = Interval.make(Fraction(1, 3), Fraction(3, 8)) if i in (2, 3) \
-            else Interval.make(Fraction(1, 4), 1)
-        roots.append(Box({"alpha": alpha_iv, "mu": Interval.make(0, 1),
-                          "b": b_iv}, f"C{i}"))
-
     def point_fn(box: Box):
         mu = box.coords["mu"].mid
         b = box.coords["b"].mid
@@ -224,7 +236,7 @@ def certify_maxvalue_coeffs(max_depth: int = 60, max_boxes: int = 10**7,
         beta = 1 - DELTA + 3 * a - FOUR * b
         return c_coeff(int(pt["i"]), pt["alpha"], mu, beta, mutation)
 
-    return _prove("maxvalue", roots,
+    return _prove("maxvalue", _maxvalue_roots(),
                   lambda b: _maxvalue_margin_box(b, mutation),
                   point_fn, exact_fn, max_depth, max_boxes)
 
@@ -235,12 +247,19 @@ def certify_maxvalue_coeffs(max_depth: int = 60, max_boxes: int = 10**7,
 
 def replay_certificate(cert: Certificate) -> dict:
     """Independently re-verify a certificate: recompute every leaf margin
-    from scratch and check strict positivity plus agreement with the stored
-    enclosure."""
+    from scratch, check strict positivity plus agreement with the stored
+    enclosure, and check that the leaves are exactly the leaves of a
+    bisection tree over the certifier's own root region.
+
+    The roots come from `_CALC_PIECES` and `z_max` (calculate) or the C_i
+    ranges (maxvalue), never from the stored boxes, so a file cannot shrink
+    the region it claims."""
     if cert.target == "calculate":
         margin_fn = lambda b: _calc_margin_box(b, None)
+        roots = None if cert.zmax is None else _calc_roots(_check_zmax(cert.zmax))
     elif cert.target == "maxvalue":
         margin_fn = lambda b: _maxvalue_margin_box(b, None)
+        roots = _maxvalue_roots()
     else:
         raise ValueError(f"unknown target {cert.target!r}")
     checked = 0
@@ -249,9 +268,71 @@ def replay_certificate(cert: Certificate) -> dict:
         fresh = margin_fn(box)
         checked += 1
         if fresh.lo <= 0:
-            failures.append((box, "margin not strictly positive"))
+            failures.append("margin not strictly positive")
         elif (fresh.lo, fresh.hi) != (stored.lo, stored.hi):
-            failures.append((box, "stored margin does not match recomputation"))
+            failures.append("stored margin does not match recomputation")
+    if roots is None:
+        failures.append("no z_max recorded: coverage unchecked")
+    else:
+        failures += _coverage_failures(roots, [box for box, _ in cert.boxes], cert.splits)
     ok = cert.status == "proved" and not failures and checked == len(cert.boxes)
-    return {"target": cert.target, "status": cert.status, "boxes": checked,
-            "failures": [f[1] for f in failures], "ok": ok}
+    report = {"target": cert.target, "status": cert.status, "boxes": checked,
+              "failures": failures, "ok": ok}
+    if cert.target == "calculate":
+        report["zmax"] = None if cert.zmax is None else str(cert.zmax)
+    return report
+
+
+def _inside(leaf: Box, node: Box) -> bool:
+    """`leaf` lies in `node` with positive width on every coordinate; a
+    degenerate leaf is never a tree node, and excluding it keeps the walk
+    finite."""
+    if leaf.region_tag != node.region_tag or leaf.coords.keys() != node.coords.keys():
+        return False
+    return all(node.coords[n].lo <= iv.lo < iv.hi <= node.coords[n].hi
+               for n, iv in leaf.coords.items())
+
+
+def _coverage_failures(roots: list[Box], leaves: list[Box], splits: int) -> list[str]:
+    """Rebuild the bisection tree from `roots` with `Box.split`, splitting a
+    node only while some unconsumed stored leaf lies inside it.  Every
+    branch must end in exactly one stored leaf: a branch with no leaf inside
+    is missing, and a leaf that no branch ends in is extra or duplicated."""
+    missing = duplicated = walked = 0
+    pending = []                      # leaves that no branch can end in
+    groups = [[] for _ in roots]
+    for j, leaf in enumerate(leaves):
+        hit = next((r for r, root in enumerate(roots) if _inside(leaf, root)), None)
+        (pending if hit is None else groups[hit]).append(j)
+    stack = list(zip(roots, groups))[::-1]
+    while stack:
+        node, inside = stack.pop()
+        if not inside:
+            missing += 1
+            continue
+        same = [j for j in inside if leaves[j].coords == node.coords]
+        if same:
+            duplicated += len(same) - 1
+            pending += [j for j in inside if j not in same]
+            continue
+        walked += 1
+        lo_box, hi_box = node.split()
+        # the one coordinate `split` replaced
+        name = next(n for n, iv in lo_box.coords.items() if iv is not node.coords[n])
+        mid = lo_box.coords[name].hi
+        lo, hi = [], []
+        for j in inside:
+            iv = leaves[j].coords[name]
+            (lo if iv.hi <= mid else hi if iv.lo >= mid else pending).append(j)
+        stack.append((hi_box, hi))
+        stack.append((lo_box, lo))
+    failures = []
+    if missing:
+        failures.append(f"branches ending in no stored leaf: {missing}")
+    if duplicated:
+        failures.append(f"duplicated leaves: {duplicated}")
+    if pending:
+        failures.append(f"leaves outside the bisection tree: {len(pending)}")
+    if not failures and walked != splits:
+        failures.append(f"splits: {splits} stored, {walked} in the bisection tree")
+    return failures

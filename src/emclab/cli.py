@@ -303,7 +303,8 @@ def verify_ineq(target, zmax, depth, max_boxes, mutation, out):
 @cli.command("verify-cert")
 @click.argument("path", type=click.Path(exists=True))
 def verify_cert(path):
-    """Replay a saved certificate: recompute every leaf margin."""
+    """Replay a saved certificate: recompute every leaf margin and check
+    that the leaves cover the certifier's region."""
     from emclab.certify import replay_certificate
     from emclab.intervals import parse_certificate
     try:

@@ -1,10 +1,17 @@
 """Exact rational interval arithmetic and inequality certificates.
 
 Endpoints are `fractions.Fraction`, so every operation encloses the true
-range with no rounding at all: "outward-correct" is automatic.  A
-Certificate records a finite box subdivision of a parameter region together
-with a verified margin interval per leaf; it serializes to a line-oriented
-text format that a replayer can re-verify box by box.
+range with no rounding at all: "outward-correct" is automatic.  A product
+takes its endpoints from the signs of the operands' endpoints (the standard
+sign-case table); only when both operands straddle 0 are all four endpoint
+products formed.  The result equals the four-product hull exactly.  An
+`int` or `Fraction` operand of `+`, `-` and `*` is used as it is, never
+wrapped into a point interval.
+
+A Certificate records the root region and a finite box subdivision of it
+together with a verified margin interval per leaf; it serializes to a
+line-oriented text format (v2) that a replayer re-verifies box by box and
+checks for coverage of the region.
 """
 
 from __future__ import annotations
@@ -12,15 +19,30 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+CERT_FORMAT = 2
 
-@dataclass(frozen=True)
+
 class Interval:
-    lo: Fraction
-    hi: Fraction
+    """The closed interval [lo, hi]; constructing one with lo > hi raises."""
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        if lo > hi:
+            raise ValueError(f"empty interval [{lo}, {hi}]")
+        self.lo = lo
+        self.hi = hi
+
+    def __eq__(self, other):
+        if not isinstance(other, Interval):
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    def __hash__(self):
+        return hash((self.lo, self.hi))
+
+    def __repr__(self):
+        return f"Interval(lo={self.lo!r}, hi={self.hi!r})"
 
     @staticmethod
     def point(v) -> "Interval":
@@ -32,25 +54,49 @@ class Interval:
         return Interval(Fraction(lo), Fraction(hi))
 
     def __add__(self, other) -> "Interval":
-        other = _coerce(other)
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        if isinstance(other, Interval):
+            return _iv(self.lo + other.lo, self.hi + other.hi)
+        c = _scalar(other)
+        return _iv(self.lo + c, self.hi + c)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return _iv(-self.hi, -self.lo)
 
     def __sub__(self, other) -> "Interval":
-        return self + (-_coerce(other))
+        if isinstance(other, Interval):
+            return _iv(self.lo - other.hi, self.hi - other.lo)
+        c = _scalar(other)
+        return _iv(self.lo - c, self.hi - c)
 
     def __rsub__(self, other) -> "Interval":
-        return _coerce(other) + (-self)
+        c = _scalar(other)
+        return _iv(c - self.hi, c - self.lo)
 
     def __mul__(self, other) -> "Interval":
-        other = _coerce(other)
-        prods = (self.lo * other.lo, self.lo * other.hi,
-                 self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(prods), max(prods))
+        a, b = self.lo, self.hi
+        if not isinstance(other, Interval):
+            c = _scalar(other)
+            return _iv(a * c, b * c) if c >= 0 else _iv(b * c, a * c)
+        c, d = other.lo, other.hi
+        if a >= 0:
+            if c >= 0:
+                return _iv(a * c, b * d)
+            if d <= 0:
+                return _iv(b * c, a * d)
+            return _iv(b * c, b * d)
+        if b <= 0:
+            if c >= 0:
+                return _iv(a * d, b * c)
+            if d <= 0:
+                return _iv(b * d, a * c)
+            return _iv(a * d, a * c)
+        if c >= 0:
+            return _iv(a * d, b * d)
+        if d <= 0:
+            return _iv(b * c, a * c)
+        return _iv(min(a * d, b * c), max(a * c, b * d))
 
     __rmul__ = __mul__
 
@@ -60,22 +106,22 @@ class Interval:
         if exp == 0:
             return Interval.point(1)
         if exp % 2 == 1 or self.lo >= 0:
-            return Interval(self.lo**exp, self.hi**exp)
+            return _iv(self.lo**exp, self.hi**exp)
         if self.hi <= 0:
-            return Interval(self.hi**exp, self.lo**exp)
-        return Interval(Fraction(0), max(self.lo**exp, self.hi**exp))
+            return _iv(self.hi**exp, self.lo**exp)
+        return _iv(Fraction(0), max(self.lo**exp, self.hi**exp))
 
     def recip(self) -> "Interval":
         if self.lo <= 0 <= self.hi:
             raise ZeroDivisionError("interval contains zero")
-        return Interval(1 / self.hi, 1 / self.lo)
+        return _iv(1 / self.hi, 1 / self.lo)
 
     def __truediv__(self, other) -> "Interval":
         return self * _coerce(other).recip()
 
     def max_with(self, other) -> "Interval":
         other = _coerce(other)
-        return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
+        return _iv(max(self.lo, other.lo), max(self.hi, other.hi))
 
     def contains(self, v) -> bool:
         return self.lo <= Fraction(v) <= self.hi
@@ -90,7 +136,23 @@ class Interval:
 
     def halves(self) -> tuple["Interval", "Interval"]:
         m = self.mid
-        return Interval(self.lo, m), Interval(m, self.hi)
+        return _iv(self.lo, m), _iv(m, self.hi)
+
+
+_new = object.__new__
+
+
+def _iv(lo, hi) -> Interval:
+    """An interval whose endpoints are ordered by construction: the
+    constructor's emptiness check is skipped."""
+    iv = _new(Interval)
+    iv.lo = lo
+    iv.hi = hi
+    return iv
+
+
+def _scalar(v):
+    return v if isinstance(v, (int, Fraction)) else Fraction(v)
 
 
 def _coerce(v) -> Interval:
@@ -122,11 +184,15 @@ class Certificate:
     boxes: tuple[tuple[Box, Interval], ...]
     splits: int
     counterexample: dict[str, Fraction] | None = None
+    zmax: Fraction | None = None         # z_max of target calculate
 
     def serialize(self) -> str:
-        lines = ["# inequality certificate v1",
-                 f"target {self.target}",
-                 f"status {self.status}",
+        lines = [f"# inequality certificate v{CERT_FORMAT}",
+                 f"format {CERT_FORMAT}",
+                 f"target {self.target}"]
+        if self.zmax is not None:
+            lines.append(f"zmax {self.zmax}")
+        lines += [f"status {self.status}",
                  f"splits {self.splits}",
                  f"boxes {len(self.boxes)}"]
         names: list[str] = []
@@ -147,16 +213,22 @@ class Certificate:
 
 
 def parse_certificate(text: str) -> Certificate:
+    """Parse a v2 certificate.  A file without a `format 2` line (v1) does
+    not record its root region, so its coverage cannot be checked: it is
+    rejected with ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     meta: dict[str, str] = {}
     names: list[str] = []
     boxes: list[tuple[Box, Interval]] = []
     point = None
+    zmax = None
     for ln in lines:
         parts = ln.split()
         try:
-            if parts[0] in ("target", "status", "splits", "boxes"):
+            if parts[0] in ("format", "target", "status", "splits", "boxes"):
                 meta[parts[0]] = parts[1]
+            elif parts[0] == "zmax":
+                zmax = Fraction(parts[1])
             elif parts[0] == "coords":
                 names = parts[1:]
             elif parts[0] == "box":
@@ -178,6 +250,10 @@ def parse_certificate(text: str) -> Certificate:
                 raise ValueError("unknown key")
         except (IndexError, ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad certificate line {ln!r}: {exc}") from None
+    if meta.get("format") != str(CERT_FORMAT):
+        raise ValueError(f"certificate format {meta.get('format', '1')} is not "
+                         f"{CERT_FORMAT}: it records no root region, so coverage "
+                         "cannot be checked")
     return Certificate(target=meta["target"], status=meta["status"],
                        boxes=tuple(boxes), splits=int(meta["splits"]),
-                       counterexample=point)
+                       counterexample=point, zmax=zmax)

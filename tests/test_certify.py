@@ -1,9 +1,12 @@
+import hashlib
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from emclab.certify import (certify_calculate_lemma, certify_maxvalue_coeffs,
-                            eval_calculate_margin, replay_certificate)
+from emclab.certify import (_calc_margin_box, certify_calculate_lemma,
+                            certify_maxvalue_coeffs, eval_calculate_margin,
+                            replay_certificate)
 from emclab.intervals import Interval, parse_certificate
 from emclab.scalars import DELTA, eval_C_coeffs
 
@@ -129,6 +132,75 @@ class TestReplay:
         bad = type(calc_cert)(target="nope", status="proved", boxes=(), splits=0)
         with pytest.raises(ValueError):
             replay_certificate(bad)
+
+
+    def test_replay_reports_zmax(self, calc_cert, maxvalue_cert):
+        assert replay_certificate(calc_cert)["zmax"] == "1/100000"
+        assert "zmax" not in replay_certificate(maxvalue_cert)
+
+    def test_missing_zmax_never_ok(self, calc_cert):
+        out = replay_certificate(replace(calc_cert, zmax=None))
+        assert not out["ok"]
+        assert "no z_max recorded: coverage unchecked" in out["failures"]
+
+    def test_smaller_zmax_leaves_branches_uncovered(self):
+        # a certificate for a smaller z_max does not cover the larger region
+        small = certify_calculate_lemma(Z / 2)
+        out = replay_certificate(replace(small, zmax=Z))
+        assert not out["ok"]
+        assert any(f.startswith("branches ending in no stored leaf")
+                   for f in out["failures"])
+
+    def test_stored_splits_must_match_tree(self, maxvalue_cert):
+        out = replay_certificate(replace(maxvalue_cert, splits=maxvalue_cert.splits + 1))
+        assert not out["ok"]
+        assert out["failures"] == ["splits: 132 stored, 131 in the bisection tree"]
+
+    def test_degenerate_leaf_is_outside_the_tree(self, calc_cert):
+        # a point leaf lies in infinitely many nested nodes; the walk must
+        # stop on it rather than split forever
+        box, _ = calc_cert.boxes[0]
+        point = type(box)({"mu": Interval.make(Fraction(1, 3), Fraction(1, 3)),
+                           "x": Interval.make(Fraction(7, 10), Fraction(7, 10)),
+                           "z": Interval.make(Z / 3, Z / 3)}, "2/3<x<=3/4")
+        out = replay_certificate(replace(
+            calc_cert, boxes=((point, _calc_margin_box(point, None)),)))
+        assert not out["ok"]
+        assert "leaves outside the bisection tree: 1" in out["failures"]
+
+
+def _box_digest(cert) -> str:
+    lines = [ln + "\n" for ln in cert.serialize().splitlines() if ln.startswith("box ")]
+    return hashlib.sha256("".join(lines).encode()).hexdigest()
+
+
+class TestPinnedEnclosures:
+    """Every enclosure, and so every certificate, is pinned: a change to the
+    interval arithmetic or to the margins' term grouping shows up here."""
+
+    def test_calculate(self, calc_cert):
+        assert (len(calc_cert.boxes), calc_cert.splits) == (71, 68)
+        assert _box_digest(calc_cert) == (
+            "ab8e1f80bec1c90b5fada1893ba441484d6692cc89788b01e854c645f3830d81")
+
+    def test_maxvalue(self, maxvalue_cert):
+        assert (len(maxvalue_cert.boxes), maxvalue_cert.splits) == (136, 131)
+        assert _box_digest(maxvalue_cert) == (
+            "8d86aabe6b29439d59e35fffad114506bd202c99645b145a47c4a1e37b85255e")
+
+    def test_negate_lead(self):
+        cert = certify_calculate_lemma(Z, mutation="negate-lead")
+        assert cert.splits == 0
+        assert cert.counterexample == {"x": Fraction(5, 16), "y": Fraction(5, 32),
+                                       "z": Fraction(1, 100000)}
+
+    def test_negate_c5_term(self):
+        cert = certify_maxvalue_coeffs(mutation="negate-c5-term")
+        assert cert.splits == 208
+        assert cert.counterexample == {
+            "a": Fraction(12698473700161, 17592186044416),
+            "alpha": Fraction(8959990234375, 40959999998976),
+            "b": Fraction(2097155, 8388608), "i": Fraction(5)}
 
 
 class TestBudget:

@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
+from emclab.certify import _calc_margin_box
 from emclab.cli import cli, main
+from emclab.intervals import Box, Interval, parse_certificate
 
 
 @pytest.fixture()
@@ -189,6 +192,91 @@ class TestVerifyIneq:
         assert replay.exit_code == 1 and not payload(replay)["ok"]
 
 
+def _with_margin(box):
+    """`box` with its own recomputed margin, so that only the coverage
+    check can reject a certificate holding it."""
+    return box, _calc_margin_box(box, None)
+
+
+def _shifted(box):
+    """`box` moved by half its width along its widest coordinate."""
+    name = box.widest()
+    iv = box.coords[name]
+    coords = dict(box.coords)
+    coords[name] = Interval(iv.lo + iv.width / 2, iv.hi + iv.width / 2)
+    return Box(coords, box.region_tag)
+
+
+def _forged(boxes):
+    # the first leaf whose shifted copy still has a positive margin
+    j = next(j for j, (box, _) in enumerate(boxes)
+             if _with_margin(_shifted(box))[1].lo > 0)
+    boxes[j] = _with_margin(_shifted(boxes[j][0]))
+    return boxes
+
+
+def _extra(boxes):
+    # the lower half of a leaf: inside the region, but not a tree node
+    return boxes + [_with_margin(boxes[0][0].split()[0])]
+
+
+class TestCertificateCoverage:
+    """verify-cert accepts a certificate only if its leaves are exactly the
+    leaves of the bisection tree over the certifier's own root region."""
+
+    @pytest.fixture()
+    def cert(self, runner, tmp_path):
+        path = tmp_path / "calc.cert"
+        result = run(runner, ["verify-ineq", "--target", "calculate", "-o", str(path)])
+        assert result.exit_code == 0
+        return path
+
+    def _replay_edited(self, runner, path, edit):
+        cert = parse_certificate(path.read_text())
+        path.write_text(replace(cert, boxes=tuple(edit(list(cert.boxes)))).serialize())
+        return run(runner, ["verify-cert", str(path)])
+
+    @pytest.mark.parametrize("edit, failure", [
+        (_forged, "leaves outside the bisection tree: 1"),
+        (lambda boxes: [], "branches ending in no stored leaf: 3"),
+        (lambda boxes: boxes[:-1], "branches ending in no stored leaf: 1"),
+        (lambda boxes: boxes + boxes[:1], "duplicated leaves: 1"),
+        (_extra, "leaves outside the bisection tree: 1"),
+    ], ids=["forged", "empty", "truncated", "duplicated", "extra"])
+    def test_bad_coverage_exit_one(self, runner, cert, edit, failure):
+        replay = self._replay_edited(runner, cert, edit)
+        assert replay.exit_code == 1
+        report = payload(replay)
+        assert not report["ok"]
+        assert failure in report["failures"]
+        assert not any("margin" in f for f in report["failures"])
+
+    def test_v1_certificate_exit_three(self, cert):
+        lines = [ln for ln in cert.read_text().splitlines()
+                 if not ln.startswith("format ")]
+        cert.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as ei:
+            main(["verify-cert", str(cert)])
+        assert ei.value.code == 3
+
+    @pytest.mark.parametrize("tag", ["C", "C9", "Cx"])
+    def test_bad_maxvalue_tag_exit_three(self, runner, tmp_path, tag):
+        path = tmp_path / "maxvalue.cert"
+        assert run(runner, ["verify-ineq", "--target", "maxvalue",
+                            "-o", str(path)]).exit_code == 0
+        path.write_text(path.read_text().replace("\nbox C1 ", f"\nbox {tag} ", 1))
+        with pytest.raises(SystemExit) as ei:
+            main(["verify-cert", str(path)])
+        assert ei.value.code == 3
+
+    @pytest.mark.parametrize("zmax", ["1/100", "0", "1/0", "wat"])
+    def test_bad_zmax_exit_three(self, cert, zmax):
+        cert.write_text(cert.read_text().replace("zmax 1/100000", f"zmax {zmax}"))
+        with pytest.raises(SystemExit) as ei:
+            main(["verify-cert", str(cert)])
+        assert ei.value.code == 3
+
+
 class TestSamplingCommands:
     def test_sample_deterministic_rerun(self, runner, tmp_path):
         path = str(tmp_path / "big.khg")
@@ -269,7 +357,7 @@ class TestUsageErrors:
     ])
     def test_short_certificate_line(self, tmp_path, text):
         cert = tmp_path / "short.cert"
-        cert.write_text(text)
+        cert.write_text("format 2\n" + text)
         with pytest.raises(SystemExit) as ei:
             main(["verify-cert", str(cert)])
         assert ei.value.code == 3

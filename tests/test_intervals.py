@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emclab.intervals import Box, Certificate, Interval, parse_certificate
@@ -66,6 +66,57 @@ class TestInterval:
             assert (a / b).contains(x / y)
 
 
+ZERO, NONPOS, NONNEG, STRADDLE = (Interval.make(0, 0), Interval.make(-1, 0),
+                                  Interval.make(0, 1), Interval.make(-1, 1))
+scalars = st.one_of(st.integers(min_value=-5, max_value=5), rationals)
+
+
+def _sign_case_examples(test):
+    # every pair of the intervals that sit on the sign-case boundaries, with
+    # a negative, a zero and a positive scalar
+    for i, a in enumerate((ZERO, NONPOS, NONNEG, STRADDLE)):
+        for j, b in enumerate((ZERO, NONPOS, NONNEG, STRADDLE)):
+            test = example(a, b, (-2, 0, Fraction(3, 2))[(i + j) % 3])(test)
+    return test
+
+
+def _assert_exact(a, b, c):
+    prods = [a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi]
+    assert a * b == Interval(min(prods), max(prods))
+    pc = Interval.point(c)
+    assert c * a == pc * a
+    assert a * c == a * pc
+    assert a + c == a + pc
+    assert a - c == a - pc
+    assert c - a == pc - a
+
+
+class TestExactness:
+    """Products and scalar operations are not just enclosures: they equal
+    the four-product hull and the point-interval operation exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(intervals(), intervals(), scalars)
+    @_sign_case_examples
+    def test_exact(self, a, b, c):
+        _assert_exact(a, b, c)
+
+    def test_every_sign_case(self):
+        signed = (Interval.make(-3, -2), Interval.make(-2, 3), Interval.make(2, 3))
+        for a in signed + (ZERO, NONPOS, NONNEG, STRADDLE):
+            for b in signed:
+                for c in (-2, 0, 3, Fraction(-1, 3), Fraction(5, 7)):
+                    _assert_exact(a, b, c)
+                    _assert_exact(b, a, c)
+
+    def test_equality_hash_repr(self):
+        a = Interval.make(Fraction(1, 2), 1)
+        assert a == Interval(Fraction(1, 2), Fraction(1))
+        assert a != Interval.make(0, 1) and a != (Fraction(1, 2), 1)
+        assert hash(a) == hash(Interval.make(Fraction(1, 2), 1))
+        assert repr(a) == "Interval(lo=Fraction(1, 2), hi=Fraction(1, 1))"
+
+
 class TestBox:
     def test_split_widest(self):
         box = Box({"x": Interval.make(0, 4), "y": Interval.make(0, 1)}, "tag")
@@ -96,6 +147,20 @@ class TestCertificateFormat:
                            counterexample={"x": Fraction(2, 3), "y": Fraction(0)})
         again = parse_certificate(cert.serialize())
         assert again.counterexample == cert.counterexample
+
+    def test_zmax_round_trip(self):
+        cert = Certificate(target="demo", status="proved", boxes=(), splits=0,
+                           zmax=Fraction(1, 10**5))
+        text = cert.serialize()
+        assert text.splitlines()[1:4] == ["format 2", "target demo", "zmax 1/100000"]
+        assert parse_certificate(text) == cert
+
+    def test_v1_rejected(self):
+        text = self._sample().serialize().replace("format 2\n", "")
+        with pytest.raises(ValueError, match="coverage cannot be checked"):
+            parse_certificate(text)
+        with pytest.raises(ValueError):
+            parse_certificate(self._sample().serialize().replace("format 2", "format 1"))
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
