@@ -271,6 +271,8 @@ def replay_certificate(cert: Certificate) -> dict:
             failures.append("margin not strictly positive")
         elif (fresh.lo, fresh.hi) != (stored.lo, stored.hi):
             failures.append("stored margin does not match recomputation")
+    if cert.declared_boxes not in (None, len(cert.boxes)):
+        failures.append(f"boxes line says {cert.declared_boxes}, file holds {len(cert.boxes)}")
     if roots is None:
         failures.append("no z_max recorded: coverage unchecked")
     else:

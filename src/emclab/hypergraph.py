@@ -6,11 +6,13 @@ order, so iteration is deterministic and serialization is canonical.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterable, Sequence
+from operator import lt
+from typing import Callable, Iterable, Sequence
 
 
 class HypergraphError(ValueError):
@@ -43,7 +45,9 @@ class Hypergraph:
         return set(self.edges)
 
     def has_edge(self, e: Iterable[int]) -> bool:
-        return tuple(sorted(e)) in self.edge_set()
+        t = tuple(sorted(e))
+        i = bisect_left(self.edges, t)
+        return i < len(self.edges) and self.edges[i] == t
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
@@ -63,20 +67,46 @@ def new_hypergraph(n: int, k: int, raw_edges: Iterable[Sequence[int]],
     for v in ground:
         if not (1 <= v <= n):
             raise HypergraphError(f"ground-set vertex {v} outside [1,{n}]")
-    seen = set()
-    for raw in raw_edges:
-        e = tuple(sorted(raw))
-        if len(raw) != k:
-            raise HypergraphError(f"edge {list(raw)} has arity {len(raw)}, expected {k}")
-        if len(set(e)) != k:
-            raise HypergraphError(f"edge {list(raw)} has a repeated vertex")
-        for v in e:
-            if v not in ground_set:
+    raws = list(map(tuple, raw_edges))
+    edges = _bulk_canonical(k, raws, lambda cols: all(map(ground_set.issuperset, cols)))
+    if edges is None:
+        # one edge at a time: sorts unsorted edges, names the first bad one
+        seen = set()
+        for raw in raws:
+            e = tuple(sorted(raw))
+            if len(raw) != k:
+                raise HypergraphError(f"edge {list(raw)} has arity {len(raw)}, expected {k}")
+            if len(set(e)) != k:
+                raise HypergraphError(f"edge {list(raw)} has a repeated vertex")
+            if not ground_set.issuperset(e):
+                v = next(v for v in e if v not in ground_set)
                 if not (1 <= v <= n):
                     raise HypergraphError(f"vertex {v} outside [1,{n}] in edge {list(raw)}")
                 raise HypergraphError(f"vertex {v} outside ground set in edge {list(raw)}")
-        seen.add(e)
-    return Hypergraph(n=n, k=k, edges=tuple(sorted(seen)), vertices=ground)
+            seen.add(e)
+        edges = tuple(sorted(seen))
+    return Hypergraph(n=n, k=k, edges=edges, vertices=ground)
+
+
+def _bulk_canonical(k: int, edges: list[tuple[int, ...]],
+                    inside: Callable[[list[tuple[int, ...]]], bool]
+                    ) -> tuple[tuple[int, ...], ...] | None:
+    """`edges` in canonical order, or None unless every edge is a strictly
+    increasing k-tuple and `inside` accepts the vertex columns.
+
+    Every test is a C-level pass over a whole column; the set and the sort
+    are skipped when the edges already come in strictly increasing order.
+    """
+    if not edges:
+        return ()
+    if set(map(len, edges)) != {k}:
+        return None
+    cols = list(zip(*edges))
+    if not (all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])) and inside(cols)):
+        return None
+    if all(map(lt, edges, edges[1:])):
+        return tuple(edges)
+    return tuple(sorted(set(edges)))
 
 
 def complete_hypergraph(n: int, k: int) -> Hypergraph:
@@ -197,16 +227,25 @@ def min_d_degree(h: Hypergraph, d: int) -> tuple[int, tuple[int, ...]]:
 
 # --- .khg text format -------------------------------------------------------
 #
-# First non-comment line: "n k m"; then m lines of k ascending vertex ids.
-# '#' starts a comment line.  Serialization is canonical (lexicographic edge
-# order, single spaces, trailing newline), so parse . serialize round-trips
+# First non-comment line: "n k m"; then m edge lines of k vertex ids each,
+# ascending within the line.  Tokens are separated by any whitespace and read
+# with int(), so "03" and "+3" are 3.
+#
+# parse_khg accepts lines starting with '#' (comments), blank lines, CRLF line
+# ends, edge lines in any order, and duplicate edge lines, which are merged
+# (m counts the lines, not the distinct edges).  It rejects with
+# HypergraphError (CLI exit 3) an empty input, a header that is not three
+# integers, a line count other than m, a non-numeric token, an edge line
+# that is not ascending, k outside [1, n], an edge without k vertices, a
+# repeated vertex and a vertex outside [1, n].
+#
+# serialize_khg output is canonical: edges in lexicographic order, single
+# spaces, "\n" line ends including the last, so parse . serialize round-trips
 # byte-identically on canonical files.
 
 def serialize_khg(h: Hypergraph) -> str:
-    lines = [f"{h.n} {h.k} {h.num_edges}"]
-    for e in h.edges:
-        lines.append(" ".join(str(v) for v in e))
-    return "\n".join(lines) + "\n"
+    line = " ".join(["%s"] * h.k) + "\n"
+    return f"{h.n} {h.k} {h.num_edges}\n" + "".join([line % e for e in h.edges])
 
 
 def parse_khg(text: str) -> Hypergraph:
@@ -222,6 +261,16 @@ def parse_khg(text: str) -> Hypergraph:
         raise HypergraphError(f"non-numeric header line: {rows[0]!r}")
     if len(rows) - 1 != m:
         raise HypergraphError(f"header declares {m} edges, found {len(rows) - 1}")
+    try:
+        edges = [tuple(map(int, ln.split())) for ln in rows[1:]]
+    except ValueError:
+        edges = None
+    if edges is not None and 1 <= k <= n:
+        canon = _bulk_canonical(k, edges, lambda cols: min(cols[0]) >= 1 and max(cols[-1]) <= n)
+        if canon is not None:
+            return Hypergraph(n=n, k=k, edges=canon)
+    # a bulk check failed: read line by line, so that every line's own error
+    # comes before any error of new_hypergraph
     edges = []
     for ln in rows[1:]:
         try:

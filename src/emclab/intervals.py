@@ -16,7 +16,7 @@ checks for coverage of the region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 CERT_FORMAT = 2
@@ -185,6 +185,8 @@ class Certificate:
     splits: int
     counterexample: dict[str, Fraction] | None = None
     zmax: Fraction | None = None         # z_max of target calculate
+    # the `boxes N` line of a parsed file; serialize() writes len(boxes)
+    declared_boxes: int | None = field(default=None, compare=False)
 
     def serialize(self) -> str:
         lines = [f"# inequality certificate v{CERT_FORMAT}",
@@ -254,6 +256,10 @@ def parse_certificate(text: str) -> Certificate:
         raise ValueError(f"certificate format {meta.get('format', '1')} is not "
                          f"{CERT_FORMAT}: it records no root region, so coverage "
                          "cannot be checked")
+    missing = [key for key in ("target", "status", "splits", "boxes") if key not in meta]
+    if missing:
+        raise ValueError(f"certificate has no {' or '.join(missing)} line")
     return Certificate(target=meta["target"], status=meta["status"],
                        boxes=tuple(boxes), splits=int(meta["splits"]),
-                       counterexample=point, zmax=zmax)
+                       counterexample=point, zmax=zmax,
+                       declared_boxes=int(meta["boxes"]))

@@ -251,6 +251,33 @@ class TestCertificateCoverage:
         assert failure in report["failures"]
         assert not any("margin" in f for f in report["failures"])
 
+    def test_wrong_box_count_exit_one(self, runner, cert):
+        text = cert.read_text()
+        held = sum(ln.startswith("box ") for ln in text.splitlines())
+        cert.write_text(text.replace(f"\nboxes {held}\n", f"\nboxes {held - 1}\n"))
+        replay = run(runner, ["verify-cert", str(cert)])
+        assert replay.exit_code == 1
+        assert payload(replay)["failures"] == [f"boxes line says {held - 1}, file holds {held}"]
+
+    def test_dropped_box_line_exit_one(self, runner, cert):
+        # the last box line removed by hand: the count line still names the
+        # old total, and coverage finds the branch the line closed
+        lines = cert.read_text().splitlines()
+        last = max(i for i, ln in enumerate(lines) if ln.startswith("box "))
+        held = sum(ln.startswith("box ") for ln in lines) - 1
+        cert.write_text("\n".join(lines[:last] + lines[last + 1:]) + "\n")
+        replay = run(runner, ["verify-cert", str(cert)])
+        assert replay.exit_code == 1
+        assert payload(replay)["failures"] == [f"boxes line says {held + 1}, file holds {held}",
+                                               "branches ending in no stored leaf: 1"]
+
+    def test_no_box_count_exit_three(self, cert):
+        lines = [ln for ln in cert.read_text().splitlines() if not ln.startswith("boxes ")]
+        cert.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SystemExit) as ei:
+            main(["verify-cert", str(cert)])
+        assert ei.value.code == 3
+
     def test_v1_certificate_exit_three(self, cert):
         lines = [ln for ln in cert.read_text().splitlines()
                  if not ln.startswith("format ")]

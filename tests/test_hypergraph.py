@@ -12,6 +12,67 @@ from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
                                serialize_khg, shadow, trace_family)
 
 
+def _old_new_hypergraph(n, k, raw_edges, vertices=None):
+    """new_hypergraph before its bulk path: the oracle for its results and
+    messages."""
+    if n < 1 or k < 1 or k > n:
+        raise HypergraphError(f"need 1 <= k <= n, got n={n}, k={k}")
+    ground = tuple(sorted(vertices)) if vertices is not None else tuple(range(1, n + 1))
+    ground_set = set(ground)
+    for v in ground:
+        if not (1 <= v <= n):
+            raise HypergraphError(f"ground-set vertex {v} outside [1,{n}]")
+    seen = set()
+    for raw in raw_edges:
+        e = tuple(sorted(raw))
+        if len(raw) != k:
+            raise HypergraphError(f"edge {list(raw)} has arity {len(raw)}, expected {k}")
+        if len(set(e)) != k:
+            raise HypergraphError(f"edge {list(raw)} has a repeated vertex")
+        for v in e:
+            if v not in ground_set:
+                if not (1 <= v <= n):
+                    raise HypergraphError(f"vertex {v} outside [1,{n}] in edge {list(raw)}")
+                raise HypergraphError(f"vertex {v} outside ground set in edge {list(raw)}")
+        seen.add(e)
+    return Hypergraph(n=n, k=k, edges=tuple(sorted(seen)), vertices=ground)
+
+
+def _old_parse_khg(text):
+    """The line-by-line parse_khg before its bulk path: the oracle for its
+    results and messages."""
+    rows = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    if not rows:
+        raise HypergraphError("empty .khg input")
+    head = rows[0].split()
+    if len(head) != 3:
+        raise HypergraphError(f"bad header line: {rows[0]!r}")
+    try:
+        n, k, m = (int(x) for x in head)
+    except ValueError:
+        raise HypergraphError(f"non-numeric header line: {rows[0]!r}")
+    if len(rows) - 1 != m:
+        raise HypergraphError(f"header declares {m} edges, found {len(rows) - 1}")
+    edges = []
+    for ln in rows[1:]:
+        try:
+            e = [int(x) for x in ln.split()]
+        except ValueError:
+            raise HypergraphError(f"non-numeric edge line: {ln!r}")
+        if e != sorted(e):
+            raise HypergraphError(f"edge line not ascending: {ln!r}")
+        edges.append(e)
+    return _old_new_hypergraph(n, k, edges)
+
+
+def _outcome(fn, *args, **kwargs):
+    """fn's result, or the message of the HypergraphError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except HypergraphError as exc:
+        return f"HypergraphError: {exc}"
+
+
 def random_hypergraph(rng, n, k, m):
     all_e = list(combinations(range(1, n + 1), k))
     return new_hypergraph(n, k, rng.sample(all_e, min(m, len(all_e))))
@@ -57,10 +118,56 @@ class TestConstruction:
     def test_complete_count(self):
         assert complete_hypergraph(7, 3).num_edges == binom(7, 3)
 
+    @pytest.mark.parametrize("n, k, raw, vertices", [
+        (5, 2, [(3, 1), (2, 4), (1, 3)], None),              # unsorted edges
+        (5, 2, [[2, 1], (1, 2), (4, 5), (4, 5)], None),      # duplicated, mixed types
+        (6, 3, [(1, 2, 3), (2, 4, 6), (1, 2, 3)], (1, 2, 3, 4, 6)),
+        (6, 3, [(1, 2, 3), (5, 2, 1)], (1, 2, 3, 4, 6)),     # outside the ground set
+        (5, 2, [(1, 2), (7, 1)], None),                      # outside [1, n]
+        (5, 2, [(2, 1), (1, 0, 3)], None),                   # arity after a valid edge
+        (5, 2, [(1, 2), (4, 4)], None),                      # repeated vertex
+        (5, 3, [], None),
+        (4, 2, [(1, 2)], (5,)),                              # ground set outside [1, n]
+    ])
+    def test_matches_per_edge_oracle(self, n, k, raw, vertices):
+        assert (_outcome(new_hypergraph, n, k, raw, vertices)
+                == _outcome(_old_new_hypergraph, n, k, raw, vertices))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_per_edge_oracle_property(self, data):
+        n = data.draw(st.integers(1, 7))
+        k = data.draw(st.integers(1, n))
+        vertex = st.integers(-1, n + 2)
+        raw = data.draw(st.lists(st.one_of(
+            st.lists(vertex, min_size=k, max_size=k, unique=True).map(sorted).map(tuple),
+            st.lists(vertex, min_size=k - 1, max_size=k + 1).map(tuple),
+            st.lists(vertex, min_size=k, max_size=k)), max_size=12))
+        vertices = data.draw(st.none() | st.sets(st.integers(1, n)))
+        assert (_outcome(new_hypergraph, n, k, raw, vertices)
+                == _outcome(_old_new_hypergraph, n, k, raw, vertices))
+
     def test_degree(self):
         h = new_hypergraph(4, 2, [(1, 2), (1, 3)])
         assert h.degree(1) == 2
         assert h.degree(4) == 0
+
+
+class TestHasEdge:
+    def test_every_k_set(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            h = random_hypergraph(rng, 7, 3, rng.randint(0, 20))
+            for e in combinations(range(1, 8), 3):
+                assert h.has_edge(e) == (e in h.edge_set())
+                assert h.has_edge(e[::-1]) == (e in h.edge_set())
+
+    def test_past_the_last_edge_and_wrong_arity(self):
+        h = new_hypergraph(5, 2, [(1, 2), (2, 3)])
+        assert not h.has_edge((4, 5))
+        assert not h.has_edge((1,))
+        assert not h.has_edge((1, 2, 3))
+        assert not new_hypergraph(5, 2, []).has_edge((1, 2))
 
 
 class TestStability:
@@ -188,10 +295,88 @@ class TestKhgFormat:
         with pytest.raises(HypergraphError, match="ascending"):
             parse_khg("3 2 1\n2 1\n")
 
+    def test_arity_error_waits_for_ascending_check(self):
+        # every line is read and checked for order before any edge is
+        # validated, so a later non-ascending line wins over an earlier
+        # wrong-arity one
+        text = "4 2 2\n1 2 3\n2 1\n"
+        with pytest.raises(HypergraphError, match="not ascending: '2 1'"):
+            parse_khg(text)
+        assert _outcome(parse_khg, text) == _outcome(_old_parse_khg, text)
+
+    def test_duplicates_and_order_merged(self):
+        text = "# shuffled\r\n5 2 4\r\n3\t4\n1 2\n\n+3 04\n1 5\n"
+        assert parse_khg(text).edges == ((1, 2), (1, 5), (3, 4))
+
     @settings(max_examples=60, deadline=None)
     @given(hypergraphs())
     def test_round_trip_property(self, h):
         assert parse_khg(serialize_khg(h)) == h
+
+    @settings(max_examples=300, deadline=None)
+    @given(hypergraphs(), st.data())
+    def test_matches_line_by_line_oracle(self, h, data):
+        text = _perturbed_khg(h, data)
+        assert _outcome(parse_khg, text) == _outcome(_old_parse_khg, text)
+
+
+def _perturbed_khg(h, data):
+    """serialize_khg(h) after up to three drawn edits, each of which keeps
+    the file valid or breaks one rule of the format, then filler lines, a
+    separator and a line end."""
+    n, k = h.n, h.k
+    rows = [[str(v) for v in e] for e in h.edges]
+    m_shift = 0
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(st.sampled_from([
+            "shuffle", "duplicate", "plus", "zero-pad", "word", "repeat", "swap",
+            "vertex 0", "vertex n+1", "short", "long", "k > n", "k = 0", "m = 0",
+            "m off"]))
+        if edit == "k > n":
+            k = n + 1
+        elif edit == "k = 0":
+            k = 0
+        elif edit == "m = 0":
+            rows = []
+        elif edit == "m off":
+            m_shift = data.draw(st.sampled_from([-1, 1]))
+        elif edit == "shuffle":
+            rows = data.draw(st.permutations(rows))
+        elif rows:
+            i = data.draw(st.integers(0, len(rows) - 1))
+            row = list(rows[i])
+            if edit == "duplicate":
+                rows.insert(data.draw(st.integers(0, len(rows))), row)
+                continue
+            if not row:                 # emptied by "short": a blank line
+                continue
+            j = data.draw(st.integers(0, len(row) - 1))
+            if edit == "plus":
+                row[j] = "+" + row[j]
+            elif edit == "zero-pad":
+                row[j] = "0" + row[j]
+            elif edit == "word":
+                row[j] = "x"
+            elif edit == "repeat":
+                row[j] = row[j - 1]
+            elif edit == "swap":
+                row[j - 1], row[j] = row[j], row[j - 1]
+            elif edit == "vertex 0":
+                row[0] = "0"
+            elif edit == "vertex n+1":
+                row[-1] = str(n + 1)
+            elif edit == "short":
+                del row[j]
+            elif edit == "long":
+                row.append(str(n))
+            rows[i] = row
+    sep = data.draw(st.sampled_from([" ", "\t", "  "]))
+    lines = [f"{n} {k} {len(rows) + m_shift}"] + [sep.join(r) for r in rows]
+    for _ in range(data.draw(st.integers(0, 2))):
+        filler = data.draw(st.sampled_from(["# comment", "", "   ", "  # indented"]))
+        lines.insert(data.draw(st.integers(0, len(lines))), filler)
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    return end.join(lines) + data.draw(st.sampled_from([end, ""]))
 
 
 def test_binom_edges():

@@ -162,6 +162,17 @@ class TestCertificateFormat:
         with pytest.raises(ValueError):
             parse_certificate(self._sample().serialize().replace("format 2", "format 1"))
 
+    def test_missing_count_line_rejected(self):
+        text = self._sample().serialize().replace("boxes 1\n", "")
+        with pytest.raises(ValueError, match="no boxes line"):
+            parse_certificate(text)
+
+    def test_declared_count_kept_but_not_compared(self):
+        cert = self._sample()
+        again = parse_certificate(cert.serialize().replace("boxes 1\n", "boxes 2\n"))
+        assert again.declared_boxes == 2 and cert.declared_boxes is None
+        assert again == cert
+
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
             parse_certificate("target t\nstatus proved\nsplits 0\nboxes 0\nwat\n")
