@@ -34,17 +34,15 @@ def build_Hi(n: int, k: int, s: int, i: int) -> Hypergraph:
 
 
 def build_HUW(u: Iterable[int], w: Iterable[int], k: int) -> Hypergraph:
-    """k-sets of U ∪ W meeting U."""
+    """k-sets of U ∪ W meeting U: `build_HpUW` with p = k, with its own
+    message for a ground set smaller than k."""
     u_set = frozenset(u)
     w_set = frozenset(w)
     if u_set & w_set:
         raise HypergraphError("U and W must be disjoint")
-    ground = sorted(u_set | w_set)
-    if len(ground) < k:
-        raise HypergraphError(f"|U ∪ W| = {len(ground)} < k = {k}")
-    n = max(ground) if ground else 0
-    edges = [e for e in combinations(ground, k) if any(v in u_set for v in e)]
-    return new_hypergraph(n, k, edges, vertices=ground)
+    if len(u_set | w_set) < k:
+        raise HypergraphError(f"|U ∪ W| = {len(u_set | w_set)} < k = {k}")
+    return build_HpUW(u_set, w_set, k, k)
 
 
 def build_HpUW(u: Iterable[int], w: Iterable[int], k: int, p: int) -> Hypergraph:

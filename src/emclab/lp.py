@@ -13,7 +13,8 @@ stability machinery needs: the lexicographic load-maximizing fractional
 matching (a chain of LPs, each freezing the previously maximized loads as
 equality constraints), and the extension of such a matching to a perfect
 fractional matching on a graph with a full-degree apex prefix.  `tau_star`
-is the one place that chooses which LP yields tau* = nu*.
+and `min_cover_sorted`, the lexicographically greatest minimum cover, make
+one choice of LP for tau* = nu*.
 """
 
 from __future__ import annotations
@@ -251,9 +252,17 @@ class FractionalMatching:
 
 @dataclass(frozen=True)
 class FractionalCover:
+    """Vertex weights w >= 0 with w(e) >= 1 on every edge."""
+
     weights: dict[int, Fraction]
-    size: Fraction
-    support: frozenset[int]
+
+    @property
+    def size(self) -> Fraction:
+        return sum(self.weights.values(), ZERO)
+
+    @property
+    def support(self) -> frozenset[int]:
+        return frozenset(v for v, w in self.weights.items() if w > 0)
 
 
 def make_fractional_matching(h: Hypergraph, weights: dict[tuple[int, ...], Fraction]) -> FractionalMatching:
@@ -318,8 +327,7 @@ def fractional_matching_and_cover(h: Hypergraph, trace=None
     for e in h.edges:
         if sum(weights[v] for v in e) < 1:
             raise LPError(f"dual not a cover at edge {e}")
-    return value, fm, FractionalCover(weights=weights, size=sum(weights.values(), ZERO),
-                                      support=frozenset(v for v, w in weights.items() if w > 0))
+    return value, fm, FractionalCover(weights=weights)
 
 
 def fractional_cover_number(h: Hypergraph) -> tuple[Fraction, FractionalCover]:
@@ -365,22 +373,26 @@ def lex_max_fractional_matching(h: Hypergraph, order: Sequence[int],
     lexicographically maximal along `order`.
 
     Sequential LPs: maximize the next load subject to equality constraints
-    pinning every previously maximized load.
+    pinning every previously maximized load.  Only the first LP can be
+    infeasible, exactly when the target lies outside [0, nu*]; only then is
+    nu* solved, to name the side.
     """
     target = Fraction(target_size)
-    nu_star, _ = fractional_matching_number(h)
-    if target > nu_star:
-        raise LPError(f"target size {target} exceeds nu* = {nu_star}")
     rows = _matching_rows(h)
-    size_coeffs = [ONE] * len(h.edges)
-    rows.append((size_coeffs, "==", target))
+    rows.append(([ONE] * len(h.edges), "==", target))
     x = None
-    for v in order:
-        load_coeffs = [ONE if v in e else ZERO for e in h.edges]
-        value, x, _ = solve_lp(load_coeffs, rows, maximize=True)
-        rows.append((load_coeffs, "==", value))
-    if x is None:  # empty order: any matching of the right size
-        _, x, _ = solve_lp([ZERO] * len(h.edges), rows, maximize=True)
+    try:
+        for v in order:
+            load_coeffs = [ONE if v in e else ZERO for e in h.edges]
+            value, x, _ = solve_lp(load_coeffs, rows, maximize=True)
+            rows.append((load_coeffs, "==", value))
+        if x is None:  # empty order: any matching of the right size
+            _, x, _ = solve_lp([ZERO] * len(h.edges), rows, maximize=True)
+    except Infeasible:
+        nu_star, _ = fractional_matching_number(h)
+        if target > nu_star:
+            raise LPError(f"target size {target} exceeds nu* = {nu_star}") from None
+        raise
     weights = {e: w for e, w in zip(h.edges, x) if w}
     return make_fractional_matching(h, weights)
 
@@ -507,7 +519,7 @@ def extend_to_perfect_fm(h: Hypergraph, t: int, fm: FractionalMatching) -> Fract
 
 
 # ---------------------------------------------------------------------------
-# tau* = nu*: the monotone cover LP on stable families, the packing LP elsewhere
+# tau* and min_cover_sorted: the monotone cover LP if stable, else packing LP
 # ---------------------------------------------------------------------------
 
 def dominance_maximal_edges(h: Hypergraph) -> list[tuple[int, ...]]:
@@ -562,13 +574,48 @@ def monotone_cover_bound(h: Hypergraph) -> Fraction:
     return value
 
 
-def tau_star(h: Hypergraph, stable: bool | None = None) -> tuple[Fraction, bool]:
-    """tau* (= nu*), and whether h is stable on its full ground set [n].
+def _stable_on_ground_set(h: Hypergraph) -> bool:
+    """True iff h is stable on its full ground set [n], so that some minimum
+    cover is nonincreasing and the monotone cover LP is exact."""
+    return h.vertices == tuple(range(1, h.n + 1)) and is_stable(h)
 
-    The one place that chooses how tau* is solved: the n-variable
-    `monotone_cover_bound`, exact on a stable family on [n], and the packing
-    LP on any other.  `stable` is `is_stable(h)` when the caller knows it.
+
+def tau_star(h: Hypergraph) -> Fraction:
+    """tau* (= nu*): the n-variable `monotone_cover_bound` on a stable
+    family on [n], the packing LP on any other."""
+    if _stable_on_ground_set(h):
+        return monotone_cover_bound(h)
+    return fractional_matching_number(h)[0]
+
+
+def min_cover_sorted(h: Hypergraph) -> FractionalCover:
+    """Minimum fractional cover whose weight vector is lexicographically
+    greatest, found by sequential LP refinement: fix the total at tau*, then
+    maximize omega(1), omega(2), ... in turn.
+
+    tau* comes from the LP `tau_star` would solve, after one stability test.
     """
-    if h.vertices == tuple(range(1, h.n + 1)) and (is_stable(h) if stable is None else stable):
-        return monotone_cover_bound(h), True
-    return fractional_matching_number(h)[0], False
+    verts = list(h.vertices)
+    n = len(verts)
+    if not h.edges:
+        return FractionalCover(weights={v: ZERO for v in verts})
+    # On a stable full-ground-set graph the sought cover is nonincreasing, so
+    # only the dominance-maximal edges need explicit constraints — a huge
+    # reduction for dense families.
+    if _stable_on_ground_set(h):
+        rows = _monotone_cover_rows(h)
+        tau, _, _ = solve_lp([ONE] * n, rows)
+    else:
+        rows = [([ONE if v in e else ZERO for v in verts], ">=", ONE) for e in h.edges]
+        tau, _ = fractional_matching_number(h)
+    units = [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
+    rows += [(coeffs, "<=", ONE) for coeffs in units]
+    rows.append(([ONE] * n, "==", tau))
+    fixed = ZERO
+    for coeffs in units:
+        value, x, _ = solve_lp(coeffs, rows, maximize=True)
+        rows.append((coeffs, "==", value))
+        fixed += value
+        if fixed == tau:
+            break  # the remaining weights are forced to zero
+    return FractionalCover(weights=dict(zip(verts, x)))

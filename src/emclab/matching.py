@@ -56,7 +56,7 @@ def _upper_bound(h: Hypergraph, masks: list[int], lb: int) -> int:
     ub = min(ub, _greedy_cover_size(masks))
     if ub <= lb:
         return ub
-    return min(ub, floor(tau_star(h)[0]))
+    return min(ub, floor(tau_star(h)))
 
 
 def has_matching_of_size(h: Hypergraph, s: int) -> tuple[bool, MatchingWitness | None]:

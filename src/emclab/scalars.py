@@ -13,6 +13,8 @@ from fractions import Fraction
 from math import factorial
 
 DELTA = Fraction(1, 10**10)
+FOUR = 4 - DELTA
+D1 = 1 - DELTA
 
 
 def genbinom(r, j: int) -> Fraction:
@@ -110,7 +112,7 @@ def eval_prebound(m: int, s, mu, case: str) -> Fraction:
     mu = Fraction(mu)
     if not (0 < mu <= 1):
         raise ValueError("need 0 < mu <= 1")
-    if s > (m - 2) / (4 - DELTA):
+    if s > (m - 2) / FOUR:
         raise ValueError(f"need s <= (m-2)/(4-delta), got s={s}")
     if case not in ("half", "general"):
         raise ValueError(f"unknown case {case!r}")
@@ -131,10 +133,10 @@ def _link_bound(m: int, s: Fraction, mu: Fraction, general: bool) -> Fraction:
 # piecewise h0 / h and the m^4 coefficients
 # ---------------------------------------------------------------------------
 
-def _mu_beta(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    mu = (1 - a) / (1 - b)
-    beta = 1 - DELTA + 3 * a - (4 - DELTA) * b
-    return mu, beta
+def mu_beta(a: Fraction, b: Fraction) -> tuple[Fraction | None, Fraction]:
+    """mu = (1-a)/(1-b), None when b = 1, and beta = 1 - delta + 3a - (4-delta)b."""
+    mu = (1 - a) / (1 - b) if b != 1 else None
+    return mu, D1 + 3 * a - FOUR * b
 
 
 _BRANCHES = ("b>=3/8", "1/3<=b<3/8", "1/4<=b<1/3")
@@ -169,7 +171,7 @@ def eval_h0_h(s_val, m: int, a, b) -> H0HReport:
     b = Fraction(b)
     if not (Fraction(1, 4) <= b <= a < 1):
         raise ValueError("need 1/4 <= b <= a < 1")
-    mu, beta = _mu_beta(a, b)
+    mu, beta = mu_beta(a, b)
 
     def h0_branch(branch: str) -> Fraction:
         if branch == _BRANCHES[0]:
@@ -183,7 +185,7 @@ def eval_h0_h(s_val, m: int, a, b) -> H0HReport:
         adjacent[_BRANCHES[1]] = h0_branch(_BRANCHES[1])
     if b == Fraction(1, 3):
         adjacent[_BRANCHES[2]] = h0_branch(_BRANCHES[2])
-    h = (1 - a) * s_val * h0 - (1 - DELTA) * (1 - a) * s_val / beta \
+    h = (1 - a) * s_val * h0 - D1 * (1 - a) * s_val / beta \
         * genbinom(m - mu * s_val, 3)
     return H0HReport(h0=h0, h=h, branch=branch, adjacent=adjacent)
 
@@ -206,10 +208,10 @@ def eval_Cp_Cq(a, b, rho, eta=None) -> tuple[Fraction, Fraction]:
     eta = Fraction(eta) if eta is not None else 1000 * rho
     if not (Fraction(1, 4) <= b <= a < 1 - 5 * rho):
         raise ValueError("need 1/4 <= b <= a < 1 - 5*eps^(1/4)")
-    mu, beta = _mu_beta(a, b)
+    mu, beta = mu_beta(a, b)
     branch = _branch_of(b)
     mx = _max_cube_term(mu)
-    drop = (1 - DELTA) * (1 - eta * mu) ** 3 / beta
+    drop = D1 * (1 - eta * mu) ** 3 / beta
     if branch == _BRANCHES[0]:
         cp = eta * (1 - a) / 6 * ((1 - (1 - eta * mu) ** 3) - drop)
     elif branch == _BRANCHES[1]:
@@ -217,15 +219,15 @@ def eval_Cp_Cq(a, b, rho, eta=None) -> tuple[Fraction, Fraction]:
                                   + 12 * mu**2 * (1 - 3 * eta) * eta**2 - drop)
     else:
         cp = eta * (1 - a) / 6 * (mx * eta**3 - drop)
-    shrink = (1 - mu / (4 - DELTA)) ** 3
-    dropq = (1 - DELTA) / beta * shrink
+    shrink = (1 - mu / FOUR) ** 3
+    dropq = D1 / beta * shrink
     if branch == _BRANCHES[0]:
-        cq = (1 - a) / (6 * (4 - DELTA)) * (1 - shrink - dropq)
+        cq = (1 - a) / (6 * FOUR) * (1 - shrink - dropq)
     elif branch == _BRANCHES[1]:
-        cq = (1 - a) / (6 * (4 - DELTA)) * (
-            (mx + 3 * (1 - DELTA) * (4 - DELTA) * mu**2) / (4 - DELTA) ** 3 - dropq)
+        cq = (1 - a) / (6 * FOUR) * (
+            (mx + 3 * D1 * FOUR * mu**2) / FOUR ** 3 - dropq)
     else:
-        cq = (1 - a) / (6 * (4 - DELTA)) * (mx / (4 - DELTA) ** 3 - dropq)
+        cq = (1 - a) / (6 * FOUR) * (mx / FOUR ** 3 - dropq)
     return cp, cq
 
 
@@ -233,22 +235,21 @@ def c_coeff(i: int, alpha, mu, beta, mutation: str | None = None):
     """C_i as a polynomial in (alpha, mu, beta); works on Fractions and
     Intervals alike (ring operations only).  The term grouping fixes the
     interval enclosures, and so the certificates, of ``certify``."""
-    d1 = 1 - DELTA
     if i == 1:
-        return (beta + d1) * (6 * mu**2 * alpha**2 - 9 * mu * alpha + 3)
+        return (beta + D1) * (6 * mu**2 * alpha**2 - 9 * mu * alpha + 3)
     if i == 2:
-        return (6 * alpha**2 * (27 * beta - 45 * beta * mu + (beta + d1) * mu**2)
-                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + 3 * d1)
+        return (6 * alpha**2 * (27 * beta - 45 * beta * mu + (beta + D1) * mu**2)
+                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + 3 * D1)
     if i == 3:
-        return (6 * alpha**2 * (-36 * beta * mu + (27 * beta + d1) * mu**2)
-                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + 3 * d1)
+        return (6 * alpha**2 * (-36 * beta * mu + (27 * beta + D1) * mu**2)
+                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + 3 * D1)
     if i == 4:
-        return (6 * alpha**2 * (27 * beta - 9 * beta * mu + (beta + d1) * mu**2)
-                - 9 * alpha * d1 * mu + 3 * d1)
+        return (6 * alpha**2 * (27 * beta - 9 * beta * mu + (beta + D1) * mu**2)
+                - 9 * alpha * D1 * mu + 3 * D1)
     if i == 5:
         sign = -1 if mutation == "negate-c5-term" else 1
-        return (6 * alpha**2 * (sign * 27 * beta * mu**2 + d1 * mu**2)
-                - 9 * alpha * d1 * mu + 3 * d1)
+        return (6 * alpha**2 * (sign * 27 * beta * mu**2 + D1 * mu**2)
+                - 9 * alpha * D1 * mu + 3 * D1)
     raise ValueError("i must be 1..5")
 
 
@@ -258,11 +259,11 @@ def eval_C_coeffs(alpha, a, b, i: int) -> Fraction:
     alpha = Fraction(alpha)
     a = Fraction(a)
     b = Fraction(b)
-    if not (0 <= alpha <= 1 / (4 - DELTA)):
+    if not (0 <= alpha <= 1 / FOUR):
         raise ValueError("need 0 <= alpha <= 1/(4-delta)")
     if not (Fraction(1, 4) <= b <= a < 1):
         raise ValueError("need 1/4 <= b <= a < 1")
-    mu, beta = _mu_beta(a, b)
+    mu, beta = mu_beta(a, b)
     return c_coeff(i, alpha, mu, beta)
 
 
@@ -279,10 +280,9 @@ def c45_identity_check(alpha, a, b) -> dict:
     alpha = Fraction(alpha)
     a = Fraction(a)
     b = Fraction(b)
-    mu, beta = _mu_beta(a, b)
-    d1 = 1 - DELTA
+    mu, beta = mu_beta(a, b)
     c1 = eval_C_coeffs(alpha, a, b, 1)
-    base = d1 / (beta + d1) * c1
+    base = D1 / (beta + D1) * c1
     return {
         "c4": eval_C_coeffs(alpha, a, b, 4),
         "c4_identity": base + 6 * beta * (27 - 9 * mu + mu**2) * alpha**2,

@@ -26,10 +26,9 @@ from emclab import kernel
 from emclab.constructions import build_Hi, emc_bound
 from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
                                is_stable, new_hypergraph, trace_family)
-from emclab.lp import (ONE, ZERO, FractionalCover, _monotone_cover_rows, solve_lp,
-                       tau_star)
+from emclab.lp import ZERO, FractionalCover, min_cover_sorted
 from emclab.matching import matching_number
-from emclab.scalars import DELTA
+from emclab.scalars import mu_beta
 from emclab.shifting import stabilize
 
 
@@ -128,43 +127,6 @@ class MatchingTooLarge(HypergraphError):
         super().__init__(f"nu* = {nu_star} exceeds s = {s}")
 
 
-def min_cover_sorted(h: Hypergraph) -> FractionalCover:
-    """Minimum fractional cover whose weight vector is lexicographically
-    greatest, found by sequential LP refinement: fix the total at tau*, then
-    maximize omega(1), omega(2), ... in turn."""
-    return _min_cover_sorted(h, *tau_star(h))
-
-
-def _min_cover_sorted(h: Hypergraph, tau: Fraction, stable: bool) -> FractionalCover:
-    """`min_cover_sorted` given `lp.tau_star(h)`."""
-    n = len(h.vertices)
-    verts = list(h.vertices)
-    if not h.edges:
-        return FractionalCover(weights={v: ZERO for v in verts}, size=ZERO,
-                               support=frozenset())
-    # On a stable full-ground-set graph the sought cover is nonincreasing, so
-    # only the dominance-maximal edges need explicit constraints — a huge
-    # reduction for dense families.
-    if stable:
-        rows = _monotone_cover_rows(h)
-    else:
-        rows = [([ONE if v in e else ZERO for v in verts], ">=", ONE) for e in h.edges]
-    units = [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    rows += [(coeffs, "<=", ONE) for coeffs in units]
-    rows.append(([ONE] * n, "==", tau))
-    x = None
-    fixed = ZERO
-    for coeffs in units:
-        value, x, _ = solve_lp(coeffs, rows, maximize=True)
-        rows.append((coeffs, "==", value))
-        fixed += value
-        if fixed == tau:
-            break  # the remaining weights are forced to zero
-    weights = {v: w for v, w in zip(verts, x)}
-    return FractionalCover(weights=weights, size=sum(x, ZERO),
-                           support=frozenset(v for v, w in weights.items() if w > 0))
-
-
 @dataclass(frozen=True)
 class ExtremalProfile:
     s: int
@@ -180,15 +142,13 @@ class ExtremalProfile:
 
 
 def _profile_of(g: Hypergraph, s: int, epsilon: Fraction,
-                tau: tuple[Fraction, bool]) -> ExtremalProfile:
-    """Profile of g, given `tau` = `lp.tau_star(g)`."""
+                fc: FractionalCover) -> ExtremalProfile:
+    """Profile of g, given `fc` = `lp.min_cover_sorted(g)`."""
     n = g.n
-    fc = _min_cover_sorted(g, *tau)
     w = fc.weights
     a = sum(w.get(i, ZERO) for i in range(1, s + 1)) / s if s else ZERO
     b = w.get(s + 1, ZERO)
-    mu = (1 - a) / (1 - b) if b != 1 else None
-    beta = 1 - DELTA + 3 * a - (4 - DELTA) * b
+    mu, beta = mu_beta(a, b)
     s_set = list(range(1, s + 2))
     links: dict[tuple[int, ...], int] = {
         (): trace_family(g, (), s_set).num_edges}
@@ -228,12 +188,12 @@ def extremal_profile(g: Hypergraph, s: int, epsilon: Fraction
         raise HypergraphError(f"need epsilon > 0, got {epsilon}")
     if not is_stable(g):
         raise HypergraphError("G must be stable")
-    tau = tau_star(g, stable=True)
-    if tau[0] > s:
-        raise MatchingTooLarge(tau[0], s)
-    raw = _profile_of(g, s, epsilon, tau)
+    fc = min_cover_sorted(g)
+    if fc.size > s:
+        raise MatchingTooLarge(fc.size, s)
+    raw = _profile_of(g, s, epsilon, fc)
     sat_g = saturate_by_cover(g, raw.cover)
-    sat = _profile_of(sat_g, s, epsilon, tau_star(sat_g))
+    sat = _profile_of(sat_g, s, epsilon, min_cover_sorted(sat_g))
     return {"raw": raw, "saturated": sat}
 
 
@@ -262,7 +222,7 @@ def stability_scan(n: int, s: int, epsilon: Fraction, corpus_spec: dict,
     rng = _random.Random(seed)
     epsilon = Fraction(epsilon)
     h1 = build_Hi(n, 4, s, 1)
-    threshold = binom(n, 4) - binom(n - s, 4) - epsilon * n**4
+    threshold = emc_bound(n, 4, s).cover_term - epsilon * n**4
     all_sets = list(combinations(range(1, n + 1), 4))
 
     corpus: list[tuple[str, Hypergraph]] = [("h1", h1)]

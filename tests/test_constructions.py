@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -55,6 +57,35 @@ class TestHUW:
         assert set(capped.edges) <= set(full.edges)
         assert all(sum(1 for v in e if v <= 2) == 1 for e in capped.edges)
         assert build_HpUW([1, 2], range(3, 8), 3, 3).edges == full.edges
+
+    def test_grid_against_definition(self):
+        # k <= 4, |U| <= 4, |W| <= 5 on [10], overlapping pairs included:
+        # the disjointness error first, then the ground-set size, else every
+        # k-set of U ∪ W meeting U
+        rng = random.Random(36)
+        for u_size in range(5):
+            for w_size in range(6):
+                for k in range(1, 5):
+                    for _ in range(3):
+                        u = rng.sample(range(1, 11), u_size)
+                        w = rng.sample(range(1, 11), w_size)
+                        ground = sorted(set(u) | set(w))
+                        if set(u) & set(w):
+                            want = "U and W must be disjoint"
+                        elif len(ground) < k:
+                            want = f"|U ∪ W| = {len(ground)} < k = {k}"
+                        else:
+                            h = build_HUW(u, w, k)
+                            assert h.vertices == tuple(ground)
+                            assert h.edges == tuple(e for e in combinations(ground, k)
+                                                    if set(e) & set(u))
+                            continue
+                        with pytest.raises(HypergraphError) as ei:
+                            build_HUW(u, w, k)
+                        assert str(ei.value) == want
+        for k in (0, -1):   # input errors, never a bare ValueError
+            with pytest.raises(HypergraphError):
+                build_HUW([1], [2, 3], k)
 
 
 class TestEmcBound:

@@ -262,6 +262,19 @@ class TestLexMax:
         with pytest.raises(LPError, match="exceeds"):
             lex_max_fractional_matching(h, (1, 2, 3), Fraction(2))
 
+    def test_negative_target_infeasible(self):
+        h = new_hypergraph(3, 2, [(1, 2)])
+        with pytest.raises(Infeasible):
+            lex_max_fractional_matching(h, (1, 2, 3), Fraction(-1))
+
+    def test_empty_order(self):
+        # no load to maximize: any fractional matching of the target size
+        h = complete_hypergraph(5, 2)
+        for target in (Fraction(0), Fraction(3, 2), Fraction(5, 2)):
+            assert lex_max_fractional_matching(h, (), target).size == target
+        with pytest.raises(LPError, match="exceeds"):
+            lex_max_fractional_matching(h, (), Fraction(3))
+
     def test_loads_nonincreasing_on_stable(self):
         rng = random.Random(7)
         checked = 0
@@ -339,7 +352,7 @@ class TestMonotoneCoverBound:
 
     def test_sound_upper_bound_random_stable(self):
         # exact, not just sound: a stable family on [n] has a nonincreasing
-        # minimum cover, which verifier.min_cover_sorted relies on
+        # minimum cover, which tau_star and min_cover_sorted rely on
         rng = random.Random(55)
         for _ in range(30):
             h = random_stable(rng, rng.randint(4, 9), rng.choice([2, 3]),

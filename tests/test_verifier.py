@@ -1,14 +1,18 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import emclab.verifier
 from emclab.constructions import build_Hi
-from emclab.hypergraph import binom, complete_hypergraph, new_hypergraph
-from emclab.lp import fractional_matching_number, solve_lp
+from emclab.hypergraph import (binom, complete_hypergraph, is_stable,
+                               new_hypergraph)
+from emclab.lp import (ONE, fractional_cover_number, fractional_matching_number,
+                       min_cover_sorted, solve_lp)
 from emclab.verifier import (MatchingTooLarge, extremal_profile, is_close_400,
-                             max_edges_given_nu, min_cover_sorted,
-                             saturate_by_cover, stability_scan, verify_emc)
+                             max_edges_given_nu, saturate_by_cover,
+                             stability_scan, verify_emc)
 
 
 class TestOracle:
@@ -128,6 +132,28 @@ class TestMinCoverSorted:
         fc = min_cover_sorted(new_hypergraph(5, 2, []))
         assert fc.size == 0 and fc.support == frozenset()
 
+    def test_non_stable_families(self):
+        # the edge-row LP: a minimum cover, and vertex 1 gets the largest
+        # weight any minimum cover gives it
+        rng = random.Random(13)
+        checked = 0
+        while checked < 40:
+            n, k = rng.randint(5, 8), rng.choice([2, 3])
+            all_e = list(combinations(range(1, n + 1), k))
+            h = new_hypergraph(n, k, rng.sample(all_e, rng.randint(2, 10)))
+            if is_stable(h):
+                continue
+            fc = min_cover_sorted(h)
+            tau, _ = fractional_cover_number(h)
+            assert fc.size == tau
+            assert all(w >= 0 for w in fc.weights.values())
+            assert all(sum(fc.weights[v] for v in e) >= 1 for e in h.edges)
+            rows = [([ONE if v in e else 0 for v in h.vertices], ">=", ONE) for e in h.edges]
+            rows.append(([ONE] * n, "==", tau))
+            top, _, _ = solve_lp([ONE] + [0] * (n - 1), rows, maximize=True)
+            assert fc.weights[1] == top
+            checked += 1
+
 
 class TestExtremalProfile:
     def test_h1_profile(self):
@@ -141,17 +167,16 @@ class TestExtremalProfile:
         assert raw.lhs_lowerbound >= raw.rhs_lowerbound
 
     def test_tau_star_solved_once_per_graph(self, monkeypatch):
-        # tau* of G and of its saturation, one solve each, and 6 sequential
-        # cover solves; G's tau* is not solved again inside min_cover_sorted
+        # tau* of G and of its saturation, one solve each inside
+        # min_cover_sorted, and 6 sequential cover solves; the MatchingTooLarge
+        # check reads G's tau* from its cover instead of solving it again
         import emclab.lp
-        import emclab.verifier
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return solve_lp(*args, **kwargs)
         monkeypatch.setattr(emclab.lp, "solve_lp", counted)
-        monkeypatch.setattr(emclab.verifier, "solve_lp", counted)
         extremal_profile(build_Hi(20, 4, 3, 1), 3, Fraction(1, 10**6))
         assert len(calls) == 8
 
