@@ -11,7 +11,7 @@ beta = (1-b)*(4 - delta - 3*mu) substituted, avoiding the 0/0 corner of the
 Proving strict positivity on the closed boxes proves it on the open regions
 they cover.  Counterexamples are always exact rational point evaluations in
 the original coordinates, so a reported violation is real, not an interval
-artifact.
+artifact; replay re-evaluates the recorded point under the recorded mutation.
 """
 
 from __future__ import annotations
@@ -49,6 +49,46 @@ def eval_calculate_margin(x, y, z, mutation: str | None = None) -> Fraction:
     elif mutation is not None:
         raise ValueError(f"unknown mutation {mutation!r}")
     return lead - (FOUR * x - 3 * y) * h - (FOUR * x - 3 * y) * p
+
+
+# the mutations each certifier accepts (deliberately broken margins, used to
+# test that the prover can fail)
+_MUTATIONS = {"calculate": ("negate-lead", "flip-p-sign"),
+              "maxvalue": ("negate-c5-term",)}
+
+
+def _check_mutation(target: str, mutation: str | None) -> None:
+    if mutation is not None and mutation not in _MUTATIONS[target]:
+        raise ValueError(f"unknown mutation {mutation!r} for target {target}")
+
+
+def _in_calc_region(pt: dict[str, Fraction], z_max: Fraction) -> bool:
+    """5z < y <= x <= 3/4 and 0 < z <= z_max."""
+    return 0 < pt["z"] <= z_max and 5 * pt["z"] < pt["y"] <= pt["x"] <= Fraction(3, 4)
+
+
+def _calc_point_margin(pt: dict[str, Fraction], mutation: str | None) -> Fraction:
+    return eval_calculate_margin(pt["x"], pt["y"], pt["z"], mutation)
+
+
+def _maxvalue_b_range(i: int) -> tuple[Fraction, Fraction]:
+    """The range of b for C_i: [1/3, 3/8] for C_2 and C_3, else [1/4, 1]."""
+    return (Fraction(1, 3), Fraction(3, 8)) if i in (2, 3) else (Fraction(1, 4), Fraction(1))
+
+
+def _in_maxvalue_region(pt: dict[str, Fraction]) -> bool:
+    """i in 1..5, alpha in [0, 1/(4-d)] and b <= a < 1 with b in the range
+    of C_i."""
+    i = pt["i"]
+    if not (i.denominator == 1 and 1 <= i <= 5):
+        return False
+    b_lo, b_hi = _maxvalue_b_range(int(i))
+    return 0 <= pt["alpha"] <= 1 / FOUR and b_lo <= pt["b"] <= b_hi and pt["b"] <= pt["a"] < 1
+
+
+def _maxvalue_point_margin(pt: dict[str, Fraction], mutation: str | None) -> Fraction:
+    mu, beta = mu_beta(pt["a"], pt["b"])
+    return c_coeff(int(pt["i"]), pt["alpha"], mu, beta, mutation)
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +196,9 @@ def _calc_roots(z_max: Fraction) -> list[Box]:
 
 def _maxvalue_roots() -> list[Box]:
     alpha_iv = Interval.make(0, 1 / FOUR)
-    roots = []
-    for i in range(1, 6):
-        b_iv = Interval.make(Fraction(1, 3), Fraction(3, 8)) if i in (2, 3) \
-            else Interval.make(Fraction(1, 4), 1)
-        roots.append(Box({"alpha": alpha_iv, "mu": Interval.make(0, 1),
-                          "b": b_iv}, f"C{i}"))
-    return roots
+    return [Box({"alpha": alpha_iv, "mu": Interval.make(0, 1),
+                 "b": Interval.make(*_maxvalue_b_range(i))}, f"C{i}")
+            for i in range(1, 6)]
 
 
 def certify_calculate_lemma(z_max, max_depth: int = 60, max_boxes: int = 10**7,
@@ -175,8 +211,7 @@ def certify_calculate_lemma(z_max, max_depth: int = 60, max_boxes: int = 10**7,
     superset of the open region.  The max inside h~ is enclosed outward, so
     no branch of the piecewise definition is ever silently dropped.
     """
-    if mutation not in (None, "negate-lead", "flip-p-sign"):
-        raise ValueError(f"unknown mutation {mutation!r} for target calculate")
+    _check_mutation("calculate", mutation)
     z_max = _check_zmax(z_max)
 
     def point_fn(box: Box):
@@ -191,17 +226,13 @@ def certify_calculate_lemma(z_max, max_depth: int = 60, max_boxes: int = 10**7,
         z_pt = min(z.hi, z_max, y_pt / 6)
         if z_pt <= 0:
             z_pt = min(z_max, y_pt / 6)
-        if z_pt <= 0 or not (5 * z_pt < y_pt <= x_pt <= Fraction(3, 4)):
-            return None
-        return {"x": x_pt, "y": y_pt, "z": z_pt}
-
-    def exact_fn(pt):
-        return eval_calculate_margin(pt["x"], pt["y"], pt["z"], mutation)
+        pt = {"x": x_pt, "y": y_pt, "z": z_pt}
+        return pt if _in_calc_region(pt, z_max) else None
 
     cert = _prove("calculate", _calc_roots(z_max),
-                  lambda b: _calc_margin_box(b, mutation),
-                  point_fn, exact_fn, max_depth, max_boxes)
-    return replace(cert, zmax=z_max)
+                  lambda b: _calc_margin_box(b, mutation), point_fn,
+                  lambda pt: _calc_point_margin(pt, mutation), max_depth, max_boxes)
+    return replace(cert, zmax=z_max, mutation=mutation)
 
 
 def certify_maxvalue_coeffs(max_depth: int = 60, max_boxes: int = 10**7,
@@ -213,27 +244,21 @@ def certify_maxvalue_coeffs(max_depth: int = 60, max_boxes: int = 10**7,
     beta = (1-b)*(4-d-3mu) substituted; the closed boxes cover the open
     region's closure, so strict positivity there is stronger than required.
     """
-    if mutation not in (None, "negate-c5-term"):
-        raise ValueError(f"unknown mutation {mutation!r} for target maxvalue")
+    _check_mutation("maxvalue", mutation)
+
     def point_fn(box: Box):
         mu = box.coords["mu"].mid
         b = box.coords["b"].mid
-        alpha = box.coords["alpha"].mid
         if mu <= 0 or b >= 1:
             return None  # need a < 1, i.e. mu > 0 and b < 1
-        a = 1 - mu * (1 - b)
-        if not (Fraction(1, 4) <= b <= a < 1):
-            return None
-        return {"i": Fraction(int(box.region_tag[1])), "alpha": alpha,
-                "a": a, "b": b}
+        pt = {"i": Fraction(int(box.region_tag[1])), "alpha": box.coords["alpha"].mid,
+              "a": 1 - mu * (1 - b), "b": b}
+        return pt if _in_maxvalue_region(pt) else None
 
-    def exact_fn(pt):
-        mu, beta = mu_beta(pt["a"], pt["b"])
-        return c_coeff(int(pt["i"]), pt["alpha"], mu, beta, mutation)
-
-    return _prove("maxvalue", _maxvalue_roots(),
-                  lambda b: _maxvalue_margin_box(b, mutation),
-                  point_fn, exact_fn, max_depth, max_boxes)
+    cert = _prove("maxvalue", _maxvalue_roots(),
+                  lambda b: _maxvalue_margin_box(b, mutation), point_fn,
+                  lambda pt: _maxvalue_point_margin(pt, mutation), max_depth, max_boxes)
+    return replace(cert, mutation=mutation)
 
 
 # ---------------------------------------------------------------------------
@@ -241,19 +266,32 @@ def certify_maxvalue_coeffs(max_depth: int = 60, max_boxes: int = 10**7,
 # ---------------------------------------------------------------------------
 
 def replay_certificate(cert: Certificate) -> dict:
-    """Independently re-verify a certificate: recompute every leaf margin
-    from scratch, check strict positivity plus agreement with the stored
-    enclosure, and check that the leaves are exactly the leaves of a
-    bisection tree over the certifier's own root region.
+    """Independently re-verify a certificate.
 
-    The roots come from `_CALC_PIECES` and `z_max` (calculate) or the C_i
-    ranges (maxvalue), never from the stored boxes, so a file cannot shrink
-    the region it claims."""
+    A `counterexample` certificate is confirmed at its point: the point must
+    lie in the target's region and its exact margin, under the recorded
+    mutation, must be <= 0; the report gives that margin.  Any other
+    certificate is re-verified box by box: recompute every leaf margin from
+    scratch, check strict positivity plus agreement with the stored
+    enclosure, and check that the leaves are exactly the leaves of a
+    bisection tree over the certifier's own root region.  A mutation line
+    outside a counterexample is a failure: a proof of a broken margin proves
+    nothing.
+
+    The roots and the region come from `_CALC_PIECES` and `z_max`
+    (calculate) or the C_i ranges (maxvalue), never from the stored boxes,
+    so a file cannot shrink the region it claims.  Only a `proved` file with
+    no failure is `ok`."""
     if cert.target == "calculate":
         margin_fn = lambda b: _calc_margin_box(b, None)
-        roots = None if cert.zmax is None else _calc_roots(_check_zmax(cert.zmax))
+        zmax = None if cert.zmax is None else _check_zmax(cert.zmax)
+        coords, point_margin = ("x", "y", "z"), _calc_point_margin
+        in_region = lambda pt: _in_calc_region(pt, zmax)
+        roots = None if zmax is None else _calc_roots(zmax)
     elif cert.target == "maxvalue":
         margin_fn = lambda b: _maxvalue_margin_box(b, None)
+        coords, point_margin = ("a", "alpha", "b", "i"), _maxvalue_point_margin
+        in_region = _in_maxvalue_region
         roots = _maxvalue_roots()
     else:
         raise ValueError(f"unknown target {cert.target!r}")
@@ -266,13 +304,38 @@ def replay_certificate(cert: Certificate) -> dict:
             failures.append("stored margin does not match recomputation")
     if cert.declared_boxes not in (None, len(cert.boxes)):
         failures.append(f"boxes line says {cert.declared_boxes}, file holds {len(cert.boxes)}")
-    if roots is None:
-        failures.append("no z_max recorded: coverage unchecked")
+    report = {"target": cert.target, "status": cert.status, "boxes": len(cert.boxes)}
+    if cert.mutation is not None:
+        report["mutation"] = cert.mutation
+    if cert.status == "counterexample":
+        pt = cert.counterexample
+        if pt is None or sorted(pt) != list(coords):
+            failures.append(f"point must give {', '.join(coords)}")
+        elif roots is None:
+            failures.append("no z_max recorded: region unchecked")
+        elif not in_region(pt):
+            failures.append(f"point outside the region of target {cert.target}")
+        else:
+            try:
+                _check_mutation(cert.target, cert.mutation)
+            except ValueError as exc:
+                failures.append(str(exc))
+            else:
+                margin = point_margin(pt, cert.mutation)
+                report["margin"] = str(margin)
+                if margin > 0:
+                    failures.append(f"margin {margin} > 0 at the point: not a counterexample")
+        report["confirmed"] = "margin" in report and not failures
     else:
-        failures += _coverage_failures(roots, [box for box, _ in cert.boxes], cert.splits)
-    ok = cert.status == "proved" and not failures
-    report = {"target": cert.target, "status": cert.status, "boxes": len(cert.boxes),
-              "failures": failures, "ok": ok}
+        if cert.mutation is not None:
+            failures.append(f"{cert.status} under mutation {cert.mutation}: "
+                            "not a proof of the inequality")
+        if roots is None:
+            failures.append("no z_max recorded: coverage unchecked")
+        else:
+            failures += _coverage_failures(roots, [box for box, _ in cert.boxes], cert.splits)
+    report["failures"] = failures
+    report["ok"] = cert.status == "proved" and not failures
     if cert.target == "calculate":
         report["zmax"] = None if cert.zmax is None else str(cert.zmax)
     return report

@@ -11,7 +11,9 @@ wrapped into a point interval.
 A Certificate records the root region and a finite box subdivision of it
 together with a verified margin interval per leaf; it serializes to a
 line-oriented text format (v2) that a replayer re-verifies box by box and
-checks for coverage of the region.
+checks for coverage of the region.  A counterexample certificate records its
+point instead, and a certificate found under a mutation records the
+mutation's name, so that the replayer can re-evaluate the point.
 """
 
 from __future__ import annotations
@@ -185,6 +187,7 @@ class Certificate:
     splits: int
     counterexample: dict[str, Fraction] | None = None
     zmax: Fraction | None = None         # z_max of target calculate
+    mutation: str | None = None          # the mutation the certifier ran under
     # the `boxes N` line of a parsed file; serialize() writes len(boxes)
     declared_boxes: int | None = field(default=None, compare=False)
 
@@ -194,6 +197,8 @@ class Certificate:
                  f"target {self.target}"]
         if self.zmax is not None:
             lines.append(f"zmax {self.zmax}")
+        if self.mutation is not None:
+            lines.append(f"mutation {self.mutation}")
         lines += [f"status {self.status}",
                  f"splits {self.splits}",
                  f"boxes {len(self.boxes)}"]
@@ -224,6 +229,7 @@ def parse_certificate(text: str) -> Certificate:
     boxes: list[tuple[Box, Interval]] = []
     point = None
     zmax = None
+    mutation = None
     for ln in lines:
         parts = ln.split()
         try:
@@ -231,6 +237,8 @@ def parse_certificate(text: str) -> Certificate:
                 meta[parts[0]] = parts[1]
             elif parts[0] == "zmax":
                 zmax = Fraction(parts[1])
+            elif parts[0] == "mutation":
+                mutation = parts[1]
             elif parts[0] == "coords":
                 names = parts[1:]
             elif parts[0] == "box":
@@ -261,5 +269,5 @@ def parse_certificate(text: str) -> Certificate:
         raise ValueError(f"certificate has no {' or '.join(missing)} line")
     return Certificate(target=meta["target"], status=meta["status"],
                        boxes=tuple(boxes), splits=int(meta["splits"]),
-                       counterexample=point, zmax=zmax,
+                       counterexample=point, zmax=zmax, mutation=mutation,
                        declared_boxes=int(meta["boxes"]))

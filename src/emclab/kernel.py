@@ -32,9 +32,14 @@ def edge_mask(edge) -> int:
     return m
 
 
+def check_ground_set(n: int) -> None:
+    """Raise HypergraphError when [n] is past the kernel's limit."""
+    if n > MAX_KERNEL_VERTICES:
+        raise HypergraphError(f"search kernels support n <= {MAX_KERNEL_VERTICES}")
+
+
 def edge_masks(n: int, edges) -> list[int]:
     """Masks of `edges` on the ground set [n]; rejects n past the kernel's
     limit before consuming `edges`."""
-    if n > MAX_KERNEL_VERTICES:
-        raise HypergraphError(f"search kernels support n <= {MAX_KERNEL_VERTICES}")
+    check_ground_set(n)
     return [edge_mask(e) for e in edges]

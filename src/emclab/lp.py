@@ -3,10 +3,13 @@
 There is no floating point in this module.  The solver is a dense two-phase
 primal simplex with Bland's anti-cycling rule, which keeps every result
 deterministic.  It pivots on a fraction-free integer tableau (Bareiss 1968;
-Edmonds 1967) with one common denominator; `fractions.Fraction` appears only
-at its boundary, in the inputs it scales to integers and in the optimum it
-returns.  Every optimum comes with a primal and dual certificate, checked in
-integer arithmetic before it is returned.
+Edmonds 1967) with one common denominator.  An `int` input (a coefficient,
+right-hand side or cost) is used as it is; any other input is read through
+`fractions.Fraction` and scaled to integers.  `Fraction` otherwise appears
+only in the optimum the solver returns.  Every optimum comes with a primal
+and dual certificate, checked in integer arithmetic before it is returned.
+The row builders below write their 0/1 coefficients as ints, so only truly
+rational entries (a pinned optimum, tau*, 1 - a_v) take the `Fraction` path.
 
 Beyond the plain optima this module provides the two constructive pieces the
 stability machinery needs: the lexicographic load-maximizing fractional
@@ -19,11 +22,12 @@ one choice of LP for tau* = nu*.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from emclab.hypergraph import Hypergraph, is_stable
 
@@ -47,10 +51,23 @@ class Unbounded(LPError):
 # simplex core
 # ---------------------------------------------------------------------------
 
+def _exact(values) -> list:
+    """`values` as exact numbers: an `int` as it is (not a `bool`), anything
+    else through `Fraction`."""
+    return [v if type(v) is int else Fraction(v) for v in values]
+
+
+def _scaled(values, scale: int) -> list[int]:
+    """scale * v for exact `values` whose denominators divide `scale`."""
+    return [v * scale if type(v) is int else v.numerator * (scale // v.denominator)
+            for v in values]
+
+
 def _simplex_min(c, rows, trace=None):
     """Minimize c.x subject to `rows` and x >= 0, exactly.
 
     rows: list of (coeffs, sense, rhs) with sense in {"<=", ">=", "=="}.
+    c holds ints and Fractions (`solve_lp` reads it with `_exact`).
     Returns (value, x, row_duals).  row_duals[i] is the minimization dual
     y_i of row i as the caller wrote it: y_i <= 0 on "<=", y_i >= 0 on ">=",
     free on "==", and sum(rhs_i * y_i) == value.
@@ -64,9 +81,10 @@ def _simplex_min(c, rows, trace=None):
     exact division, and D by p (row r is negated first if p < 0).  The
     reduced-cost rows are tableau rows updated by the same step.  Common
     scale factors change no sign and no ratio order, so Bland's rule makes
-    the same pivots as on the rational tableau.  `Fraction` appears only when
-    reading the input and writing the output, and every optimum passes
-    `_check_certificate` first.
+    the same pivots as on the rational tableau.  An `int` entry of c or
+    `rows` is used as it is; any other entry of `rows` is read through
+    `Fraction`, which appears otherwise only in the output.  Every optimum
+    passes `_check_certificate` first.
     """
     nvars = len(c)
     m = len(rows)
@@ -74,20 +92,21 @@ def _simplex_min(c, rows, trace=None):
     norm = []
     signs = []   # -1 on the rows negated here
     for coeffs, sense, rhs in rows:
-        coeffs = [Fraction(x) for x in coeffs]
-        rhs = Fraction(rhs)
+        coeffs = _exact(coeffs)
+        rhs = rhs if type(rhs) is int else Fraction(rhs)
         signs.append(-1 if rhs < 0 else 1)
         if rhs < 0:
             coeffs = [-x for x in coeffs]
             rhs = -rhs
             sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
         norm.append((coeffs, sense, rhs))
-    scale = lcm(*(v.denominator for coeffs, _, rhs in norm for v in (*coeffs, rhs)))
-    A = [[v.numerator * (scale // v.denominator) for v in coeffs] for coeffs, _, _ in norm]
-    b = [rhs.numerator * (scale // rhs.denominator) for _, _, rhs in norm]
+    scale = lcm(*(v.denominator for coeffs, _, rhs in norm for v in (*coeffs, rhs)
+                  if type(v) is not int))
+    A = [_scaled(coeffs, scale) for coeffs, _, _ in norm]
+    b = _scaled([rhs for _, _, rhs in norm], scale)
     senses = [sense for _, sense, _ in norm]
-    cost_scale = lcm(*(v.denominator for v in c))
-    C = [v.numerator * (cost_scale // v.denominator) for v in c]
+    cost_scale = lcm(*(v.denominator for v in c if type(v) is not int))
+    C = _scaled(c, cost_scale)
 
     slack_col = {}
     art_col = {}
@@ -193,8 +212,8 @@ def _simplex_min(c, rows, trace=None):
     _check_certificate(A, senses, b, C, X, Y, D)
     den = D * cost_scale
     value = Fraction(sum(cj * xj for cj, xj in zip(C, X)), den)
-    x = [Fraction(v, D) for v in X]
-    duals = [Fraction(sign * y * scale, den) for sign, y in zip(signs, Y)]
+    x = [Fraction(v, D) if v else ZERO for v in X]
+    duals = [Fraction(sign * y * scale, den) if y else ZERO for sign, y in zip(signs, Y)]
     return value, x, duals
 
 
@@ -226,11 +245,13 @@ def _check_certificate(A, senses, b, c, X, Y, D):
 
 def solve_lp(c, rows, maximize=False, trace=None):
     """Exact LP over x >= 0.  rows: (coeffs, sense, rhs).  Returns (value, x,
-    duals), one dual per row as written, with sum(rhs_i * duals_i) == value."""
+    duals), one dual per row as written, with sum(rhs_i * duals_i) == value.
+    Entries may be anything `Fraction` reads; an `int` is used as it is."""
+    c = _exact(c)
     if maximize:
-        value, x, duals = _simplex_min([-Fraction(v) for v in c], rows, trace=trace)
+        value, x, duals = _simplex_min([-v for v in c], rows, trace=trace)
         return -value, x, [-d for d in duals]
-    return _simplex_min([Fraction(v) for v in c], rows, trace=trace)
+    return _simplex_min(c, rows, trace=trace)
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +285,16 @@ class FractionalCover:
     def support(self) -> frozenset[int]:
         return frozenset(v for v, w in self.weights.items() if w > 0)
 
+    def covered(self, sets: Iterable[tuple[int, ...]]) -> list[tuple[int, ...]]:
+        """The members of `sets` of weight at least 1, in order; a vertex
+        without a weight weighs 0.  Compared in integers: every weight is
+        scaled by the lcm L of the weights' denominators, and a set is
+        covered iff its scaled sum is at least L."""
+        scale = lcm(*(w.denominator for w in self.weights.values()))
+        scaled = defaultdict(int, zip(self.weights, _scaled(self.weights.values(), scale)))
+        weight = scaled.__getitem__
+        return [e for e in sets if sum(map(weight, e)) >= scale]
+
 
 def make_fractional_matching(h: Hypergraph, weights: dict[tuple[int, ...], Fraction]) -> FractionalMatching:
     edge_set = h.edge_set()
@@ -292,8 +323,8 @@ def make_fractional_matching(h: Hypergraph, weights: dict[tuple[int, ...], Fract
 def _matching_rows(h: Hypergraph):
     rows = []
     for v in h.vertices:
-        coeffs = [ONE if v in e else ZERO for e in h.edges]
-        rows.append((coeffs, "<=", ONE))
+        coeffs = [1 if v in e else 0 for e in h.edges]
+        rows.append((coeffs, "<=", 1))
     return rows
 
 
@@ -303,7 +334,7 @@ def _packing_lp(h: Hypergraph, trace=None) -> tuple[Fraction, FractionalMatching
     if not h.edges:
         return (ZERO, FractionalMatching(weights={}, loads={v: ZERO for v in h.vertices},
                                          size=ZERO), [ZERO] * len(h.vertices))
-    c = [ONE] * len(h.edges)
+    c = [1] * len(h.edges)
     value, x, duals = solve_lp(c, _matching_rows(h), maximize=True, trace=trace)
     weights = {e: w for e, w in zip(h.edges, x) if w}
     return value, make_fractional_matching(h, weights), duals
@@ -324,10 +355,12 @@ def fractional_matching_and_cover(h: Hypergraph, trace=None
     for v, w in weights.items():
         if not (0 <= w <= 1):
             raise LPError(f"dual weight {w} at vertex {v} outside [0,1]")
-    for e in h.edges:
-        if sum(weights[v] for v in e) < 1:
-            raise LPError(f"dual not a cover at edge {e}")
-    return value, fm, FractionalCover(weights=weights)
+    fc = FractionalCover(weights=weights)
+    covered = fc.covered(h.edges)
+    if len(covered) < len(h.edges):
+        first = min(set(h.edges).difference(covered))
+        raise LPError(f"dual not a cover at edge {first}")
+    return value, fm, fc
 
 
 def fractional_cover_number(h: Hypergraph) -> tuple[Fraction, FractionalCover]:
@@ -379,15 +412,15 @@ def lex_max_fractional_matching(h: Hypergraph, order: Sequence[int],
     """
     target = Fraction(target_size)
     rows = _matching_rows(h)
-    rows.append(([ONE] * len(h.edges), "==", target))
+    rows.append(([1] * len(h.edges), "==", target))
     x = None
     try:
         for v in order:
-            load_coeffs = [ONE if v in e else ZERO for e in h.edges]
+            load_coeffs = [1 if v in e else 0 for e in h.edges]
             value, x, _ = solve_lp(load_coeffs, rows, maximize=True)
             rows.append((load_coeffs, "==", value))
         if x is None:  # empty order: any matching of the right size
-            _, x, _ = solve_lp([ZERO] * len(h.edges), rows, maximize=True)
+            _, x, _ = solve_lp([0] * len(h.edges), rows, maximize=True)
     except Infeasible:
         nu_star, _ = fractional_matching_number(h)
         if target > nu_star:
@@ -493,14 +526,14 @@ def extend_to_perfect_fm(h: Hypergraph, t: int, fm: FractionalMatching) -> Fract
         # feasibility LP for the boundary equation system, weights in [0,1]
         rows = []
         for j, v in enumerate(frac):
-            coeffs = [ONE if v in e else ZERO for e in e0]
-            rows.append((coeffs, "==", ONE - a_vals[v]))
+            coeffs = [1 if v in e else 0 for e in e0]
+            rows.append((coeffs, "==", 1 - a_vals[v]))
         for idx in range(len(e0)):
-            coeffs = [ZERO] * len(e0)
-            coeffs[idx] = ONE
-            rows.append((coeffs, "<=", ONE))
+            coeffs = [0] * len(e0)
+            coeffs[idx] = 1
+            rows.append((coeffs, "<=", 1))
         try:
-            _, x, _ = solve_lp([ZERO] * len(e0), rows, maximize=True)
+            _, x, _ = solve_lp([0] * len(e0), rows, maximize=True)
         except Infeasible as exc:
             raise PerfectExtensionError("boundary-system",
                                         "equation system infeasible") from exc
@@ -546,13 +579,13 @@ def _monotone_cover_rows(h: Hypergraph) -> list:
     n = h.n
     rows = []
     for e in dominance_maximal_edges(h):
-        coeffs = [ONE if v in e else ZERO for v in range(1, n + 1)]
-        rows.append((coeffs, ">=", ONE))
+        coeffs = [1 if v in e else 0 for v in range(1, n + 1)]
+        rows.append((coeffs, ">=", 1))
     for i in range(n - 1):
-        coeffs = [ZERO] * n
-        coeffs[i] = ONE
-        coeffs[i + 1] = -ONE
-        rows.append((coeffs, ">=", ZERO))
+        coeffs = [0] * n
+        coeffs[i] = 1
+        coeffs[i + 1] = -1
+        rows.append((coeffs, ">=", 0))
     return rows
 
 
@@ -570,7 +603,7 @@ def monotone_cover_bound(h: Hypergraph) -> Fraction:
     """
     if not h.edges:
         return ZERO
-    value, _, _ = solve_lp([ONE] * h.n, _monotone_cover_rows(h))
+    value, _, _ = solve_lp([1] * h.n, _monotone_cover_rows(h))
     return value
 
 
@@ -604,13 +637,13 @@ def min_cover_sorted(h: Hypergraph) -> FractionalCover:
     # reduction for dense families.
     if _stable_on_ground_set(h):
         rows = _monotone_cover_rows(h)
-        tau, _, _ = solve_lp([ONE] * n, rows)
+        tau, _, _ = solve_lp([1] * n, rows)
     else:
-        rows = [([ONE if v in e else ZERO for v in verts], ">=", ONE) for e in h.edges]
+        rows = [([1 if v in e else 0 for v in verts], ">=", 1) for e in h.edges]
         tau, _ = fractional_matching_number(h)
-    units = [[ONE if j == i else ZERO for j in range(n)] for i in range(n)]
-    rows += [(coeffs, "<=", ONE) for coeffs in units]
-    rows.append(([ONE] * n, "==", tau))
+    units = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    rows += [(coeffs, "<=", 1) for coeffs in units]
+    rows.append(([1] * n, "==", tau))
     fixed = ZERO
     for coeffs in units:
         value, x, _ = solve_lp(coeffs, rows, maximize=True)

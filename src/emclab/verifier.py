@@ -34,11 +34,25 @@ from emclab.shifting import stabilize
 
 def _candidates(n: int, k: int) -> tuple[list[int], list[list[int]]]:
     """Masks of all k-subsets of [n] in lex order, with the indices of each
-    one's immediate dominance successors (one vertex v moved up to v+1)."""
-    masks = kernel.edge_masks(n, combinations(range(1, n + 1), k))
+    one's immediate dominance successors (one vertex v moved up to v+1).
+
+    Vertex v moves up exactly when bit v-1 of m is set and bit v is clear,
+    i.e. at the set bits of m & ~(m >> 1) below bit n-1, and the move adds
+    that bit's value to m (m - 2^(v-1) + 2^v).  Successors come in
+    ascending order of v."""
+    kernel.check_ground_set(n)
+    masks = [sum(c) for c in combinations([1 << b for b in range(n)], k)]
     index = {m: i for i, m in enumerate(masks)}
-    succs = [[index[m ^ (3 << b)] for b in range(n - 1) if (m >> b) & 3 == 1]
-             for m in masks]
+    below_top = (1 << (n - 1)) - 1
+    succs = []
+    for m in masks:
+        row = []
+        movable = m & ~(m >> 1) & below_top
+        while movable:
+            low = movable & -movable
+            row.append(index[m + low])
+            movable ^= low
+        succs.append(row)
     return masks, succs
 
 
@@ -165,9 +179,7 @@ def saturate_by_cover(g: Hypergraph, cover: dict[int, Fraction]) -> Hypergraph:
     """Add every k-set whose cover weight already sums to at least 1; the
     cover stays feasible, so the fractional matching number is unchanged."""
     edges = set(g.edges)
-    for e in combinations(g.vertices, g.k):
-        if sum(cover.get(v, ZERO) for v in e) >= 1:
-            edges.add(e)
+    edges.update(FractionalCover(weights=cover).covered(combinations(g.vertices, g.k)))
     return new_hypergraph(g.n, g.k, sorted(edges), vertices=g.vertices)
 
 

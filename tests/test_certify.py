@@ -169,6 +169,77 @@ class TestReplay:
         assert "leaves outside the bisection tree: 1" in out["failures"]
 
 
+@pytest.fixture(scope="module")
+def negate_lead_cert():
+    return parse_certificate(certify_calculate_lemma(Z, mutation="negate-lead").serialize())
+
+
+@pytest.fixture(scope="module")
+def negate_c5_cert():
+    return parse_certificate(certify_maxvalue_coeffs(mutation="negate-c5-term").serialize())
+
+
+class TestCounterexampleReplay:
+    """A counterexample file is confirmed at its point, under its recorded
+    mutation; it is never `ok`, because it proves nothing."""
+
+    def test_mutation_recorded(self, negate_lead_cert, negate_c5_cert):
+        assert negate_lead_cert.mutation == "negate-lead"
+        assert negate_c5_cert.mutation == "negate-c5-term"
+        assert "\nmutation negate-lead\n" in certify_calculate_lemma(
+            Z, mutation="negate-lead").serialize()
+
+    def test_genuine_confirmed(self, negate_lead_cert, negate_c5_cert):
+        for cert in (negate_lead_cert, negate_c5_cert):
+            out = replay_certificate(cert)
+            assert out["confirmed"] and out["failures"] == [] and not out["ok"]
+            assert Fraction(out["margin"]) <= 0
+            assert out["mutation"] == cert.mutation
+        pt = negate_lead_cert.counterexample
+        assert Fraction(replay_certificate(negate_lead_cert)["margin"]) == (
+            eval_calculate_margin(pt["x"], pt["y"], pt["z"], "negate-lead"))
+
+    def test_moved_point_rejected(self, negate_c5_cert):
+        # alpha = 0 stays in the region, where the broken C_5 is positive
+        out = replay_certificate(replace(
+            negate_c5_cert, counterexample={**negate_c5_cert.counterexample,
+                                            "alpha": Fraction(0)}))
+        assert not out["confirmed"] and Fraction(out["margin"]) > 0
+        assert out["failures"] == [
+            f"margin {out['margin']} > 0 at the point: not a counterexample"]
+
+    @pytest.mark.parametrize("coord, value", [
+        ("x", Fraction(1)), ("z", Fraction(0)), ("y", Fraction(1, 2))])
+    def test_out_of_region_point_rejected(self, negate_lead_cert, coord, value):
+        cert = replace(negate_lead_cert,
+                       counterexample={**negate_lead_cert.counterexample, coord: value})
+        out = replay_certificate(cert)
+        assert not out["confirmed"] and "margin" not in out
+        assert out["failures"] == ["point outside the region of target calculate"]
+
+    def test_wrong_or_missing_mutation_rejected(self, negate_lead_cert):
+        for mutation in ("flip-p-sign", None):
+            out = replay_certificate(replace(negate_lead_cert, mutation=mutation))
+            assert not out["confirmed"] and Fraction(out["margin"]) > 0
+            assert out["failures"][0].endswith("at the point: not a counterexample")
+        out = replay_certificate(replace(negate_lead_cert, mutation="negate-c5-term"))
+        assert out["failures"] == ["unknown mutation 'negate-c5-term' for target calculate"]
+
+    def test_missing_or_partial_point_rejected(self, negate_lead_cert):
+        for point in (None, {"x": Fraction(1, 2), "y": Fraction(1, 4)}):
+            out = replay_certificate(replace(negate_lead_cert, counterexample=point))
+            assert out["failures"] == ["point must give x, y, z"]
+
+    def test_proved_with_mutation_never_ok(self, calc_cert):
+        flipped = certify_calculate_lemma(Z, mutation="flip-p-sign")
+        assert flipped.status == "proved" and flipped.mutation == "flip-p-sign"
+        for cert in (flipped, replace(calc_cert, mutation="negate-lead")):
+            out = replay_certificate(parse_certificate(cert.serialize()))
+            assert not out["ok"]
+            assert f"proved under mutation {cert.mutation}: not a proof of the inequality" \
+                in out["failures"]
+
+
 def _box_digest(cert) -> str:
     lines = [ln + "\n" for ln in cert.serialize().splitlines() if ln.startswith("box ")]
     return hashlib.sha256("".join(lines).encode()).hexdigest()

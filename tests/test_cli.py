@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -172,6 +173,22 @@ class TestVerifyIneq:
         result = run(runner, ["verify-ineq", "--target", "maxvalue",
                               "--max-boxes", "2"])
         assert result.exit_code == 2
+
+    def test_counterexample_replay_exit_one(self, runner, tmp_path):
+        # confirmed or not, a counterexample file is not a proof: exit 1
+        cert = tmp_path / "n.cert"
+        result = run(runner, ["verify-ineq", "--target", "calculate",
+                              "--mutation", "negate-lead", "-o", str(cert)])
+        assert result.exit_code == 1
+        assert "mutation negate-lead" in cert.read_text().splitlines()
+        replay = run(runner, ["verify-cert", str(cert)])
+        report = payload(replay)
+        assert replay.exit_code == 1 and report["confirmed"] and report["failures"] == []
+        assert Fraction(report["margin"]) < 0
+        cert.write_text(cert.read_text().replace("x=5/16", "x=1"))
+        replay = run(runner, ["verify-cert", str(cert)])
+        assert replay.exit_code == 1 and not payload(replay)["confirmed"]
+        assert payload(replay)["failures"] == ["point outside the region of target calculate"]
 
     def test_tampered_cert_exit_one(self, runner, tmp_path):
         cert = tmp_path / "calc.cert"

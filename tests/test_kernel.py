@@ -133,6 +133,25 @@ class TestContract:
             assert [cands[j] for j in out] == ups
 
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_candidates_match_brute_force(self, n):
+        # successor f of e: f = e with one vertex v moved to v+1 not in e,
+        # listed by increasing v
+        for k in range(0, n + 1):
+            cands = list(combinations(range(1, n + 1), k))
+            masks, succs = _candidates(n, k)
+            assert masks == [kernel.edge_mask(e) for e in cands]
+            position = {e: i for i, e in enumerate(cands)}
+            for e, out in zip(cands, succs):
+                ups = [tuple(sorted(set(e) - {v} | {v + 1}))
+                       for v in range(1, n) if v in e and v + 1 not in e]
+                assert out == [position[f] for f in ups]
+
+    def test_candidates_reject_past_63(self):
+        with pytest.raises(HypergraphError, match="search kernels support n <= 63"):
+            _candidates(64, 2)
+
+
 class TestCompiledMatchesPython:
     def test_loaded_aside(self, compiled):
         assert compiled.IMPL == "c"

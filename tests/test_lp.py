@@ -3,17 +3,21 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import emclab.lp
 from emclab.constructions import build_Hi
 from emclab.hypergraph import complete_hypergraph, is_stable, new_hypergraph
-from emclab.lp import (Infeasible, LPError, PerfectExtensionError, Unbounded,
-                       _check_certificate, check_complementary_slackness,
+from emclab.lp import (FractionalCover, Infeasible, LPError, PerfectExtensionError,
+                       Unbounded, _check_certificate, _matching_rows,
+                       _monotone_cover_rows, check_complementary_slackness,
                        dominance_maximal_edges, extend_to_perfect_fm,
                        fractional_cover_number, fractional_matching_and_cover,
                        fractional_matching_number, full_degree_vertices,
                        has_perfect_fm, lex_max_fractional_matching,
-                       make_fractional_matching, monotone_cover_bound,
-                       solve_lp)
+                       make_fractional_matching, min_cover_sorted,
+                       monotone_cover_bound, solve_lp)
 from emclab.matching import cover_number, matching_number
 
 
@@ -172,6 +176,113 @@ class TestIntegerCore:
             assert_optimal(c, rows, maximize, value, x, duals)
             solved += 1
         assert solved >= 40
+
+
+# mostly integers, so that int and Fraction entries share rows and costs
+small_rational = st.builds(F, st.integers(-3, 3), st.sampled_from([1, 1, 1, 2, 3]))
+
+
+@st.composite
+def small_lps(draw):
+    """(c, rows, maximize) with small rational entries, every sense and
+    either sign of rhs."""
+    nv, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    coeffs = st.lists(small_rational, min_size=nv, max_size=nv)
+    rows = [(draw(coeffs), draw(st.sampled_from(["<=", ">=", "=="])), draw(small_rational))
+            for _ in range(m)]
+    return draw(coeffs), rows, draw(st.booleans())
+
+
+def int_if_integral(v):
+    return v.numerator if v.denominator == 1 else v
+
+
+def solve_outcome(c, rows, maximize):
+    """(value, x, duals) or the exception type, with the pivot trace."""
+    trace = []
+    try:
+        result = solve_lp(c, rows, maximize=maximize, trace=trace)
+    except LPError as exc:
+        return type(exc), trace
+    assert all(type(v) is Fraction for v in (result[0], *result[1], *result[2]))
+    return result, trace
+
+
+class TestIntInputs:
+    """An int entry is used as it is, anything else goes through Fraction:
+    both must give the same answer and the same pivots."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_lps())
+    def test_ints_fractions_and_strings_agree(self, lp):
+        # every integral entry as an int, then all as Fractions, then all
+        # as strings
+        c, rows, maximize = lp
+        want = solve_outcome([int_if_integral(v) for v in c],
+                             [([int_if_integral(a) for a in coeffs], sense, int_if_integral(rhs))
+                              for coeffs, sense, rhs in rows], maximize)
+        for conv in (Fraction, str):
+            got = solve_outcome([conv(v) for v in c],
+                                [([conv(a) for a in coeffs], sense, conv(rhs))
+                                 for coeffs, sense, rhs in rows], maximize)
+            assert got == want
+
+    def test_bool_reads_as_fraction(self):
+        assert solve_lp([True], [([True], "<=", 2)], maximize=True)[0] == 2
+
+    @pytest.fixture()
+    def lp_inputs(self, monkeypatch):
+        """Every (c, rows) solve_lp receives, copied at the call."""
+        seen = []
+        real = emclab.lp.solve_lp
+
+        def spy(c, rows, maximize=False, trace=None):
+            seen.append((list(c), [(list(coeffs), sense, rhs) for coeffs, sense, rhs in rows]))
+            return real(c, rows, maximize=maximize, trace=trace)
+        monkeypatch.setattr(emclab.lp, "solve_lp", spy)
+        return seen
+
+    def test_row_builders_emit_ints(self, lp_inputs):
+        h = build_Hi(9, 4, 1, 1)
+        rows = _matching_rows(h) + _monotone_cover_rows(h)
+        assert all(type(v) is int for coeffs, _, rhs in rows for v in (*coeffs, rhs))
+        nu_star, _, _ = fractional_matching_and_cover(h)
+        lex_max_fractional_matching(h, tuple(range(1, 10)), nu_star)
+        lex_max_fractional_matching(h, (), nu_star)
+        monotone_cover_bound(h)
+        min_cover_sorted(h)
+        min_cover_sorted(new_hypergraph(6, 2, [(1, 2), (3, 4), (5, 6), (4, 5)]))
+        # a two-vertex fractional boundary: the extension solves its system
+        weights = {(5, 6, 7, 8): 1, (2, 3, 4, 9): F(1, 2), (2, 3, 4, 10): F(1, 2)}
+        extend_to_perfect_fm(complete_hypergraph(12, 4), 1,
+                             make_fractional_matching(complete_hypergraph(12, 4), weights))
+        assert len(lp_inputs) >= 20
+        for c, rows in lp_inputs:
+            assert all(type(v) is int for v in c)
+            assert all(type(v) is int for coeffs, _, _ in rows for v in coeffs)
+            # a rhs is rational only where it is a pinned optimum, tau*,
+            # a lex-max target or 1 - a_v
+            assert all(type(rhs) is int for _, sense, rhs in rows if sense != "==")
+
+    def test_forged_dual_is_not_a_cover(self, monkeypatch):
+        real = emclab.lp.solve_lp
+
+        def forged(c, rows, maximize=False, trace=None):
+            value, x, duals = real(c, rows, maximize=maximize, trace=trace)
+            return value, x, [F(0)] * len(duals)
+        monkeypatch.setattr(emclab.lp, "solve_lp", forged)
+        with pytest.raises(LPError, match=r"dual not a cover at edge \(1, 2\)"):
+            fractional_matching_and_cover(new_hypergraph(4, 2, [(1, 2), (3, 4)]))
+
+    def test_covered_matches_fraction_sums(self):
+        rng = random.Random(21)
+        for _ in range(200):
+            n = rng.randint(2, 8)
+            weights = {v: F(rng.randint(0, 6), rng.randint(1, 6))
+                       for v in rng.sample(range(1, n + 1), rng.randint(0, n))}
+            sets = list(combinations(range(1, n + 1), rng.randint(1, n)))
+            want = [e for e in sets if sum(weights.get(v, F(0)) for v in e) >= 1]
+            assert FractionalCover(weights=weights).covered(sets) == want
 
 
 class TestCertificateCheck:

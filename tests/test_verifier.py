@@ -189,6 +189,19 @@ class TestExtremalProfile:
         nu_s, _ = fractional_matching_number(sat)
         assert nu_h == nu_s
 
+    def test_saturation_matches_fraction_sums(self):
+        # the integer cover check against the plain Fraction sum per k-set,
+        # on seeded covers with missing vertices and mixed denominators
+        rng = random.Random(33)
+        for _ in range(60):
+            n, k = rng.randint(5, 9), rng.choice([2, 3, 4])
+            h = new_hypergraph(n, k, rng.sample(list(combinations(range(1, n + 1), k)), 2))
+            cover = {v: Fraction(rng.randint(0, 4), rng.choice([1, 2, 3, 4, 6]))
+                     for v in rng.sample(range(1, n + 1), rng.randint(0, n))}
+            want = set(h.edges) | {e for e in combinations(range(1, n + 1), k)
+                                   if sum(cover.get(v, Fraction(0)) for v in e) >= 1}
+            assert saturate_by_cover(h, cover) == new_hypergraph(n, k, sorted(want))
+
     def test_matching_too_large(self):
         h = complete_hypergraph(12, 4)  # nu* = 3 > 1
         with pytest.raises(MatchingTooLarge) as ei:
