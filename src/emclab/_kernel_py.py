@@ -22,8 +22,9 @@ IMPL = "python"
 
 
 def _check_masks(masks):
-    if masks and min(masks) < 0:
-        raise OverflowError("masks must be nonnegative")
+    """Refuse, as the compiled kernel does, a mask outside [0, 2**64)."""
+    if masks and (min(masks) < 0 or max(masks) >= 1 << 64):
+        raise OverflowError("masks must lie in [0, 2**64)")
 
 
 def _tables(masks):

@@ -113,22 +113,28 @@ def complete_hypergraph(n: int, k: int) -> Hypergraph:
     return new_hypergraph(n, k, combinations(range(1, n + 1), k))
 
 
+def _predecessors(h: Hypergraph) -> set[tuple[int, ...]]:
+    """The k-sets one step below some edge in the coordinatewise dominance
+    order: one vertex a of the edge becomes a - 1 >= 1, where a - 1 is not
+    in the edge.  That swap keeps the tuple sorted."""
+    return {e[:i] + (a - 1,) + e[i + 1:]
+            for e in h.edges for i, a in enumerate(e) if a > 1 and a - 1 not in e}
+
+
 def is_stable(h: Hypergraph) -> bool:
     """True iff the family is closed downward under coordinatewise dominance.
 
     Only elementary single-coordinate decrements are checked; transitivity of
     the dominance order makes that sufficient.
     """
-    edge_set = h.edge_set()
-    for e in h.edges:
-        for i, a in enumerate(e):
-            b = a - 1
-            if b < 1 or b in e:
-                continue
-            f = tuple(sorted(e[:i] + (b,) + e[i + 1:]))
-            if f not in edge_set:
-                return False
-    return True
+    return _predecessors(h) <= h.edge_set()
+
+
+def dominance_maximal_edges(h: Hypergraph) -> list[tuple[int, ...]]:
+    """The edges, in order, that no edge dominates by one step.  On a stable
+    family these are the edges that no other edge dominates at all."""
+    below = _predecessors(h)
+    return [e for e in h.edges if e not in below]
 
 
 def shadow(h: Hypergraph) -> Hypergraph:

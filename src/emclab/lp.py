@@ -15,9 +15,11 @@ Beyond the plain optima this module provides the two constructive pieces the
 stability machinery needs: the lexicographic load-maximizing fractional
 matching (a chain of LPs, each freezing the previously maximized loads as
 equality constraints), and the extension of such a matching to a perfect
-fractional matching on a graph with a full-degree apex prefix.  `tau_star`
-and `min_cover_sorted`, the lexicographically greatest minimum cover, make
-one choice of LP for tau* = nu*.
+fractional matching on a graph with a full-degree apex prefix.  The packing
+LP has one entry, `fractional_matching_and_cover`.  `tau_star` solves the
+monotone cover LP on a stable family on [n] and the packing LP on any other;
+`min_cover_sorted`, the lexicographically greatest minimum cover, takes tau*
+from its own n-variable cover rows on either.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from emclab.hypergraph import Hypergraph, is_stable
+from emclab.hypergraph import Hypergraph, dominance_maximal_edges, is_stable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -328,30 +330,18 @@ def _matching_rows(h: Hypergraph):
     return rows
 
 
-def _packing_lp(h: Hypergraph, trace=None) -> tuple[Fraction, FractionalMatching, list[Fraction]]:
-    """Solve the edge-packing LP: its optimum, a maximum fractional matching
-    and the optimal duals, one per vertex."""
-    if not h.edges:
-        return (ZERO, FractionalMatching(weights={}, loads={v: ZERO for v in h.vertices},
-                                         size=ZERO), [ZERO] * len(h.vertices))
-    c = [1] * len(h.edges)
-    value, x, duals = solve_lp(c, _matching_rows(h), maximize=True, trace=trace)
-    weights = {e: w for e, w in zip(h.edges, x) if w}
-    return value, make_fractional_matching(h, weights), duals
-
-
-def fractional_matching_number(h: Hypergraph) -> tuple[Fraction, FractionalMatching]:
-    """Exact LP optimum of the edge-packing relaxation, with a witness."""
-    value, fm, _ = _packing_lp(h)
-    return value, fm
-
-
 def fractional_matching_and_cover(h: Hypergraph, trace=None
                                   ) -> tuple[Fraction, FractionalMatching, FractionalCover]:
     """One solve of the edge-packing LP: its optimum, a maximum fractional
     matching and, from the duals, a minimum fractional cover."""
-    value, fm, duals = _packing_lp(h, trace)
-    weights = {v: d for v, d in zip(h.vertices, duals)}
+    if not h.edges:
+        return (ZERO, FractionalMatching(weights={}, loads={v: ZERO for v in h.vertices},
+                                         size=ZERO),
+                FractionalCover(weights={v: ZERO for v in h.vertices}))
+    value, x, duals = solve_lp([1] * len(h.edges), _matching_rows(h), maximize=True,
+                               trace=trace)
+    fm = make_fractional_matching(h, {e: w for e, w in zip(h.edges, x) if w})
+    weights = dict(zip(h.vertices, duals))
     for v, w in weights.items():
         if not (0 <= w <= 1):
             raise LPError(f"dual weight {w} at vertex {v} outside [0,1]")
@@ -361,6 +351,11 @@ def fractional_matching_and_cover(h: Hypergraph, trace=None
         first = min(set(h.edges).difference(covered))
         raise LPError(f"dual not a cover at edge {first}")
     return value, fm, fc
+
+
+def fractional_matching_number(h: Hypergraph) -> tuple[Fraction, FractionalMatching]:
+    """Exact LP optimum of the edge-packing relaxation, with a witness."""
+    return fractional_matching_and_cover(h)[:2]
 
 
 def fractional_cover_number(h: Hypergraph) -> tuple[Fraction, FractionalCover]:
@@ -552,26 +547,8 @@ def extend_to_perfect_fm(h: Hypergraph, t: int, fm: FractionalMatching) -> Fract
 
 
 # ---------------------------------------------------------------------------
-# tau* and min_cover_sorted: the monotone cover LP if stable, else packing LP
+# tau* and min_cover_sorted: the monotone cover LP if stable, else the full one
 # ---------------------------------------------------------------------------
-
-def dominance_maximal_edges(h: Hypergraph) -> list[tuple[int, ...]]:
-    edge_set = h.edge_set()
-    out = []
-    for e in h.edges:
-        maximal = True
-        for i, a in enumerate(e):
-            b = a + 1
-            if b > h.n or b in e:
-                continue
-            f = tuple(sorted(e[:i] + (b,) + e[i + 1:]))
-            if f in edge_set:
-                maximal = False
-                break
-        if maximal:
-            out.append(e)
-    return out
-
 
 def _monotone_cover_rows(h: Hypergraph) -> list:
     """Rows of the nonincreasing cover LP over w_1..w_n: w(e) >= 1 for each
@@ -626,7 +603,8 @@ def min_cover_sorted(h: Hypergraph) -> FractionalCover:
     greatest, found by sequential LP refinement: fix the total at tau*, then
     maximize omega(1), omega(2), ... in turn.
 
-    tau* comes from the LP `tau_star` would solve, after one stability test.
+    tau* comes from the same n-variable cover rows: the monotone ones on a
+    stable family on [n], one row per edge on any other.
     """
     verts = list(h.vertices)
     n = len(verts)
@@ -637,10 +615,9 @@ def min_cover_sorted(h: Hypergraph) -> FractionalCover:
     # reduction for dense families.
     if _stable_on_ground_set(h):
         rows = _monotone_cover_rows(h)
-        tau, _, _ = solve_lp([1] * n, rows)
     else:
         rows = [([1 if v in e else 0 for v in verts], ">=", 1) for e in h.edges]
-        tau, _ = fractional_matching_number(h)
+    tau, _, _ = solve_lp([1] * n, rows)
     units = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
     rows += [(coeffs, "<=", 1) for coeffs in units]
     rows.append(([1] * n, "==", tau))

@@ -159,7 +159,10 @@ def round_to_sparse(h: Hypergraph, batch: SampleBatch,
 
 def greedy_near_perfect_matching(h: Hypergraph) -> tuple[MatchingWitness, int]:
     """Greedy maximal matching in lexicographic edge order; returns the
-    witness and the number of uncovered vertices."""
+    witness and the number of uncovered vertices.
+
+    This is `kernel.greedy_matching` over tuples, kept because
+    `kernel.edge_masks` refuses n > 63 and `emclab greedy` takes any n."""
     used: set[int] = set()
     chosen = []
     for e in h.edges:

@@ -1,5 +1,21 @@
 import sys
 
+import pytest
+
+
+@pytest.fixture()
+def solves(monkeypatch):
+    """The number of variables of each `emclab.lp.solve_lp` call, in order."""
+    import emclab.lp
+    solve_lp = emclab.lp.solve_lp
+    variables = []
+
+    def counted(c, rows, maximize=False, trace=None):
+        variables.append(len(c))
+        return solve_lp(c, rows, maximize=maximize, trace=trace)
+    monkeypatch.setattr(emclab.lp, "solve_lp", counted)
+    return variables
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     """Echo the acceptance pass/fail lines past pytest's output capture."""

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
-                               complete_hypergraph, induced, is_stable,
+                               complete_hypergraph, dominance_maximal_edges,
+                               induced, is_stable,
                                min_d_degree, new_hypergraph, parse_khg,
                                serialize_khg, shadow, trace_family)
 
@@ -183,6 +184,44 @@ class TestStability:
 
     def test_empty(self):
         assert is_stable(new_hypergraph(5, 3, []))
+
+    def test_matches_brute_force_dominance(self):
+        # f <= e iff f[i] <= e[i] for all i.  Stable: every k-set of [n]
+        # below an edge is an edge.  Maximal: no edge g >= e with a
+        # coordinate sum one more (g covers e); on a stable family, no other
+        # edge >= e at all.
+        def below(f, e):
+            return all(a <= b for a, b in zip(f, e))
+
+        rng = random.Random(916)
+        cases = [(5, 3, [], None), (1, 1, [(1,)], None), (6, 1, [(2,), (4,)], None),
+                 (6, 1, [(1,), (2,)], None), (4, 4, [(1, 2, 3, 4)], None),
+                 (9, 4, [(2, 4, 6, 8)], (2, 4, 6, 8)), (7, 2, [(2, 3), (2, 5)], (2, 3, 5))]
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            k = rng.randint(1, min(4, n))
+            ground = None
+            if rng.random() < 0.3:
+                ground = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(k, n))))
+            pool = list(combinations(ground or range(1, n + 1), k))
+            edges = rng.sample(pool, rng.randint(0, min(5, len(pool))))
+            if rng.random() < 0.5:
+                edges = [f for f in pool if any(below(f, e) for e in edges)]
+            cases.append((n, k, edges, ground))
+        stable_count = 0
+        for n, k, edges, ground in cases:
+            h = new_hypergraph(n, k, edges, vertices=ground)
+            stable = all(f in h.edge_set() for e in h.edges
+                         for f in combinations(range(1, n + 1), k) if below(f, e))
+            assert is_stable(h) == stable, h
+            maximal = [e for e in h.edges
+                       if not any(below(e, g) and sum(g) == sum(e) + 1 for g in h.edges)]
+            assert dominance_maximal_edges(h) == maximal, h
+            if stable:
+                stable_count += 1
+                assert maximal == [e for e in h.edges
+                                   if not any(g != e and below(e, g) for g in h.edges)]
+        assert 50 < stable_count < len(cases) - 50
 
 
 class TestShadow:

@@ -212,6 +212,14 @@ class TestCompiledRejectsMalformedInput:
             impl.greedy_matching([3, -1])
         with pytest.raises(OverflowError):
             impl.downset_max_edges([-3], [[]], 1, 10, 0)
+        # a mask of 2**64 or more does not fit the compiled kernel's word,
+        # so both kernels refuse it
+        with pytest.raises(OverflowError):
+            impl.find_matching([1 << 64, 1], 1, 1)
+        with pytest.raises(OverflowError):
+            impl.greedy_matching([3, 1 << 64])
+        with pytest.raises(OverflowError):
+            impl.downset_max_edges([1 << 64], [[]], 1, 10, 0)
 
     def test_successor_out_of_range(self, impl):
         masks, succs = _candidates(5, 2)

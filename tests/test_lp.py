@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emclab.hypergraph
 import emclab.lp
 from emclab.constructions import build_Hi
 from emclab.hypergraph import complete_hypergraph, is_stable, new_hypergraph
@@ -271,8 +272,9 @@ class TestIntInputs:
             value, x, duals = real(c, rows, maximize=maximize, trace=trace)
             return value, x, [F(0)] * len(duals)
         monkeypatch.setattr(emclab.lp, "solve_lp", forged)
-        with pytest.raises(LPError, match=r"dual not a cover at edge \(1, 2\)"):
-            fractional_matching_and_cover(new_hypergraph(4, 2, [(1, 2), (3, 4)]))
+        for packing in (fractional_matching_and_cover, fractional_matching_number):
+            with pytest.raises(LPError, match=r"dual not a cover at edge \(1, 2\)"):
+                packing(new_hypergraph(4, 2, [(1, 2), (3, 4)]))
 
     def test_covered_matches_fraction_sums(self):
         rng = random.Random(21)
@@ -474,3 +476,4 @@ class TestMonotoneCoverBound:
     def test_maximal_edges(self):
         h = build_Hi(8, 2, 1, 1)  # star at vertex 1 on 8 vertices
         assert dominance_maximal_edges(h) == [(1, 8)]
+        assert dominance_maximal_edges is emclab.hypergraph.dominance_maximal_edges

@@ -65,18 +65,6 @@ class TestMatchingNumber:
 class TestTauStarBound:
     """`matching_number` takes its LP bound from `lp.tau_star`, at any size."""
 
-    @pytest.fixture()
-    def solves(self, monkeypatch):
-        import emclab.lp
-        solve_lp = emclab.lp.solve_lp
-        variables = []
-
-        def counted(c, rows, maximize=False, trace=None):
-            variables.append(len(c))
-            return solve_lp(c, rows, maximize=maximize, trace=trace)
-        monkeypatch.setattr(emclab.lp, "solve_lp", counted)
-        return variables
-
     def test_packing_lp_on_large_non_stable_family(self, solves):
         from emclab.constructions import build_Hi
         from emclab.hypergraph import is_stable

@@ -132,9 +132,10 @@ class TestMinCoverSorted:
         fc = min_cover_sorted(new_hypergraph(5, 2, []))
         assert fc.size == 0 and fc.support == frozenset()
 
-    def test_non_stable_families(self):
+    def test_non_stable_families(self, solves):
         # the edge-row LP: a minimum cover, and vertex 1 gets the largest
-        # weight any minimum cover gives it
+        # weight any minimum cover gives it.  tau* comes from the same
+        # n-variable rows, so no solve has one column per edge.
         rng = random.Random(13)
         checked = 0
         while checked < 40:
@@ -143,7 +144,9 @@ class TestMinCoverSorted:
             h = new_hypergraph(n, k, rng.sample(all_e, rng.randint(2, 10)))
             if is_stable(h):
                 continue
+            solves.clear()
             fc = min_cover_sorted(h)
+            assert solves and set(solves) == {n}
             tau, _ = fractional_cover_number(h)
             assert fc.size == tau
             assert all(w >= 0 for w in fc.weights.values())
