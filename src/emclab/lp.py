@@ -9,17 +9,18 @@ right-hand side or cost) is used as it is; any other input is read through
 only in the optimum the solver returns.  Every optimum comes with a primal
 and dual certificate, checked in integer arithmetic before it is returned.
 The row builders below write their 0/1 coefficients as ints, so only truly
-rational entries (a pinned optimum, tau*, 1 - a_v) take the `Fraction` path.
+rational entries (a pinned optimum, a cover chain's costs, 1 - a_v) take the
+`Fraction` path.
 
 Beyond the plain optima this module provides the two constructive pieces the
 stability machinery needs: the lexicographic load-maximizing fractional
 matching (a chain of LPs, each freezing the previously maximized loads as
 equality constraints), and the extension of such a matching to a perfect
 fractional matching on a graph with a full-degree apex prefix.  The packing
-LP has one entry, `fractional_matching_and_cover`.  `tau_star` solves the
-monotone cover LP on a stable family on [n] and the packing LP on any other;
-`min_cover_sorted`, the lexicographically greatest minimum cover, takes tau*
-from its own n-variable cover rows on either.
+LP has one entry, `fractional_matching_and_cover`.  `tau_star` and
+`min_cover_sorted` (the lexicographically greatest minimum cover) solve LP
+duals over one set of cover rows, with one `<=` row per vertex: the monotone
+rows on a stable family on [n], one row per edge on any other.
 """
 
 from __future__ import annotations
@@ -547,7 +548,7 @@ def extend_to_perfect_fm(h: Hypergraph, t: int, fm: FractionalMatching) -> Fract
 
 
 # ---------------------------------------------------------------------------
-# tau* and min_cover_sorted: the monotone cover LP if stable, else the full one
+# tau* and min_cover_sorted: one cover LP, solved as its n-row dual
 # ---------------------------------------------------------------------------
 
 def _monotone_cover_rows(h: Hypergraph) -> list:
@@ -566,66 +567,60 @@ def _monotone_cover_rows(h: Hypergraph) -> list:
     return rows
 
 
-def monotone_cover_bound(h: Hypergraph) -> Fraction:
-    """Size of the best nonincreasing fractional cover of a stable family.
-
-    Only the dominance-maximal edges need explicit constraints: under a
-    nonincreasing weight vector every dominated edge is covered whenever its
-    dominating edge is.  Any feasible cover upper-bounds nu* by weak duality.
-    On a stable family with ground set [n] the bound is exact: swapping a
-    smaller earlier weight with a larger later one keeps a cover, because an
-    edge through the later vertex but not the earlier one shifts to an edge
-    of the family, so some minimum cover is nonincreasing.  It avoids the
-    full edge-indexed LP.
-    """
-    if not h.edges:
-        return ZERO
-    value, _, _ = solve_lp([1] * h.n, _monotone_cover_rows(h))
-    return value
+def _cover_rows(h: Hypergraph) -> list:
+    """The cover rows (coeffs over h.vertices, ">=", r_j) of h: one per edge,
+    or `_monotone_cover_rows` on a stable family on [n].  Those are exact
+    there: swapping a smaller earlier weight with a larger later one keeps a
+    cover, because an edge through the later vertex but not the earlier one
+    shifts to an edge of the family, so the lexicographically greatest
+    minimum cover is nonincreasing; and under nonincreasing weights a
+    dominated edge is covered whenever its dominating edge is."""
+    verts = h.vertices
+    if verts == tuple(range(1, h.n + 1)) and is_stable(h):
+        return _monotone_cover_rows(h)
+    return [([1 if v in e else 0 for v in verts], ">=", 1) for e in h.edges]
 
 
-def _stable_on_ground_set(h: Hypergraph) -> bool:
-    """True iff h is stable on its full ground set [n], so that some minimum
-    cover is nonincreasing and the monotone cover LP is exact."""
-    return h.vertices == tuple(range(1, h.n + 1)) and is_stable(h)
+def _cover_value(rows) -> Fraction:
+    """min sum(w) over the covers w >= 0 of `rows`, by its dual: max r.x
+    subject to sum_j a_jv x_j <= 1 at each vertex v, x >= 0.  On one row
+    per edge this is the packing LP."""
+    coeffs, _, r = zip(*rows)
+    return solve_lp(list(r), [(list(col), "<=", 1) for col in zip(*coeffs)], maximize=True)[0]
 
 
 def tau_star(h: Hypergraph) -> Fraction:
-    """tau* (= nu*): the n-variable `monotone_cover_bound` on a stable
-    family on [n], the packing LP on any other."""
-    if _stable_on_ground_set(h):
-        return monotone_cover_bound(h)
-    return fractional_matching_number(h)[0]
+    """tau* (= nu*): `_cover_value` of the `_cover_rows` of h."""
+    if not h.edges:
+        return ZERO
+    return _cover_value(_cover_rows(h))
 
 
 def min_cover_sorted(h: Hypergraph) -> FractionalCover:
     """Minimum fractional cover whose weight vector is lexicographically
-    greatest, found by sequential LP refinement: fix the total at tau*, then
-    maximize omega(1), omega(2), ... in turn.
+    greatest: over `_cover_rows`, maximize w(1), w(2), ... in turn.
 
-    tau* comes from the same n-variable cover rows: the monotone ones on a
-    stable family on [n], one row per edge on any other.
+    Step i pins the earlier weights, which leaves rows r'_j and the budget
+    T = tau* - fixed; every cover weighs at least tau*, so the step is max w_i
+    over the covers of total at most T.  It is solved as its dual, one `<=`
+    row per free vertex u and at most one artificial: minimize
+    T*lam - sum_j r'_j x_j subject to sum_j a_ju x_j - lam <= -[u = i].
     """
-    verts = list(h.vertices)
-    n = len(verts)
+    verts = h.vertices
+    weights = dict.fromkeys(verts, ZERO)
     if not h.edges:
-        return FractionalCover(weights={v: ZERO for v in verts})
-    # On a stable full-ground-set graph the sought cover is nonincreasing, so
-    # only the dominance-maximal edges need explicit constraints — a huge
-    # reduction for dense families.
-    if _stable_on_ground_set(h):
-        rows = _monotone_cover_rows(h)
-    else:
-        rows = [([1 if v in e else 0 for v in verts], ">=", 1) for e in h.edges]
-    tau, _, _ = solve_lp([1] * n, rows)
-    units = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    rows += [(coeffs, "<=", 1) for coeffs in units]
-    rows.append(([1] * n, "==", tau))
+        return FractionalCover(weights=weights)
+    rows = _cover_rows(h)
+    tau = _cover_value(rows)
+    coeffs, _, r = zip(*rows)
     fixed = ZERO
-    for coeffs in units:
-        value, x, _ = solve_lp(coeffs, rows, maximize=True)
-        rows.append((coeffs, "==", value))
+    for i, v in enumerate(verts):
+        step = [([a[u] for a in coeffs] + [-1], "<=", -1 if u == i else 0)
+                for u in range(i, len(verts))]
+        value, _, _ = solve_lp([-rj for rj in r] + [tau - fixed], step)
+        weights[v] = value
         fixed += value
         if fixed == tau:
             break  # the remaining weights are forced to zero
-    return FractionalCover(weights=dict(zip(verts, x)))
+        r = [rj - a[i] * value for rj, a in zip(r, coeffs)]
+    return FractionalCover(weights=weights)

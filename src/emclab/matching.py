@@ -4,8 +4,9 @@ Both are branch-and-bound searches over bitmask edge families (see
 ``kernel``); inputs therefore need at most 63 vertices.  Certified upper
 bounds usually pin the matching number before any search happens: the
 vertex count and a greedy integral cover, then, unless those already meet
-the greedy lower bound, the exact tau* from ``lp.tau_star`` (the monotone
-cover LP on stable families, the packing LP on all others).
+the greedy lower bound, the exact tau* from ``lp.tau_star`` (one cover LP
+solved as its dual, with a row per vertex: monotone cover rows on stable
+families, one row per edge, which makes it the packing LP, on all others).
 """
 
 from __future__ import annotations

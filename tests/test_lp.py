@@ -11,14 +11,14 @@ import emclab.lp
 from emclab.constructions import build_Hi
 from emclab.hypergraph import complete_hypergraph, is_stable, new_hypergraph
 from emclab.lp import (FractionalCover, Infeasible, LPError, PerfectExtensionError,
-                       Unbounded, _check_certificate, _matching_rows,
+                       Unbounded, _check_certificate, _cover_rows, _matching_rows,
                        _monotone_cover_rows, check_complementary_slackness,
                        dominance_maximal_edges, extend_to_perfect_fm,
                        fractional_cover_number, fractional_matching_and_cover,
                        fractional_matching_number, full_degree_vertices,
                        has_perfect_fm, lex_max_fractional_matching,
-                       make_fractional_matching, min_cover_sorted,
-                       monotone_cover_bound, solve_lp)
+                       make_fractional_matching, min_cover_sorted, solve_lp,
+                       tau_star)
 from emclab.matching import cover_number, matching_number
 
 
@@ -250,20 +250,27 @@ class TestIntInputs:
         nu_star, _, _ = fractional_matching_and_cover(h)
         lex_max_fractional_matching(h, tuple(range(1, 10)), nu_star)
         lex_max_fractional_matching(h, (), nu_star)
-        monotone_cover_bound(h)
-        min_cover_sorted(h)
-        min_cover_sorted(new_hypergraph(6, 2, [(1, 2), (3, 4), (5, 6), (4, 5)]))
+        non_stable = new_hypergraph(6, 2, [(1, 2), (3, 4), (5, 6), (4, 5)])
+        tau_star(h)
+        tau_star(non_stable)
         # a two-vertex fractional boundary: the extension solves its system
         weights = {(5, 6, 7, 8): 1, (2, 3, 4, 9): F(1, 2), (2, 3, 4, 10): F(1, 2)}
         extend_to_perfect_fm(complete_hypergraph(12, 4), 1,
                              make_fractional_matching(complete_hypergraph(12, 4), weights))
-        assert len(lp_inputs) >= 20
-        for c, rows in lp_inputs:
-            assert all(type(v) is int for v in c)
+        steps = set()
+        for g in (h, non_stable):
+            start = len(lp_inputs)
+            min_cover_sorted(g)
+            steps.update(range(start + 1, len(lp_inputs)))  # every solve after tau*
+        assert len(lp_inputs) >= 20 and steps
+        for i, (c, rows) in enumerate(lp_inputs):
             assert all(type(v) is int for coeffs, _, _ in rows for v in coeffs)
-            # a rhs is rational only where it is a pinned optimum, tau*,
-            # a lex-max target or 1 - a_v
+            # a rhs is rational only where it is a pinned optimum, a lex-max
+            # target or 1 - a_v
             assert all(type(rhs) is int for _, sense, rhs in rows if sense != "==")
+            # a cost is rational only in a cover chain step: T = tau* - fixed, r'_j
+            if i not in steps:
+                assert all(type(v) is int for v in c)
 
     def test_forged_dual_is_not_a_cover(self, monkeypatch):
         real = emclab.lp.solve_lp
@@ -456,12 +463,14 @@ class TestHasPerfectFM:
 
 
 class TestMonotoneCoverBound:
+    """On a stable family on [n], `tau_star` is the monotone cover bound."""
+
     def test_matches_lp_on_hi(self):
         for k, s in [(2, 2), (3, 1), (4, 1)]:
             h = build_Hi(k * (s + 1) + 2, k, s, 1)
+            assert _cover_rows(h) == _monotone_cover_rows(h)
             nu_star, _ = fractional_matching_number(h)
-            bound = monotone_cover_bound(h)
-            assert bound == nu_star == s
+            assert tau_star(h) == nu_star == s
 
     def test_sound_upper_bound_random_stable(self):
         # exact, not just sound: a stable family on [n] has a nonincreasing
@@ -470,8 +479,9 @@ class TestMonotoneCoverBound:
         for _ in range(30):
             h = random_stable(rng, rng.randint(4, 9), rng.choice([2, 3]),
                               rng.randint(1, 12))
+            assert _cover_rows(h) == _monotone_cover_rows(h)
             nu_star, _ = fractional_matching_number(h)
-            assert monotone_cover_bound(h) == nu_star
+            assert tau_star(h) == nu_star
 
     def test_maximal_edges(self):
         h = build_Hi(8, 2, 1, 1)  # star at vertex 1 on 8 vertices

@@ -78,12 +78,13 @@ class TestTauStarBound:
         assert len({v for e in w.edges for v in e}) == 3 * 4
         assert solves == [297]
 
-    def test_monotone_lp_on_stable_family(self, solves):
+    def test_monotone_lp_on_stable_family(self, solve_rows):
+        # one solve, the dual of the monotone cover LP: a row per vertex
         from emclab.constructions import build_Hi
         h = build_Hi(12, 3, 2, 2)
         assert h.num_edges == 80
         assert matching_number(h)[0] == 2
-        assert solves == [12]
+        assert solve_rows == [("<=",) * 12]
 
 
 class TestHasMatching:

@@ -8,8 +8,9 @@ import emclab.verifier
 from emclab.constructions import build_Hi
 from emclab.hypergraph import (binom, complete_hypergraph, is_stable,
                                new_hypergraph)
-from emclab.lp import (ONE, fractional_cover_number, fractional_matching_number,
+from emclab.lp import (fractional_cover_number, fractional_matching_number,
                        min_cover_sorted, solve_lp)
+from emclab.shifting import stabilize
 from emclab.verifier import (MatchingTooLarge, extremal_profile, is_close_400,
                              max_edges_given_nu, saturate_by_cover,
                              stability_scan, verify_emc)
@@ -105,6 +106,29 @@ class TestIncumbentIsChecked:
             max_edges_given_nu(11, 4, 1)
 
 
+def primal_chain(h):
+    """The lexicographically greatest minimum cover by the primal chain: one
+    `>=` row per edge, a `<= 1` row per vertex and the total pinned at tau*,
+    then each weight maximized in turn and pinned by an `==` row."""
+    verts = list(h.vertices)
+    n = len(verts)
+    if not h.edges:
+        return dict.fromkeys(verts, 0)
+    rows = [([1 if v in e else 0 for v in verts], ">=", 1) for e in h.edges]
+    tau, _, _ = solve_lp([1] * n, rows)
+    units = [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    rows += [(coeffs, "<=", 1) for coeffs in units]
+    rows.append(([1] * n, "==", tau))
+    fixed = 0
+    for coeffs in units:
+        value, x, _ = solve_lp(coeffs, rows, maximize=True)
+        rows.append((coeffs, "==", value))
+        fixed += value
+        if fixed == tau:
+            break
+    return dict(zip(verts, x))
+
+
 class TestMinCoverSorted:
     def test_h1_cover_is_indicator(self):
         h = build_Hi(12, 4, 2, 1)
@@ -132,30 +156,38 @@ class TestMinCoverSorted:
         fc = min_cover_sorted(new_hypergraph(5, 2, []))
         assert fc.size == 0 and fc.support == frozenset()
 
-    def test_non_stable_families(self, solves):
-        # the edge-row LP: a minimum cover, and vertex 1 gets the largest
-        # weight any minimum cover gives it.  tau* comes from the same
-        # n-variable rows, so no solve has one column per edge.
+    def test_non_stable_families(self, solve_rows):
+        # the whole weight vector of the primal chain, with no solve of more
+        # than n rows: on seeded non-stable families and their stabilizations,
+        # the empty family, k = 1 and a proper-subset ground set
         rng = random.Random(13)
-        checked = 0
-        while checked < 40:
+        families = [new_hypergraph(5, 2, []), new_hypergraph(6, 1, [(2,), (5,)]),
+                    new_hypergraph(6, 1, [(1,), (2,)]),
+                    new_hypergraph(9, 2, [(2, 5), (5, 7), (2, 7), (7, 9)],
+                                   vertices=(2, 4, 5, 7, 9))]
+        while len(families) < 84:
             n, k = rng.randint(5, 8), rng.choice([2, 3])
             all_e = list(combinations(range(1, n + 1), k))
             h = new_hypergraph(n, k, rng.sample(all_e, rng.randint(2, 10)))
-            if is_stable(h):
-                continue
-            solves.clear()
+            if not is_stable(h):
+                families += [h, stabilize(h)[0]]
+        for h in families:
+            solve_rows.clear()
             fc = min_cover_sorted(h)
-            assert solves and set(solves) == {n}
+            assert all(len(rows) <= len(h.vertices) for rows in solve_rows)
+            assert fc.weights == primal_chain(h)
             tau, _ = fractional_cover_number(h)
             assert fc.size == tau
-            assert all(w >= 0 for w in fc.weights.values())
             assert all(sum(fc.weights[v] for v in e) >= 1 for e in h.edges)
-            rows = [([ONE if v in e else 0 for v in h.vertices], ">=", ONE) for e in h.edges]
-            rows.append(([ONE] * n, "==", tau))
-            top, _, _ = solve_lp([ONE] + [0] * (n - 1), rows, maximize=True)
-            assert fc.weights[1] == top
-            checked += 1
+
+    def test_dense_non_stable_family(self, solve_rows):
+        # H2(15,3,4) minus its first three edges: the primal chain carried all
+        # 297 edge rows into every solve and took about two minutes
+        h = new_hypergraph(15, 3, build_Hi(15, 3, 4, 2).edges[3:])
+        assert h.num_edges == 297 and not is_stable(h)
+        fc = min_cover_sorted(h)
+        assert [fc.weights[v] for v in h.vertices] == [Fraction(1, 2)] * 9 + [0] * 6
+        assert max(map(len, solve_rows)) <= 15
 
 
 class TestExtremalProfile:
