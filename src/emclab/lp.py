@@ -14,10 +14,11 @@ rational entries (a pinned optimum, a cover chain's costs, 1 - a_v) take the
 
 Beyond the plain optima this module provides the two constructive pieces the
 stability machinery needs: the lexicographic load-maximizing fractional
-matching (a chain of LPs, each freezing the previously maximized loads as
-equality constraints), and the extension of such a matching to a perfect
-fractional matching on a graph with a full-degree apex prefix.  The packing
-LP has one entry, `fractional_matching_and_cover`.  `tau_star` and
+matching (a chain of LPs, each pinning the last maximized load by an `==`
+row, which stops once the pinned loads, a vertex counted once, sum to
+k * target), and its extension to a perfect fractional matching on a graph
+with a full-degree apex prefix.  The packing LP has one entry,
+`fractional_matching_and_cover`.  `tau_star` and
 `min_cover_sorted` (the lexicographically greatest minimum cover) solve LP
 duals over one set of cover rows, with one `<=` row per vertex: the monotone
 rows on a stable family on [n], one row per edge on any other.
@@ -401,27 +402,31 @@ def lex_max_fractional_matching(h: Hypergraph, order: Sequence[int],
     """Fractional matching of exactly `target_size` whose load vector is
     lexicographically maximal along `order`.
 
-    Sequential LPs: maximize the next load subject to equality constraints
-    pinning every previously maximized load.  Only the first LP can be
-    infeasible, exactly when the target lies outside [0, nu*]; only then is
-    nu* solved, to name the side.
+    Sequential LPs: maximize the next load, then pin it by an `==` row.  The
+    loads of every feasible x sum to k * target, so once the pinned loads (a
+    vertex counted once) reach that, every later load is 0 and the chain
+    stops.  A target below 0 raises `Infeasible` before any solve; above nu*,
+    only the first LP fails, and nu* is solved to name it.
     """
     target = Fraction(target_size)
+    if target < 0:
+        raise Infeasible(f"target size {target} is negative")
     rows = _matching_rows(h)
     rows.append(([1] * len(h.edges), "==", target))
-    x = None
+    x, pinned = None, {}
     try:
         for v in order:
             load_coeffs = [1 if v in e else 0 for e in h.edges]
             value, x, _ = solve_lp(load_coeffs, rows, maximize=True)
             rows.append((load_coeffs, "==", value))
+            pinned[v] = value
+            if sum(pinned.values()) == h.k * target:
+                break  # every later load is forced to zero
         if x is None:  # empty order: any matching of the right size
             _, x, _ = solve_lp([0] * len(h.edges), rows, maximize=True)
     except Infeasible:
         nu_star, _ = fractional_matching_number(h)
-        if target > nu_star:
-            raise LPError(f"target size {target} exceeds nu* = {nu_star}") from None
-        raise
+        raise LPError(f"target size {target} exceeds nu* = {nu_star}") from None
     weights = {e: w for e, w in zip(h.edges, x) if w}
     return make_fractional_matching(h, weights)
 

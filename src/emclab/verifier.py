@@ -18,6 +18,7 @@ count, where an exact matching search on H_1 takes seconds at n = 16.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -25,7 +26,7 @@ from itertools import combinations
 from emclab import kernel
 from emclab.constructions import build_Hi, emc_bound
 from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
-                               is_stable, new_hypergraph, trace_family)
+                               is_stable, new_hypergraph)
 from emclab.lp import ZERO, FractionalCover, min_cover_sorted
 from emclab.matching import matching_number
 from emclab.scalars import mu_beta
@@ -157,18 +158,16 @@ class ExtremalProfile:
 
 def _profile_of(g: Hypergraph, s: int, epsilon: Fraction,
                 fc: FractionalCover) -> ExtremalProfile:
-    """Profile of g, given `fc` = `lp.min_cover_sorted(g)`."""
+    """Profile of g, given `fc` = `lp.min_cover_sorted(g)`.  One pass counts
+    link_sizes[A] = `trace_family(g, A, [s+1]).num_edges`, A = () or (i,)."""
     n = g.n
     w = fc.weights
     a = sum(w.get(i, ZERO) for i in range(1, s + 1)) / s if s else ZERO
     b = w.get(s + 1, ZERO)
     mu, beta = mu_beta(a, b)
-    s_set = list(range(1, s + 2))
-    links: dict[tuple[int, ...], int] = {
-        (): trace_family(g, (), s_set).num_edges}
-    for i in s_set:
-        links[(i,)] = trace_family(g, (i,), s_set).num_edges
-    lhs = links[()] + sum(links[(i,)] for i in s_set)
+    traces = Counter(tuple(v for v in e if v <= s + 1) for e in g.edges)
+    links = {t: traces[t] for t in [()] + [(i,) for i in range(1, s + 2)]}
+    lhs = sum(links.values())
     rhs = s * binom(n - s - 1, 3) - Fraction(epsilon) * n**4
     return ExtremalProfile(s=s, m=n - s - 1, a=a, b=b, mu=mu, beta=beta,
                            link_sizes=links, lhs_lowerbound=lhs,
@@ -185,12 +184,11 @@ def saturate_by_cover(g: Hypergraph, cover: dict[int, Fraction]) -> Hypergraph:
 
 def extremal_profile(g: Hypergraph, s: int, epsilon: Fraction
                      ) -> dict[str, ExtremalProfile]:
-    """Cover-derived diagnostics of a stable 4-graph with nu* <= s.
-
-    Returns both the raw profile and the profile of the cover-saturated
-    graph (every 4-set already paid for by the cover added); which of the
-    two a stability argument should consume is a modelling choice, so both
-    are reported.
+    """Cover-derived diagnostics of a stable 4-graph with nu* <= s: profiles
+    of G ("raw") and of sat(G), G plus each 4-set its sorted cover w pays for
+    (which a stability argument consumes is a modelling choice).  Both read
+    w: w covers sat(G), so tau*(sat G) <= |w| = tau*(G) <= tau*(sat G); every
+    minimum cover of sat(G) is then one of G, and w is the greatest of them.
     """
     if g.k != 4:
         raise HypergraphError(f"expects k = 4, got {g.k}")
@@ -203,10 +201,9 @@ def extremal_profile(g: Hypergraph, s: int, epsilon: Fraction
     fc = min_cover_sorted(g)
     if fc.size > s:
         raise MatchingTooLarge(fc.size, s)
-    raw = _profile_of(g, s, epsilon, fc)
-    sat_g = saturate_by_cover(g, raw.cover)
-    sat = _profile_of(sat_g, s, epsilon, min_cover_sorted(sat_g))
-    return {"raw": raw, "saturated": sat}
+    sat_g = saturate_by_cover(g, fc.weights)
+    return {"raw": _profile_of(g, s, epsilon, fc),
+            "saturated": _profile_of(sat_g, s, epsilon, fc)}
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,8 @@ class TestIntInputs:
         nu_star, _, _ = fractional_matching_and_cover(h)
         lex_max_fractional_matching(h, tuple(range(1, 10)), nu_star)
         lex_max_fractional_matching(h, (), nu_star)
+        # loads 1 at every vertex: the chain cannot stop before the last
+        lex_max_fractional_matching(complete_hypergraph(5, 2), tuple(range(1, 6)), F(5, 2))
         non_stable = new_hypergraph(6, 2, [(1, 2), (3, 4), (5, 6), (4, 5)])
         tau_star(h)
         tau_star(non_stable)
@@ -376,16 +378,32 @@ class TestFractionalMatchingValidation:
         assert fm.boundary() == [3, 4]
 
 
+def full_lex_chain(h, order, target):
+    """Loads and size of the lex-max chain run to the end of `order`, with
+    no stop: each load along `order` maximized, then pinned by an `==` row."""
+    rows = [([1 if v in e else 0 for e in h.edges], "<=", 1) for v in h.vertices]
+    rows.append(([1] * len(h.edges), "==", target))
+    for v in order:
+        coeffs = [1 if v in e else 0 for e in h.edges]
+        value, x, _ = solve_lp(coeffs, rows, maximize=True)
+        rows.append((coeffs, "==", value))
+    loads = {v: sum((w for w, e in zip(x, h.edges) if v in e), Fraction(0))
+             for v in h.vertices}
+    return loads, sum(x, Fraction(0))
+
+
 class TestLexMax:
     def test_target_above_optimum(self):
         h = new_hypergraph(3, 2, [(1, 2)])
         with pytest.raises(LPError, match="exceeds"):
             lex_max_fractional_matching(h, (1, 2, 3), Fraction(2))
 
-    def test_negative_target_infeasible(self):
+    def test_negative_target_infeasible(self, solves):
+        # refused before any solve, with the target named
         h = new_hypergraph(3, 2, [(1, 2)])
-        with pytest.raises(Infeasible):
-            lex_max_fractional_matching(h, (1, 2, 3), Fraction(-1))
+        with pytest.raises(Infeasible, match="target size -1/3 is negative"):
+            lex_max_fractional_matching(h, (1, 2, 3), Fraction(-1, 3))
+        assert solves == []
 
     def test_empty_order(self):
         # no load to maximize: any fractional matching of the target size
@@ -409,6 +427,52 @@ class TestLexMax:
             assert all(x >= y for x, y in zip(loads, loads[1:]))
             checked += 1
         assert checked >= 30
+
+    def test_stopped_chain_matches_full_chain(self, solves):
+        # seeded stable 4-graphs and non-stable 2- and 3-graphs, at nu* and
+        # below it, along 1..n and along a shuffled order
+        rng = random.Random(17)
+        stopped = 0
+        for _ in range(60):
+            n = rng.randint(5, 10)
+            k = rng.choice([2, 3, 4])
+            h = (random_stable(rng, n, 4, rng.randint(2, 20)) if k == 4
+                 else random_hypergraph(rng, n, k, rng.randint(1, 12)))
+            nu_star, _ = fractional_matching_number(h)
+            target = nu_star * rng.choice([1, 1, Fraction(1, 2), Fraction(2, 3)])
+            order = list(range(1, n + 1))
+            if rng.random() < 0.5:
+                rng.shuffle(order)
+            solves.clear()
+            fm = lex_max_fractional_matching(h, order, target)
+            stopped += len(solves) < len(order)
+            assert (fm.loads, fm.size) == full_lex_chain(h, order, target)
+        assert stopped >= 30
+        # H1(9,4,1): loads 1 at vertices 1..4 reach k * nu* = 4, so the chain
+        # stops after 4 of its 9 solves
+        solves.clear()
+        fm = lex_max_fractional_matching(build_Hi(9, 4, 1, 1), tuple(range(1, 10)), 1)
+        assert len(solves) == 4
+        assert [fm.loads[v] for v in range(1, 10)] == [1] * 4 + [0] * 5
+
+    def test_repeated_and_non_vertices_count_once(self):
+        # K4 on the ground set {1,2,3,4} of [9], target 1 (k * target = 2):
+        # the repeated 1 and the non-vertex 9 add nothing, so the chain goes
+        # on to maximize vertex 4's load (counting the repeat would stop it at
+        # the first matching that loads 1, whatever it loads 4 with)
+        h = new_hypergraph(9, 2, list(combinations(range(1, 5), 2)), vertices=(1, 2, 3, 4))
+        for order in ((1, 1, 4, 3, 2), (1, 9, 1, 4, 3, 2), (9, 1, 1, 9, 4)):
+            fm = lex_max_fractional_matching(h, order, 1)
+            assert fm.weights == {(1, 4): 1}
+            assert (fm.loads, fm.size) == full_lex_chain(h, order, 1)
+        rng = random.Random(19)
+        for _ in range(30):
+            n = rng.randint(5, 9)
+            h = random_hypergraph(rng, n, rng.choice([2, 3]), rng.randint(1, 10))
+            nu_star, _ = fractional_matching_number(h)
+            order = [rng.randint(0, n + 2) for _ in range(2 * n)]
+            fm = lex_max_fractional_matching(h, order, nu_star)
+            assert (fm.loads, fm.size) == full_lex_chain(h, order, nu_star)
 
     def test_fractional_boundary_block_small(self):
         # the strictly-fractional loads of a lex-max matching form a block of <= 4

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -7,7 +8,7 @@ import pytest
 import emclab.verifier
 from emclab.constructions import build_Hi
 from emclab.hypergraph import (binom, complete_hypergraph, is_stable,
-                               new_hypergraph)
+                               new_hypergraph, trace_family)
 from emclab.lp import (fractional_cover_number, fractional_matching_number,
                        min_cover_sorted, solve_lp)
 from emclab.shifting import stabilize
@@ -202,9 +203,9 @@ class TestExtremalProfile:
         assert raw.lhs_lowerbound >= raw.rhs_lowerbound
 
     def test_tau_star_solved_once_per_graph(self, monkeypatch):
-        # tau* of G and of its saturation, one solve each inside
-        # min_cover_sorted, and 6 sequential cover solves; the MatchingTooLarge
-        # check reads G's tau* from its cover instead of solving it again
+        # G's sorted cover only: one tau* solve and 3 chain steps (weights
+        # 1, 1, 1 reach tau* = 3).  The saturation's profile reuses that
+        # cover, and the MatchingTooLarge check reads tau* from it
         import emclab.lp
         calls = []
 
@@ -213,7 +214,53 @@ class TestExtremalProfile:
             return solve_lp(*args, **kwargs)
         monkeypatch.setattr(emclab.lp, "solve_lp", counted)
         extremal_profile(build_Hi(20, 4, 3, 1), 3, Fraction(1, 10**6))
-        assert len(calls) == 8
+        assert len(calls) == 4
+
+    def test_saturation_keeps_sorted_cover(self):
+        # w = min_cover_sorted(g) is also the sorted cover of g saturated by
+        # w, so extremal_profile reads both profiles from one chain: seeded
+        # families raw and stabilized, non-stable ones, a proper-subset ground
+        # set and the empty family
+        rng = random.Random(41)
+        families = [new_hypergraph(6, 3, []),
+                    new_hypergraph(9, 2, [(2, 5), (5, 7), (2, 7), (7, 9)],
+                                   vertices=(2, 4, 5, 7, 9)),
+                    new_hypergraph(8, 3, [(1, 2, 3), (4, 5, 6), (2, 6, 8)],
+                                   vertices=(1, 2, 3, 4, 5, 6, 8))]
+        while len(families) < 150:
+            n, k = rng.randint(5, 9), rng.choice([2, 3, 4])
+            all_e = list(combinations(range(1, n + 1), k))
+            h = new_hypergraph(n, k, rng.sample(all_e, rng.randint(1, min(12, len(all_e)))))
+            families += [h, stabilize(h)[0]]
+        non_stable = 0
+        for g in families:
+            non_stable += not is_stable(g)
+            w = min_cover_sorted(g)
+            assert min_cover_sorted(saturate_by_cover(g, w.weights)) == w
+        assert non_stable >= 50
+
+    def test_link_sizes_match_trace_family(self):
+        # the one-pass link sizes of both profiles against trace_family, on
+        # seeded stable 4-graphs and the H_i constructions
+        rng = random.Random(43)
+        families = [build_Hi(12, 4, 2, 1), build_Hi(16, 4, 2, 2), build_Hi(12, 4, 2, 4)]
+        for _ in range(40):
+            n = rng.randint(7, 12)
+            h = new_hypergraph(n, 4, rng.sample(list(combinations(range(1, n + 1), 4)),
+                                                rng.randint(1, 30)))
+            families.append(stabilize(h)[0])
+        for g in families:
+            s = max(1, math.ceil(fractional_matching_number(g)[0]))
+            if g.n <= s + 1:
+                continue
+            out = extremal_profile(g, s, Fraction(1, 1000))
+            sat = saturate_by_cover(g, out["raw"].cover)
+            big_s = range(1, s + 2)
+            for p, h in ((out["raw"], g), (out["saturated"], sat)):
+                want = {a: trace_family(h, a, big_s).num_edges
+                        for a in [()] + [(i,) for i in big_s]}
+                assert list(p.link_sizes.items()) == list(want.items())
+                assert p.lhs_lowerbound == sum(want.values())
 
     def test_saturation_only_adds(self):
         h = build_Hi(14, 4, 2, 1)
