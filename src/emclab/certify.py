@@ -12,19 +12,26 @@ Proving strict positivity on the closed boxes proves it on the open regions
 they cover.  Counterexamples are always exact rational point evaluations in
 the original coordinates, so a reported violation is real, not an interval
 artifact; replay re-evaluates the recorded point under the recorded mutation.
+
+`TARGETS` is the one place a target is defined: one record per inequality
+holds its roots, its margin on a box and at a point, the point tried in a box
+it cannot settle, its region and its mutations.  `_prove` and
+`replay_certificate` read only the record.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from emclab.intervals import Box, Certificate, Interval
 from emclab.scalars import D1, FOUR, c_coeff, mu_beta
 
 
 # ---------------------------------------------------------------------------
-# exact point evaluators (original coordinates)
+# calculate: the cubic inequality, exact in (x, y, z), on boxes in (mu, x, z)
 # ---------------------------------------------------------------------------
 
 def eval_calculate_margin(x, y, z, mutation: str | None = None) -> Fraction:
@@ -51,49 +58,16 @@ def eval_calculate_margin(x, y, z, mutation: str | None = None) -> Fraction:
     return lead - (FOUR * x - 3 * y) * h - (FOUR * x - 3 * y) * p
 
 
-# the mutations each certifier accepts (deliberately broken margins, used to
-# test that the prover can fail)
-_MUTATIONS = {"calculate": ("negate-lead", "flip-p-sign"),
-              "maxvalue": ("negate-c5-term",)}
+def _calc_roots(z_max: Fraction) -> list[Box]:
+    """The three x-pieces of [0, 1] x [0, 3/4] x [0, z_max] in (mu, x, z)."""
+    if not (0 < z_max <= Fraction(1, 10**5)):
+        raise ValueError("need 0 < z_max <= 1/10^5")
+    pieces = (("x<=5/8", 0, Fraction(5, 8)), ("5/8<x<=2/3", Fraction(5, 8), Fraction(2, 3)),
+              ("2/3<x<=3/4", Fraction(2, 3), Fraction(3, 4)))
+    return [Box({"mu": Interval.make(0, 1), "x": Interval.make(xlo, xhi),
+                 "z": Interval.make(0, z_max)}, tag)
+            for tag, xlo, xhi in pieces]
 
-
-def _check_mutation(target: str, mutation: str | None) -> None:
-    if mutation is not None and mutation not in _MUTATIONS[target]:
-        raise ValueError(f"unknown mutation {mutation!r} for target {target}")
-
-
-def _in_calc_region(pt: dict[str, Fraction], z_max: Fraction) -> bool:
-    """5z < y <= x <= 3/4 and 0 < z <= z_max."""
-    return 0 < pt["z"] <= z_max and 5 * pt["z"] < pt["y"] <= pt["x"] <= Fraction(3, 4)
-
-
-def _calc_point_margin(pt: dict[str, Fraction], mutation: str | None) -> Fraction:
-    return eval_calculate_margin(pt["x"], pt["y"], pt["z"], mutation)
-
-
-def _maxvalue_b_range(i: int) -> tuple[Fraction, Fraction]:
-    """The range of b for C_i: [1/3, 3/8] for C_2 and C_3, else [1/4, 1]."""
-    return (Fraction(1, 3), Fraction(3, 8)) if i in (2, 3) else (Fraction(1, 4), Fraction(1))
-
-
-def _in_maxvalue_region(pt: dict[str, Fraction]) -> bool:
-    """i in 1..5, alpha in [0, 1/(4-d)] and b <= a < 1 with b in the range
-    of C_i."""
-    i = pt["i"]
-    if not (i.denominator == 1 and 1 <= i <= 5):
-        return False
-    b_lo, b_hi = _maxvalue_b_range(int(i))
-    return 0 <= pt["alpha"] <= 1 / FOUR and b_lo <= pt["b"] <= b_hi and pt["b"] <= pt["a"] < 1
-
-
-def _maxvalue_point_margin(pt: dict[str, Fraction], mutation: str | None) -> Fraction:
-    mu, beta = mu_beta(pt["a"], pt["b"])
-    return c_coeff(int(pt["i"]), pt["alpha"], mu, beta, mutation)
-
-
-# ---------------------------------------------------------------------------
-# homogenized interval margins
-# ---------------------------------------------------------------------------
 
 def _calc_margin_box(box: Box, mutation: str | None) -> Interval:
     mu = box.coords["mu"]
@@ -115,6 +89,38 @@ def _calc_margin_box(box: Box, mutation: str | None) -> Interval:
     return lead - x * (FOUR - 3 * mu) * (h + p)
 
 
+def _calc_point(box: Box) -> dict[str, Fraction]:
+    """The box's (mu, x) midpoint, with z as large as the box and 5z < y allow."""
+    x = box.coords["x"].mid
+    y = box.coords["mu"].mid * x
+    return {"x": x, "y": y, "z": min(box.coords["z"].hi, y / 6)}
+
+
+def _calc_point_margin(pt: dict[str, Fraction], mutation: str | None) -> Fraction:
+    return eval_calculate_margin(pt["x"], pt["y"], pt["z"], mutation)
+
+
+def _in_calc_region(pt: dict[str, Fraction], z_max: Fraction) -> bool:
+    """5z < y <= x <= 3/4 and 0 < z <= z_max."""
+    return 0 < pt["z"] <= z_max and 5 * pt["z"] < pt["y"] <= pt["x"] <= Fraction(3, 4)
+
+
+# ---------------------------------------------------------------------------
+# maxvalue: C_1..C_5, exact in (alpha, a, b), on boxes in (alpha, mu, b)
+# ---------------------------------------------------------------------------
+
+def _maxvalue_b_range(i: int) -> tuple[Fraction, Fraction]:
+    """The range of b for C_i: [1/3, 3/8] for C_2 and C_3, else [1/4, 1]."""
+    return (Fraction(1, 3), Fraction(3, 8)) if i in (2, 3) else (Fraction(1, 4), Fraction(1))
+
+
+def _maxvalue_roots(z_max: None) -> list[Box]:
+    alpha_iv = Interval.make(0, 1 / FOUR)
+    return [Box({"alpha": alpha_iv, "mu": Interval.make(0, 1),
+                 "b": Interval.make(*_maxvalue_b_range(i))}, f"C{i}")
+            for i in range(1, 6)]
+
+
 def _maxvalue_margin_box(box: Box, mutation: str | None) -> Interval:
     i = int(box.region_tag[1:])
     alpha = box.coords["alpha"]
@@ -124,14 +130,84 @@ def _maxvalue_margin_box(box: Box, mutation: str | None) -> Interval:
     return c_coeff(i, alpha, mu, beta, mutation)
 
 
+def _maxvalue_point(box: Box) -> dict[str, Fraction]:
+    """The box's midpoint, taken back to (a, b) through a = 1 - mu*(1-b)."""
+    mu = box.coords["mu"].mid
+    b = box.coords["b"].mid
+    return {"i": Fraction(int(box.region_tag[1:])), "alpha": box.coords["alpha"].mid,
+            "a": 1 - mu * (1 - b), "b": b}
+
+
+def _maxvalue_point_margin(pt: dict[str, Fraction], mutation: str | None) -> Fraction:
+    mu, beta = mu_beta(pt["a"], pt["b"])
+    return c_coeff(int(pt["i"]), pt["alpha"], mu, beta, mutation)
+
+
+def _in_maxvalue_region(pt: dict[str, Fraction], z_max: None) -> bool:
+    """i in 1..5, alpha in [0, 1/(4-d)] and b <= a < 1 with b in the range
+    of C_i."""
+    i = pt["i"]
+    if not (i.denominator == 1 and 1 <= i <= 5):
+        return False
+    b_lo, b_hi = _maxvalue_b_range(int(i))
+    return 0 <= pt["alpha"] <= 1 / FOUR and b_lo <= pt["b"] <= b_hi and pt["b"] <= pt["a"] < 1
+
+
+# ---------------------------------------------------------------------------
+# the targets
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Target:
+    """One certified inequality.  Every function that takes z_max gets
+    None on a target that takes none."""
+    roots: Callable[[Fraction | None], list[Box]]       # raises on a bad z_max
+    margin: Callable[[Box, str | None], Interval]       # (box, mutation)
+    # the point tried in a box whose margin is not positive
+    point: Callable[[Box], dict[str, Fraction]]
+    point_margin: Callable[[dict[str, Fraction], str | None], Fraction]   # exact
+    in_region: Callable[[dict[str, Fraction], Fraction | None], bool]
+    coords: tuple[str, ...]      # the point's coordinates, sorted
+    mutations: tuple[str, ...]   # deliberately broken margins, to test that the prover can fail
+    takes_zmax: bool
+
+
+TARGETS = {
+    "calculate": _Target(roots=_calc_roots, margin=_calc_margin_box, point=_calc_point,
+                         point_margin=_calc_point_margin, in_region=_in_calc_region,
+                         coords=("x", "y", "z"), mutations=("negate-lead", "flip-p-sign"),
+                         takes_zmax=True),
+    "maxvalue": _Target(roots=_maxvalue_roots, margin=_maxvalue_margin_box,
+                        point=_maxvalue_point, point_margin=_maxvalue_point_margin,
+                        in_region=_in_maxvalue_region, coords=("a", "alpha", "b", "i"),
+                        mutations=("negate-c5-term",), takes_zmax=False),
+}
+
+
+def _target(name: str, z_max: Fraction | None) -> tuple[_Target, list[Box]]:
+    """The record of target `name` and its root boxes.  Raises ValueError on
+    an unknown target, and on a z_max that is bad, missing, or given to a
+    target that takes none."""
+    rec = TARGETS.get(name)
+    if rec is None:
+        raise ValueError(f"unknown target {name!r}")
+    if rec.takes_zmax != (z_max is not None):
+        raise ValueError(f"target {name} {'needs a' if rec.takes_zmax else 'takes no'} zmax")
+    return rec, rec.roots(z_max)
+
+
 # ---------------------------------------------------------------------------
 # generic branch-and-prune driver
 # ---------------------------------------------------------------------------
 
-def _prove(target: str, roots: list[Box], margin_fn, point_fn, exact_fn,
+def _prove(target: str, z_max: Fraction | None, mutation: str | None,
            max_depth: int, max_boxes: int) -> Certificate:
+    rec, roots = _target(target, z_max)
+    if mutation not in (None, *rec.mutations):
+        raise ValueError(f"unknown mutation {mutation!r} for target {target}")
     if max_depth < 0 or max_boxes < 0:
         raise ValueError(f"need depth, max_boxes >= 0, got {max_depth}, {max_boxes}")
+    make = partial(Certificate, target, zmax=z_max, mutation=mutation)
     stack = [(b, 0) for b in reversed(roots)]
     leaves: list[tuple[Box, Interval]] = []
     processed = 0
@@ -143,14 +219,13 @@ def _prove(target: str, roots: list[Box], margin_fn, point_fn, exact_fn,
         if processed > max_boxes:
             incomplete = True
             break
-        margin = margin_fn(box)
+        margin = rec.margin(box, mutation)
         if margin.lo > 0:
             leaves.append((box, margin))
             continue
-        pt = point_fn(box)
-        if pt is not None and exact_fn(pt) <= 0:
-            return Certificate(target=target, status="counterexample",
-                               boxes=(), splits=splits, counterexample=pt)
+        pt = rec.point(box)
+        if rec.in_region(pt, z_max) and rec.point_margin(pt, mutation) <= 0:
+            return make("counterexample", (), splits, pt)
         if depth >= max_depth:
             # cannot settle this box, but a counterexample may still hide
             # elsewhere — keep scanning the remaining boxes
@@ -161,44 +236,11 @@ def _prove(target: str, roots: list[Box], margin_fn, point_fn, exact_fn,
         stack.append((hi_box, depth + 1))
         stack.append((lo_box, depth + 1))
     if incomplete:
-        return Certificate(target=target, status="budget_exhausted",
-                           boxes=tuple(leaves), splits=splits)
+        return make("budget_exhausted", tuple(leaves), splits)
     leaves.sort(key=lambda bm: (bm[0].region_tag,
                                 sorted((n, iv.lo, iv.hi)
                                        for n, iv in bm[0].coords.items())))
-    return Certificate(target=target, status="proved", boxes=tuple(leaves),
-                       splits=splits)
-
-
-# ---------------------------------------------------------------------------
-# the two certifiers
-# ---------------------------------------------------------------------------
-
-_CALC_PIECES = (
-    ("x<=5/8", Fraction(0), Fraction(5, 8)),
-    ("5/8<x<=2/3", Fraction(5, 8), Fraction(2, 3)),
-    ("2/3<x<=3/4", Fraction(2, 3), Fraction(3, 4)),
-)
-
-
-def _check_zmax(z_max) -> Fraction:
-    z_max = Fraction(z_max)
-    if not (0 < z_max <= Fraction(1, 10**5)):
-        raise ValueError("need 0 < z_max <= 1/10^5")
-    return z_max
-
-
-def _calc_roots(z_max: Fraction) -> list[Box]:
-    return [Box({"mu": Interval.make(0, 1), "x": Interval.make(xlo, xhi),
-                 "z": Interval.make(0, z_max)}, tag)
-            for tag, xlo, xhi in _CALC_PIECES]
-
-
-def _maxvalue_roots() -> list[Box]:
-    alpha_iv = Interval.make(0, 1 / FOUR)
-    return [Box({"alpha": alpha_iv, "mu": Interval.make(0, 1),
-                 "b": Interval.make(*_maxvalue_b_range(i))}, f"C{i}")
-            for i in range(1, 6)]
+    return make("proved", tuple(leaves), splits)
 
 
 def certify_calculate_lemma(z_max, max_depth: int = 60, max_boxes: int = 10**7,
@@ -211,28 +253,7 @@ def certify_calculate_lemma(z_max, max_depth: int = 60, max_boxes: int = 10**7,
     superset of the open region.  The max inside h~ is enclosed outward, so
     no branch of the piecewise definition is ever silently dropped.
     """
-    _check_mutation("calculate", mutation)
-    z_max = _check_zmax(z_max)
-
-    def point_fn(box: Box):
-        mu = box.coords["mu"]
-        x = box.coords["x"]
-        z = box.coords["z"]
-        x_pt = x.mid if x.mid > 0 else x.hi
-        mu_pt = mu.mid if mu.mid > 0 else mu.hi
-        if x_pt <= 0 or mu_pt <= 0:
-            return None
-        y_pt = mu_pt * x_pt
-        z_pt = min(z.hi, z_max, y_pt / 6)
-        if z_pt <= 0:
-            z_pt = min(z_max, y_pt / 6)
-        pt = {"x": x_pt, "y": y_pt, "z": z_pt}
-        return pt if _in_calc_region(pt, z_max) else None
-
-    cert = _prove("calculate", _calc_roots(z_max),
-                  lambda b: _calc_margin_box(b, mutation), point_fn,
-                  lambda pt: _calc_point_margin(pt, mutation), max_depth, max_boxes)
-    return replace(cert, zmax=z_max, mutation=mutation)
+    return _prove("calculate", Fraction(z_max), mutation, max_depth, max_boxes)
 
 
 def certify_maxvalue_coeffs(max_depth: int = 60, max_boxes: int = 10**7,
@@ -244,21 +265,7 @@ def certify_maxvalue_coeffs(max_depth: int = 60, max_boxes: int = 10**7,
     beta = (1-b)*(4-d-3mu) substituted; the closed boxes cover the open
     region's closure, so strict positivity there is stronger than required.
     """
-    _check_mutation("maxvalue", mutation)
-
-    def point_fn(box: Box):
-        mu = box.coords["mu"].mid
-        b = box.coords["b"].mid
-        if mu <= 0 or b >= 1:
-            return None  # need a < 1, i.e. mu > 0 and b < 1
-        pt = {"i": Fraction(int(box.region_tag[1])), "alpha": box.coords["alpha"].mid,
-              "a": 1 - mu * (1 - b), "b": b}
-        return pt if _in_maxvalue_region(pt) else None
-
-    cert = _prove("maxvalue", _maxvalue_roots(),
-                  lambda b: _maxvalue_margin_box(b, mutation), point_fn,
-                  lambda pt: _maxvalue_point_margin(pt, mutation), max_depth, max_boxes)
-    return replace(cert, mutation=mutation)
+    return _prove("maxvalue", None, mutation, max_depth, max_boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -278,26 +285,20 @@ def replay_certificate(cert: Certificate) -> dict:
     outside a counterexample is a failure: a proof of a broken margin proves
     nothing.
 
-    The roots and the region come from `_CALC_PIECES` and `z_max`
-    (calculate) or the C_i ranges (maxvalue), never from the stored boxes,
-    so a file cannot shrink the region it claims.  Only a `proved` file with
-    no failure is `ok`."""
-    if cert.target == "calculate":
-        margin_fn = lambda b: _calc_margin_box(b, None)
-        zmax = None if cert.zmax is None else _check_zmax(cert.zmax)
-        coords, point_margin = ("x", "y", "z"), _calc_point_margin
-        in_region = lambda pt: _in_calc_region(pt, zmax)
-        roots = None if zmax is None else _calc_roots(zmax)
-    elif cert.target == "maxvalue":
-        margin_fn = lambda b: _maxvalue_margin_box(b, None)
-        coords, point_margin = ("a", "alpha", "b", "i"), _maxvalue_point_margin
-        in_region = _in_maxvalue_region
-        roots = _maxvalue_roots()
-    else:
-        raise ValueError(f"unknown target {cert.target!r}")
+    The roots and the region come from the target's record in `TARGETS` and
+    the file's z_max, never from the stored boxes, so a file cannot shrink
+    the region it claims.  A file that cannot be read against its record (an
+    unknown target, a z_max that is bad, missing or given to a target that
+    takes none, a box tag that names none of the roots) raises ValueError.
+    Only a `proved` file with no failure is `ok`."""
+    rec, roots = _target(cert.target, cert.zmax)
+    tags = {root.region_tag for root in roots}
     failures = []
     for box, stored in cert.boxes:
-        fresh = margin_fn(box)
+        if box.region_tag not in tags:
+            raise ValueError(f"box tag {box.region_tag!r} names no region of "
+                             f"target {cert.target}")
+        fresh = rec.margin(box, None)
         if fresh.lo <= 0:
             failures.append("margin not strictly positive")
         elif (fresh.lo, fresh.hi) != (stored.lo, stored.hi):
@@ -309,35 +310,27 @@ def replay_certificate(cert: Certificate) -> dict:
         report["mutation"] = cert.mutation
     if cert.status == "counterexample":
         pt = cert.counterexample
-        if pt is None or sorted(pt) != list(coords):
-            failures.append(f"point must give {', '.join(coords)}")
-        elif roots is None:
-            failures.append("no z_max recorded: region unchecked")
-        elif not in_region(pt):
+        if pt is None or sorted(pt) != list(rec.coords):
+            failures.append(f"point must give {', '.join(rec.coords)}")
+        elif not rec.in_region(pt, cert.zmax):
             failures.append(f"point outside the region of target {cert.target}")
+        elif cert.mutation not in (None, *rec.mutations):
+            failures.append(f"unknown mutation {cert.mutation!r} for target {cert.target}")
         else:
-            try:
-                _check_mutation(cert.target, cert.mutation)
-            except ValueError as exc:
-                failures.append(str(exc))
-            else:
-                margin = point_margin(pt, cert.mutation)
-                report["margin"] = str(margin)
-                if margin > 0:
-                    failures.append(f"margin {margin} > 0 at the point: not a counterexample")
+            margin = rec.point_margin(pt, cert.mutation)
+            report["margin"] = str(margin)
+            if margin > 0:
+                failures.append(f"margin {margin} > 0 at the point: not a counterexample")
         report["confirmed"] = "margin" in report and not failures
     else:
         if cert.mutation is not None:
             failures.append(f"{cert.status} under mutation {cert.mutation}: "
                             "not a proof of the inequality")
-        if roots is None:
-            failures.append("no z_max recorded: coverage unchecked")
-        else:
-            failures += _coverage_failures(roots, [box for box, _ in cert.boxes], cert.splits)
+        failures += _coverage_failures(roots, [box for box, _ in cert.boxes], cert.splits)
     report["failures"] = failures
     report["ok"] = cert.status == "proved" and not failures
-    if cert.target == "calculate":
-        report["zmax"] = None if cert.zmax is None else str(cert.zmax)
+    if rec.takes_zmax:
+        report["zmax"] = str(cert.zmax)
     return report
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from emclab.certify import (_calc_margin_box, certify_calculate_lemma,
+from emclab.certify import (TARGETS, _calc_margin_box, _prove, certify_calculate_lemma,
                             certify_maxvalue_coeffs, eval_calculate_margin,
                             replay_certificate)
 from emclab.intervals import Interval, parse_certificate
@@ -123,7 +123,7 @@ class TestReplay:
         tampered = type(calc_cert)(
             target=calc_cert.target, status="proved",
             boxes=((box, forged),) + calc_cert.boxes[1:],
-            splits=calc_cert.splits)
+            splits=calc_cert.splits, zmax=calc_cert.zmax)
         out = replay_certificate(tampered)
         assert not out["ok"]
         assert "stored margin does not match recomputation" in out["failures"]
@@ -138,10 +138,12 @@ class TestReplay:
         assert replay_certificate(calc_cert)["zmax"] == "1/100000"
         assert "zmax" not in replay_certificate(maxvalue_cert)
 
-    def test_missing_zmax_never_ok(self, calc_cert):
-        out = replay_certificate(replace(calc_cert, zmax=None))
-        assert not out["ok"]
-        assert "no z_max recorded: coverage unchecked" in out["failures"]
+    def test_missing_zmax_never_ok(self, calc_cert, negate_lead_cert):
+        # without z_max neither the region nor the roots exist: not a
+        # failure to report but a file that cannot be read
+        for cert in (calc_cert, negate_lead_cert):
+            with pytest.raises(ValueError, match="target calculate needs a zmax"):
+                replay_certificate(replace(cert, zmax=None))
 
     def test_smaller_zmax_leaves_branches_uncovered(self):
         # a certificate for a smaller z_max does not cover the larger region
@@ -272,6 +274,26 @@ class TestPinnedEnclosures:
             "a": Fraction(12698473700161, 17592186044416),
             "alpha": Fraction(8959990234375, 40959999998976),
             "b": Fraction(2097155, 8388608), "i": Fraction(5)}
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_target_record_agrees_with_its_prover(target):
+    """The unmutated proof replays `ok`; each mutation the record names gives
+    a counterexample that replay confirms, or a proof that replay refuses."""
+    rec = TARGETS[target]
+    z_max = Z if rec.takes_zmax else None
+    proof = _prove(target, z_max, None, 60, 10**7)
+    assert replay_certificate(parse_certificate(proof.serialize()))["ok"]
+    for mutation in rec.mutations:
+        cert = _prove(target, z_max, mutation, 60, 10**7)
+        out = replay_certificate(parse_certificate(cert.serialize()))
+        assert not out["ok"]
+        if cert.status == "counterexample":
+            assert out["confirmed"] and out["failures"] == []
+        else:
+            assert cert.status == "proved"
+            assert (f"proved under mutation {mutation}: not a proof of the inequality"
+                    in out["failures"])
 
 
 class TestBudget:

@@ -253,6 +253,13 @@ class TestCertificateCoverage:
         path.write_text(replace(cert, boxes=tuple(edit(list(cert.boxes)))).serialize())
         return run(runner, ["verify-cert", str(path)])
 
+    @staticmethod
+    def _exit_three(capsys, path, error):
+        with pytest.raises(SystemExit) as ei:
+            main(["verify-cert", str(path)])
+        assert ei.value.code == 3
+        assert error in capsys.readouterr().err
+
     @pytest.mark.parametrize("edit, failure", [
         (_forged, "leaves outside the bisection tree: 1"),
         (lambda boxes: [], "branches ending in no stored leaf: 3"),
@@ -303,15 +310,34 @@ class TestCertificateCoverage:
             main(["verify-cert", str(cert)])
         assert ei.value.code == 3
 
-    @pytest.mark.parametrize("tag", ["C", "C9", "Cx"])
-    def test_bad_maxvalue_tag_exit_three(self, runner, tmp_path, tag):
+    @pytest.mark.parametrize("target, root_tag, tag", [
+        pytest.param("maxvalue", "C1", "C", id="C"),
+        pytest.param("maxvalue", "C1", "C9", id="C9"),
+        pytest.param("maxvalue", "C1", "Cx", id="Cx"),
+        pytest.param("calculate", "x<=5/8", "x<=9/8", id="calculate-x<=9/8"),
+    ])
+    def test_bad_maxvalue_tag_exit_three(self, runner, tmp_path, capsys, target, root_tag,
+                                         tag):
+        # a tag that names none of the target's roots is refused before any
+        # margin is computed, on either target
+        path = tmp_path / f"{target}.cert"
+        assert run(runner, ["verify-ineq", "--target", target,
+                            "-o", str(path)]).exit_code == 0
+        path.write_text(path.read_text().replace(f"\nbox {root_tag} ", f"\nbox {tag} ", 1))
+        self._exit_three(capsys, path, f"box tag '{tag}' names no region of target {target}")
+
+    def test_missing_zmax_exit_three(self, capsys, cert):
+        cert.write_text("".join(ln for ln in cert.read_text().splitlines(keepends=True)
+                                if not ln.startswith("zmax ")))
+        self._exit_three(capsys, cert, "target calculate needs a zmax")
+
+    def test_stray_zmax_exit_three(self, runner, tmp_path, capsys):
         path = tmp_path / "maxvalue.cert"
         assert run(runner, ["verify-ineq", "--target", "maxvalue",
                             "-o", str(path)]).exit_code == 0
-        path.write_text(path.read_text().replace("\nbox C1 ", f"\nbox {tag} ", 1))
-        with pytest.raises(SystemExit) as ei:
-            main(["verify-cert", str(path)])
-        assert ei.value.code == 3
+        path.write_text(path.read_text().replace("\ntarget maxvalue\n",
+                                                 "\ntarget maxvalue\nzmax 1/2\n", 1))
+        self._exit_three(capsys, path, "target maxvalue takes no zmax")
 
     @pytest.mark.parametrize("zmax", ["1/100", "0", "1/0", "wat"])
     def test_bad_zmax_exit_three(self, cert, zmax):
