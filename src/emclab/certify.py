@@ -289,15 +289,21 @@ def replay_certificate(cert: Certificate) -> dict:
     the file's z_max, never from the stored boxes, so a file cannot shrink
     the region it claims.  A file that cannot be read against its record (an
     unknown target, a z_max that is bad, missing or given to a target that
-    takes none, a box tag that names none of the roots) raises ValueError.
-    Only a `proved` file with no failure is `ok`."""
+    takes none, a box tag naming no root, coordinates other than the root's)
+    raises ValueError.  Only a `proved` file with no failure is `ok`."""
     rec, roots = _target(cert.target, cert.zmax)
-    tags = {root.region_tag for root in roots}
+    names = {root.region_tag: root.coords.keys() for root in roots}
     failures = []
     for box, stored in cert.boxes:
-        if box.region_tag not in tags:
+        if box.region_tag not in names:
             raise ValueError(f"box tag {box.region_tag!r} names no region of "
                              f"target {cert.target}")
+        want, got = names[box.region_tag], box.coords.keys()
+        if got != want:
+            miss = ", ".join(sorted(want - got)) or "none"
+            extra = ", ".join(sorted(got - want)) or "none"
+            raise ValueError(f"box coordinates of target {cert.target}: missing {miss}; "
+                             f"unexpected {extra}")
         fresh = rec.margin(box, None)
         if fresh.lo <= 0:
             failures.append("margin not strictly positive")

@@ -9,6 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import lt
@@ -51,6 +52,18 @@ class Hypergraph:
 
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
+
+    @cached_property
+    def maximal_edges(self) -> tuple[tuple[int, ...], ...] | None:
+        """The dominance-maximal edges, in order, if the family is stable,
+        else None.  One pass: each k-set one step below an edge (a vertex a
+        becomes a - 1 >= 1 not in it) must be an edge; those are the dominated
+        edges.  A cache, not a field: `==`, `hash` and `repr` ignore it."""
+        below = {e[:i] + (a - 1,) + e[i + 1:]
+                 for e in self.edges for i, a in enumerate(e) if a > 1 and a - 1 not in e}
+        if not below <= self.edge_set():
+            return None
+        return tuple(e for e in self.edges if e not in below)
 
 
 def new_hypergraph(n: int, k: int, raw_edges: Iterable[Sequence[int]],
@@ -113,28 +126,13 @@ def complete_hypergraph(n: int, k: int) -> Hypergraph:
     return new_hypergraph(n, k, combinations(range(1, n + 1), k))
 
 
-def _predecessors(h: Hypergraph) -> set[tuple[int, ...]]:
-    """The k-sets one step below some edge in the coordinatewise dominance
-    order: one vertex a of the edge becomes a - 1 >= 1, where a - 1 is not
-    in the edge.  That swap keeps the tuple sorted."""
-    return {e[:i] + (a - 1,) + e[i + 1:]
-            for e in h.edges for i, a in enumerate(e) if a > 1 and a - 1 not in e}
-
-
 def is_stable(h: Hypergraph) -> bool:
     """True iff the family is closed downward under coordinatewise dominance.
 
     Only elementary single-coordinate decrements are checked; transitivity of
-    the dominance order makes that sufficient.
+    the dominance order makes that sufficient (`Hypergraph.maximal_edges`).
     """
-    return _predecessors(h) <= h.edge_set()
-
-
-def dominance_maximal_edges(h: Hypergraph) -> list[tuple[int, ...]]:
-    """The edges, in order, that no edge dominates by one step.  On a stable
-    family these are the edges that no other edge dominates at all."""
-    below = _predecessors(h)
-    return [e for e in h.edges if e not in below]
+    return h.maximal_edges is not None
 
 
 def shadow(h: Hypergraph) -> Hypergraph:

@@ -32,6 +32,16 @@ def edge_mask(edge) -> int:
     return m
 
 
+def mask_edge(m: int) -> tuple[int, ...]:
+    """The ascending edge of mask `m`, any n: the inverse of `edge_mask`."""
+    edge = []
+    while m:
+        low = m & -m
+        edge.append(low.bit_length())
+        m ^= low
+    return tuple(edge)
+
+
 def check_ground_set(n: int) -> None:
     """Raise HypergraphError when [n] is past the kernel's limit."""
     if n > MAX_KERNEL_VERTICES:

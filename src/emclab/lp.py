@@ -21,7 +21,8 @@ with a full-degree apex prefix.  The packing LP has one entry,
 `fractional_matching_and_cover`.  `tau_star` and
 `min_cover_sorted` (the lexicographically greatest minimum cover) solve LP
 duals over one set of cover rows, with one `<=` row per vertex: the monotone
-rows on a stable family on [n], one row per edge on any other.
+rows on a stable family on [n], one row per edge on any other; the choice
+and the rows read one cached pass, `Hypergraph.maximal_edges`.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from emclab.hypergraph import Hypergraph, dominance_maximal_edges, is_stable
+from emclab.hypergraph import Hypergraph, is_stable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -556,34 +557,24 @@ def extend_to_perfect_fm(h: Hypergraph, t: int, fm: FractionalMatching) -> Fract
 # tau* and min_cover_sorted: one cover LP, solved as its n-row dual
 # ---------------------------------------------------------------------------
 
-def _monotone_cover_rows(h: Hypergraph) -> list:
-    """Rows of the nonincreasing cover LP over w_1..w_n: w(e) >= 1 for each
-    dominance-maximal edge e, then w_i - w_{i+1} >= 0."""
-    n = h.n
-    rows = []
-    for e in dominance_maximal_edges(h):
-        coeffs = [1 if v in e else 0 for v in range(1, n + 1)]
-        rows.append((coeffs, ">=", 1))
-    for i in range(n - 1):
-        coeffs = [0] * n
-        coeffs[i] = 1
-        coeffs[i + 1] = -1
-        rows.append((coeffs, ">=", 0))
-    return rows
-
-
 def _cover_rows(h: Hypergraph) -> list:
-    """The cover rows (coeffs over h.vertices, ">=", r_j) of h: one per edge,
-    or `_monotone_cover_rows` on a stable family on [n].  Those are exact
+    """The cover rows (coeffs over h.vertices, ">=", r_j) of h.  On a stable
+    family on [n] they are the monotone rows over w_1..w_n: w(e) >= 1 for
+    each dominance-maximal edge e, then w_i - w_{i+1} >= 0.  Those are exact
     there: swapping a smaller earlier weight with a larger later one keeps a
     cover, because an edge through the later vertex but not the earlier one
     shifts to an edge of the family, so the lexicographically greatest
     minimum cover is nonincreasing; and under nonincreasing weights a
-    dominated edge is covered whenever its dominating edge is."""
+    dominated edge is covered whenever its dominating edge is.  On any other
+    family there is one row w(e) >= 1 per edge."""
     verts = h.vertices
-    if verts == tuple(range(1, h.n + 1)) and is_stable(h):
-        return _monotone_cover_rows(h)
-    return [([1 if v in e else 0 for v in verts], ">=", 1) for e in h.edges]
+    maximal = h.maximal_edges if verts == tuple(range(1, h.n + 1)) else None
+    rows = [([1 if v in e else 0 for v in verts], ">=", 1)
+            for e in (h.edges if maximal is None else maximal)]
+    if maximal is not None:
+        n = h.n
+        rows += [([0] * i + [1, -1] + [0] * (n - i - 2), ">=", 0) for i in range(n - 1)]
+    return rows
 
 
 def _cover_value(rows) -> Fraction:

@@ -5,8 +5,8 @@ Both are branch-and-bound searches over bitmask edge families (see
 bounds usually pin the matching number before any search happens: the
 vertex count and a greedy integral cover, then, unless those already meet
 the greedy lower bound, the exact tau* from ``lp.tau_star`` (one cover LP
-solved as its dual, with a row per vertex: monotone cover rows on stable
-families, one row per edge, which makes it the packing LP, on all others).
+solved as its dual, with a row per vertex: monotone cover rows from the
+cached `Hypergraph.maximal_edges` on stable families, else one row per edge).
 """
 
 from __future__ import annotations

@@ -92,11 +92,8 @@ def _search(n: int, k: int, s: int, budget: int
     incumbent = _incumbent(n, k, s, masks, succs)
     lower = incumbent[1].num_edges if incumbent else 0
     best, wit_idx, exhausted, nodes = kernel.downset_max_edges(masks, succs, s, budget, lower)
-    if wit_idx or not incumbent:
-        witness = new_hypergraph(n, k, [[v for v in range(1, n + 1) if masks[i] >> (v - 1) & 1]
-                                        for i in wit_idx])
-    else:
-        witness = incumbent[1]
+    witness = (new_hypergraph(n, k, [kernel.mask_edge(masks[i]) for i in wit_idx])
+               if wit_idx or not incumbent else incumbent[1])
     report = incumbent and {"family": incumbent[0], "edges": lower}
     return best, witness, exhausted, nodes, report
 
@@ -189,6 +186,7 @@ def extremal_profile(g: Hypergraph, s: int, epsilon: Fraction
     (which a stability argument consumes is a modelling choice).  Both read
     w: w covers sat(G), so tau*(sat G) <= |w| = tau*(G) <= tau*(sat G); every
     minimum cover of sat(G) is then one of G, and w is the greatest of them.
+    G's one stability test fills `g.maximal_edges`, read by its cover rows.
     """
     if g.k != 4:
         raise HypergraphError(f"expects k = 4, got {g.k}")

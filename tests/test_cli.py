@@ -326,6 +326,20 @@ class TestCertificateCoverage:
         path.write_text(path.read_text().replace(f"\nbox {root_tag} ", f"\nbox {tag} ", 1))
         self._exit_three(capsys, path, f"box tag '{tag}' names no region of target {target}")
 
+    @pytest.mark.parametrize("edit, error", [
+        (lambda coords: {n: iv for n, iv in coords.items() if n != "z"},
+         "missing z; unexpected none"),
+        (lambda coords: {**coords, "w": Interval.make(0, 1)},
+         "missing none; unexpected w"),
+    ], ids=["missing-z", "extra-w"])
+    def test_coords_other_than_roots_exit_three(self, capsys, cert, edit, error):
+        # the file's coords line and every box lose z or gain w: refused by
+        # name before any margin is computed
+        c = parse_certificate(cert.read_text())
+        boxes = tuple((Box(edit(box.coords), box.region_tag), m) for box, m in c.boxes)
+        cert.write_text(replace(c, boxes=boxes).serialize())
+        self._exit_three(capsys, cert, f"box coordinates of target calculate: {error}")
+
     def test_missing_zmax_exit_three(self, capsys, cert):
         cert.write_text("".join(ln for ln in cert.read_text().splitlines(keepends=True)
                                 if not ln.startswith("zmax ")))

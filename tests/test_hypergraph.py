@@ -7,8 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
-                               complete_hypergraph, dominance_maximal_edges,
-                               induced, is_stable,
+                               complete_hypergraph, induced, is_stable,
                                min_d_degree, new_hypergraph, parse_khg,
                                serialize_khg, shadow, trace_family)
 
@@ -185,11 +184,33 @@ class TestStability:
     def test_empty(self):
         assert is_stable(new_hypergraph(5, 3, []))
 
+    def test_second_test_makes_no_new_pass(self, monkeypatch):
+        real = Hypergraph.edge_set
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return real(h)
+        monkeypatch.setattr(Hypergraph, "edge_set", counted)
+        for h in (new_hypergraph(5, 2, [(1, 2), (1, 3), (2, 3)]),
+                  new_hypergraph(4, 2, [(3, 4)])):
+            first = is_stable(h)
+            assert is_stable(h) == first
+            assert len(calls) == 1 and calls[0] is h
+            calls.clear()
+
+    def test_cache_leaves_equality_hash_and_repr(self):
+        for edges, maximal in (([(1, 2), (1, 3)], ((1, 3),)), ([(2, 4)], None), ([], ())):
+            h = new_hypergraph(4, 2, edges)
+            assert h.maximal_edges == maximal
+            fresh = new_hypergraph(4, 2, edges)
+            assert "maximal_edges" in vars(h) and "maximal_edges" not in vars(fresh)
+            assert h == fresh and hash(h) == hash(fresh) and repr(h) == repr(fresh)
+
     def test_matches_brute_force_dominance(self):
         # f <= e iff f[i] <= e[i] for all i.  Stable: every k-set of [n]
-        # below an edge is an edge.  Maximal: no edge g >= e with a
-        # coordinate sum one more (g covers e); on a stable family, no other
-        # edge >= e at all.
+        # below an edge is an edge.  Maximal edges, on a stable family only:
+        # no other edge >= e.
         def below(f, e):
             return all(a <= b for a, b in zip(f, e))
 
@@ -214,13 +235,9 @@ class TestStability:
             stable = all(f in h.edge_set() for e in h.edges
                          for f in combinations(range(1, n + 1), k) if below(f, e))
             assert is_stable(h) == stable, h
-            maximal = [e for e in h.edges
-                       if not any(below(e, g) and sum(g) == sum(e) + 1 for g in h.edges)]
-            assert dominance_maximal_edges(h) == maximal, h
-            if stable:
-                stable_count += 1
-                assert maximal == [e for e in h.edges
-                                   if not any(g != e and below(e, g) for g in h.edges)]
+            maximal = tuple(e for e in h.edges if not any(g != e and below(e, g) for g in h.edges))
+            assert h.maximal_edges == (maximal if stable else None), h
+            stable_count += stable
         assert 50 < stable_count < len(cases) - 50
 
 

@@ -114,6 +114,16 @@ class TestContract:
     def test_bit_layout(self):
         assert kernel.edge_masks(63, [(1, 63), (2, 3)]) == [1 | 1 << 62, 0b110]
 
+    def test_mask_edge_inverts_edge_mask(self):
+        # any n: shifting uses the same codec past the kernel's 63
+        rng = random.Random(19)
+        for _ in range(200):
+            n = rng.randint(1, 80)
+            e = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(0, min(6, n)))))
+            assert kernel.mask_edge(kernel.edge_mask(e)) == e
+        assert kernel.mask_edge(1 | 1 << 69) == (1, 70)
+        assert kernel.mask_edge(0) == ()
+
     def test_rejects_past_63_before_enumerating(self):
         with pytest.raises(HypergraphError):
             kernel.edge_masks(64, [])

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import emclab.hypergraph
 import emclab.lp
 from emclab.constructions import build_Hi
 from emclab.hypergraph import complete_hypergraph, is_stable, new_hypergraph
 from emclab.lp import (FractionalCover, Infeasible, LPError, PerfectExtensionError,
                        Unbounded, _check_certificate, _cover_rows, _matching_rows,
-                       _monotone_cover_rows, check_complementary_slackness,
-                       dominance_maximal_edges, extend_to_perfect_fm,
+                       check_complementary_slackness, extend_to_perfect_fm,
                        fractional_cover_number, fractional_matching_and_cover,
                        fractional_matching_number, full_degree_vertices,
                        has_perfect_fm, lex_max_fractional_matching,
@@ -245,7 +243,7 @@ class TestIntInputs:
 
     def test_row_builders_emit_ints(self, lp_inputs):
         h = build_Hi(9, 4, 1, 1)
-        rows = _matching_rows(h) + _monotone_cover_rows(h)
+        rows = _matching_rows(h) + _cover_rows(h)
         assert all(type(v) is int for coeffs, _, rhs in rows for v in (*coeffs, rhs))
         nu_star, _, _ = fractional_matching_and_cover(h)
         lex_max_fractional_matching(h, tuple(range(1, 10)), nu_star)
@@ -526,13 +524,27 @@ class TestHasPerfectFM:
         assert not has_perfect_fm(new_hypergraph(4, 2, [(1, 2), (1, 3), (1, 4)]))
 
 
+def monotone_rows(h):
+    """The monotone cover rows of a stable family on [n], from brute-force
+    dominance: w(e) >= 1 for each edge that no other edge dominates, then
+    w_i - w_{i+1} >= 0."""
+    top = [e for e in h.edges
+           if not any(g != e and all(a <= b for a, b in zip(e, g)) for g in h.edges)]
+    rows = [([int(v in e) for v in range(1, h.n + 1)], ">=", 1) for e in top]
+    for i in range(h.n - 1):
+        coeffs = [0] * h.n
+        coeffs[i], coeffs[i + 1] = 1, -1
+        rows.append((coeffs, ">=", 0))
+    return rows
+
+
 class TestMonotoneCoverBound:
     """On a stable family on [n], `tau_star` is the monotone cover bound."""
 
     def test_matches_lp_on_hi(self):
         for k, s in [(2, 2), (3, 1), (4, 1)]:
             h = build_Hi(k * (s + 1) + 2, k, s, 1)
-            assert _cover_rows(h) == _monotone_cover_rows(h)
+            assert _cover_rows(h) == monotone_rows(h)
             nu_star, _ = fractional_matching_number(h)
             assert tau_star(h) == nu_star == s
 
@@ -543,11 +555,18 @@ class TestMonotoneCoverBound:
         for _ in range(30):
             h = random_stable(rng, rng.randint(4, 9), rng.choice([2, 3]),
                               rng.randint(1, 12))
-            assert _cover_rows(h) == _monotone_cover_rows(h)
+            assert _cover_rows(h) == monotone_rows(h)
             nu_star, _ = fractional_matching_number(h)
             assert tau_star(h) == nu_star
 
     def test_maximal_edges(self):
+        # the rows read the family's cached answer: its maximal edges when
+        # stable, one row per edge otherwise
         h = build_Hi(8, 2, 1, 1)  # star at vertex 1 on 8 vertices
-        assert dominance_maximal_edges(h) == [(1, 8)]
-        assert dominance_maximal_edges is emclab.hypergraph.dominance_maximal_edges
+        rows = _cover_rows(h)
+        assert vars(h)["maximal_edges"] == ((1, 8),)
+        assert rows[0] == ([1, 0, 0, 0, 0, 0, 0, 1], ">=", 1) and len(rows) == 1 + 7
+        star = new_hypergraph(8, 2, [(2, v) for v in range(3, 9)])
+        assert _cover_rows(star) == [([int(v in e) for v in range(1, 9)], ">=", 1)
+                                     for e in star.edges]
+        assert vars(star)["maximal_edges"] is None

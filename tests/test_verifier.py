@@ -216,6 +216,21 @@ class TestExtremalProfile:
         extremal_profile(build_Hi(20, 4, 3, 1), 3, Fraction(1, 10**6))
         assert len(calls) == 4
 
+    def test_one_dominance_pass(self, monkeypatch):
+        # the exit-3 stability test fills g.maximal_edges and the cover rows
+        # of min_cover_sorted read it: one edge_set build, on G only
+        from emclab.hypergraph import Hypergraph
+        real = Hypergraph.edge_set
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return real(h)
+        monkeypatch.setattr(Hypergraph, "edge_set", counted)
+        g = build_Hi(20, 4, 3, 1)
+        extremal_profile(g, 3, Fraction(1, 10**6))
+        assert len(calls) == 1 and calls[0] is g
+
     def test_saturation_keeps_sorted_cover(self):
         # w = min_cover_sorted(g) is also the sorted cover of g saturated by
         # w, so extremal_profile reads both profiles from one chain: seeded
