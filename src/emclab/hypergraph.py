@@ -9,7 +9,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import comb
 from operator import lt
@@ -75,13 +75,21 @@ def new_hypergraph(n: int, k: int, raw_edges: Iterable[Sequence[int]],
     """
     if n < 1 or k < 1 or k > n:
         raise HypergraphError(f"need 1 <= k <= n, got n={n}, k={k}")
-    ground = tuple(sorted(vertices)) if vertices is not None else tuple(range(1, n + 1))
-    ground_set = set(ground)
-    for v in ground:
-        if not (1 <= v <= n):
-            raise HypergraphError(f"ground-set vertex {v} outside [1,{n}]")
+    ground = None
+    if vertices is not None:
+        ground = tuple(sorted(vertices))
+        for v in ground:
+            if not (1 <= v <= n):
+                raise HypergraphError(f"ground-set vertex {v} outside [1,{n}]")
+
+    @cache
+    def ground_set() -> set[int]:
+        # built on first use, so an edge of the wrong arity is refused
+        # without materialising a ground set of n vertices
+        return set(ground if ground is not None else range(1, n + 1))
+
     raws = list(map(tuple, raw_edges))
-    edges = _bulk_canonical(k, raws, lambda cols: all(map(ground_set.issuperset, cols)))
+    edges = _bulk_canonical(k, raws, lambda cols: all(map(ground_set().issuperset, cols)))
     if edges is None:
         # one edge at a time: sorts unsorted edges, names the first bad one
         seen = set()
@@ -91,8 +99,8 @@ def new_hypergraph(n: int, k: int, raw_edges: Iterable[Sequence[int]],
                 raise HypergraphError(f"edge {list(raw)} has arity {len(raw)}, expected {k}")
             if len(set(e)) != k:
                 raise HypergraphError(f"edge {list(raw)} has a repeated vertex")
-            if not ground_set.issuperset(e):
-                v = next(v for v in e if v not in ground_set)
+            if not ground_set().issuperset(e):
+                v = next(v for v in e if v not in ground_set())
                 if not (1 <= v <= n):
                     raise HypergraphError(f"vertex {v} outside [1,{n}] in edge {list(raw)}")
                 raise HypergraphError(f"vertex {v} outside ground set in edge {list(raw)}")
@@ -265,10 +273,18 @@ def parse_khg(text: str) -> Hypergraph:
         raise HypergraphError(f"non-numeric header line: {rows[0]!r}")
     if len(rows) - 1 != m:
         raise HypergraphError(f"header declares {m} edges, found {len(rows) - 1}")
+    # a lookup per token is cheaper than int().  The table holds no more
+    # names than the header's m*k tokens or the file's characters, so a huge
+    # header on a short file builds a short table; a token it does not
+    # hold ("03", "+3", "x", a vertex out of range) falls back to int()
+    table = {str(v): v for v in range(1, min(n, m * k, len(text)) + 1)}
     try:
-        edges = [tuple(map(int, ln.split())) for ln in rows[1:]]
-    except ValueError:
-        edges = None
+        edges = [tuple(map(table.__getitem__, ln.split())) for ln in rows[1:]]
+    except KeyError:
+        try:
+            edges = [tuple(map(int, ln.split())) for ln in rows[1:]]
+        except ValueError:
+            edges = None
     if edges is not None and 1 <= k <= n:
         canon = _bulk_canonical(k, edges, lambda cols: min(cols[0]) >= 1 and max(cols[-1]) <= n)
         if canon is not None:

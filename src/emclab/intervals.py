@@ -1,12 +1,15 @@
 """Exact rational interval arithmetic and inequality certificates.
 
-Endpoints are `fractions.Fraction`, so every operation encloses the true
-range with no rounding at all: "outward-correct" is automatic.  A product
-takes its endpoints from the signs of the operands' endpoints (the standard
-sign-case table); only when both operands straddle 0 are all four endpoint
-products formed.  The result equals the four-product hull exactly.  An
-`int` or `Fraction` operand of `+`, `-` and `*` is used as it is, never
-wrapped into a point interval.
+An interval [a/d, b/d] is held as two int numerators over one shared
+positive int denominator, so every operation encloses the true range with no
+rounding at all: "outward-correct" is automatic.  Operations work on the ints
+and never reduce them; `lo`, `hi`, `width` and `mid` are reduced `Fraction`s,
+built only when read.  A product takes its endpoints from the signs of the
+operands' numerators (the standard sign-case table, valid since d > 0); only
+when both operands straddle 0 are all four endpoint products formed.  The
+result equals the four-product hull exactly.  An `int` or `Fraction` operand
+of `+`, `-` and `*` enters as its numerator and denominator, never wrapped
+into a point interval.
 
 A Certificate records the root region and a finite box subdivision of it
 together with a verified margin interval per leaf; it serializes to a
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 CERT_FORMAT = 2
 
@@ -27,18 +31,34 @@ CERT_FORMAT = 2
 class Interval:
     """The closed interval [lo, hi]; constructing one with lo > hi raises."""
 
-    __slots__ = ("lo", "hi")
+    __slots__ = ("_a", "_b", "_d")       # [lo, hi] = [_a/_d, _b/_d], _d > 0
 
     def __init__(self, lo, hi):
-        if lo > hi:
-            raise ValueError(f"empty interval [{lo}, {hi}]")
-        self.lo = lo
-        self.hi = hi
+        p, q = _ratio(lo)
+        r, s = _ratio(hi)
+        if p * s > r * q:
+            raise ValueError(f"empty interval [{Fraction(p, q)}, {Fraction(r, s)}]")
+        if q == s:
+            self._a, self._b, self._d = p, r, q
+        else:
+            d = lcm(q, s)
+            self._a, self._b, self._d = p * (d // q), r * (d // s), d
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     def __eq__(self, other):
         if not isinstance(other, Interval):
             return NotImplemented
-        return self.lo == other.lo and self.hi == other.hi
+        d, f = self._d, other._d
+        if d == f:
+            return self._a == other._a and self._b == other._b
+        return self._a * f == other._a * d and self._b * f == other._b * d
 
     def __hash__(self):
         return hash((self.lo, self.hi))
@@ -48,57 +68,69 @@ class Interval:
 
     @staticmethod
     def point(v) -> "Interval":
-        v = Fraction(v)
-        return Interval(v, v)
+        p, q = _ratio(v)
+        return _iv(p, p, q)
 
     @staticmethod
     def make(lo, hi) -> "Interval":
-        return Interval(Fraction(lo), Fraction(hi))
+        return Interval(lo, hi)
 
     def __add__(self, other) -> "Interval":
+        a, b, d = self._a, self._b, self._d
         if isinstance(other, Interval):
-            return _iv(self.lo + other.lo, self.hi + other.hi)
-        c = _scalar(other)
-        return _iv(self.lo + c, self.hi + c)
+            f = other._d
+            if d == f:
+                return _iv(a + other._a, b + other._b, d)
+            return _iv(a * f + other._a * d, b * f + other._b * d, d * f)
+        p, q = _ratio(other)
+        p *= d
+        return _iv(a * q + p, b * q + p, d * q)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Interval":
-        return _iv(-self.hi, -self.lo)
+        return _iv(-self._b, -self._a, self._d)
 
     def __sub__(self, other) -> "Interval":
+        a, b, d = self._a, self._b, self._d
         if isinstance(other, Interval):
-            return _iv(self.lo - other.hi, self.hi - other.lo)
-        c = _scalar(other)
-        return _iv(self.lo - c, self.hi - c)
+            f = other._d
+            if d == f:
+                return _iv(a - other._b, b - other._a, d)
+            return _iv(a * f - other._b * d, b * f - other._a * d, d * f)
+        p, q = _ratio(other)
+        p *= d
+        return _iv(a * q - p, b * q - p, d * q)
 
     def __rsub__(self, other) -> "Interval":
-        c = _scalar(other)
-        return _iv(c - self.hi, c - self.lo)
+        p, q = _ratio(other)
+        d = self._d
+        return _iv(p * d - self._b * q, p * d - self._a * q, d * q)
 
     def __mul__(self, other) -> "Interval":
-        a, b = self.lo, self.hi
+        a, b, d = self._a, self._b, self._d
         if not isinstance(other, Interval):
-            c = _scalar(other)
-            return _iv(a * c, b * c) if c >= 0 else _iv(b * c, a * c)
-        c, d = other.lo, other.hi
+            p, q = _ratio(other)
+            return _iv(a * p, b * p, d * q) if p >= 0 else _iv(b * p, a * p, d * q)
+        c, e = other._a, other._b
+        d *= other._d
         if a >= 0:
             if c >= 0:
-                return _iv(a * c, b * d)
-            if d <= 0:
-                return _iv(b * c, a * d)
-            return _iv(b * c, b * d)
+                return _iv(a * c, b * e, d)
+            if e <= 0:
+                return _iv(b * c, a * e, d)
+            return _iv(b * c, b * e, d)
         if b <= 0:
             if c >= 0:
-                return _iv(a * d, b * c)
-            if d <= 0:
-                return _iv(b * d, a * c)
-            return _iv(a * d, a * c)
+                return _iv(a * e, b * c, d)
+            if e <= 0:
+                return _iv(b * e, a * c, d)
+            return _iv(a * e, a * c, d)
         if c >= 0:
-            return _iv(a * d, b * d)
-        if d <= 0:
-            return _iv(b * c, a * c)
-        return _iv(min(a * d, b * c), max(a * c, b * d))
+            return _iv(a * e, b * e, d)
+        if e <= 0:
+            return _iv(b * c, a * c, d)
+        return _iv(min(a * e, b * c), max(a * c, b * e), d)
 
     __rmul__ = __mul__
 
@@ -106,55 +138,71 @@ class Interval:
         if exp < 0:
             raise ValueError("negative powers not supported")
         if exp == 0:
-            return Interval.point(1)
-        if exp % 2 == 1 or self.lo >= 0:
-            return _iv(self.lo**exp, self.hi**exp)
-        if self.hi <= 0:
-            return _iv(self.hi**exp, self.lo**exp)
-        return _iv(Fraction(0), max(self.lo**exp, self.hi**exp))
+            return _iv(1, 1, 1)
+        a, b, d = self._a, self._b, self._d**exp
+        if exp % 2 == 1 or a >= 0:
+            return _iv(a**exp, b**exp, d)
+        if b <= 0:
+            return _iv(b**exp, a**exp, d)
+        return _iv(0, max(a**exp, b**exp), d)
 
     def recip(self) -> "Interval":
-        if self.lo <= 0 <= self.hi:
+        a, b, d = self._a, self._b, self._d
+        if a <= 0 <= b:
             raise ZeroDivisionError("interval contains zero")
-        return _iv(1 / self.hi, 1 / self.lo)
+        # [d/b, d/a] over a*b > 0
+        return _iv(d * a, d * b, a * b)
 
     def __truediv__(self, other) -> "Interval":
         return self * _coerce(other).recip()
 
     def max_with(self, other) -> "Interval":
         other = _coerce(other)
-        return _iv(max(self.lo, other.lo), max(self.hi, other.hi))
+        a, b, d = self._a, self._b, self._d
+        c, e, f = other._a, other._b, other._d
+        if d == f:
+            return _iv(max(a, c), max(b, e), d)
+        return _iv(max(a * f, c * d), max(b * f, e * d), d * f)
 
     def contains(self, v) -> bool:
-        return self.lo <= Fraction(v) <= self.hi
+        p, q = _ratio(v)
+        p *= self._d
+        return self._a * q <= p <= self._b * q
 
     @property
     def width(self) -> Fraction:
-        return self.hi - self.lo
+        return Fraction(self._b - self._a, self._d)
 
     @property
     def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
+        return Fraction(self._a + self._b, 2 * self._d)
 
     def halves(self) -> tuple["Interval", "Interval"]:
-        m = self.mid
-        return _iv(self.lo, m), _iv(m, self.hi)
+        a, b, d = self._a, self._b, 2 * self._d
+        m = a + b
+        return _iv(2 * a, m, d), _iv(m, 2 * b, d)
 
 
 _new = object.__new__
 
 
-def _iv(lo, hi) -> Interval:
-    """An interval whose endpoints are ordered by construction: the
-    constructor's emptiness check is skipped."""
+def _iv(a: int, b: int, d: int) -> Interval:
+    """The interval [a/d, b/d] for ints a <= b and d > 0: the constructor's
+    conversions and emptiness check are skipped."""
     iv = _new(Interval)
-    iv.lo = lo
-    iv.hi = hi
+    iv._a = a
+    iv._b = b
+    iv._d = d
     return iv
 
 
-def _scalar(v):
-    return v if isinstance(v, (int, Fraction)) else Fraction(v)
+def _ratio(v) -> tuple[int, int]:
+    """The numerator and positive denominator of a rational scalar."""
+    if type(v) is int:
+        return v, 1
+    if not isinstance(v, Fraction):
+        v = Fraction(v)
+    return v.numerator, v.denominator
 
 
 def _coerce(v) -> Interval:
@@ -224,7 +272,7 @@ def parse_certificate(text: str) -> Certificate:
     not record its root region, so its coverage cannot be checked: it is
     rejected with ValueError."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
-    meta: dict[str, str] = {}
+    meta: dict[str, str | int] = {}
     names: list[str] = []
     boxes: list[tuple[Box, Interval]] = []
     point = None
@@ -233,8 +281,10 @@ def parse_certificate(text: str) -> Certificate:
     for ln in lines:
         parts = ln.split()
         try:
-            if parts[0] in ("format", "target", "status", "splits", "boxes"):
+            if parts[0] in ("format", "target", "status"):
                 meta[parts[0]] = parts[1]
+            elif parts[0] in ("splits", "boxes"):
+                meta[parts[0]] = int(parts[1])
             elif parts[0] == "zmax":
                 zmax = Fraction(parts[1])
             elif parts[0] == "mutation":
@@ -268,6 +318,6 @@ def parse_certificate(text: str) -> Certificate:
     if missing:
         raise ValueError(f"certificate has no {' or '.join(missing)} line")
     return Certificate(target=meta["target"], status=meta["status"],
-                       boxes=tuple(boxes), splits=int(meta["splits"]),
+                       boxes=tuple(boxes), splits=meta["splits"],
                        counterexample=point, zmax=zmax, mutation=mutation,
-                       declared_boxes=int(meta["boxes"]))
+                       declared_boxes=meta["boxes"])

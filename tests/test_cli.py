@@ -360,6 +360,13 @@ class TestCertificateCoverage:
             main(["verify-cert", str(cert)])
         assert ei.value.code == 3
 
+    @pytest.mark.parametrize("key, value", [("splits", "abc"), ("boxes", "x")])
+    def test_bad_count_exit_three(self, capsys, cert, key, value):
+        # a count that is no integer is named by its line, like any bad line
+        cert.write_text("".join(f"{key} {value}\n" if ln.startswith(f"{key} ") else ln
+                                for ln in cert.read_text().splitlines(keepends=True)))
+        self._exit_three(capsys, cert, f"bad certificate line '{key} {value}'")
+
 
 class TestSamplingCommands:
     def test_sample_deterministic_rerun(self, runner, tmp_path):

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
@@ -6,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import emclab
 from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
                                complete_hypergraph, induced, is_stable,
                                min_d_degree, new_hypergraph, parse_khg,
@@ -363,6 +367,23 @@ class TestKhgFormat:
     def test_duplicates_and_order_merged(self):
         text = "# shuffled\r\n5 2 4\r\n3\t4\n1 2\n\n+3 04\n1 5\n"
         assert parse_khg(text).edges == ((1, 2), (1, 5), (3, 4))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+    def test_huge_header_refused_before_sizing_by_n(self):
+        # 25 bytes whose header names 10^9 vertices: the arity error must
+        # come before anything of size n is built.  The child's address
+        # space is capped at 1 GiB, so a table or ground set sized by n
+        # fails with MemoryError instead of exhausting the machine.
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        code = ("from emclab.hypergraph import parse_khg\n"
+                "parse_khg('1000000000 1000000000 1\\n1\\n')\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(emclab.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=cap,
+                              capture_output=True, text=True, timeout=60)
+        assert "HypergraphError: edge [1] has arity 1, expected 1000000000" in proc.stderr
 
     @settings(max_examples=60, deadline=None)
     @given(hypergraphs())

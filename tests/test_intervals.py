@@ -115,6 +115,13 @@ class TestExactness:
         assert a != Interval.make(0, 1) and a != (Fraction(1, 2), 1)
         assert hash(a) == hash(Interval.make(Fraction(1, 2), 1))
         assert repr(a) == "Interval(lo=Fraction(1, 2), hi=Fraction(1, 1))"
+        # halves are not reduced, yet equal, and hash like, reduced intervals
+        for half, want in zip(Interval.make(0, 1).halves(),
+                              (Interval.make(0, Fraction(1, 2)), Interval.make(Fraction(1, 2), 1))):
+            assert half == want and hash(half) == hash(want)
+        lo, hi = Interval.make(0, 2).halves()
+        assert lo == Interval.make(0, 1) and hash(lo) == hash(Interval.make(0, 1))
+        assert hi == Interval.make(1, 2) and hash(hi) == hash(Interval.make(1, 2))
 
 
 class TestBox:
