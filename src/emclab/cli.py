@@ -62,6 +62,14 @@ def _load(path: str):
         raise click.UsageError(f"cannot read hypergraph {path}: {exc}")
 
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}")
+
+
 class _Command(click.Command):
     """Maps HypergraphError, the library's rejection of bad input, to this
     subcommand's usage error (exit 3).  Any other exception is a fault and
@@ -115,8 +123,7 @@ def gen(family, n, k, s, i_, u_size, p, out):
         h = build_HpUW(range(1, u_size + 1), range(u_size + 1, n + 1), k, p)
     else:
         h = complete_hypergraph(n, k)
-    with open(out, "w") as fh:
-        fh.write(serialize_khg(h))
+    _write(out, serialize_khg(h))
     click.echo(_report({"family": family, "n": h.n, "k": h.k, "edges": h.num_edges,
                         "out": out}))
 
@@ -163,9 +170,8 @@ def nufrac(path, dual, slackness, trace):
                 "support_size": rep.support_size, "bound": str(rep.bound),
                 "ok": rep.saturated_ok, "violations": list(rep.violations)}
     if trace:
-        with open(trace, "w") as fh:
-            for phase, enter, leave in pivots:
-                fh.write(f"phase {phase} enter {enter} leave {leave}\n")
+        _write(trace, "".join(f"phase {phase} enter {enter} leave {leave}\n"
+                              for phase, enter, leave in pivots))
     click.echo(_report(payload))
 
 
@@ -179,8 +185,7 @@ def shift(path, out, show_log):
     h = _load(path)
     stable, log = stabilize(h)
     if out:
-        with open(out, "w") as fh:
-            fh.write(serialize_khg(stable))
+        _write(out, serialize_khg(stable))
     payload = {"edges": stable.num_edges, "shifts": len(log)}
     if show_log:
         payload["log"] = [list(p) for p in log]
@@ -289,8 +294,7 @@ def verify_ineq(target, zmax, depth, max_boxes, mutation, out):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     if out:
-        with open(out, "w") as fh:
-            fh.write(cert.serialize())
+        _write(out, cert.serialize())
     click.echo(_report({"target": cert.target, "status": cert.status,
                         "boxes": len(cert.boxes), "splits": cert.splits,
                         "counterexample": cert.counterexample}))
@@ -362,8 +366,7 @@ def round_cmd(path, t, s, copies, seed, out):
         pfms.append(fm)
     sparse = round_to_sparse(h, batch, pfms, seed)
     if out:
-        with open(out, "w") as fh:
-            fh.write(serialize_khg(sparse))
+        _write(out, serialize_khg(sparse))
     click.echo(_report({"kept_edges": sparse.num_edges,
                         "histogram": degree_histogram(sparse)}, seed=seed))
 

@@ -9,11 +9,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from operator import lt
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 class HypergraphError(ValueError):
@@ -75,21 +75,15 @@ def new_hypergraph(n: int, k: int, raw_edges: Iterable[Sequence[int]],
     """
     if n < 1 or k < 1 or k > n:
         raise HypergraphError(f"need 1 <= k <= n, got n={n}, k={k}")
-    ground = None
+    ground = members = None
     if vertices is not None:
         ground = tuple(sorted(vertices))
         for v in ground:
             if not (1 <= v <= n):
                 raise HypergraphError(f"ground-set vertex {v} outside [1,{n}]")
-
-    @cache
-    def ground_set() -> set[int]:
-        # built on first use, so an edge of the wrong arity is refused
-        # without materialising a ground set of n vertices
-        return set(ground if ground is not None else range(1, n + 1))
-
+        members = frozenset(ground)
     raws = list(map(tuple, raw_edges))
-    edges = _bulk_canonical(k, raws, lambda cols: all(map(ground_set().issuperset, cols)))
+    edges = _bulk_canonical(n, k, members, raws)
     if edges is None:
         # one edge at a time: sorts unsorted edges, names the first bad one
         seen = set()
@@ -99,31 +93,38 @@ def new_hypergraph(n: int, k: int, raw_edges: Iterable[Sequence[int]],
                 raise HypergraphError(f"edge {list(raw)} has arity {len(raw)}, expected {k}")
             if len(set(e)) != k:
                 raise HypergraphError(f"edge {list(raw)} has a repeated vertex")
-            if not ground_set().issuperset(e):
-                v = next(v for v in e if v not in ground_set())
+            for v in e:
                 if not (1 <= v <= n):
                     raise HypergraphError(f"vertex {v} outside [1,{n}] in edge {list(raw)}")
-                raise HypergraphError(f"vertex {v} outside ground set in edge {list(raw)}")
+                if members is not None and v not in members:
+                    raise HypergraphError(f"vertex {v} outside ground set in edge {list(raw)}")
             seen.add(e)
         edges = tuple(sorted(seen))
     return Hypergraph(n=n, k=k, edges=edges, vertices=ground)
 
 
-def _bulk_canonical(k: int, edges: list[tuple[int, ...]],
-                    inside: Callable[[list[tuple[int, ...]]], bool]
-                    ) -> tuple[tuple[int, ...], ...] | None:
-    """`edges` in canonical order, or None unless every edge is a strictly
-    increasing k-tuple and `inside` accepts the vertex columns.
+def _bulk_canonical(n: int, k: int, members: frozenset[int] | None,
+                    edges: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...] | None:
+    """`edges` in canonical order, or None unless 1 <= k <= n and every edge
+    is a strictly increasing k-tuple on the ground set: `members`, or [n]
+    when it is None.
 
-    Every test is a C-level pass over a whole column; the set and the sort
-    are skipped when the edges already come in strictly increasing order.
+    Every test is a C-level pass over a whole column; [n] is checked as a
+    range on the first and last columns, so nothing of size n is built.  The
+    set and the sort are skipped when the edges already come in strictly
+    increasing order.
     """
+    if not 1 <= k <= n:
+        return None
     if not edges:
         return ()
     if set(map(len, edges)) != {k}:
         return None
     cols = list(zip(*edges))
-    if not (all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])) and inside(cols)):
+    if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
+        return None
+    if not ((min(cols[0]) >= 1 and max(cols[-1]) <= n) if members is None
+            else all(map(members.issuperset, cols))):
         return None
     if all(map(lt, edges, edges[1:])):
         return tuple(edges)
@@ -261,7 +262,7 @@ def serialize_khg(h: Hypergraph) -> str:
 
 
 def parse_khg(text: str) -> Hypergraph:
-    rows = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
+    rows = [ln for ln in text.splitlines() if (t := ln.lstrip()) and t[0] != "#"]
     if not rows:
         raise HypergraphError("empty .khg input")
     head = rows[0].split()
@@ -275,22 +276,19 @@ def parse_khg(text: str) -> Hypergraph:
         raise HypergraphError(f"header declares {m} edges, found {len(rows) - 1}")
     # a lookup per token is cheaper than int().  The table holds no more
     # names than the header's m*k tokens or the file's characters, so a huge
-    # header on a short file builds a short table; a token it does not
-    # hold ("03", "+3", "x", a vertex out of range) falls back to int()
+    # header on a short file builds a short table; a token it lacks ("03",
+    # "+3", "x", a vertex out of range) sends the file to the line read below
     table = {str(v): v for v in range(1, min(n, m * k, len(text)) + 1)}
     try:
         edges = [tuple(map(table.__getitem__, ln.split())) for ln in rows[1:]]
     except KeyError:
-        try:
-            edges = [tuple(map(int, ln.split())) for ln in rows[1:]]
-        except ValueError:
-            edges = None
-    if edges is not None and 1 <= k <= n:
-        canon = _bulk_canonical(k, edges, lambda cols: min(cols[0]) >= 1 and max(cols[-1]) <= n)
+        pass
+    else:
+        canon = _bulk_canonical(n, k, None, edges)
         if canon is not None:
             return Hypergraph(n=n, k=k, edges=canon)
-    # a bulk check failed: read line by line, so that every line's own error
-    # comes before any error of new_hypergraph
+    # a token missed the table or a bulk check failed: read line by line,
+    # so that every line's own error comes before any of new_hypergraph
     edges = []
     for ln in rows[1:]:
         try:

@@ -348,12 +348,16 @@ def fractional_matching_and_cover(h: Hypergraph, trace=None
     for v, w in weights.items():
         if not (0 <= w <= 1):
             raise LPError(f"dual weight {w} at vertex {v} outside [0,1]")
-    fc = FractionalCover(weights=weights)
+    return value, fm, _checked_cover(h, FractionalCover(weights=weights), "dual")
+
+
+def _checked_cover(h: Hypergraph, fc: FractionalCover, what: str) -> FractionalCover:
+    """fc, after checking that it covers every edge of h."""
     covered = fc.covered(h.edges)
     if len(covered) < len(h.edges):
         first = min(set(h.edges).difference(covered))
-        raise LPError(f"dual not a cover at edge {first}")
-    return value, fm, fc
+        raise LPError(f"{what} not a cover at edge {first}")
+    return fc
 
 
 def fractional_matching_number(h: Hypergraph) -> tuple[Fraction, FractionalMatching]:
@@ -601,6 +605,7 @@ def min_cover_sorted(h: Hypergraph) -> FractionalCover:
     over the covers of total at most T.  It is solved as its dual, one `<=`
     row per free vertex u and at most one artificial: minimize
     T*lam - sum_j r'_j x_j subject to sum_j a_ju x_j - lam <= -[u = i].
+    The assembled vector must cover every edge and weigh tau*, else LPError.
     """
     verts = h.vertices
     weights = dict.fromkeys(verts, ZERO)
@@ -619,4 +624,7 @@ def min_cover_sorted(h: Hypergraph) -> FractionalCover:
         if fixed == tau:
             break  # the remaining weights are forced to zero
         r = [rj - a[i] * value for rj, a in zip(r, coeffs)]
-    return FractionalCover(weights=weights)
+    fc = _checked_cover(h, FractionalCover(weights=weights), "sorted cover")
+    if fc.size != tau:
+        raise LPError(f"sorted cover weighs {fc.size}, not tau* = {tau}")
+    return fc

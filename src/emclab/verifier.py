@@ -12,7 +12,8 @@ The incumbent is checked in the same run, never taken from the formula: it
 must be a down-set, and a pigeonhole cover certificate must show nu <= s
 (every edge meets P = [i(s+1)-1] in at least i vertices, and |P| < i(s+1),
 so s+1 disjoint edges cannot fit).  The certificate is linear in the edge
-count, where an exact matching search on H_1 takes seconds at n = 16.
+count and reads no LP and no search kernel, so the incumbent is checked by
+something simpler than the code that computes matching numbers.
 """
 
 from __future__ import annotations

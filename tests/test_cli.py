@@ -533,6 +533,27 @@ class TestUsageErrors:
             main(args)
         assert ei.value.code == 3
 
+    # one invocation per command that writes a file, each aimed at a path
+    # in a directory that does not exist
+    WRITERS = {
+        "gen": ["gen", "--family", "complete", "--n", "5", "--k", "2", "-o", "{out}"],
+        "shift": ["shift", "{small}", "-o", "{out}"],
+        "nufrac": ["nufrac", "{small}", "--trace", "{out}"],
+        "verify-ineq": ["verify-ineq", "--target", "maxvalue", "-o", "{out}"],
+        "round": ["round", "{small}", "--t", "0", "--s", "0", "--copies", "1",
+                  "--seed", "1", "-o", "{out}"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(WRITERS))
+    def test_unwritable_output_exits_3(self, case, tmp_path, capsys):
+        small = tmp_path / "small.khg"
+        small.write_text("4 2 2\n1 2\n3 4\n")
+        out = str(tmp_path / "missing" / "x.out")
+        with pytest.raises(SystemExit) as ei:
+            main([a.format(out=out, small=small) for a in self.WRITERS[case]])
+        assert ei.value.code == 3
+        assert f"Error: cannot write {out}: " in capsys.readouterr().err
+
     def test_internal_fault_is_not_a_usage_error(self, tmp_path, monkeypatch):
         def broken(h):
             raise RuntimeError("broken stabilize")

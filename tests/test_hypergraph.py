@@ -369,21 +369,28 @@ class TestKhgFormat:
         assert parse_khg(text).edges == ((1, 2), (1, 5), (3, 4))
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
-    def test_huge_header_refused_before_sizing_by_n(self):
-        # 25 bytes whose header names 10^9 vertices: the arity error must
-        # come before anything of size n is built.  The child's address
-        # space is capped at 1 GiB, so a table or ground set sized by n
-        # fails with MemoryError instead of exhausting the machine.
+    @pytest.mark.parametrize("call, error", [
+        ("parse_khg('1000000000 1000000000 1\\n1\\n')",
+         "edge [1] has arity 1, expected 1000000000"),
+        ("parse_khg('1000000000 2 1\\n1 2000000000\\n')",
+         "vertex 2000000000 outside [1,1000000000] in edge [1, 2000000000]"),
+        ("new_hypergraph(10**9, 2, [(0, 1)])",
+         "vertex 0 outside [1,1000000000] in edge [0, 1]"),
+    ], ids=["arity", "parse-range", "new-range"])
+    def test_huge_header_refused_before_sizing_by_n(self, call, error):
+        # a ground set of 10^9 vertices named by a few bytes: the arity or
+        # range error must come before anything of size n is built.  The
+        # child's address space is capped at 1 GiB, so a table or ground set
+        # sized by n fails with MemoryError instead of exhausting the machine.
         import resource
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-        code = ("from emclab.hypergraph import parse_khg\n"
-                "parse_khg('1000000000 1000000000 1\\n1\\n')\n")
+        code = f"from emclab.hypergraph import new_hypergraph, parse_khg\n{call}\n"
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(emclab.__file__)))
         proc = subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=cap,
                               capture_output=True, text=True, timeout=60)
-        assert "HypergraphError: edge [1] has arity 1, expected 1000000000" in proc.stderr
+        assert f"HypergraphError: {error}" in proc.stderr
 
     @settings(max_examples=60, deadline=None)
     @given(hypergraphs())

@@ -283,6 +283,25 @@ class TestIntInputs:
             with pytest.raises(LPError, match=r"dual not a cover at edge \(1, 2\)"):
                 packing(new_hypergraph(4, 2, [(1, 2), (3, 4)]))
 
+    @pytest.mark.parametrize("factor, error", [
+        (F(1, 2), r"sorted cover not a cover at edge \(1, 4\)"),
+        (F(2), r"sorted cover weighs 5/2, not tau\* = 2"),
+    ], ids=["halved", "doubled"])
+    def test_forged_chain_step_is_refused(self, monkeypatch, factor, error):
+        # K(4,2): one tau* solve, then one chain step per vertex, each 1/2;
+        # the forged last step leaves (1/2, 1/2, 1/2, 1/4) or (.., 1)
+        real = emclab.lp.solve_lp
+        calls = []
+
+        def forged(c, rows, maximize=False, trace=None):
+            value, x, duals = real(c, rows, maximize=maximize, trace=trace)
+            calls.append(value)
+            return (value * factor if len(calls) == 5 else value), x, duals
+        monkeypatch.setattr(emclab.lp, "solve_lp", forged)
+        with pytest.raises(LPError, match=error):
+            min_cover_sorted(complete_hypergraph(4, 2))
+        assert len(calls) == 5
+
     def test_covered_matches_fraction_sums(self):
         rng = random.Random(21)
         for _ in range(200):
