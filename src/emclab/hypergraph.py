@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import comb
-from operator import lt
+from operator import eq, lt
 from typing import Iterable, Sequence
 
 
@@ -24,19 +24,23 @@ class HypergraphError(ValueError):
 class Hypergraph:
     """A k-uniform edge family on a ground set of 1-based vertices.
 
-    ``vertices`` is the ground set (None means 1..n); induced subgraphs and
-    trace families keep original labels, so the ground set can be a proper
-    subset of [n], and may be empty.
+    ``vertices`` is the ground set, ascending (None means 1..n); induced
+    subgraphs and trace families keep original labels, so the ground set can
+    be a proper subset of [n], and may be empty.  The ground set [n] is kept
+    as ``range(1, n + 1)``, whether given or not, so a huge n costs nothing
+    and every [n] compares and hashes equal.
     """
 
     n: int
     k: int
     edges: tuple[tuple[int, ...], ...]
-    vertices: tuple[int, ...] | None = None
+    vertices: Sequence[int] | None = None
 
     def __post_init__(self):
-        if self.vertices is None:
-            object.__setattr__(self, "vertices", tuple(range(1, self.n + 1)))
+        full = range(1, self.n + 1)
+        v = self.vertices
+        if v is None or (len(v) == self.n and all(map(eq, v, full))):
+            object.__setattr__(self, "vertices", full)
 
     @property
     def num_edges(self) -> int:
@@ -83,7 +87,9 @@ def new_hypergraph(n: int, k: int, raw_edges: Iterable[Sequence[int]],
                 raise HypergraphError(f"ground-set vertex {v} outside [1,{n}]")
         members = frozenset(ground)
     raws = list(map(tuple, raw_edges))
-    edges = _bulk_canonical(n, k, members, raws)
+    edges = None
+    if set(map(len, raws)) <= {k}:
+        edges = _bulk_canonical(n, k, members, list(zip(*raws)), raws)
     if edges is None:
         # one edge at a time: sorts unsorted edges, names the first bad one
         seen = set()
@@ -104,10 +110,13 @@ def new_hypergraph(n: int, k: int, raw_edges: Iterable[Sequence[int]],
 
 
 def _bulk_canonical(n: int, k: int, members: frozenset[int] | None,
-                    edges: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...] | None:
-    """`edges` in canonical order, or None unless 1 <= k <= n and every edge
-    is a strictly increasing k-tuple on the ground set: `members`, or [n]
-    when it is None.
+                    cols: list[Sequence[int]],
+                    rows: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...] | None:
+    """The edges `rows` in canonical order, or None unless 1 <= k <= n and
+    every edge is strictly increasing on the ground set: `members`, or [n]
+    when it is None.  `cols` holds the k columns of `rows` (none when there
+    are no edges); `rows` is read only once the columns pass, so it may be
+    `zip(*cols)`.
 
     Every test is a C-level pass over a whole column; [n] is checked as a
     range on the first and last columns, so nothing of size n is built.  The
@@ -116,16 +125,14 @@ def _bulk_canonical(n: int, k: int, members: frozenset[int] | None,
     """
     if not 1 <= k <= n:
         return None
-    if not edges:
+    if not cols:
         return ()
-    if set(map(len, edges)) != {k}:
-        return None
-    cols = list(zip(*edges))
     if not all(all(map(lt, a, b)) for a, b in zip(cols, cols[1:])):
         return None
     if not ((min(cols[0]) >= 1 and max(cols[-1]) <= n) if members is None
             else all(map(members.issuperset, cols))):
         return None
+    edges = list(rows)
     if all(map(lt, edges, edges[1:])):
         return tuple(edges)
     return tuple(sorted(set(edges)))
@@ -252,6 +259,13 @@ def min_d_degree(h: Hypergraph, d: int) -> tuple[int, tuple[int, ...]]:
 # that is not ascending, k outside [1, n], an edge without k vertices, a
 # repeated vertex and a vertex outside [1, n].
 #
+# Two reads give the same result and the same errors.  The block read takes
+# a file whose edge rows, once comment and blank lines are filtered out, are
+# digits and single spaces only, k tokens to a row with no space at either
+# end, and every token a vertex name without a leading zero.  Every other
+# file, and any file that fails a bulk check, takes the line read, which
+# names the first offending line.
+#
 # serialize_khg output is canonical: edges in lexicographic order, single
 # spaces, "\n" line ends including the last, so parse . serialize round-trips
 # byte-identically on canonical files.
@@ -274,21 +288,11 @@ def parse_khg(text: str) -> Hypergraph:
         raise HypergraphError(f"non-numeric header line: {rows[0]!r}")
     if len(rows) - 1 != m:
         raise HypergraphError(f"header declares {m} edges, found {len(rows) - 1}")
-    # a lookup per token is cheaper than int().  The table holds no more
-    # names than the header's m*k tokens or the file's characters, so a huge
-    # header on a short file builds a short table; a token it lacks ("03",
-    # "+3", "x", a vertex out of range) sends the file to the line read below
-    table = {str(v): v for v in range(1, min(n, m * k, len(text)) + 1)}
-    try:
-        edges = [tuple(map(table.__getitem__, ln.split())) for ln in rows[1:]]
-    except KeyError:
-        pass
-    else:
-        canon = _bulk_canonical(n, k, None, edges)
-        if canon is not None:
-            return Hypergraph(n=n, k=k, edges=canon)
-    # a token missed the table or a bulk check failed: read line by line,
-    # so that every line's own error comes before any of new_hypergraph
+    canon = _block_read(n, k, rows[1:], min(n, m * k, len(text)))
+    if canon is not None:
+        return Hypergraph(n=n, k=k, edges=canon)
+    # the block read refused the file: read line by line, so that every
+    # line's own error comes before any of new_hypergraph
     edges = []
     for ln in rows[1:]:
         try:
@@ -299,6 +303,46 @@ def parse_khg(text: str) -> Hypergraph:
             raise HypergraphError(f"edge line not ascending: {ln!r}")
         edges.append(e)
     return new_hypergraph(n, k, edges)
+
+
+_BLOCK_ROWS = 2048
+
+
+def _block_read(n: int, k: int, rows: list[str],
+                names: int) -> tuple[tuple[int, ...], ...] | None:
+    """The edges on the edge lines `rows`, in canonical order, or None unless
+    every row is k names of 1..`names` separated by single spaces and the
+    edges pass `_bulk_canonical`.
+
+    The rows go in blocks of `_BLOCK_ROWS`; a block's bytes less its digits
+    must be k-1 spaces and a line end per row, so no row holds more than k
+    tokens, and the token count shows that none holds fewer.  Tokens map
+    through a table of names, which is cheaper than int() and lacks "03",
+    "+3", "0" and anything past `names`.  Splitting in blocks rather than
+    the whole body keeps few token strings alive at once.
+    """
+    table = {str(v): v for v in range(1, names + 1)}
+    line = None
+    vals: list[int] = []
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        chunk = rows[i:i + _BLOCK_ROWS]
+        block = "\n".join(chunk) + "\n"
+        bare = block.encode().translate(None, b"0123456789")
+        # the length test comes first, so the template is never longer
+        # than a block: k is read from the header, not from the file
+        if len(bare) != k * len(chunk):
+            return None
+        line = line or b" " * (k - 1) + b"\n"
+        if bare != line * len(chunk):
+            return None
+        try:
+            vals += map(table.__getitem__, block.split())
+        except KeyError:
+            return None
+    if len(vals) != k * len(rows):
+        return None
+    cols = [vals[j::k] for j in range(k)] if vals else []
+    return _bulk_canonical(n, k, None, cols, zip(*cols))
 
 
 def binom(n: int, r: int) -> int:

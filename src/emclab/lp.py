@@ -467,7 +467,7 @@ def extend_to_perfect_fm(h: Hypergraph, t: int, fm: FractionalMatching) -> Fract
     if h.k != 4:
         raise PerfectExtensionError("uniformity", f"k must be 4, got {h.k}")
     n_total = len(h.vertices)
-    if h.vertices != tuple(range(1, n_total + 1)):
+    if tuple(h.vertices) != tuple(range(1, n_total + 1)):
         raise PerfectExtensionError("ground-set", "expects vertices 1..N")
     if n_total % 4 != 0:
         raise PerfectExtensionError("divisibility", f"|V| = {n_total} not divisible by 4")
@@ -572,7 +572,7 @@ def _cover_rows(h: Hypergraph) -> list:
     dominated edge is covered whenever its dominating edge is.  On any other
     family there is one row w(e) >= 1 per edge."""
     verts = h.vertices
-    maximal = h.maximal_edges if verts == tuple(range(1, h.n + 1)) else None
+    maximal = h.maximal_edges if verts == range(1, h.n + 1) else None
     rows = [([1 if v in e else 0 for v in verts], ">=", 1)
             for e in (h.edges if maximal is None else maximal)]
     if maximal is not None:

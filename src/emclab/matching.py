@@ -11,8 +11,11 @@ cached `Hypergraph.maximal_edges` on stable families, else one row per edge).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import floor
+from typing import Sequence
 
 from emclab import kernel
 from emclab.hypergraph import Hypergraph, HypergraphError
@@ -37,12 +40,17 @@ def _max_degree_bit(masks: list[int]) -> int:
     return min(deg, key=lambda b: (-deg[b], b))
 
 
-def _greedy_cover_size(masks: list[int]) -> int:
-    """Integral cover by repeated max-degree vertex; an upper bound on tau."""
+def _greedy_cover_size(edges: Sequence[tuple[int, ...]]) -> int:
+    """Integral cover by repeated max-degree vertex, the least label on ties;
+    an upper bound on tau.  Degrees are counted once and the covered edges'
+    vertices subtracted at each step, which drops the vertices left with no
+    edge."""
+    deg = Counter(chain.from_iterable(edges))
     size = 0
-    while masks:
-        v = _max_degree_bit(masks)
-        masks = [m for m in masks if not m & v]
+    while edges:
+        v = min(deg, key=lambda u: (-deg[u], u))
+        deg -= Counter(chain.from_iterable([e for e in edges if v in e]))
+        edges = [e for e in edges if v not in e]
         size += 1
     return size
 
@@ -54,7 +62,7 @@ def _upper_bound(h: Hypergraph, masks: list[int], lb: int) -> int:
     for m in masks:
         active |= m
     ub = bin(active).count("1") // h.k
-    ub = min(ub, _greedy_cover_size(masks))
+    ub = min(ub, _greedy_cover_size(h.edges))
     if ub <= lb:
         return ub
     return min(ub, floor(tau_star(h)))
@@ -97,7 +105,7 @@ def cover_number(h: Hypergraph) -> int:
     masks = kernel.edge_masks(h.n, h.edges)
     if not masks:
         return 0
-    best = _greedy_cover_size(masks)
+    best = _greedy_cover_size(h.edges)
 
     def search(rem: list[int], used: int):
         nonlocal best

@@ -66,7 +66,7 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, list[tuple[int, int]]]:
     after every full pass with a change; the result depends on this fixed
     order, which is chosen once for determinism.
     """
-    if h.vertices != tuple(range(1, h.n + 1)):
+    if h.vertices != range(1, h.n + 1):
         raise HypergraphError("stabilize expects the full ground set [n]")
     log: list[tuple[int, int]] = []
     masks = set(map(kernel.edge_mask, h.edges))

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+import emclab
 from emclab.certify import _calc_margin_box
 from emclab.cli import cli, main
 from emclab.intervals import Box, Interval, parse_certificate
@@ -461,6 +465,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as ei:
             main(["verify-ineq", "--target", target, "--mutation", mutation])
         assert ei.value.code == 3
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+    def test_huge_valid_khg_reaches_the_kernel_bound(self, tmp_path):
+        # a valid file on [10^9] parses in a child capped at 1 GiB; nu then
+        # refuses n > 63 as a usage error
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        src = tmp_path / "huge.khg"
+        src.write_text("1000000000 2 1\n1 999999999\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(emclab.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "emclab.cli", "nu", str(src)], env=env,
+                              preexec_fn=cap, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert "n <= 63" in proc.stderr
 
     def test_hpuw_needs_p(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as ei:

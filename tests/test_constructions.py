@@ -76,7 +76,7 @@ class TestHUW:
                             want = f"|U ∪ W| = {len(ground)} < k = {k}"
                         else:
                             h = build_HUW(u, w, k)
-                            assert h.vertices == tuple(ground)
+                            assert tuple(h.vertices) == tuple(ground)
                             assert h.edges == tuple(e for e in combinations(ground, k)
                                                     if set(e) & set(u))
                             continue

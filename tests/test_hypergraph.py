@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -292,11 +293,19 @@ class TestTraceAndInduced:
         assert sub.num_edges == 3
         assert sub.vertices == (2, 3, 4)
 
+    def test_explicit_full_ground_set_equals_default(self):
+        h = complete_hypergraph(6, 3)
+        g = new_hypergraph(6, 3, h.edges, vertices=range(6, 0, -1))
+        assert g == h and hash(g) == hash(h)
+        assert g.vertices == range(1, 7)
+        assert induced(h, range(1, 7)) == h
+        assert Hypergraph(n=6, k=3, edges=(), vertices=(1, 2, 3, 4, 5)).vertices == (1, 2, 3, 4, 5)
+
     def test_empty_ground_set_stays_empty(self):
         h = complete_hypergraph(6, 3)
         assert induced(h, []).vertices == ()
         assert trace_family(h, (), h.vertices).vertices == ()
-        assert Hypergraph(n=3, k=1, edges=()).vertices == (1, 2, 3)
+        assert Hypergraph(n=3, k=1, edges=()).vertices == range(1, 4)
 
 
 class TestCloseness:
@@ -391,6 +400,52 @@ class TestKhgFormat:
         proc = subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=cap,
                               capture_output=True, text=True, timeout=60)
         assert f"HypergraphError: {error}" in proc.stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+    def test_huge_valid_header_parses_under_a_cap(self):
+        # a valid file on [10^9]: the ground set stays a range, so the parse
+        # succeeds in a child capped at 1 GiB
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        code = ("from emclab.hypergraph import parse_khg\n"
+                "h = parse_khg('1000000000 2 1\\n1 999999999\\n')\n"
+                "print(h.edges, h.vertices)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(emclab.__file__)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=cap,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stdout == "((1, 999999999),) range(1, 1000000001)\n", proc.stderr
+
+    @pytest.mark.parametrize("text, short", [
+        ("8 4 2\n1 2 3\n4 5 6 7 8\n", "[1, 2, 3]"),    # 3 + 5 tokens = m * k
+        ("5 2 2\n 1\n2 3\n", "[1]"),                  # k - 1 spaces, k - 1 tokens
+        ("5 2 2\n1 \n2 3\n", "[1]"),
+    ], ids=["ragged", "leading-space", "trailing-space"])
+    def test_short_row_refused_by_the_block_read(self, text, short):
+        # the block read must refuse the file, so the line read names the
+        # short row
+        with pytest.raises(HypergraphError, match=re.escape(f"edge {short} has arity")):
+            parse_khg(text)
+        assert _outcome(parse_khg, text) == _outcome(_old_parse_khg, text)
+
+    @pytest.mark.parametrize("bad", ["01 2 3 4", "1\t2 3 4", " 1 2 3 4", "1 2 3 4 ",
+                                     "1  2 3", "1 2 3 18", "0 1 2 3", "2 1 3 4",
+                                     "1 1 2 3", "1 2 3", "1 2 3 4 5", "1 2 x 4"])
+    def test_bad_row_after_the_first_block(self, bad):
+        # K(17,4) has 2380 rows, more than one block; row 2100 is replaced
+        rows = serialize_khg(complete_hypergraph(17, 4)).split("\n")
+        rows[2100] = bad
+        text = "\n".join(rows)
+        assert _outcome(parse_khg, text) == _outcome(_old_parse_khg, text)
+
+    @pytest.mark.parametrize("text", ["5 2 0\n", "# none\n5 2 0\n\n", "2 3 0\n", "4 0 0\n"])
+    def test_no_edges(self, text):
+        assert _outcome(parse_khg, text) == _outcome(_old_parse_khg, text)
+
+    def test_dense_family_matches_line_read(self):
+        text = serialize_khg(complete_hypergraph(30, 4))
+        assert parse_khg(text) == _old_parse_khg(text)
 
     @settings(max_examples=60, deadline=None)
     @given(hypergraphs())

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emclab import kernel
+from emclab.constructions import build_Hi
 from emclab.hypergraph import HypergraphError, complete_hypergraph, new_hypergraph
-from emclab.matching import cover_number, has_matching_of_size, matching_number
+from emclab.matching import (_greedy_cover_size, cover_number, has_matching_of_size,
+                             matching_number)
 
 
 def random_hypergraph(rng, n, k, m):
@@ -106,6 +109,39 @@ class TestHasMatching:
     def test_negative_rejected(self):
         with pytest.raises(HypergraphError):
             has_matching_of_size(new_hypergraph(4, 2, []), -1)
+
+
+def _old_greedy_cover_size(masks):
+    """The greedy cover that recounts every remaining edge's degrees at each
+    step: the oracle for the cover size."""
+    size = 0
+    while masks:
+        deg = {}
+        for m in masks:
+            while m:
+                b = m & -m
+                deg[b] = deg.get(b, 0) + 1
+                m ^= b
+        v = min(deg, key=lambda b: (-deg[b], b))
+        masks = [m for m in masks if not m & v]
+        size += 1
+    return size
+
+
+class TestGreedyCover:
+    def test_matches_recounting_oracle(self):
+        rng = random.Random(2024)
+        families = [complete_hypergraph(9, 3), build_Hi(16, 4, 2, 3), build_Hi(12, 3, 2, 1),
+                    new_hypergraph(5, 2, [])]
+        for _ in range(200):
+            n = rng.randint(2, 40)
+            k = rng.randint(1, min(5, n))
+            edges = {tuple(sorted(rng.sample(range(1, n + 1), k)))
+                     for _ in range(rng.randint(1, 80))}
+            families.append(new_hypergraph(n, k, edges))
+        for h in families:
+            masks = kernel.edge_masks(h.n, h.edges)
+            assert _greedy_cover_size(h.edges) == _old_greedy_cover_size(masks), h
 
 
 class TestCoverNumber:
