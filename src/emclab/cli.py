@@ -329,7 +329,8 @@ def verify_cert(path):
 @click.option("--copies", type=int, default=10)
 @click.option("--seed", type=int, required=True)
 def sample(path, t, s, copies, seed):
-    """Sample seeded random vertex subsets and report their partitions."""
+    """Sample seeded random vertex subsets and report their sizes, how many
+    vertices were trimmed from each, and the pair and edge multiplicities."""
     from emclab.sampling import GENERATOR_ID, multiplicity_report, sample_batch
     h = _load(path)
     batch = sample_batch(h, t, s, copies, seed)

@@ -123,6 +123,8 @@ def construction1(g: Hypergraph, s: int, eta: Fraction) -> tuple[Hypergraph, int
 def construction2(g: Hypergraph, s: int) -> tuple[Hypergraph, int]:
     """Apex extension with t = floor((n-ks)/(k-1)) - 1 universal vertices."""
     k = g.k
+    if k < 2:
+        raise HypergraphError(f"need k >= 2, got k={k}")
     t = (g.n - k * s) // (k - 1) - 1
     if t < 0:
         raise HypergraphError(f"t = {t} < 0")

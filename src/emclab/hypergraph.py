@@ -261,10 +261,11 @@ def min_d_degree(h: Hypergraph, d: int) -> tuple[int, tuple[int, ...]]:
 #
 # Two reads give the same result and the same errors.  The block read takes
 # a file whose edge rows, once comment and blank lines are filtered out, are
-# digits and single spaces only, k tokens to a row with no space at either
-# end, and every token a vertex name without a leading zero.  Every other
-# file, and any file that fails a bulk check, takes the line read, which
-# names the first offending line.
+# digits and single separators only (a space or a tab each), k tokens to a
+# row with no separator at either end, and every token a vertex name without
+# a leading zero.  Every other file (runs of whitespace, "03", "+3"), and any
+# file that fails a bulk check, takes the line read, which names the first
+# offending line.
 #
 # serialize_khg output is canonical: edges in lexicographic order, single
 # spaces, "\n" line ends including the last, so parse . serialize round-trips
@@ -306,20 +307,22 @@ def parse_khg(text: str) -> Hypergraph:
 
 
 _BLOCK_ROWS = 2048
+_TAB_TO_SPACE = bytes.maketrans(b"\t", b" ")
 
 
 def _block_read(n: int, k: int, rows: list[str],
                 names: int) -> tuple[tuple[int, ...], ...] | None:
     """The edges on the edge lines `rows`, in canonical order, or None unless
-    every row is k names of 1..`names` separated by single spaces and the
-    edges pass `_bulk_canonical`.
+    every row is k names of 1..`names` separated by single spaces or tabs
+    and the edges pass `_bulk_canonical`.
 
-    The rows go in blocks of `_BLOCK_ROWS`; a block's bytes less its digits
-    must be k-1 spaces and a line end per row, so no row holds more than k
-    tokens, and the token count shows that none holds fewer.  Tokens map
-    through a table of names, which is cheaper than int() and lacks "03",
-    "+3", "0" and anything past `names`.  Splitting in blocks rather than
-    the whole body keeps few token strings alive at once.
+    The rows go in blocks of `_BLOCK_ROWS`; a block's bytes less its digits,
+    with tabs read as spaces, must be k-1 spaces and a line end per row, so
+    no row holds more than k tokens, and the token count shows that none
+    holds fewer.  Tokens map through a table of names, which is cheaper
+    than int() and lacks "03", "+3", "0" and anything past `names`.
+    Splitting in blocks rather than the whole body keeps few token strings
+    alive at once.
     """
     table = {str(v): v for v in range(1, names + 1)}
     line = None
@@ -327,7 +330,7 @@ def _block_read(n: int, k: int, rows: list[str],
     for i in range(0, len(rows), _BLOCK_ROWS):
         chunk = rows[i:i + _BLOCK_ROWS]
         block = "\n".join(chunk) + "\n"
-        bare = block.encode().translate(None, b"0123456789")
+        bare = block.encode().translate(_TAB_TO_SPACE, b"0123456789")
         # the length test comes first, so the template is never longer
         # than a block: k is read from the header, not from the file
         if len(bare) != k * len(chunk):

@@ -34,7 +34,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from emclab.hypergraph import Hypergraph, is_stable
+from emclab.hypergraph import Hypergraph, binom, is_stable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -302,7 +302,6 @@ class FractionalCover:
 
 
 def make_fractional_matching(h: Hypergraph, weights: dict[tuple[int, ...], Fraction]) -> FractionalMatching:
-    edge_set = h.edge_set()
     loads = {v: ZERO for v in h.vertices}
     size = ZERO
     clean = {}
@@ -311,7 +310,7 @@ def make_fractional_matching(h: Hypergraph, weights: dict[tuple[int, ...], Fract
         w = Fraction(w)
         if w == 0:
             continue
-        if e not in edge_set:
+        if not h.has_edge(e):
             raise LPError(f"weight on non-edge {e}")
         if not (0 <= w <= 1):
             raise LPError(f"weight {w} on {e} outside [0,1]")
@@ -445,15 +444,12 @@ class PerfectExtensionError(LPError):
 
 
 def full_degree_vertices(h: Hypergraph, upto: int) -> bool:
-    """True iff every vertex in [upto] lies in every k-set through it."""
-    others = [v for v in h.vertices]
-    edge_set = h.edge_set()
-    for i in range(1, upto + 1):
-        rest = [v for v in others if v != i]
-        for comb_e in combinations(rest, h.k - 1):
-            if tuple(sorted((i,) + comb_e)) not in edge_set:
-                return False
-    return True
+    """True iff every vertex in [upto] lies in every k-set through it.  The
+    edges are distinct k-subsets of the ground set V, so vertex i does
+    exactly when its degree is the number of (k-1)-subsets of V less i."""
+    n = len(h.vertices)
+    return all(h.degree(i) == binom(n - (i in h.vertices), h.k - 1)
+               for i in range(1, upto + 1))
 
 
 def extend_to_perfect_fm(h: Hypergraph, t: int, fm: FractionalMatching) -> FractionalMatching:

@@ -15,8 +15,10 @@ Randomness source: Python's Mersenne Twister (`random.Random`), identifier
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from emclab.hypergraph import Hypergraph, HypergraphError
 from emclab.lp import FractionalMatching
@@ -113,20 +115,11 @@ def _copy_hosts(h: Hypergraph, batch: SampleBatch) -> dict[tuple[int, ...], list
 def multiplicity_report(h: Hypergraph, batch: SampleBatch) -> dict:
     """Empirical frequencies of the rare events the sparsification relies
     on: pairs hit by >= 3 copies and edges inside >= 2 copies."""
-    copy_sets = [set(c) for c in batch.copies]
-    pair_bad = 0
-    pairs_seen = set()
-    for cs in copy_sets:
-        for u in cs:
-            for v in cs:
-                if u < v:
-                    pairs_seen.add((u, v))
-    for (u, v) in pairs_seen:
-        if sum(1 for cs in copy_sets if u in cs and v in cs) >= 3:
-            pair_bad += 1
+    pairs = Counter(p for c in batch.copies for p in combinations(sorted(set(c)), 2))
+    pair_bad = sum(1 for count in pairs.values() if count >= 3)
     edge_multi = sum(1 for hosts in _copy_hosts(h, batch).values() if len(hosts) >= 2)
     return {"pairs_with_Y_ge_3": pair_bad, "edges_with_Y_ge_2": edge_multi,
-            "copies": len(copy_sets)}
+            "copies": len(batch.copies)}
 
 
 def round_to_sparse(h: Hypergraph, batch: SampleBatch,

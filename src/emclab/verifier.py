@@ -59,25 +59,22 @@ def _candidates(n: int, k: int) -> tuple[list[int], list[list[int]]]:
 
 
 def _incumbent(n: int, k: int, s: int, masks: list[int], succs: list[list[int]]
-               ) -> tuple[str, Hypergraph, list[int]] | None:
-    """The larger of H_1 and H_k as (name, family, its candidate indices), or
-    None when n < k(s+1).  Raises RuntimeError unless the family is a
-    down-set with a cover certificate for nu <= s."""
+               ) -> tuple[str, Hypergraph] | None:
+    """The larger of H_1 and H_k as (name, family), or None when n < k(s+1).
+    Raises RuntimeError unless the family is a down-set with a cover
+    certificate for nu <= s."""
     if n < k * (s + 1):
         return None
     i, name = (k, "H_k") if emc_bound(n, k, s).winner == "clique" else (1, "H_1")
     family = build_Hi(n, k, s, i)
-    index = {m: j for j, m in enumerate(masks)}
-    seed = [index[m] for m in kernel.edge_masks(n, family.edges)]
-    member = bytearray(len(masks))
-    for j in seed:
-        member[j] = 1
+    held = set(kernel.edge_masks(n, family.edges))
+    member = [m in held for m in masks]
     if any(member[t] for j, row in enumerate(succs) if not member[j] for t in row):
         raise RuntimeError(f"incumbent {name} is not a down-set (internal error)")
     prefix = (1 << (i * (s + 1) - 1)) - 1  # P = [i(s+1)-1], so |P| < i(s+1)
-    if any(bin(masks[j] & prefix).count("1") < i for j in seed):
+    if any(bin(m & prefix).count("1") < i for m in held):
         raise RuntimeError(f"incumbent {name} fails its cover certificate (internal error)")
-    return name, family, seed
+    return name, family
 
 
 def _search(n: int, k: int, s: int, budget: int

@@ -144,6 +144,11 @@ class TestApexConstructions:
         with pytest.raises(HypergraphError):
             construction2(complete_hypergraph(6, 3), 2)
 
+    def test_construction2_rejects_k1(self):
+        # t divides by k - 1: a 1-uniform family is refused, not divided by 0
+        with pytest.raises(HypergraphError, match="need k >= 2"):
+            construction2(new_hypergraph(5, 1, [(1,), (2,)]), 1)
+
 
 class TestDegreeThresholds:
     def test_known_value(self):

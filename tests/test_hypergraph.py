@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import emclab
-from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
-                               complete_hypergraph, induced, is_stable,
+from emclab.hypergraph import (Hypergraph, HypergraphError, _block_read, binom,
+                               closeness, complete_hypergraph, induced, is_stable,
                                min_d_degree, new_hypergraph, parse_khg,
                                serialize_khg, shadow, trace_family)
 
@@ -438,6 +438,25 @@ class TestKhgFormat:
         rows[2100] = bad
         text = "\n".join(rows)
         assert _outcome(parse_khg, text) == _outcome(_old_parse_khg, text)
+
+    def test_tab_separated_rows_take_the_block_read(self):
+        # K(17,4) has 2380 rows, more than one block
+        h = complete_hypergraph(17, 4)
+        text = serialize_khg(h).replace(" ", "\t")
+        assert parse_khg(text) == _old_parse_khg(text) == h
+        rows = text.splitlines()
+        assert _block_read(17, 4, rows[1:], 17) == h.edges
+
+    def test_tabs_mixed_with_spaces(self):
+        text = "6 3 3\n1\t2 3\n4 5\t6\n1\t5\t6\n"
+        assert parse_khg(text) == _old_parse_khg(text)
+        assert _block_read(6, 3, text.splitlines()[1:], 6) == ((1, 2, 3), (1, 5, 6), (4, 5, 6))
+
+    @pytest.mark.parametrize("row", ["1\t\t2 3", "1 \t2 3", "\t1 2 3", "1 2 3\t"])
+    def test_doubled_or_edge_tab_takes_the_line_read(self, row):
+        text = f"6 3 2\n{row}\n4 5 6\n"
+        assert _block_read(6, 3, text.splitlines()[1:], 6) is None
+        assert parse_khg(text) == _old_parse_khg(text)
 
     @pytest.mark.parametrize("text", ["5 2 0\n", "# none\n5 2 0\n\n", "2 3 0\n", "4 0 0\n"])
     def test_no_edges(self, text):

@@ -42,7 +42,7 @@ DOWNSET_CELLS = [
 def seeded(n, k, s):
     """Candidates of the (n, k) down-set search and its verified incumbent."""
     masks, succs = _candidates(n, k)
-    return masks, succs, _incumbent(n, k, s, masks, succs)[2]
+    return masks, succs, _incumbent(n, k, s, masks, succs)[1].edges
 
 
 def random_families(count=300, seed=2026):

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import emclab.lp
 from emclab.constructions import build_Hi
-from emclab.hypergraph import complete_hypergraph, is_stable, new_hypergraph
+from emclab.hypergraph import (Hypergraph, complete_hypergraph, induced, is_stable,
+                               new_hypergraph)
 from emclab.lp import (FractionalCover, Infeasible, LPError, PerfectExtensionError,
                        Unbounded, _check_certificate, _cover_rows, _matching_rows,
                        check_complementary_slackness, extend_to_perfect_fm,
@@ -389,6 +390,17 @@ class TestFractionalMatchingValidation:
         with pytest.raises(LPError, match="non-edge"):
             make_fractional_matching(h, {(3, 4): Fraction(1, 2)})
 
+    def test_unsorted_non_edge_rejected(self):
+        # the key is sorted before the lookup and named sorted in the error
+        h = new_hypergraph(5, 2, [(1, 2), (2, 3)])
+        with pytest.raises(LPError, match=r"weight on non-edge \(3, 4\)"):
+            make_fractional_matching(h, {(2, 1): Fraction(1, 2), (4, 3): Fraction(1, 2)})
+
+    def test_unsorted_edge_key_accepted(self):
+        h = new_hypergraph(5, 2, [(1, 2), (3, 5)])
+        fm = make_fractional_matching(h, {(2, 1): 1, (5, 3): Fraction(1, 2)})
+        assert fm.weights == {(1, 2): 1, (3, 5): Fraction(1, 2)}
+
     def test_boundary(self):
         h = new_hypergraph(4, 2, [(1, 2), (3, 4)])
         fm = make_fractional_matching(h, {(1, 2): 1, (3, 4): Fraction(1, 3)})
@@ -505,6 +517,97 @@ class TestLexMax:
             assert len(frac) <= 4
             if frac:
                 assert frac == list(range(frac[0], frac[0] + len(frac)))
+
+
+def _old_full_degree_vertices(h, upto):
+    """full_degree_vertices by enumerating every k-set through each vertex."""
+    edge_set = set(h.edges)
+    for i in range(1, upto + 1):
+        rest = [v for v in h.vertices if v != i]
+        for comb_e in combinations(rest, h.k - 1):
+            if tuple(sorted((i,) + comb_e)) not in edge_set:
+                return False
+    return True
+
+
+def apex_family(rng, n, k, t):
+    """Every k-set of [n] meeting [t], plus a random family on [n] \\ [t]."""
+    rest = list(combinations(range(t + 1, n + 1), k))
+    return new_hypergraph(n, k, [e for e in combinations(range(1, n + 1), k) if e[0] <= t]
+                          + rng.sample(rest, rng.randint(0, len(rest))))
+
+
+def full_degree_cases(seed=2026):
+    """(h, upto) pairs: apex families with a full-degree prefix, the same
+    with one k-set through a prefix vertex removed, induced subfamilies whose
+    ground set skips a vertex in [upto], upto past |V|, and k = 1."""
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(40):
+        n = rng.randint(5, 9)
+        k = rng.randint(1, 4)
+        t = rng.randint(0, 3)
+        h = apex_family(rng, n, k, t)
+        cases += [(h, upto) for upto in (t, t + 1, n, n + 2)]
+        through = [e for e in h.edges if e[0] <= t]
+        if through:
+            drop = rng.choice(through)
+            cut = new_hypergraph(n, k, [e for e in h.edges if e != drop])
+            cases += [(cut, t), (cut, drop[-1])]
+        skip = rng.randint(1, n)
+        sub = induced(h, [v for v in h.vertices if v != skip])
+        cases += [(sub, skip), (sub, n + 1), (sub, max(skip - 1, 0))]
+    # vertex 3 lies in no k-set of a two-vertex ground set: vacuously full;
+    # vertex 1 lies in one k-set with a (k-1)-vertex ground set, no edge
+    cases += [(induced(complete_hypergraph(6, 4), [5, 6]), 3),
+              (induced(complete_hypergraph(6, 4), [4, 5, 6]), 1),
+              (new_hypergraph(4, 1, [(1,), (2,), (4,)]), 2),
+              (new_hypergraph(4, 1, [(1,), (2,), (4,)]), 3)]
+    return cases
+
+
+class TestFullDegreeVertices:
+    def test_matches_enumeration(self):
+        outcomes = set()
+        for h, upto in full_degree_cases():
+            want = _old_full_degree_vertices(h, upto)
+            assert full_degree_vertices(h, upto) == want, (h, upto)
+            outcomes.add(want)
+        assert outcomes == {True, False}
+
+
+class TestNoEdgeSet:
+    """The LP layer looks edges up in the sorted edge tuple; it never builds
+    a set of the whole family."""
+
+    @pytest.fixture(autouse=True)
+    def no_edge_set(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("edge_set called")
+        monkeypatch.setattr(Hypergraph, "edge_set", refuse)
+
+    def test_packing_lp(self):
+        value, fm, fc = fractional_matching_and_cover(complete_hypergraph(9, 4))
+        assert value == fm.size == fc.size == Fraction(9, 4)
+
+    def test_lex_max(self):
+        h = build_Hi(9, 3, 2, 1)
+        nu_star, _ = fractional_matching_number(h)
+        fm = lex_max_fractional_matching(h, tuple(range(1, 10)), nu_star)
+        assert fm.size == nu_star
+
+    def test_make_fractional_matching(self):
+        h = complete_hypergraph(8, 4)
+        fm = make_fractional_matching(h, {(4, 3, 2, 1): 1, (5, 6, 7, 8): 1})
+        assert fm.size == 2
+        with pytest.raises(LPError, match="non-edge"):
+            make_fractional_matching(new_hypergraph(8, 4, [(1, 2, 3, 4)]),
+                                     {(5, 6, 7, 8): 1})
+
+    def test_full_degree_vertices(self):
+        h = complete_hypergraph(8, 4)
+        assert full_degree_vertices(h, 8)
+        assert not full_degree_vertices(h, 9)
 
 
 class TestPerfectExtension:

@@ -138,6 +138,27 @@ class TestMultiplicityReport:
         assert (rep["pairs_with_Y_ge_3"], rep["edges_with_Y_ge_2"]) == want
         assert rep == brute_multiplicities(h, batch)
 
+    def test_unsorted_copies_with_repeats_match_brute_force(self):
+        # a hand-built batch need not hold sorted copies of distinct vertices:
+        # each pair still counts once per copy that holds it
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.randint(4, 10)
+            k = rng.randint(1, 4)
+            all_e = list(combinations(range(1, n + 1), k))
+            h = new_hypergraph(n, k, rng.sample(all_e, rng.randint(0, len(all_e))))
+            copies = [tuple(rng.choices(range(1, n + 1), k=rng.randint(0, n + 3)))
+                      for _ in range(rng.randint(1, 6))]
+            batch = make_batch(copies, n_base=n)
+            assert multiplicity_report(h, batch) == brute_multiplicities(h, batch)
+
+    def test_repeated_vertex_counts_a_pair_once(self):
+        h = complete_hypergraph(6, 3)
+        batch = make_batch([(2, 1, 2), (1, 2, 1), (2, 1)])
+        rep = multiplicity_report(h, batch)
+        assert rep["pairs_with_Y_ge_3"] == 1
+        assert rep == brute_multiplicities(h, batch)
+
     @pytest.mark.parametrize("n, k, t, s, copies, seed, want", [
         (30, 4, 2, 2, 12, 1, (0, 0)), (30, 4, 2, 2, 12, 2, (0, 0)),
         (10, 3, 0, 0, 60, 1, (1, 0)), (10, 3, 0, 0, 60, 2, (2, 2)),
