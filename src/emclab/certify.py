@@ -17,6 +17,14 @@ artifact; replay re-evaluates the recorded point under the recorded mutation.
 holds its roots, its margin on a box and at a point, the point tried in a box
 it cannot settle, its region and its mutations.  `_prove` and
 `replay_certificate` read only the record.
+
+The arithmetic stays on int numerators, through `Interval` and `Box`: a
+point margin is its formula evaluated on point intervals, and only the
+value becomes a `Fraction`; a box is settled by the sign of its margin's
+lower numerator; the proof's leaves are sorted by exact int keys
+(`Box.sort_keys`); and replay compares endpoints by cross-multiplying
+(`Interval.inside`, `==`).  `Fraction`s are built for what is printed: a
+counterexample point, a replayed margin.
 """
 
 from __future__ import annotations
@@ -34,36 +42,43 @@ from emclab.scalars import D1, FOUR, c_coeff, mu_beta
 # calculate: the cubic inequality, exact in (x, y, z), on boxes in (mu, x, z)
 # ---------------------------------------------------------------------------
 
+_X_LOW = Fraction(5, 8)      # the x-pieces of `calculate` end at 5/8, 2/3, 3/4
+_X_MID = Fraction(2, 3)
+_X_MAX = Fraction(3, 4)
+
+
 def eval_calculate_margin(x, y, z, mutation: str | None = None) -> Fraction:
     """Exact margin of the cubic inequality at a point: positive iff the
-    inequality holds.  Region: 5z < y <= x <= 3/4, 0 < z < 10^-5."""
+    inequality holds.  Region: 5z < y <= x <= 3/4, 0 < z < 10^-5.
+
+    Evaluated on point intervals, whose int numerators are never reduced;
+    only the margin itself becomes a `Fraction`."""
     x = Fraction(x)
-    y = Fraction(y)
-    z = Fraction(z)
-    if x <= Fraction(5, 8):
-        h = FOUR**3 * x**3 - (FOUR * x - y) ** 3
-        p = 52 * FOUR**3 * x**3 * z**3
+    px, y, z = Interval.point(x), Interval.point(y), Interval.point(z)
+    if x <= _X_LOW:
+        h = FOUR**3 * px**3 - (FOUR * px - y) ** 3
+        p = 52 * FOUR**3 * px**3 * z**3
     else:
-        h = max(27 * y * x**2 - 9 * y**2 * x + y**3, 27 * y**3)
-        if x <= Fraction(2, 3):
-            h += 3 * D1 * FOUR * y**2 * x
-        p = FOUR**3 * x**3 / 8100
-    lead = D1 * (FOUR * x - y) ** 3
+        h = (27 * y * px**2 - 9 * y**2 * px + y**3).max_with(27 * y**3)
+        if x <= _X_MID:
+            h += 3 * D1 * FOUR * y**2 * px
+        p = FOUR**3 * px**3 / 8100
+    lead = D1 * (FOUR * px - y) ** 3
     if mutation == "negate-lead":
         lead = -lead
     elif mutation == "flip-p-sign":
         p = -p
     elif mutation is not None:
         raise ValueError(f"unknown mutation {mutation!r}")
-    return lead - (FOUR * x - 3 * y) * h - (FOUR * x - 3 * y) * p
+    return (lead - (FOUR * px - 3 * y) * (h + p)).lo
 
 
 def _calc_roots(z_max: Fraction) -> list[Box]:
     """The three x-pieces of [0, 1] x [0, 3/4] x [0, z_max] in (mu, x, z)."""
     if not (0 < z_max <= Fraction(1, 10**5)):
         raise ValueError("need 0 < z_max <= 1/10^5")
-    pieces = (("x<=5/8", 0, Fraction(5, 8)), ("5/8<x<=2/3", Fraction(5, 8), Fraction(2, 3)),
-              ("2/3<x<=3/4", Fraction(2, 3), Fraction(3, 4)))
+    pieces = (("x<=5/8", 0, _X_LOW), ("5/8<x<=2/3", _X_LOW, _X_MID),
+              ("2/3<x<=3/4", _X_MID, _X_MAX))
     return [Box({"mu": Interval.make(0, 1), "x": Interval.make(xlo, xhi),
                  "z": Interval.make(0, z_max)}, tag)
             for tag, xlo, xhi in pieces]
@@ -102,23 +117,24 @@ def _calc_point_margin(pt: dict[str, Fraction], mutation: str | None) -> Fractio
 
 def _in_calc_region(pt: dict[str, Fraction], z_max: Fraction) -> bool:
     """5z < y <= x <= 3/4 and 0 < z <= z_max."""
-    return 0 < pt["z"] <= z_max and 5 * pt["z"] < pt["y"] <= pt["x"] <= Fraction(3, 4)
+    return 0 < pt["z"] <= z_max and 5 * pt["z"] < pt["y"] <= pt["x"] <= _X_MAX
 
 
 # ---------------------------------------------------------------------------
 # maxvalue: C_1..C_5, exact in (alpha, a, b), on boxes in (alpha, mu, b)
 # ---------------------------------------------------------------------------
 
-def _maxvalue_b_range(i: int) -> tuple[Fraction, Fraction]:
-    """The range of b for C_i: [1/3, 3/8] for C_2 and C_3, else [1/4, 1]."""
-    return (Fraction(1, 3), Fraction(3, 8)) if i in (2, 3) else (Fraction(1, 4), Fraction(1))
+_ALPHA_MAX = 1 / FOUR
+# the range of b for C_i: [1/3, 3/8] for C_2 and C_3, else [1/4, 1]
+_B_RANGES = {i: (Fraction(1, 3), Fraction(3, 8)) if i in (2, 3) else (Fraction(1, 4), Fraction(1))
+             for i in range(1, 6)}
 
 
 def _maxvalue_roots(z_max: None) -> list[Box]:
-    alpha_iv = Interval.make(0, 1 / FOUR)
+    alpha_iv = Interval.make(0, _ALPHA_MAX)
     return [Box({"alpha": alpha_iv, "mu": Interval.make(0, 1),
-                 "b": Interval.make(*_maxvalue_b_range(i))}, f"C{i}")
-            for i in range(1, 6)]
+                 "b": Interval.make(*b_range)}, f"C{i}")
+            for i, b_range in _B_RANGES.items()]
 
 
 def _maxvalue_margin_box(box: Box, mutation: str | None) -> Interval:
@@ -139,8 +155,10 @@ def _maxvalue_point(box: Box) -> dict[str, Fraction]:
 
 
 def _maxvalue_point_margin(pt: dict[str, Fraction], mutation: str | None) -> Fraction:
+    """C_i at the point, evaluated on point intervals."""
     mu, beta = mu_beta(pt["a"], pt["b"])
-    return c_coeff(int(pt["i"]), pt["alpha"], mu, beta, mutation)
+    return c_coeff(int(pt["i"]), Interval.point(pt["alpha"]), Interval.point(mu),
+                   Interval.point(beta), mutation).lo
 
 
 def _in_maxvalue_region(pt: dict[str, Fraction], z_max: None) -> bool:
@@ -149,8 +167,8 @@ def _in_maxvalue_region(pt: dict[str, Fraction], z_max: None) -> bool:
     i = pt["i"]
     if not (i.denominator == 1 and 1 <= i <= 5):
         return False
-    b_lo, b_hi = _maxvalue_b_range(int(i))
-    return 0 <= pt["alpha"] <= 1 / FOUR and b_lo <= pt["b"] <= b_hi and pt["b"] <= pt["a"] < 1
+    b_lo, b_hi = _B_RANGES[int(i)]
+    return 0 <= pt["alpha"] <= _ALPHA_MAX and b_lo <= pt["b"] <= b_hi and pt["b"] <= pt["a"] < 1
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +238,7 @@ def _prove(target: str, z_max: Fraction | None, mutation: str | None,
             incomplete = True
             break
         margin = rec.margin(box, mutation)
-        if margin.lo > 0:
+        if margin.positive():
             leaves.append((box, margin))
             continue
         pt = rec.point(box)
@@ -237,10 +255,9 @@ def _prove(target: str, z_max: Fraction | None, mutation: str | None,
         stack.append((lo_box, depth + 1))
     if incomplete:
         return make("budget_exhausted", tuple(leaves), splits)
-    leaves.sort(key=lambda bm: (bm[0].region_tag,
-                                sorted((n, iv.lo, iv.hi)
-                                       for n, iv in bm[0].coords.items())))
-    return make("proved", tuple(leaves), splits)
+    keys = Box.sort_keys([box for box, _ in leaves])
+    order = sorted(range(len(leaves)), key=keys.__getitem__)
+    return make("proved", tuple(leaves[j] for j in order), splits)
 
 
 def certify_calculate_lemma(z_max, max_depth: int = 60, max_boxes: int = 10**7,
@@ -305,9 +322,9 @@ def replay_certificate(cert: Certificate) -> dict:
             raise ValueError(f"box coordinates of target {cert.target}: missing {miss}; "
                              f"unexpected {extra}")
         fresh = rec.margin(box, None)
-        if fresh.lo <= 0:
+        if not fresh.positive():
             failures.append("margin not strictly positive")
-        elif (fresh.lo, fresh.hi) != (stored.lo, stored.hi):
+        elif fresh != stored:
             failures.append("stored margin does not match recomputation")
     if cert.declared_boxes not in (None, len(cert.boxes)):
         failures.append(f"boxes line says {cert.declared_boxes}, file holds {len(cert.boxes)}")
@@ -346,8 +363,7 @@ def _inside(leaf: Box, node: Box) -> bool:
     finite."""
     if leaf.region_tag != node.region_tag or leaf.coords.keys() != node.coords.keys():
         return False
-    return all(node.coords[n].lo <= iv.lo < iv.hi <= node.coords[n].hi
-               for n, iv in leaf.coords.items())
+    return all(iv.inside(node.coords[n]) for n, iv in leaf.coords.items())
 
 
 def _coverage_failures(roots: list[Box], leaves: list[Box], splits: int) -> list[str]:
@@ -374,13 +390,15 @@ def _coverage_failures(roots: list[Box], leaves: list[Box], splits: int) -> list
             continue
         walked += 1
         lo_box, hi_box = node.split()
-        # the one coordinate `split` replaced
+        # the one coordinate `split` replaced; a leaf in `inside` lies in
+        # `node` with positive width, so it lies in the lower (upper) half
+        # iff it ends by (starts at) the midpoint
         name = next(n for n, iv in lo_box.coords.items() if iv is not node.coords[n])
-        mid = lo_box.coords[name].hi
+        lo_iv, hi_iv = lo_box.coords[name], hi_box.coords[name]
         lo, hi = [], []
         for j in inside:
             iv = leaves[j].coords[name]
-            (lo if iv.hi <= mid else hi if iv.lo >= mid else pending).append(j)
+            (lo if iv.inside(lo_iv) else hi if iv.inside(hi_iv) else pending).append(j)
         stack.append((hi_box, hi))
         stack.append((lo_box, lo))
     failures = []

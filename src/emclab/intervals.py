@@ -9,7 +9,8 @@ operands' numerators (the standard sign-case table, valid since d > 0); only
 when both operands straddle 0 are all four endpoint products formed.  The
 result equals the four-product hull exactly.  An `int` or `Fraction` operand
 of `+`, `-` and `*` enters as its numerator and denominator, never wrapped
-into a point interval.
+into a point interval.  Sign, containment and order tests (`positive`,
+`inside`, `==`, `Box.sort_keys`) compare numerators, never `Fraction`s.
 
 A Certificate records the root region and a finite box subdivision of it
 together with a verified margin interval per leaf; it serializes to a
@@ -34,15 +35,7 @@ class Interval:
     __slots__ = ("_a", "_b", "_d")       # [lo, hi] = [_a/_d, _b/_d], _d > 0
 
     def __init__(self, lo, hi):
-        p, q = _ratio(lo)
-        r, s = _ratio(hi)
-        if p * s > r * q:
-            raise ValueError(f"empty interval [{Fraction(p, q)}, {Fraction(r, s)}]")
-        if q == s:
-            self._a, self._b, self._d = p, r, q
-        else:
-            d = lcm(q, s)
-            self._a, self._b, self._d = p * (d // q), r * (d // s), d
+        _fill(self, *_ratio(lo), *_ratio(hi))
 
     @property
     def lo(self) -> Fraction:
@@ -169,6 +162,16 @@ class Interval:
         p *= self._d
         return self._a * q <= p <= self._b * q
 
+    def positive(self) -> bool:
+        """lo > 0."""
+        return self._a > 0
+
+    def inside(self, other: "Interval") -> bool:
+        """other.lo <= lo < hi <= other.hi: a subinterval of positive width."""
+        a, b, d = self._a, self._b, self._d
+        f = other._d
+        return other._a * d <= a * f and a < b and b * f <= other._b * d
+
     @property
     def width(self) -> Fraction:
         return Fraction(self._b - self._a, self._d)
@@ -196,12 +199,42 @@ def _iv(a: int, b: int, d: int) -> Interval:
     return iv
 
 
+def _fill(iv: Interval, p: int, q: int, r: int, s: int) -> Interval:
+    """Set `iv` to [p/q, r/s] for ints p, r and q, s > 0; raises on p/q > r/s."""
+    if p * s > r * q:
+        raise ValueError(f"empty interval [{Fraction(p, q)}, {Fraction(r, s)}]")
+    if q == s:
+        iv._a, iv._b, iv._d = p, r, q
+    else:
+        d = lcm(q, s)
+        iv._a, iv._b, iv._d = p * (d // q), r * (d // s), d
+    return iv
+
+
 def _ratio(v) -> tuple[int, int]:
     """The numerator and positive denominator of a rational scalar."""
     if type(v) is int:
         return v, 1
     if not isinstance(v, Fraction):
         v = Fraction(v)
+    return v.numerator, v.denominator
+
+
+def _token_ratio(token: str) -> tuple[int, int]:
+    """The numerator and positive denominator of a certificate token: a
+    `p` or `p/q` of ASCII digits (p optionally signed `-`, q > 0) is read
+    with `int`; any other token goes through `Fraction(token)`, which gives
+    the same value and raises its own error on a token it refuses."""
+    num, slash, den = token.partition("/")
+    digits = num[1:] if num[:1] == "-" else num
+    if digits.isascii() and digits.isdigit():
+        if not slash:
+            return int(num), 1
+        if den.isascii() and den.isdigit():
+            q = int(den)
+            if q:
+                return int(num), q
+    v = Fraction(token)
     return v.numerator, v.denominator
 
 
@@ -215,6 +248,26 @@ def _coerce(v) -> Interval:
 class Box:
     coords: dict[str, Interval]
     region_tag: str = "mixed"
+
+    @staticmethod
+    def sort_keys(boxes) -> list[tuple]:
+        """One exact key per box in `boxes`: sorting by these keys orders the
+        boxes as the key (region_tag, sorted (name, lo, hi)) with `Fraction`
+        endpoints does, since each coordinate's numerators are scaled to the
+        lcm of that coordinate's denominators over all of `boxes`."""
+        scale: dict[str, int] = {}
+        for box in boxes:
+            for n, iv in box.coords.items():
+                scale[n] = lcm(scale.get(n, 1), iv._d)
+        keys = []
+        for box in boxes:
+            ends = []
+            for n in sorted(box.coords):
+                iv = box.coords[n]
+                m = scale[n] // iv._d
+                ends.append((n, iv._a * m, iv._b * m))
+            keys.append((box.region_tag, ends))
+        return keys
 
     def widest(self) -> str:
         return max(self.coords, key=lambda n: (self.coords[n].width, n))
@@ -267,10 +320,17 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
 
+# the lines a certificate holds at most once
+_SINGLE_LINES = frozenset(("format", "target", "status", "splits", "boxes", "zmax",
+                           "mutation", "coords", "point"))
+
+
 def parse_certificate(text: str) -> Certificate:
     """Parse a v2 certificate.  A file without a `format 2` line (v1) does
     not record its root region, so its coverage cannot be checked: it is
-    rejected with ValueError."""
+    rejected with ValueError, as is a second copy of any line but `box`, and
+    a point token that is not one `name=value` or repeats a name.  Box and
+    margin bounds are read by `_token_ratio`."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     meta: dict[str, str | int] = {}
     names: list[str] = []
@@ -278,9 +338,14 @@ def parse_certificate(text: str) -> Certificate:
     point = None
     zmax = None
     mutation = None
+    seen = set()
     for ln in lines:
         parts = ln.split()
         try:
+            if parts[0] in _SINGLE_LINES:
+                if parts[0] in seen:
+                    raise ValueError(f"a second {parts[0]} line")
+                seen.add(parts[0])
             if parts[0] in ("format", "target", "status"):
                 meta[parts[0]] = parts[1]
             elif parts[0] in ("splits", "boxes"):
@@ -297,15 +362,20 @@ def parse_certificate(text: str) -> Certificate:
                 mi = vals.index("margin")
                 if (mi, len(vals)) != (2 * len(names), mi + 3):
                     raise ValueError(f"want 2 bounds per coord {names} and 2 margin bounds")
-                coord_vals = vals[:mi]
-                coords = {}
-                for i, n in enumerate(names):
-                    coords[n] = Interval(Fraction(coord_vals[2 * i]),
-                                         Fraction(coord_vals[2 * i + 1]))
-                margin = Interval(Fraction(vals[mi + 1]), Fraction(vals[mi + 2]))
-                boxes.append((Box(coords, tag), margin))
+                # each coordinate's bounds, then the margin's, in file order
+                ivs = [_fill(_new(Interval), *_token_ratio(vals[j]), *_token_ratio(vals[j + 1]))
+                       for j in (*range(0, mi, 2), mi + 1)]
+                margin = ivs.pop()
+                boxes.append((Box(dict(zip(names, ivs)), tag), margin))
             elif parts[0] == "point":
-                point = {kv.split("=")[0]: Fraction(kv.split("=")[1]) for kv in parts[1:]}
+                point = {}
+                for kv in parts[1:]:
+                    name, eq, value = kv.partition("=")
+                    if not eq or "=" in value:
+                        raise ValueError(f"point token {kv!r} is not name=value")
+                    if name in point:
+                        raise ValueError(f"point gives {name} twice")
+                    point[name] = Fraction(value)
             else:
                 raise ValueError("unknown key")
         except (IndexError, ValueError, ZeroDivisionError) as exc:

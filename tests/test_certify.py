@@ -1,4 +1,5 @@
 import hashlib
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from emclab.certify import (TARGETS, _calc_margin_box, _prove, certify_calculate_lemma,
                             certify_maxvalue_coeffs, eval_calculate_margin,
                             replay_certificate)
-from emclab.intervals import Interval, parse_certificate
+from emclab.intervals import Box, Interval, parse_certificate
 from emclab.scalars import DELTA, eval_C_coeffs
 
 Z = Fraction(1, 10**5)
@@ -304,3 +305,117 @@ class TestBudget:
     def test_depth_zero_cannot_close(self):
         cert = certify_maxvalue_coeffs(max_depth=0)
         assert cert.status == "budget_exhausted"
+
+
+def _fraction_leaf_key(leaf):
+    """The leaf order key `_prove` used on `Fraction` endpoints."""
+    box, _ = leaf
+    return (box.region_tag, sorted((n, iv.lo, iv.hi) for n, iv in box.coords.items()))
+
+
+@pytest.fixture(params=["calculate", "maxvalue"])
+def proof(request, calc_cert, maxvalue_cert):
+    return {"calculate": calc_cert, "maxvalue": maxvalue_cert}[request.param]
+
+
+class TestLeafOrder:
+    """`_prove` sorts its leaves by `Box.sort_keys`, whose int keys must give
+    the order of the `Fraction` key, whatever the leaves' denominators."""
+
+    def test_prover_order_is_the_fraction_order(self, proof):
+        assert list(proof.boxes) == sorted(proof.boxes, key=_fraction_leaf_key)
+
+    @pytest.mark.parametrize("source", ["memory", "parsed", "mixed"])
+    def test_shuffled_leaves(self, proof, source):
+        # in memory the endpoints keep the prover's unreduced denominators;
+        # parsed, they are read from reduced tokens; mixed, equal values
+        # with different denominators meet in one sort
+        parsed = parse_certificate(proof.serialize())
+        leaves = {"memory": list(proof.boxes), "parsed": list(parsed.boxes),
+                  "mixed": list(proof.boxes) + list(parsed.boxes)}[source]
+        rng = random.Random(f"leaf-order-{proof.target}-{source}")
+        for _ in range(5):
+            rng.shuffle(leaves)
+            keys = Box.sort_keys([box for box, _ in leaves])
+            got = [leaves[j] for j in sorted(range(len(leaves)), key=keys.__getitem__)]
+            want = sorted(leaves, key=_fraction_leaf_key)
+            assert [id(leaf) for leaf in got] == [id(leaf) for leaf in want]
+
+
+def _degenerate_first(cert):
+    box, _ = cert.boxes[0]
+    point = Box({n: Interval.point(iv.mid) for n, iv in box.coords.items()}, box.region_tag)
+    return replace(cert, boxes=((point, TARGETS[cert.target].margin(point, None)),)
+                   + cert.boxes[1:])
+
+
+def _bumped_first(cert):
+    box, margin = cert.boxes[0]
+    return replace(cert, boxes=((box, Interval(margin.lo, margin.hi + 1)),) + cert.boxes[1:])
+
+
+TAMPERS = {
+    "none": lambda c: c,
+    "dropped-leaf": lambda c: replace(c, boxes=c.boxes[:-1]),
+    "duplicated-leaf": lambda c: replace(c, boxes=c.boxes + c.boxes[:1]),
+    "wrong-splits": lambda c: replace(c, splits=c.splits - 1),
+    "degenerate-leaf": _degenerate_first,
+    "bumped-margin": _bumped_first,
+}
+
+
+@pytest.mark.parametrize("tamper", sorted(TAMPERS))
+def test_replay_same_in_memory_and_parsed(proof, tamper):
+    """Coverage and margin checks compare endpoints exactly: the prover's
+    unreduced denominators and a file's reduced ones give one report."""
+    cert = TAMPERS[tamper](proof)
+    out = replay_certificate(cert)
+    assert out == replay_certificate(parse_certificate(cert.serialize()))
+    assert out["ok"] == (tamper == "none")
+
+
+class TestMalformedLines:
+    """A line the parser would otherwise read last-wins, or read in part, is
+    refused with ValueError (verify-cert exit 3)."""
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        return {"proof": certify_calculate_lemma(Z, max_boxes=40, max_depth=3).serialize(),
+                "point": certify_calculate_lemma(Z, mutation="negate-lead").serialize()}
+
+    def test_point_token_with_second_equals(self, texts):
+        text = texts["point"].replace("x=5/16", "x=5/16=junk")
+        with pytest.raises(ValueError, match="point token 'x=5/16=junk' is not name=value"):
+            parse_certificate(text)
+
+    def test_point_coordinate_given_twice(self, texts):
+        text = texts["point"].replace("z=1/100000", "z=1/100000 x=1")
+        with pytest.raises(ValueError, match="point gives x twice"):
+            parse_certificate(text)
+
+    @pytest.mark.parametrize("key", ["format", "target", "status", "splits", "boxes", "zmax",
+                                     "mutation", "coords", "point"])
+    def test_single_line_given_twice(self, texts, key):
+        text = texts["proof" if key == "coords" else "point"]
+        line = next(ln for ln in text.splitlines() if ln.split()[0] == key)
+        with pytest.raises(ValueError, match=f"a second {key} line"):
+            parse_certificate(text + line + "\n")
+
+
+class TestPinnedAnswers:
+    """Pins beyond the default proofs: a second z_max's enclosures, and the
+    exact margins replay reports at both counterexamples."""
+
+    def test_calculate_half_zmax(self):
+        cert = certify_calculate_lemma(Fraction(1, 200000))
+        assert (len(cert.boxes), cert.splits) == (71, 68)
+        assert _box_digest(cert) == (
+            "bd639050bc455975da7d1775bcdddd6561835a361a7769005a553684eea7492d")
+
+    def test_counterexample_margins(self, negate_lead_cert, negate_c5_cert):
+        assert replay_certificate(negate_lead_cert)["margin"] == (
+            "-475031249924008300004152607999904351400000798115000000013/"
+            "262144000000000000000000000000000000000000000000000000000")
+        assert replay_certificate(negate_c5_cert)["margin"] == (
+            "-43839867885548861375136657622915835163151641817871931/"
+            "70425033342491492860338000940350415728174191083520000000000")

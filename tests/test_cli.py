@@ -371,6 +371,14 @@ class TestCertificateCoverage:
                                 for ln in cert.read_text().splitlines(keepends=True)))
         self._exit_three(capsys, cert, f"bad certificate line '{key} {value}'")
 
+    def test_point_token_tail_exit_three(self, runner, tmp_path, capsys):
+        # `x=5/16=junk` is refused, not read as x=5/16 and confirmed
+        path = tmp_path / "n.cert"
+        assert run(runner, ["verify-ineq", "--target", "calculate", "--mutation",
+                            "negate-lead", "-o", str(path)]).exit_code == 1
+        path.write_text(path.read_text().replace("x=5/16", "x=5/16=junk"))
+        self._exit_three(capsys, path, "point token 'x=5/16=junk' is not name=value")
+
 
 class TestSamplingCommands:
     def test_sample_deterministic_rerun(self, runner, tmp_path):

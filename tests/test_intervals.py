@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emclab.intervals import Box, Certificate, Interval, parse_certificate
+from emclab.intervals import Box, Certificate, Interval, _token_ratio, parse_certificate
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=64)
 
@@ -179,6 +179,40 @@ class TestCertificateFormat:
         again = parse_certificate(cert.serialize().replace("boxes 1\n", "boxes 2\n"))
         assert again.declared_boxes == 2 and cert.declared_boxes is None
         assert again == cert
+
+    @staticmethod
+    def _read_as_fraction_reads(token):
+        # `p` and `p/q` are read with int; every other token is Fraction's:
+        # the same value, or the same error
+        try:
+            want = Fraction(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as got:
+                _token_ratio(token)
+            assert str(got.value) == str(exc)
+        else:
+            p, q = _token_ratio(token)
+            assert q > 0 and Fraction(p, q) == want
+
+    @pytest.mark.parametrize("token", ["5/16", "-5/16", "6/8", "007", "-0", "+5", "1_000",
+                                       "5/0", "5/-3", "/5", "5/", "-", "", "1e3", "0.5",
+                                       "\u0663/4", "4/\u0663"])
+    def test_bound_token_examples(self, token):
+        self._read_as_fraction_reads(token)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.text(alphabet="0123456789-+/._eE\u0663", max_size=9))
+    def test_bound_tokens(self, token):
+        self._read_as_fraction_reads(token)
+
+    def test_bound_token_error_names_the_line(self):
+        text = self._sample().serialize().replace("box left 0 ", "box left 1/0 ")
+        with pytest.raises(ValueError, match=r"bad certificate line 'box left 1/0 .*': "
+                                             r"Fraction\(1, 0\)"):
+            parse_certificate(text)
+        text = self._sample().serialize().replace("box left 0 1/2", "box left 1 1/2")
+        with pytest.raises(ValueError, match=r"empty interval \[1, 1/2\]"):
+            parse_certificate(text)
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):
