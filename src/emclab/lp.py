@@ -1,13 +1,17 @@
 """Exact rational linear programming for fractional matchings and covers.
 
-There is no floating point in this module.  The solver is a dense two-phase
-primal simplex with Bland's anti-cycling rule, which keeps every result
-deterministic.  It pivots on a fraction-free integer tableau (Bareiss 1968;
-Edmonds 1967) with one common denominator.  An `int` input (a coefficient,
-right-hand side or cost) is used as it is; any other input is read through
-`fractions.Fraction` and scaled to integers.  `Fraction` otherwise appears
-only in the optimum the solver returns.  Every optimum comes with a primal
-and dual certificate, checked in integer arithmetic before it is returned.
+There is no floating point in this module.  The solver is a revised
+two-phase primal simplex with Bland's anti-cycling rule, which keeps every
+result deterministic.  It keeps the basis inverse as a fraction-free integer
+block over one common denominator (Bareiss 1968; Edmonds 1967) and prices a
+column only when Bland's rule reads it, so a pivot costs about m^2 integer
+steps plus the columns it prices, not the m * (n + m) of a dense tableau,
+and makes the dense tableau's pivots.  A column-generation master could hold
+a subset of the columns.  An `int` input (a coefficient, right-hand side or
+cost) is used as it is; any other input is read through `fractions.Fraction`
+and scaled to integers.  `Fraction` otherwise appears only in the optimum
+the solver returns.  Every optimum comes with a primal and dual
+certificate, checked in integer arithmetic before it is returned.
 The row builders below write their 0/1 coefficients as ints, so only truly
 rational entries (a pinned optimum, a cover chain's costs, 1 - a_v) take the
 `Fraction` path.
@@ -30,14 +34,20 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import partial
+from itertools import chain, combinations, compress, count, islice, repeat
 from math import lcm
+from operator import add, gt, itemgetter, mul
 from typing import Iterable, Sequence
 
 from emclab.hypergraph import Hypergraph, binom, is_stable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+_FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
+_INT = frozenset({int})
+_BINARY = frozenset({0, 1})
+_products = partial(map, mul)
 
 
 class LPError(Exception):
@@ -71,153 +81,192 @@ def _scaled(values, scale: int) -> list[int]:
 def _simplex_min(c, rows, trace=None):
     """Minimize c.x subject to `rows` and x >= 0, exactly.
 
-    rows: list of (coeffs, sense, rhs) with sense in {"<=", ">=", "=="}.
-    c holds ints and Fractions (`solve_lp` reads it with `_exact`).
-    Returns (value, x, row_duals).  row_duals[i] is the minimization dual
-    y_i of row i as the caller wrote it: y_i <= 0 on "<=", y_i >= 0 on ">=",
-    free on "==", and sum(rhs_i * y_i) == value.
+    rows: list of (coeffs, sense, rhs) with len(c) coefficients and sense in
+    {"<=", ">=", "=="}; LPError names the first row that breaks this, before
+    any pivot.  c holds ints and Fractions (`solve_lp` reads it with
+    `_exact`).  Returns (value, x, row_duals).  row_duals[i] is the
+    minimization dual y_i of row i as the caller wrote it: y_i <= 0 on "<=",
+    y_i >= 0 on ">=", free on "==", and sum(rhs_i * y_i) == value.
 
-    Two-phase primal simplex with Bland's rule on a fraction-free integer
-    tableau (Bareiss 1968; Edmonds 1967).  After the rhs >= 0 flip every row
-    is scaled by one common L, the lcm of all coefficient and rhs
-    denominators, and the costs by their own lcm Lc.  The tableau holds D
-    times the rational tableau, D > 0 the previous pivot: a pivot p on row r,
-    column s replaces every other row i by (p*T[i] - T[i][s]*T[r]) // D, an
-    exact division, and D by p (row r is negated first if p < 0).  The
-    reduced-cost rows are tableau rows updated by the same step.  Common
-    scale factors change no sign and no ratio order, so Bland's rule makes
-    the same pivots as on the rational tableau.  An `int` entry of c or
-    `rows` is used as it is; any other entry of `rows` is read through
-    `Fraction`, which appears otherwise only in the output.  Every optimum
-    passes `_check_certificate` first.
+    Revised two-phase primal simplex with Bland's rule, in fraction-free
+    integers (Bareiss 1968; Edmonds 1967).  After the rhs >= 0 flip, every
+    row is scaled by L, the lcm of the coefficient denominators, x by Lx,
+    that of the rhs denominators, and the costs by their own lcm Lc; rows,
+    right-hand sides and costs of ints are taken as they are.  Row i starts
+    with a basic column e_i: the slack of a "<=" row, the artificial of any
+    other.  The solver keeps D times the rational tableau (D > 0 the
+    previous pivot) on those m columns only: the block D*B^-1, stored by
+    columns, the rhs D*B^-1*b, and for each objective its m entries y, which
+    start at 0.  Everything else is rebuilt exactly when it is read: tableau
+    column j is the block times a_j, column j of the starting rows (slacks
+    and artificials included), and its reduced cost is D*c_j + y.a_j.  A
+    pivot p on row r, column s replaces every entry t of another row by
+    (p*t - f*t_r) // D, f that row's entry in column s and t_r the entry of
+    row r below t, an exact division, and D by p (row r is negated first if
+    p < 0).  These are the numbers the dense tableau holds on those columns,
+    so the pivots are the same, and common scale factors change no sign and
+    no ratio order: Bland's rule makes the pivots it makes on the rational
+    tableau.  An `int` entry of c or `rows` is used as it is; any other entry
+    of `rows` is read through `Fraction`, which appears otherwise only in the
+    output.  Every optimum passes `_check_certificate` first.
     """
-    nvars = len(c)
-    m = len(rows)
-    # normalize to nonnegative rhs
-    norm = []
-    signs = []   # -1 on the rows negated here
-    for coeffs, sense, rhs in rows:
-        coeffs = _exact(coeffs)
-        rhs = rhs if type(rhs) is int else Fraction(rhs)
+    nvars, m = len(c), len(rows)
+    A, b, senses, signs = [], [], [], []
+    denominators, rhs_denominators = set(), set()
+    int_rows = _INT.issuperset(map(type, chain.from_iterable(map(itemgetter(0), rows))))
+    for i, (coeffs, sense, rhs) in enumerate(rows):
+        if len(coeffs) != nvars:
+            raise LPError(f"row {i} has {len(coeffs)} coefficients for {nvars} variables")
+        if sense not in _FLIP:
+            raise LPError(f"row {i} has sense {sense!r}, not <=, >= or ==")
+        if not (int_rows or _INT.issuperset(map(type, coeffs))):
+            coeffs = _exact(coeffs)
+            denominators.update(v.denominator for v in coeffs if type(v) is not int)
+        if type(rhs) is not int:
+            rhs = rhs if type(rhs) is Fraction else Fraction(rhs)
+            rhs_denominators.add(rhs.denominator)
         signs.append(-1 if rhs < 0 else 1)
         if rhs < 0:
-            coeffs = [-x for x in coeffs]
-            rhs = -rhs
-            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-        norm.append((coeffs, sense, rhs))
-    scale = lcm(*(v.denominator for coeffs, _, rhs in norm for v in (*coeffs, rhs)
-                  if type(v) is not int))
-    A = [_scaled(coeffs, scale) for coeffs, _, _ in norm]
-    b = _scaled([rhs for _, _, rhs in norm], scale)
-    senses = [sense for _, sense, _ in norm]
+            coeffs, rhs, sense = [-v for v in coeffs], -rhs, _FLIP[sense]
+        A.append(coeffs)
+        b.append(rhs)
+        senses.append(sense)
+    scale, x_scale = lcm(*denominators), lcm(*rhs_denominators)
+    if denominators:
+        A = [_scaled(coeffs, scale) for coeffs in A]
+    if denominators or rhs_denominators:
+        b = _scaled(b, scale * x_scale)
     cost_scale = lcm(*(v.denominator for v in c if type(v) is not int))
     C = _scaled(c, cost_scale)
 
-    slack_col = {}
-    art_col = {}
-    ncols = nvars
-    for i, sense in enumerate(senses):
-        if sense != "==":
-            slack_col[i] = ncols
-            ncols += 1
-    first_art = ncols
-    for i, sense in enumerate(senses):
-        if sense != "<=":
-            art_col[i] = ncols
-            ncols += 1
-
-    # rows 0..m-1: constraints; row m: phase-2 reduced costs; row m+1 (while
-    # phase 1 runs): phase-1 reduced costs.  Column ncols is the rhs.
-    tab = []
-    basis = []
-    for i, sense in enumerate(senses):
-        row = A[i] + [0] * (ncols + 1 - nvars)
-        if sense == "<=":
-            row[slack_col[i]] = 1
-            basis.append(slack_col[i])
-        else:
-            if sense == ">=":
-                row[slack_col[i]] = -1
-            row[art_col[i]] = 1
-            basis.append(art_col[i])
-        row[ncols] = b[i]
-        tab.append(row)
-    tab.append(C + [0] * (ncols + 1 - nvars))
+    # columns: the variables, one slack per inequality, one artificial per
+    # ">=" or "==" row; column nvars + u is unit_coef[u] * e_{unit_row[u]}
+    slack_rows = [i for i, sense in enumerate(senses) if sense != "=="]
+    art_rows = [i for i, sense in enumerate(senses) if sense != "<="]
+    unit_row = slack_rows + art_rows
+    unit_coef = [-1 if senses[i] == ">=" else 1 for i in slack_rows] + [1] * len(art_rows)
+    first_art = nvars + len(slack_rows)
+    basis = [0] * m
+    for j, i, a in zip(count(nvars), unit_row, unit_coef):
+        if a > 0:
+            basis[i] = j
+    cols = list(zip(*A)) if m else [()] * nvars
+    # terms(y, a): the products y_i * a_i, or just the y_i with a_i = 1
+    # when every coefficient is 0 or 1
+    terms = compress if _BINARY.issuperset(chain.from_iterable(A)) else _products
+    # block[k] is column k of D*B^-1 for k < m, block[m] the rhs D*B^-1*b
+    block = [[0] * m for _ in range(m)] + [list(b)]
+    for k in range(m):
+        block[k][k] = 1
+    zeros = [0] * m   # pads column(j) to m entries when a_j has no nonzero
     D = 1
 
-    def pivot(r, s, phase):
+    def entries(y):
+        """y.a_j for every column j in order, lazily."""
+        return chain(map(sum, map(terms, repeat(y), cols)),
+                     map(mul, unit_coef, map(y.__getitem__, unit_row)))
+
+    def reduced(obj, j):
+        y, cost = obj
+        if j < nvars:
+            return D * cost[j] + sum(terms(y, cols[j]))
+        u = j - nvars
+        return D * cost[j] + unit_coef[u] * y[unit_row[u]]
+
+    def column(j):
+        """Tableau column j: the block times a_j, summed from the block's
+        columns at the nonzero coefficients of a_j."""
+        if j < nvars:
+            parts = [block[k] if a == 1 else [a * t for t in block[k]]
+                     for k, a in enumerate(cols[j]) if a]
+        else:
+            i, a = unit_row[j - nvars], unit_coef[j - nvars]
+            parts = [block[i] if a == 1 else [-t for t in block[i]]]
+        return list(map(sum, zip(zeros, *parts)))
+
+    def pivot(r, s, col, objs, phase):
         nonlocal D
         if trace is not None:
             trace.append((phase, s, basis[r]))
-        prow = tab[r]
-        p = prow[s]
+        p = col[r]
         if p < 0:   # only when driving out artificials; keeps D > 0
-            prow = tab[r] = [-v for v in prow]
+            for bk in block:
+                bk[r] = -bk[r]
             p = -p
-        for i, row in enumerate(tab):
-            if i == r:
-                continue
-            f = row[s]
+        prow = [bk[r] for bk in block]
+        for obj in objs:
+            f = reduced(obj, s)
             if f:
-                tab[i] = [(p * a - f * v) // D for a, v in zip(row, prow)]
+                obj[0] = [(p * a - f * v) // D for a, v in zip(obj[0], prow)]
             elif p != D:
-                tab[i] = [p * a // D for a in row]
+                obj[0] = [p * a // D for a in obj[0]]
+        for k, bk in enumerate(block):
+            v = bk[r]
+            if v:
+                bk = [(p * a - f * v) // D for a, f in zip(bk, col)]
+            elif p != D:
+                bk = [p * a // D for a in bk]
+            else:
+                continue
+            bk[r] = v
+            block[k] = bk
         D = p
         basis[r] = s
 
-    def run(obj, allowed, phase):
+    def run(obj, allowed, phase, objs):
         """Bland's rule: enter the first allowed column with a negative
         reduced cost; leave by the least ratio rhs/a over a > 0, compared by
         cross-multiplying, ties to the least basic index."""
         while True:
-            red = tab[obj]
-            enter = next((j for j in range(allowed) if red[j] < 0), -1)
+            # pricing stops at the first negative D*c_j + y.a_j
+            reds = map(add, map(D.__mul__, obj[1]), islice(entries(obj[0]), allowed))
+            enter = next(compress(count(), map(gt, repeat(0), reds)), -1)
             if enter < 0:
                 return
+            col = column(enter)
+            rhs = block[m]
             leave = -1
-            for i in range(m):
-                a = tab[i][enter]
+            for i, a in enumerate(col):
                 if a > 0:
-                    t = tab[i][ncols]
+                    t = rhs[i]
                     if leave < 0 or t * best_a < best_t * a or (
                             t * best_a == best_t * a and basis[i] < basis[leave]):
                         leave, best_t, best_a = i, t, a
             if leave < 0:
                 raise Unbounded("LP is unbounded")
-            pivot(leave, enter, phase)
+            pivot(leave, enter, col, objs, phase)
 
-    if art_col:
-        phase1 = [int(j >= first_art) for j in range(ncols)] + [0]
-        for i in art_col:
-            phase1 = [a - v for a, v in zip(phase1, tab[i])]
-        tab.append(phase1)
-        run(m + 1, ncols, 1)
-        tab.pop()
-        if any(tab[i][ncols] for i in range(m) if basis[i] >= first_art):
+    # [y, costs]: phase 1 prices every column against costs that are minus
+    # the sum of the artificial rows (0 on every starting column), phase 2
+    # the variables and slacks
+    phase2 = [[0] * m, C + [0] * len(unit_row)]
+    if art_rows:
+        phase1 = [[0] * m, [-v for v in map(sum, zip(*(A[i] for i in art_rows)))]
+                  + [int(a < 0) for a in unit_coef]]
+        run(phase1, len(phase1[1]), 1, (phase2, phase1))
+        if any(t for t, j in zip(block[m], basis) if j >= first_art):
             raise Infeasible("LP is infeasible")
         # drive basic artificials out where possible
         for i in range(m):
             if basis[i] >= first_art:
-                for j in range(first_art):
-                    if tab[i][j]:
-                        pivot(i, j, 1)
-                        break
+                j = next(compress(count(), islice(entries([bk[i] for bk in block]), first_art)),
+                         -1)
+                if j >= 0:
+                    pivot(i, j, column(j), (phase2,), 1)
 
-    run(m, first_art, 2)
+    run(phase2, first_art, 2, (phase2,))
 
     X = [0] * nvars
-    for i, j in enumerate(basis):
+    for t, j in zip(block[m], basis):
         if j < nvars:
-            X[j] = tab[i][ncols]
-    # minus the reduced cost of each row's slack (of its artificial for
-    # "=="): y_i, or -y_i on a ">=" row, whose slack has coefficient -1
-    red = tab[m]
-    neg_red = [-red[slack_col[i] if i in slack_col else art_col[i]] for i in range(m)]
-    Y = [-v if sense == ">=" else v for v, sense in zip(neg_red, senses)]
+            X[j] = t
+    # y_i is the reduced cost of row i's starting column e_i, D*0 + y.e_i;
+    # the dual of the minimization is its negation
+    Y = [-v for v in phase2[0]]
     _check_certificate(A, senses, b, C, X, Y, D)
     den = D * cost_scale
-    value = Fraction(sum(cj * xj for cj, xj in zip(C, X)), den)
-    x = [Fraction(v, D) if v else ZERO for v in X]
+    value = Fraction(sum(map(mul, C, X)), den * x_scale)
+    x = [Fraction(v, D * x_scale) if v else ZERO for v in X]
     duals = [Fraction(sign * y * scale, den) if y else ZERO for sign, y in zip(signs, Y)]
     return value, x, duals
 
@@ -227,24 +276,29 @@ def _check_certificate(A, senses, b, c, X, Y, D):
     min c.x subject to A x (senses) b, x >= 0, and for its dual.
 
     All arguments are integers (A, b and c are the scaled rows and costs the
-    simplex pivots on), so this costs about one pivot.  It checks primal
-    feasibility, the dual sign (y <= 0 on "<=", y >= 0 on ">=", free on
-    "=="), dual feasibility A^T y <= c, and equal objectives c.x == b.y,
+    simplex pivots on), so this costs about one pivot.  It checks the shapes,
+    primal feasibility, the dual sign (y <= 0 on "<=", y >= 0 on ">=", free
+    on "=="), dual feasibility A^T y <= c, and equal objectives c.x == b.y,
     which together prove both optimal (Applegate, Cook, Dash and Espinoza
-    2007).  It reads nothing of the tableau.
+    2007).  It reads nothing of the solver's state.
     """
-    if D <= 0 or any(v < 0 for v in X):
+    if len(X) != len(c) or not len(Y) == len(b) == len(A) or any(
+            len(a) != len(c) for a in A):
+        raise LPError("certificate: A, b, c, x and y disagree in shape")
+    if D <= 0 or min(X, default=0) < 0:
         raise LPError("certificate: x is not nonnegative")
-    for a, sense, bi, y in zip(A, senses, b, Y):
-        lhs, rhs = sum(aj * xj for aj, xj in zip(a, X)), bi * D
-        if not {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[sense]:
+    for lhs, sense, bi, y in zip(map(sum, map(map, repeat(mul), A, repeat(X))), senses, b, Y):
+        rhs = bi * D
+        if lhs > rhs if sense == "<=" else lhs < rhs if sense == ">=" else lhs != rhs:
             raise LPError(f"certificate: x violates a {sense} row")
-        if {"<=": y > 0, ">=": y < 0, "==": False}[sense]:
+        if (y > 0 if sense == "<=" else y < 0 if sense == ">=" else False):
             raise LPError(f"certificate: dual of a {sense} row has the wrong sign")
-    for j, cj in enumerate(c):
-        if sum(a[j] * y for a, y in zip(A, Y)) > cj * D:
-            raise LPError(f"certificate: dual violates column {j}")
-    if sum(cj * xj for cj, xj in zip(c, X)) != sum(bi * y for bi, y in zip(b, Y)):
+    columns = zip(*A) if A else repeat((), len(c))
+    over = map(gt, map(sum, map(map, repeat(mul), columns, repeat(Y))), map(D.__mul__, c))
+    j = next(compress(count(), over), None)
+    if j is not None:
+        raise LPError(f"certificate: dual violates column {j}")
+    if sum(map(mul, c, X)) != sum(map(mul, b, Y)):
         raise LPError("certificate: c.x != b.y")
 
 
@@ -325,11 +379,13 @@ def make_fractional_matching(h: Hypergraph, weights: dict[tuple[int, ...], Fract
 
 
 def _matching_rows(h: Hypergraph):
-    rows = []
-    for v in h.vertices:
-        coeffs = [1 if v in e else 0 for e in h.edges]
-        rows.append((coeffs, "<=", 1))
-    return rows
+    """One row per vertex v of h, its 0/1 incidence over h.edges <= 1,
+    built in one pass over the edges."""
+    incidence = {v: [0] * len(h.edges) for v in h.vertices}
+    for j, e in enumerate(h.edges):
+        for v in e:
+            incidence[v][j] = 1
+    return [(coeffs, "<=", 1) for coeffs in incidence.values()]
 
 
 def fractional_matching_and_cover(h: Hypergraph, trace=None
@@ -416,11 +472,14 @@ def lex_max_fractional_matching(h: Hypergraph, order: Sequence[int],
     if target < 0:
         raise Infeasible(f"target size {target} is negative")
     rows = _matching_rows(h)
+    # the load of v is its matching row's left-hand side; 0 off the ground set
+    loads = dict(zip(h.vertices, (coeffs for coeffs, _, _ in rows)))
+    no_load = [0] * len(h.edges)
     rows.append(([1] * len(h.edges), "==", target))
     x, pinned = None, {}
     try:
         for v in order:
-            load_coeffs = [1 if v in e else 0 for e in h.edges]
+            load_coeffs = loads.get(v, no_load)
             value, x, _ = solve_lp(load_coeffs, rows, maximize=True)
             rows.append((load_coeffs, "==", value))
             pinned[v] = value

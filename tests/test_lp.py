@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +12,8 @@ from emclab.constructions import build_Hi
 from emclab.hypergraph import (Hypergraph, complete_hypergraph, induced, is_stable,
                                new_hypergraph)
 from emclab.lp import (FractionalCover, Infeasible, LPError, PerfectExtensionError,
-                       Unbounded, _check_certificate, _cover_rows, _matching_rows,
-                       check_complementary_slackness, extend_to_perfect_fm,
+                       Unbounded, _check_certificate, _cover_rows, _exact, _matching_rows,
+                       _scaled, check_complementary_slackness, extend_to_perfect_fm,
                        fractional_cover_number, fractional_matching_and_cover,
                        fractional_matching_number, full_degree_vertices,
                        has_perfect_fm, lex_max_fractional_matching,
@@ -197,11 +198,11 @@ def int_if_integral(v):
     return v.numerator if v.denominator == 1 else v
 
 
-def solve_outcome(c, rows, maximize):
+def solve_outcome(c, rows, maximize, solve=solve_lp):
     """(value, x, duals) or the exception type, with the pivot trace."""
     trace = []
     try:
-        result = solve_lp(c, rows, maximize=maximize, trace=trace)
+        result = solve(c, rows, maximize=maximize, trace=trace)
     except LPError as exc:
         return type(exc), trace
     assert all(type(v) is Fraction for v in (result[0], *result[1], *result[2]))
@@ -314,6 +315,264 @@ class TestIntInputs:
             assert FractionalCover(weights=weights).covered(sets) == want
 
 
+class TestMalformedRows:
+    """A row that does not fit the LP is refused by index before any pivot."""
+
+    def test_row_longer_than_c(self):
+        # the extra coefficient used to land in the slack column
+        with pytest.raises(LPError, match="row 0 has 2 coefficients for 1 variables"):
+            solve_lp([1], [([1, 5], "<=", 1)], maximize=True)
+
+    def test_row_shorter_than_c(self):
+        trace = []
+        with pytest.raises(LPError, match="row 1 has 1 coefficients for 2 variables"):
+            solve_lp([1, 1], [([1, 1], "<=", 2), ([1], "<=", 1)], trace=trace)
+        assert trace == []
+
+    def test_unknown_sense(self):
+        with pytest.raises(LPError, match="row 1 has sense '<'"):
+            solve_lp([1], [([1], "<=", 2), ([1], "<", 1)], maximize=True)
+
+
+# ---------------------------------------------------------------------------
+# the dense tableau, kept as the reference for the revised solver
+# ---------------------------------------------------------------------------
+
+def dense_simplex_min(c, rows, trace=None):
+    """Minimize c.x subject to `rows` and x >= 0, exactly, on the dense
+    tableau `emclab.lp` pivoted on before its revised form.
+
+    rows: list of (coeffs, sense, rhs) with sense in {"<=", ">=", "=="}.
+    c holds ints and Fractions (`solve_lp` reads it with `_exact`).
+    Returns (value, x, row_duals).  row_duals[i] is the minimization dual
+    y_i of row i as the caller wrote it: y_i <= 0 on "<=", y_i >= 0 on ">=",
+    free on "==", and sum(rhs_i * y_i) == value.
+
+    Two-phase primal simplex with Bland's rule on a fraction-free integer
+    tableau (Bareiss 1968; Edmonds 1967).  After the rhs >= 0 flip every row
+    is scaled by one common L, the lcm of all coefficient and rhs
+    denominators, and the costs by their own lcm Lc.  The tableau holds D
+    times the rational tableau, D > 0 the previous pivot: a pivot p on row r,
+    column s replaces every other row i by (p*T[i] - T[i][s]*T[r]) // D, an
+    exact division, and D by p (row r is negated first if p < 0).  The
+    reduced-cost rows are tableau rows updated by the same step.  Common
+    scale factors change no sign and no ratio order, so Bland's rule makes
+    the same pivots as on the rational tableau.  An `int` entry of c or
+    `rows` is used as it is; any other entry of `rows` is read through
+    `Fraction`, which appears otherwise only in the output.  Every optimum
+    passes `_check_certificate` first.
+    """
+    nvars = len(c)
+    m = len(rows)
+    # normalize to nonnegative rhs
+    norm = []
+    signs = []   # -1 on the rows negated here
+    for coeffs, sense, rhs in rows:
+        coeffs = _exact(coeffs)
+        rhs = rhs if type(rhs) is int else Fraction(rhs)
+        signs.append(-1 if rhs < 0 else 1)
+        if rhs < 0:
+            coeffs = [-x for x in coeffs]
+            rhs = -rhs
+            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
+        norm.append((coeffs, sense, rhs))
+    scale = lcm(*(v.denominator for coeffs, _, rhs in norm for v in (*coeffs, rhs)
+                  if type(v) is not int))
+    A = [_scaled(coeffs, scale) for coeffs, _, _ in norm]
+    b = _scaled([rhs for _, _, rhs in norm], scale)
+    senses = [sense for _, sense, _ in norm]
+    cost_scale = lcm(*(v.denominator for v in c if type(v) is not int))
+    C = _scaled(c, cost_scale)
+
+    slack_col = {}
+    art_col = {}
+    ncols = nvars
+    for i, sense in enumerate(senses):
+        if sense != "==":
+            slack_col[i] = ncols
+            ncols += 1
+    first_art = ncols
+    for i, sense in enumerate(senses):
+        if sense != "<=":
+            art_col[i] = ncols
+            ncols += 1
+
+    # rows 0..m-1: constraints; row m: phase-2 reduced costs; row m+1 (while
+    # phase 1 runs): phase-1 reduced costs.  Column ncols is the rhs.
+    tab = []
+    basis = []
+    for i, sense in enumerate(senses):
+        row = A[i] + [0] * (ncols + 1 - nvars)
+        if sense == "<=":
+            row[slack_col[i]] = 1
+            basis.append(slack_col[i])
+        else:
+            if sense == ">=":
+                row[slack_col[i]] = -1
+            row[art_col[i]] = 1
+            basis.append(art_col[i])
+        row[ncols] = b[i]
+        tab.append(row)
+    tab.append(C + [0] * (ncols + 1 - nvars))
+    D = 1
+
+    def pivot(r, s, phase):
+        nonlocal D
+        if trace is not None:
+            trace.append((phase, s, basis[r]))
+        prow = tab[r]
+        p = prow[s]
+        if p < 0:   # only when driving out artificials; keeps D > 0
+            prow = tab[r] = [-v for v in prow]
+            p = -p
+        for i, row in enumerate(tab):
+            if i == r:
+                continue
+            f = row[s]
+            if f:
+                tab[i] = [(p * a - f * v) // D for a, v in zip(row, prow)]
+            elif p != D:
+                tab[i] = [p * a // D for a in row]
+        D = p
+        basis[r] = s
+
+    def run(obj, allowed, phase):
+        """Bland's rule: enter the first allowed column with a negative
+        reduced cost; leave by the least ratio rhs/a over a > 0, compared by
+        cross-multiplying, ties to the least basic index."""
+        while True:
+            red = tab[obj]
+            enter = next((j for j in range(allowed) if red[j] < 0), -1)
+            if enter < 0:
+                return
+            leave = -1
+            for i in range(m):
+                a = tab[i][enter]
+                if a > 0:
+                    t = tab[i][ncols]
+                    if leave < 0 or t * best_a < best_t * a or (
+                            t * best_a == best_t * a and basis[i] < basis[leave]):
+                        leave, best_t, best_a = i, t, a
+            if leave < 0:
+                raise Unbounded("LP is unbounded")
+            pivot(leave, enter, phase)
+
+    if art_col:
+        phase1 = [int(j >= first_art) for j in range(ncols)] + [0]
+        for i in art_col:
+            phase1 = [a - v for a, v in zip(phase1, tab[i])]
+        tab.append(phase1)
+        run(m + 1, ncols, 1)
+        tab.pop()
+        if any(tab[i][ncols] for i in range(m) if basis[i] >= first_art):
+            raise Infeasible("LP is infeasible")
+        # drive basic artificials out where possible
+        for i in range(m):
+            if basis[i] >= first_art:
+                for j in range(first_art):
+                    if tab[i][j]:
+                        pivot(i, j, 1)
+                        break
+
+    run(m, first_art, 2)
+
+    X = [0] * nvars
+    for i, j in enumerate(basis):
+        if j < nvars:
+            X[j] = tab[i][ncols]
+    # minus the reduced cost of each row's slack (of its artificial for
+    # "=="): y_i, or -y_i on a ">=" row, whose slack has coefficient -1
+    red = tab[m]
+    neg_red = [-red[slack_col[i] if i in slack_col else art_col[i]] for i in range(m)]
+    Y = [-v if sense == ">=" else v for v, sense in zip(neg_red, senses)]
+    _check_certificate(A, senses, b, C, X, Y, D)
+    den = D * cost_scale
+    value = Fraction(sum(cj * xj for cj, xj in zip(C, X)), den)
+    x = [Fraction(v, D) if v else F(0) for v in X]
+    duals = [Fraction(sign * y * scale, den) if y else F(0) for sign, y in zip(signs, Y)]
+    return value, x, duals
+
+
+
+def dense_solve_lp(c, rows, maximize=False, trace=None):
+    """`solve_lp` on the dense tableau."""
+    c = _exact(c)
+    if maximize:
+        value, x, duals = dense_simplex_min([-v for v in c], rows, trace=trace)
+        return -value, x, [-d for d in duals]
+    return dense_simplex_min(c, rows, trace=trace)
+
+
+def as_written(v, form):
+    """v as an int (when integral), a Fraction or a string."""
+    if form == "int" and v.denominator == 1:
+        return v.numerator
+    return str(v) if form == "str" else v
+
+
+@st.composite
+def reference_lps(draw):
+    """(c, rows, maximize): 1-6 rows, 1-40 columns, every sense, either rhs
+    sign, each entry written as an int, a Fraction or a string; half of them
+    with 0/1 coefficients only, and half with a last row sum(x) <= R."""
+    m, nv = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    value = st.sampled_from([F(0), F(1)]) if draw(st.booleans()) else small_rational
+    written = st.tuples(value, st.sampled_from(["int", "int", "fraction", "str"])).map(
+        lambda vf: as_written(*vf))
+    coeffs = st.lists(written, min_size=nv, max_size=nv)
+    rational = st.tuples(small_rational, st.sampled_from(["int", "fraction", "str"])).map(
+        lambda vf: as_written(*vf))
+    rows = [(draw(coeffs), draw(st.sampled_from(["<=", "<=", ">=", "=="])), draw(rational))
+            for _ in range(m)]
+    if draw(st.booleans()):   # a bounded region: many more optima
+        rows[-1] = ([1] * nv, "<=", draw(st.integers(1, 4)))
+    c = draw(st.lists(rational, min_size=nv, max_size=nv))
+    return c, rows, draw(st.booleans())
+
+
+def assert_same_as_dense(c, rows, maximize):
+    got = solve_outcome(c, rows, maximize)
+    assert got == solve_outcome(c, rows, maximize, solve=dense_solve_lp)
+    return got
+
+
+class TestDenseReference:
+    """The revised solver makes the dense tableau's pivots and returns its
+    answer: the same (value, x, duals) or exception, and the same trace."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(reference_lps())
+    def test_random_lps(self, lp):
+        assert_same_as_dense(*lp)
+
+    @pytest.mark.parametrize("h, nu_star", [(complete_hypergraph(8, 3), F(8, 3)),
+                                            (build_Hi(12, 4, 2, 1), 2)],
+                             ids=["K(8,3)", "H1(12,4,2)"])
+    def test_packing_lps(self, h, nu_star):
+        result, trace = assert_same_as_dense([1] * len(h.edges), _matching_rows(h), True)
+        assert result[0] == nu_star and len(trace) > 5
+
+    def test_lex_max_chains(self, monkeypatch):
+        lps = []
+        real = emclab.lp.solve_lp
+
+        def spy(c, rows, maximize=False, trace=None):
+            lps.append((list(c), [(list(a), sense, rhs) for a, sense, rhs in rows], maximize))
+            return real(c, rows, maximize=maximize, trace=trace)
+        monkeypatch.setattr(emclab.lp, "solve_lp", spy)
+        rng = random.Random(25)
+        for n, m in [(6, 12), (7, 18), (8, 22)]:
+            h = random_stable(rng, n, 4, m)
+            nu_star, _ = fractional_matching_number(h)
+            lex_max_fractional_matching(h, h.vertices, nu_star)
+        monkeypatch.undo()
+        phase1 = 0
+        for c, rows, maximize in lps:
+            _, trace = assert_same_as_dense(c, rows, maximize)
+            phase1 += sum(phase == 1 for phase, _, _ in trace)
+        assert len(lps) >= 9 and phase1 > 0
+
+
 class TestCertificateCheck:
     # min x1 + x2 s.t. x1 + x2 >= 2, x1 <= 5: x = (2, 0), y = (1, 0)
     A, SENSES, B, C = [[1, 1], [1, 0]], [">=", "<="], [2, 5], [1, 1]
@@ -332,6 +591,7 @@ class TestCertificateCheck:
         ([2, 0], [2, 0]),     # A^T y > c
         ([2, 0], [-1, 0]),    # y < 0 on a ">=" row
         ([2, 0], [1, 1]),     # y > 0 on a "<=" row
+        ([2, 0, 0], [1, 0]),  # x longer than c
     ])
     def test_rejects_corrupted(self, X, Y):
         with pytest.raises(LPError, match="certificate"):
