@@ -7,9 +7,15 @@ require n <= 63.
 A set of edges is one Python int over indices into the mask array: bit i
 stands for masks[i].  ``by_vertex[b]`` is the index bitset of the masks that
 hold vertex bit b, so dropping every edge that meets a given edge takes one
-AND and one XOR per vertex of it.  The down-set search also keeps ``up[i]``,
-the index bitset of the up-set of masks[i] in the dominance order: one int
-per candidate, about C(n,k)^2/8 bytes in all.  One matching search,
+AND and one XOR per vertex of it.  ``_tables`` builds it in whole-column
+passes: every mask is written once as little-endian bytes into one blob, and
+column b is that blob's byte b >> 3 of every record, translated to "0"/"1"
+digits and read as one base-2 int.  ``above[i]`` lists the vertex bits of
+masks[i] past its least one; masks with the same m & (m - 1) share one list.
+The down-set search also keeps ``up[i]``, the index bitset of the up-set of
+masks[i] in the dominance order.  It is built eagerly, from the last index to
+the first, before the first node: one int per candidate, about C(n,k)^2/8
+bytes in all, whatever the budget.  One matching search,
 ``_find``, runs over an index bitset: all of the masks, or the down-set
 search's closure.  The compiled twin in ``_kernel.c`` runs the same DFS over
 index arrays, so answers, witnesses and node counts are identical;
@@ -27,25 +33,35 @@ def _check_masks(masks):
         raise OverflowError("masks must lie in [0, 2**64)")
 
 
+# _DIGIT[j] translates a byte to b"1" where it holds bit j, b"0" elsewhere:
+# over bytes 0..255, bit j runs in blocks of 2**j zeros then 2**j ones
+_DIGIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
+
+
 def _tables(masks):
     """(by_vertex, above): by_vertex[b] is the index bitset of the masks
     holding vertex bit b; above[i] lists the vertex bits of masks[i] other
     than its least one."""
-    union = 0
-    for m in masks:
-        union |= m
-    by_vertex = [0] * union.bit_length()
-    above = []
-    for i, m in enumerate(masks):
-        row = []
-        while m:
-            low = m & -m
-            b = low.bit_length() - 1
-            row.append(b)
-            by_vertex[b] |= 1 << i
-            m ^= low
-        above.append(row[1:])
-    return by_vertex, above
+    width = max(masks, default=0).bit_length()
+    nb = (width + 7) >> 3
+    # blob[b >> 3::nb] is byte b >> 3 of every mask; its bit-(b & 7) digits,
+    # last mask first, are by_vertex[b] in base 2
+    blob = b"".join([m.to_bytes(nb, "little") for m in masks])
+    by_vertex = [int(blob[b >> 3::nb].translate(_DIGIT[b & 7])[::-1], 2)
+                 for b in range(width)]
+    rests = [m & (m - 1) for m in masks]
+    rows = {rest: _bits(rest) for rest in set(rests)}
+    return by_vertex, [rows[rest] for rest in rests]
+
+
+def _bits(m):
+    """The set bits of m, ascending."""
+    row = []
+    while m:
+        low = m & -m
+        row.append(low.bit_length() - 1)
+        m ^= low
+    return row
 
 
 def find_matching(masks, k, need):
@@ -117,19 +133,26 @@ def _up_sets(succs, m_count):
     after their predecessor, as they do in a linear extension."""
     if len(succs) != m_count:
         raise ValueError("succs needs one successor list per mask")
+    up = [0] * m_count
+    for i in range(m_count - 1, -1, -1):
+        acc = 1 << i
+        for j in succs[i]:
+            if not i < j < m_count:
+                _refuse_succs(succs, m_count)
+            acc |= up[j]
+        up[i] = acc
+    return up
+
+
+def _refuse_succs(succs, m_count):
+    """Raise for the first bad successor index in row order, as the
+    compiled kernel does: IndexError out of range, else ValueError."""
     for i, row in enumerate(succs):
         for j in row:
             if not 0 <= j < m_count:
                 raise IndexError("successor index out of range")
             if j <= i:
                 raise ValueError("successor index not after its predecessor")
-    up = [0] * m_count
-    for i in range(m_count - 1, -1, -1):
-        acc = 1 << i
-        for j in succs[i]:
-            acc |= up[j]
-        up[i] = acc
-    return up
 
 
 def downset_max_edges(masks, succs, s, budget, lower):

@@ -78,15 +78,16 @@ def _scaled(values, scale: int) -> list[int]:
             for v in values]
 
 
-def _simplex_min(c, rows, trace=None):
-    """Minimize c.x subject to `rows` and x >= 0, exactly.
+def solve_lp(c, rows, maximize=False, trace=None):
+    """Minimize c.x, or maximize it, subject to `rows` and x >= 0, exactly.
 
     rows: list of (coeffs, sense, rhs) with len(c) coefficients and sense in
     {"<=", ">=", "=="}; LPError names the first row that breaks this, before
-    any pivot.  c holds ints and Fractions (`solve_lp` reads it with
-    `_exact`).  Returns (value, x, row_duals).  row_duals[i] is the
-    minimization dual y_i of row i as the caller wrote it: y_i <= 0 on "<=",
-    y_i >= 0 on ">=", free on "==", and sum(rhs_i * y_i) == value.
+    any pivot.  Entries may be anything `Fraction` reads; an `int` is used as
+    it is.  Returns (value, x, duals), one dual y_i per row as the caller
+    wrote it, with sum(rhs_i * y_i) == value.  Minimizing, y_i <= 0 on "<=",
+    y_i >= 0 on ">=" and free on "=="; maximizing, the signs flip.  `trace`,
+    a list, receives one (phase, entering, leaving) triple per pivot.
 
     Revised two-phase primal simplex with Bland's rule, in fraction-free
     integers (Bareiss 1968; Edmonds 1967).  After the rhs >= 0 flip, every
@@ -106,10 +107,12 @@ def _simplex_min(c, rows, trace=None):
     p < 0).  These are the numbers the dense tableau holds on those columns,
     so the pivots are the same, and common scale factors change no sign and
     no ratio order: Bland's rule makes the pivots it makes on the rational
-    tableau.  An `int` entry of c or `rows` is used as it is; any other entry
-    of `rows` is read through `Fraction`, which appears otherwise only in the
-    output.  Every optimum passes `_check_certificate` first.
+    tableau.  `Fraction` appears only where a non-int entry is read and in
+    the output.  Every optimum passes `_check_certificate` first.  Maximizing
+    c.x minimizes -c.x: the costs are scaled by -Lc, so the optimum and the
+    duals come out of their `Fraction`s with the maximum's signs.
     """
+    c = _exact(c)
     nvars, m = len(c), len(rows)
     A, b, senses, signs = [], [], [], []
     denominators, rhs_denominators = set(), set()
@@ -137,6 +140,8 @@ def _simplex_min(c, rows, trace=None):
     if denominators or rhs_denominators:
         b = _scaled(b, scale * x_scale)
     cost_scale = lcm(*(v.denominator for v in c if type(v) is not int))
+    if maximize:
+        cost_scale = -cost_scale
     C = _scaled(c, cost_scale)
 
     # columns: the variables, one slack per inequality, one artificial per
@@ -300,17 +305,6 @@ def _check_certificate(A, senses, b, c, X, Y, D):
         raise LPError(f"certificate: dual violates column {j}")
     if sum(map(mul, c, X)) != sum(map(mul, b, Y)):
         raise LPError("certificate: c.x != b.y")
-
-
-def solve_lp(c, rows, maximize=False, trace=None):
-    """Exact LP over x >= 0.  rows: (coeffs, sense, rhs).  Returns (value, x,
-    duals), one dual per row as written, with sum(rhs_i * duals_i) == value.
-    Entries may be anything `Fraction` reads; an `int` is used as it is."""
-    c = _exact(c)
-    if maximize:
-        value, x, duals = _simplex_min([-v for v in c], rows, trace=trace)
-        return -value, x, [-d for d in duals]
-    return _simplex_min(c, rows, trace=trace)
 
 
 # ---------------------------------------------------------------------------

@@ -43,8 +43,8 @@ def _candidates(n: int, k: int) -> tuple[list[int], list[list[int]]]:
     that bit's value to m (m - 2^(v-1) + 2^v).  Successors come in
     ascending order of v."""
     kernel.check_ground_set(n)
-    masks = [sum(c) for c in combinations([1 << b for b in range(n)], k)]
-    index = {m: i for i, m in enumerate(masks)}
+    masks = list(map(sum, combinations([1 << b for b in range(n)], k)))
+    index = dict(zip(masks, range(len(masks))))
     below_top = (1 << (n - 1)) - 1
     succs = []
     for m in masks:
@@ -68,11 +68,11 @@ def _incumbent(n: int, k: int, s: int, masks: list[int], succs: list[list[int]]
     i, name = (k, "H_k") if emc_bound(n, k, s).winner == "clique" else (1, "H_1")
     family = build_Hi(n, k, s, i)
     held = set(kernel.edge_masks(n, family.edges))
-    member = [m in held for m in masks]
+    member = list(map(held.__contains__, masks))
     if any(member[t] for j, row in enumerate(succs) if not member[j] for t in row):
         raise RuntimeError(f"incumbent {name} is not a down-set (internal error)")
     prefix = (1 << (i * (s + 1) - 1)) - 1  # P = [i(s+1)-1], so |P| < i(s+1)
-    if any(bin(m & prefix).count("1") < i for m in held):
+    if any((m & prefix).bit_count() < i for m in held):
         raise RuntimeError(f"incumbent {name} fails its cover certificate (internal error)")
     return name, family
 

@@ -162,6 +162,77 @@ class TestContract:
             _candidates(64, 2)
 
 
+def tables_reference(masks):
+    """_kernel_py._tables bit by bit: by_vertex[b] sets bit i for each mask i
+    holding bit b, up to the widest mask; above[i] is masks[i]'s bits past
+    its least one."""
+    width = max(masks, default=0).bit_length()
+    by_vertex = [sum(1 << i for i, m in enumerate(masks) if m >> b & 1)
+                 for b in range(width)]
+    above = [[b for b in range(m.bit_length()) if m >> b & 1][1:] for m in masks]
+    return by_vertex, above
+
+
+def closure_reference(succs):
+    """up[i] as the transitive closure of succs from i, i included."""
+    up = []
+    for i in range(len(succs)):
+        seen, stack = {i}, [i]
+        while stack:
+            for j in succs[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        up.append(sum(1 << j for j in seen))
+    return up
+
+
+class TestPythonTables:
+    """The pure-Python kernel's column and up-set tables against per-bit
+    references."""
+
+    @pytest.mark.parametrize("masks", [
+        [], [0], [0, 0], [1 << 63], [1 << 63 | 1, 1 << 63, 1, 0],
+        [5, 5, 3, 5, 1 << 40, 1 << 40], [(1 << 64) - 1, 1 << 7, 1 << 8],
+    ])
+    def test_tables_edge_cases(self, masks):
+        assert _kernel_py._tables(masks) == tables_reference(masks)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_tables_on_candidates(self, n):
+        for k in range(n + 1):
+            masks, _ = _candidates(n, k)
+            assert _kernel_py._tables(masks) == tables_reference(masks), (n, k)
+
+    def test_tables_on_random_masks(self):
+        rng = random.Random(2026)
+        for _ in range(300):
+            width = rng.randint(1, 64)
+            masks = [rng.getrandbits(width) for _ in range(rng.randint(1, 40))]
+            # repeats share a row of `above`, which must still read right
+            masks += rng.choices(masks, k=rng.randint(0, 5))
+            assert _kernel_py._tables(masks) == tables_reference(masks), masks
+
+    def test_above_rows_shared(self):
+        _, above = _kernel_py._tables([0b1011, 0b1110, 0b1010, 0b1100])
+        assert above == [[1, 3], [2, 3], [3], [3]]
+        assert above[0] is not above[1] and above[2] is above[3]
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_up_sets_on_candidates(self, n):
+        for k in range(n + 1):
+            masks, succs = _candidates(n, k)
+            assert _kernel_py._up_sets(succs, len(masks)) == closure_reference(succs)
+
+    def test_up_sets_on_random_orders(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            m_count = rng.randint(0, 30)
+            succs = [rng.sample(range(i + 1, m_count), rng.randint(0, min(4, m_count - i - 1)))
+                     for i in range(m_count)]
+            assert _kernel_py._up_sets(succs, m_count) == closure_reference(succs)
+
+
 class TestCompiledMatchesPython:
     def test_loaded_aside(self, compiled):
         assert compiled.IMPL == "c"
@@ -251,6 +322,18 @@ class TestCompiledRejectsMalformedInput:
             broken = succs[:row] + [succs[row] + [bad]] + succs[row + 1:]
             with pytest.raises(ValueError):
                 impl.downset_max_edges(masks, broken, 1, 10, 0)
+
+    def test_first_bad_successor_names_the_error(self, impl):
+        # the pure-Python up-sets are built from the last row to the first,
+        # but both kernels raise for the first bad index in row order
+        masks, succs = _candidates(5, 2)
+        last = len(masks) - 1
+        backward_then_out = succs[:2] + [succs[2] + [1]] + succs[3:last] + [[len(masks)]]
+        with pytest.raises(ValueError):
+            impl.downset_max_edges(masks, backward_then_out, 1, 10, 0)
+        out_then_backward = succs[:2] + [[-1]] + succs[3:last] + [[0]]
+        with pytest.raises(IndexError):
+            impl.downset_max_edges(masks, out_then_backward, 1, 10, 0)
 
     def test_huge_need(self, compiled):
         masks = kernel.edge_masks(8, [(1, 2), (3, 4), (5, 6)])
