@@ -1,4 +1,5 @@
-/* Compiled search kernels over bitmask edge families.
+/* Compiled search kernels over bitmask edge families: the kernel contract's
+   two searches, find_matching and downset_max_edges.
 
    Same contract as _kernel_py and the same DFS: both branch on the same
    vertices and edges in the same order, so answers, witnesses and node
@@ -151,27 +152,6 @@ static PyObject *find_matching(PyObject *self, PyObject *args, PyObject *kwds)
         res = Py_NewRef(Py_None);
     else
         res = int_list(out, need);
-    free(masks);
-    return res;
-}
-
-static PyObject *greedy_matching(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    static char *kwlist[] = {"masks", NULL};
-    PyObject *seq, *res;
-    Py_ssize_t i, n, n_out = 0;
-    u64 used = 0, *masks;
-    int *out;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "O:greedy_matching", kwlist, &seq)
-        || (masks = read_masks(seq, &n)) == NULL)
-        return NULL;
-    out = (int *)(masks + n);
-    for (i = 0; i < n; i++)
-        if (!(masks[i] & used)) {
-            out[n_out++] = (int)i;
-            used |= masks[i];
-        }
-    res = int_list(out, n_out);
     free(masks);
     return res;
 }
@@ -379,8 +359,6 @@ done:
 static PyMethodDef methods[] = {
     {METHOD(find_matching), "find_matching(masks, k, need)\n--\n\n"
      "Indices of `need` pairwise-disjoint edges, or None."},
-    {METHOD(greedy_matching), "greedy_matching(masks)\n--\n\n"
-     "Lexicographic greedy maximal matching; returns chosen indices."},
     {METHOD(downset_max_edges), "downset_max_edges(masks, succs, s, budget, lower)\n--\n\n"
      "Maximize family size over dominance down-sets with matching number <= s,\n"
      "counting only families larger than `lower`, the size of a feasible family\n"
@@ -401,7 +379,7 @@ static PyModuleDef_Slot slots[] = {{Py_mod_exec, (void *)exec_module}, {0, NULL}
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_kernel",
-    .m_doc = "Compiled search kernels over bitmask edge families (contract of _kernel_py).",
+    .m_doc = "Compiled find_matching and downset_max_edges (contract of _kernel_py).",
     .m_methods = methods,
     .m_slots = slots,
 };

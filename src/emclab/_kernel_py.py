@@ -1,8 +1,9 @@
 """Pure-Python search kernels over bitmask edge families.
 
-Hot loops of the exact matching number and the stable-family edge-count
-maximizer.  Vertex v maps to bit v-1 of an edge mask, so these kernels
-require n <= 63.
+The kernel contract's two searches: ``find_matching``, the hot loop of the
+exact matching number, and ``downset_max_edges``, the stable-family
+edge-count maximizer.  Vertex v maps to bit v-1 of an edge mask, so these
+kernels require n <= 63.
 
 A set of edges is one Python int over indices into the mask array: bit i
 stands for masks[i].  ``by_vertex[b]`` is the index bitset of the masks that
@@ -114,18 +115,6 @@ def _find(by_vertex, above, k, need, avail):
             return [i] + res
     # least vertex left unmatched
     return _find(by_vertex, above, k, need, rest)
-
-
-def greedy_matching(masks):
-    """Lexicographic greedy maximal matching; returns chosen indices."""
-    _check_masks(masks)
-    out = []
-    used = 0
-    for i, m in enumerate(masks):
-        if not (m & used):
-            out.append(i)
-            used |= m
-    return out
 
 
 def _up_sets(succs, m_count):

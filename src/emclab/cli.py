@@ -25,6 +25,9 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_BUDGET = 2
 EXIT_USAGE = 3
+# reports and certificates print numbers that grow from a flag's digits, and
+# CPython prints no int past 4300 digits
+_MAX_RATIONAL_DIGITS = 1000
 
 
 class RationalParam(click.ParamType):
@@ -33,10 +36,15 @@ class RationalParam(click.ParamType):
     def convert(self, value, param, ctx):
         if isinstance(value, Fraction):
             return value
+        # private: perfbench times every public function of intervals as certify work
+        from emclab.intervals import _token_ratio
         try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            self.fail(f"expected a rational like 3/8, got {value!r}", param, ctx)
+            v = Fraction(*_token_ratio(value))
+        except (ValueError, ZeroDivisionError) as exc:
+            self.fail(f"expected a rational like 3/8, got {value!r}: {exc}", param, ctx)
+        if max(abs(v.numerator), v.denominator) >= 10**_MAX_RATIONAL_DIGITS:
+            self.fail(f"numerator or denominator past {_MAX_RATIONAL_DIGITS} digits", param, ctx)
+        return v
 
 
 RATIONAL = RationalParam()

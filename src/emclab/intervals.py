@@ -22,11 +22,14 @@ mutation's name, so that the replayer can re-evaluate the point.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
 CERT_FORMAT = 2
+# the exponent that ends a token Fraction(token) reads
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 
 
 class Interval:
@@ -221,10 +224,12 @@ def _ratio(v) -> tuple[int, int]:
 
 
 def _token_ratio(token: str) -> tuple[int, int]:
-    """The numerator and positive denominator of a certificate token: a
+    """The numerator and positive denominator of a rational token: a
     `p` or `p/q` of ASCII digits (p optionally signed `-`, q > 0) is read
-    with `int`; any other token goes through `Fraction(token)`, which gives
-    the same value and raises its own error on a token it refuses."""
+    with `int`, which CPython bounds at 4300 digits; a token whose exponent
+    is over 4300 in magnitude is refused before 10**exponent is built; any
+    other token goes through `Fraction(token)`, which gives the same value
+    and raises its own error on a token it refuses."""
     num, slash, den = token.partition("/")
     digits = num[1:] if num[:1] == "-" else num
     if digits.isascii() and digits.isdigit():
@@ -234,6 +239,9 @@ def _token_ratio(token: str) -> tuple[int, int]:
             q = int(den)
             if q:
                 return int(num), q
+    exponent = _EXPONENT.search(token)
+    if exponent and abs(int(exponent[1])) > 4300:
+        raise ValueError(f"the exponent of {token!r} is over 4300 in magnitude")
     v = Fraction(token)
     return v.numerator, v.denominator
 
@@ -329,8 +337,8 @@ def parse_certificate(text: str) -> Certificate:
     """Parse a v2 certificate.  A file without a `format 2` line (v1) does
     not record its root region, so its coverage cannot be checked: it is
     rejected with ValueError, as is a second copy of any line but `box`, and
-    a point token that is not one `name=value` or repeats a name.  Box and
-    margin bounds are read by `_token_ratio`."""
+    a point token that is not one `name=value` or repeats a name.  Bounds,
+    `zmax` and point values are read by `_token_ratio`."""
     lines = [ln for ln in text.splitlines() if ln.strip() and not ln.startswith("#")]
     meta: dict[str, str | int] = {}
     names: list[str] = []
@@ -351,7 +359,7 @@ def parse_certificate(text: str) -> Certificate:
             elif parts[0] in ("splits", "boxes"):
                 meta[parts[0]] = int(parts[1])
             elif parts[0] == "zmax":
-                zmax = Fraction(parts[1])
+                zmax = Fraction(*_token_ratio(parts[1]))
             elif parts[0] == "mutation":
                 mutation = parts[1]
             elif parts[0] == "coords":
@@ -375,7 +383,7 @@ def parse_certificate(text: str) -> Certificate:
                         raise ValueError(f"point token {kv!r} is not name=value")
                     if name in point:
                         raise ValueError(f"point gives {name} twice")
-                    point[name] = Fraction(value)
+                    point[name] = Fraction(*_token_ratio(value))
             else:
                 raise ValueError("unknown key")
         except (IndexError, ValueError, ZeroDivisionError) as exc:

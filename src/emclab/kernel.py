@@ -6,6 +6,9 @@ when it imports and the pure-Python ``_kernel_py`` otherwise.  Both run the
 same DFS, the C one over index arrays and the Python one over index bitsets
 held in Python ints, so they return identical answers, witnesses and node
 counts.  ``IMPL`` says which one runs: ``"c"`` or ``"python"``.
+
+The contract is the two searches; ``greedy_matching`` is one Python loop
+outside it, over masks of any size.
 """
 
 from __future__ import annotations
@@ -19,10 +22,22 @@ except ImportError:
 
 IMPL: str = _impl.IMPL
 find_matching = _impl.find_matching
-greedy_matching = _impl.greedy_matching
 downset_max_edges = _impl.downset_max_edges
 
 MAX_KERNEL_VERTICES = 63
+
+
+def greedy_matching(masks) -> list[int]:
+    """Lexicographic greedy maximal matching over masks of any size; returns
+    the chosen indices.  A negative mask raises OverflowError."""
+    if masks and min(masks) < 0:
+        raise OverflowError("masks must be nonnegative")
+    out, used = [], 0
+    for i, m in enumerate(masks):
+        if not (m & used):
+            out.append(i)
+            used |= m
+    return out
 
 
 def edge_mask(edge) -> int:

@@ -5,13 +5,14 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import emclab
 from emclab.certify import _calc_margin_box
-from emclab.cli import cli, main
-from emclab.intervals import Box, Interval, parse_certificate
+from emclab.cli import RATIONAL, cli, main
+from emclab.intervals import Box, Interval, _token_ratio, parse_certificate
 
 
 @pytest.fixture()
@@ -436,6 +437,14 @@ class TestUsageErrors:
             main(["closeness", str(src), str(src), "--epsilon", "abc"])
         assert ei.value.code == 3
 
+    def test_rational_digit_bound(self):
+        # the reduced numerator and denominator may have 1000 digits, not 1001
+        for ok in ("9" * 1000, f"-1/{'9' * 1000}", f"{10**1000}/10", "1e999", "1e-999"):
+            assert RATIONAL.convert(ok, None, None) == Fraction(*_token_ratio(ok))
+        for bad in (str(10**1000), f"1/{10**1000}", "1e1000", "-1e-1000"):
+            with pytest.raises(click.BadParameter, match="denominator past 1000 digits"):
+                RATIONAL.convert(bad, None, None)
+
     def test_malformed_khg(self, tmp_path):
         src = tmp_path / "bad.khg"
         src.write_text("not a header\n")
@@ -541,6 +550,20 @@ class TestUsageErrors:
                       "--s", "0", "-o", "{out}"],
         "sample-s": ["sample", "{small}", "--t", "0", "--s", "-1", "--seed", "1"],
         "round-s": ["round", "{small}", "--t", "0", "--s", "-1", "--seed", "1"],
+        # rationals: an exponent over 4300 in magnitude is refused before
+        # its power of ten is built, and a value past 1000 digits before a
+        # report or certificate prints it
+        "closeness-epsilon-exponent": ["closeness", "{small}", "{small}",
+                                       "--epsilon", "1e9999999"],
+        "closeness-epsilon-digits": ["closeness", "{small}", "{small}", "--epsilon", "1e4300"],
+        "profile-epsilon-digits": ["profile", "{four}", "--s", "1", "--epsilon", "1e4299"],
+        "profile-epsilon-int-digits": ["profile", "{four}", "--s", "1",
+                                       "--epsilon", "9" * 4300],
+        "verify-ineq-zmax-exponent": ["verify-ineq", "--target", "calculate",
+                                      "--zmax", "1e-9999999"],
+        "verify-ineq-zmax-digits": ["verify-ineq", "--target", "calculate",
+                                    "--zmax", f"1/{10**1500}", "-o", "{out}"],
+        "verify-cert-exponent": ["verify-cert", "{exponent}"],
     }
 
     def test_invalid_input_covers_every_subcommand(self):
@@ -550,11 +573,13 @@ class TestUsageErrors:
     def test_invalid_input_exits_3(self, case, tmp_path):
         files = {"out": tmp_path / "out.khg", "wide": tmp_path / "wide.khg",
                  "bad": tmp_path / "bad.khg", "small": tmp_path / "small.khg",
-                 "four": tmp_path / "four.khg"}
+                 "four": tmp_path / "four.khg", "exponent": tmp_path / "exponent.cert"}
         files["wide"].write_text("64 2 1\n1 64\n")  # n past the kernel's 63
         files["bad"].write_text("not a header\n")
         files["small"].write_text("4 2 1\n1 2\n")
         files["four"].write_text("6 4 1\n1 2 3 4\n")  # stable, nu* = 1
+        files["exponent"].write_text("format 2\ntarget maxvalue\nstatus proved\nsplits 0\n"
+                                     "boxes 1\ncoords x\nbox mixed 0e9999999 1 margin 0 1\n")
         args = [a.format(**{k: str(v) for k, v in files.items()})
                 for a in self.INVALID[case]]
         with pytest.raises(SystemExit) as ei:

@@ -182,8 +182,19 @@ class TestCertificateFormat:
 
     @staticmethod
     def _read_as_fraction_reads(token):
-        # `p` and `p/q` are read with int; every other token is Fraction's:
-        # the same value, or the same error
+        # `p` and `p/q` are read with int.  A token whose text after its
+        # last e/E reads as an int over 4300 in magnitude is refused before
+        # any value is built: returns True.  Every other token is
+        # Fraction's: the same value, or the same error.
+        cut = max(token.rfind("e"), token.rfind("E"))
+        try:
+            exponent = int(token[cut + 1:]) if cut >= 0 else 0
+        except ValueError:
+            exponent = 0
+        if abs(exponent) > 4300:
+            with pytest.raises(ValueError, match="exponent of .* is over 4300 in magnitude"):
+                _token_ratio(token)
+            return True
         try:
             want = Fraction(token)
         except (ValueError, ZeroDivisionError) as exc:
@@ -193,12 +204,19 @@ class TestCertificateFormat:
         else:
             p, q = _token_ratio(token)
             assert q > 0 and Fraction(p, q) == want
+        return False
 
     @pytest.mark.parametrize("token", ["5/16", "-5/16", "6/8", "007", "-0", "+5", "1_000",
                                        "5/0", "5/-3", "/5", "5/", "-", "", "1e3", "0.5",
-                                       "\u0663/4", "4/\u0663"])
+                                       "\u0663/4", "4/\u0663", "1e4300", "-1E-4300", "1e",
+                                       "e5"])
     def test_bound_token_examples(self, token):
-        self._read_as_fraction_reads(token)
+        assert not self._read_as_fraction_reads(token)
+
+    @pytest.mark.parametrize("token", ["1e4301", "1e-9999999", "0e9999999", "2.5E+4_301",
+                                       " 1e99999 "])
+    def test_bound_token_exponent_refused(self, token):
+        assert self._read_as_fraction_reads(token)
 
     @settings(max_examples=400, deadline=None)
     @given(st.text(alphabet="0123456789-+/._eE\u0663", max_size=9))
@@ -213,6 +231,22 @@ class TestCertificateFormat:
         text = self._sample().serialize().replace("box left 0 1/2", "box left 1 1/2")
         with pytest.raises(ValueError, match=r"empty interval \[1, 1/2\]"):
             parse_certificate(text)
+
+    @pytest.mark.parametrize("line", ["zmax 1e-9999999", "zmax 0e9999999"])
+    def test_zmax_exponent_refused(self, line):
+        text = self._sample().serialize().replace("target demo\n", f"target demo\n{line}\n")
+        with pytest.raises(ValueError, match="bad certificate line 'zmax .*': the exponent"):
+            parse_certificate(text)
+
+    def test_point_exponent_refused(self):
+        cert = Certificate(target="demo", status="counterexample", boxes=(), splits=0,
+                           counterexample={"x": Fraction(2, 3)})
+        text = cert.serialize().replace("x=2/3", "x=2e-9999999")
+        with pytest.raises(ValueError, match="bad certificate line 'point .*': the exponent"):
+            parse_certificate(text)
+        # an exponent within the bound reads as Fraction reads it
+        again = parse_certificate(cert.serialize().replace("x=2/3", "x=2.5e-3"))
+        assert again.counterexample == {"x": Fraction(1, 400)}
 
     def test_bad_line_rejected(self):
         with pytest.raises(ValueError):

@@ -162,6 +162,45 @@ class TestContract:
             _candidates(64, 2)
 
 
+def greedy_reference(edges):
+    """The lexicographic greedy matching over vertex tuples: the indices of
+    the edges that meet no earlier chosen edge."""
+    used, out = set(), []
+    for i, e in enumerate(edges):
+        if used.isdisjoint(e):
+            out.append(i)
+            used.update(e)
+    return out
+
+
+class TestGreedy:
+    """`kernel.greedy_matching`, one Python loop outside both kernels, over
+    masks of any size."""
+
+    def test_matches_tuple_greedy(self):
+        for _n, _k, masks in FAMILIES:
+            edges = [kernel.mask_edge(m) for m in masks]
+            assert kernel.greedy_matching(masks) == greedy_reference(edges), masks
+
+    def test_past_63_vertices(self):
+        rng = random.Random(64)
+        for _ in range(100):
+            n = rng.randint(64, 100)
+            k = rng.randint(1, 5)
+            edges = [tuple(sorted(rng.sample(range(1, n + 1), k)))
+                     for _ in range(rng.randint(0, 40))]
+            masks = [kernel.edge_mask(e) for e in edges]
+            assert kernel.greedy_matching(masks) == greedy_reference(edges), edges
+
+    def test_examples(self):
+        assert kernel.greedy_matching([]) == []
+        assert kernel.greedy_matching([0b11, 0b110, 0b1100, 0, 1 << 69]) == [0, 2, 3, 4]
+
+    def test_negative_mask(self):
+        with pytest.raises(OverflowError):
+            kernel.greedy_matching([3, -1])
+
+
 def tables_reference(masks):
     """_kernel_py._tables bit by bit: by_vertex[b] sets bit i for each mask i
     holding bit b, up to the widest mask; above[i] is masks[i]'s bits past
@@ -258,7 +297,7 @@ class TestCompiledMatchesPython:
         assert want[:2] == (lower, [])
 
     def test_same_signatures(self, compiled):
-        for name in ("find_matching", "greedy_matching", "downset_max_edges"):
+        for name in ("find_matching", "downset_max_edges"):
             assert inspect.signature(getattr(compiled, name)) == \
                 inspect.signature(getattr(_kernel_py, name)), name
         assert list(inspect.signature(compiled.downset_max_edges).parameters) == \
@@ -280,25 +319,17 @@ class TestCompiledMatchesPython:
             assert compiled.find_matching([], k, 1) is None
             assert _kernel_py.find_matching([], k, 1) is None
 
-    def test_greedy_matching(self, compiled):
-        for _n, _k, masks in FAMILIES:
-            assert compiled.greedy_matching(masks) == _kernel_py.greedy_matching(masks)
-
 
 class TestCompiledRejectsMalformedInput:
     def test_negative_mask(self, impl):
         with pytest.raises(OverflowError):
             impl.find_matching([3, -1], 2, 1)
         with pytest.raises(OverflowError):
-            impl.greedy_matching([3, -1])
-        with pytest.raises(OverflowError):
             impl.downset_max_edges([-3], [[]], 1, 10, 0)
         # a mask of 2**64 or more does not fit the compiled kernel's word,
         # so both kernels refuse it
         with pytest.raises(OverflowError):
             impl.find_matching([1 << 64, 1], 1, 1)
-        with pytest.raises(OverflowError):
-            impl.greedy_matching([3, 1 << 64])
         with pytest.raises(OverflowError):
             impl.downset_max_edges([1 << 64], [[]], 1, 10, 0)
 

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from emclab.hypergraph import HypergraphError, complete_hypergraph, new_hypergraph
+from emclab.hypergraph import HypergraphError, complete_hypergraph, induced, new_hypergraph
 from emclab.lp import make_fractional_matching
 from emclab.sampling import (GENERATOR_ID, P_EXPONENT, SampleBatch, _copy_hosts,
                              degree_histogram, greedy_near_perfect_matching,
@@ -283,7 +283,39 @@ class TestRounding:
             round_to_sparse(h, batch, [], seed=0)
 
 
+def greedy_over_tuples(h):
+    """The greedy matching as a loop over vertex tuples, any n: the oracle
+    for the mask-based `greedy_near_perfect_matching`."""
+    used: set[int] = set()
+    chosen = []
+    for e in h.edges:
+        if not (set(e) & used):
+            chosen.append(e)
+            used.update(e)
+    return tuple(chosen), len(h.vertices) - len(used)
+
+
 class TestGreedyAndHistogram:
+    def test_greedy_matches_tuple_loop(self):
+        rng = random.Random(27)
+        for _ in range(150):
+            n = rng.randint(1, 100)
+            k = rng.randint(1, min(5, n))
+            edges = {tuple(sorted(rng.sample(range(1, n + 1), k)))
+                     for _ in range(rng.randint(0, 60))}
+            h = new_hypergraph(n, k, edges)
+            # a ground set that skips vertices, some of them on edges
+            sub = induced(h, rng.sample(range(1, n + 1), rng.randint(0, n)))
+            for g in (h, sub):
+                w, uncovered = greedy_near_perfect_matching(g)
+                assert (w.edges, uncovered) == greedy_over_tuples(g), g
+                assert w.size == len(w.edges)
+
+    def test_greedy_on_empty_family(self):
+        for h in (new_hypergraph(70, 3, []), induced(new_hypergraph(9, 2, [(1, 2)]), [3, 5])):
+            w, uncovered = greedy_near_perfect_matching(h)
+            assert (w.edges, w.size, uncovered) == ((), 0, len(h.vertices))
+
     def test_greedy_on_disjoint_edges(self):
         h = new_hypergraph(8, 4, [(1, 2, 3, 4), (5, 6, 7, 8)])
         w, uncovered = greedy_near_perfect_matching(h)
