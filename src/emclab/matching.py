@@ -28,16 +28,12 @@ class MatchingWitness:
     size: int
 
 
-def _max_degree_bit(masks: list[int]) -> int:
+def _max_degree_bit(masks: list[int], bits: dict[int, list[int]]) -> int:
     """The bit of a vertex of maximum degree, the least label on ties (bit
-    v-1 sorts like vertex v)."""
-    deg: dict[int, int] = {}
-    for m in masks:
-        while m:
-            b = m & -m
-            deg[b] = deg.get(b, 0) + 1
-            m ^= b
-    return min(deg, key=lambda b: (-deg[b], b))
+    v-1 sorts like vertex v).  `bits` maps each mask to its one-bit masks."""
+    deg = Counter(chain.from_iterable(map(bits.__getitem__, masks)))
+    top = max(deg.values())
+    return min(b for b, d in deg.items() if d == top)
 
 
 def _greedy_cover_size(edges: Sequence[tuple[int, ...]]) -> int:
@@ -106,23 +102,25 @@ def cover_number(h: Hypergraph) -> int:
     if not masks:
         return 0
     best = _greedy_cover_size(h.edges)
+    bits = {m: [1 << (v - 1) for v in e] for m, e in zip(masks, h.edges)}
 
-    def search(rem: list[int], used: int):
+    def search(rem: list[int], size: int):
+        # `size` vertices are chosen so far, and none of them lies on `rem`
         nonlocal best
         if not rem:
-            best = min(best, bin(used).count("1"))
+            best = min(best, size)
             return
-        if bin(used).count("1") + len(kernel.greedy_matching(rem)) >= best:
+        if size + len(kernel.greedy_matching(rem)) >= best:
             return
-        pivot = _max_degree_bit(rem)
+        pivot = _max_degree_bit(rem, bits)
         # either cover with the pivot vertex ...
-        search([m for m in rem if not (m & pivot)], used | pivot)
+        search([m for m in rem if not (m & pivot)], size + 1)
         # ... or cover the first pivot edge with another of its vertices
         e = next(m for m in rem if m & pivot)
         mm = e & ~pivot
         while mm:
             b = mm & -mm
-            search([m for m in rem if not (m & b)], used | b)
+            search([m for m in rem if not (m & b)], size + 1)
             mm ^= b
 
     search(masks, 0)

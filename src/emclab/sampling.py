@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from emclab import kernel
 from emclab.hypergraph import Hypergraph, HypergraphError
 from emclab.lp import FractionalMatching
 from emclab.matching import MatchingWitness
@@ -152,13 +151,20 @@ def round_to_sparse(h: Hypergraph, batch: SampleBatch,
 
 
 def greedy_near_perfect_matching(h: Hypergraph) -> tuple[MatchingWitness, int]:
-    """Greedy maximal matching in lexicographic edge order, any n; returns
-    the witness and the number of uncovered vertices.  The chosen edges are
-    pairwise disjoint k-sets, so they cover k vertices each."""
-    picked = kernel.greedy_matching(list(map(kernel.edge_mask, h.edges)))
-    chosen = tuple(h.edges[i] for i in picked)
-    uncovered = len(h.vertices) - h.k * len(chosen)
-    return MatchingWitness(edges=chosen, size=len(chosen)), uncovered
+    """Greedy maximal matching in lexicographic edge order; returns the
+    witness and the number of uncovered vertices.
+
+    This is `kernel.greedy_matching` over vertex sets, kept so that its cost
+    is O(m*k) whatever the vertex labels: an edge's mask has as many bits as
+    its largest vertex, and `emclab greedy` takes files on [10^9]."""
+    used: set[int] = set()
+    chosen = []
+    for e in h.edges:
+        if not (set(e) & used):
+            chosen.append(e)
+            used.update(e)
+    uncovered = len(h.vertices) - len(used)
+    return MatchingWitness(edges=tuple(chosen), size=len(chosen)), uncovered
 
 
 def degree_histogram(h: Hypergraph) -> dict:

@@ -418,6 +418,28 @@ class TestSamplingCommands:
         data = payload(result)
         assert data["size"] == 2 and data["uncovered"] == 0
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+    def test_greedy_on_a_huge_ground_set(self, tmp_path):
+        # edges near 10^9: the greedy's cost must not grow with the labels
+        # (a mask of vertex 10^9 alone is 125 MB), so it answers in a child
+        # capped at 1 GiB
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        n = 10**9
+        edges = [(1, n)] + [(n - 2 * j - 1, n - 2 * j) for j in range(20)]
+        src = tmp_path / "huge.khg"
+        src.write_text(f"{n} 2 {len(edges)}\n" + "".join(f"{a} {b}\n" for a, b in edges))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(emclab.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "emclab.cli", "greedy", str(src)], env=env,
+                              preexec_fn=cap, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        data = json.loads(proc.stdout)
+        # (1, n) is first in lexicographic order and blocks (n - 1, n)
+        assert data["size"] == 20 and data["uncovered"] == n - 40
+        assert data["edges"][0] == [1, n] and [n - 1, n] not in data["edges"]
+
 
 class TestUsageErrors:
     def test_unknown_command(self):

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from emclab import kernel
 from emclab.constructions import build_Hi
 from emclab.hypergraph import HypergraphError, complete_hypergraph, new_hypergraph
-from emclab.matching import (_greedy_cover_size, cover_number, has_matching_of_size,
-                             matching_number)
+from emclab.matching import (_greedy_cover_size, _max_degree_bit, cover_number,
+                             has_matching_of_size, matching_number)
 
 
 def random_hypergraph(rng, n, k, m):
@@ -153,6 +153,14 @@ class TestCoverNumber:
 
     def test_empty(self):
         assert cover_number(new_hypergraph(4, 2, [])) == 0
+
+    def test_branch_vertex_is_the_least_of_maximum_degree(self):
+        # tau's branch vertex: vertices 3 and 4 both have degree 3, so 3
+        edges = [(1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (4, 6)]
+        masks = kernel.edge_masks(6, edges)
+        bits = {m: [1 << (v - 1) for v in e] for m, e in zip(masks, edges)}
+        assert _max_degree_bit(masks, bits) == 1 << 2
+        assert _max_degree_bit(masks[1:], bits) == 1 << 3
 
     def test_exhaustive_oracle(self):
         # compare against subset enumeration on small instances

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from emclab import kernel
 from emclab.hypergraph import HypergraphError, complete_hypergraph, induced, new_hypergraph
 from emclab.lp import make_fractional_matching
 from emclab.sampling import (GENERATOR_ID, P_EXPONENT, SampleBatch, _copy_hosts,
@@ -283,20 +284,16 @@ class TestRounding:
             round_to_sparse(h, batch, [], seed=0)
 
 
-def greedy_over_tuples(h):
-    """The greedy matching as a loop over vertex tuples, any n: the oracle
-    for the mask-based `greedy_near_perfect_matching`."""
-    used: set[int] = set()
-    chosen = []
-    for e in h.edges:
-        if not (set(e) & used):
-            chosen.append(e)
-            used.update(e)
-    return tuple(chosen), len(h.vertices) - len(used)
+def greedy_over_masks(h):
+    """`kernel.greedy_matching` over edge masks: the chosen edges are pairwise
+    disjoint k-sets, so they cover k vertices each."""
+    picked = kernel.greedy_matching(list(map(kernel.edge_mask, h.edges)))
+    chosen = tuple(h.edges[i] for i in picked)
+    return chosen, len(h.vertices) - h.k * len(chosen)
 
 
 class TestGreedyAndHistogram:
-    def test_greedy_matches_tuple_loop(self):
+    def test_greedy_matches_kernel_greedy(self):
         rng = random.Random(27)
         for _ in range(150):
             n = rng.randint(1, 100)
@@ -308,7 +305,7 @@ class TestGreedyAndHistogram:
             sub = induced(h, rng.sample(range(1, n + 1), rng.randint(0, n)))
             for g in (h, sub):
                 w, uncovered = greedy_near_perfect_matching(g)
-                assert (w.edges, uncovered) == greedy_over_tuples(g), g
+                assert (w.edges, uncovered) == greedy_over_masks(g), g
                 assert w.size == len(w.edges)
 
     def test_greedy_on_empty_family(self):
