@@ -18,10 +18,13 @@ holds its roots, its margin on a box and at a point, the point tried in a box
 it cannot settle, its region and its mutations.  `_prove` and
 `replay_certificate` read only the record.
 
-The arithmetic stays on int numerators, through `Interval` and `Box`: a
-point margin is its formula evaluated on point intervals, and only the
-value becomes a `Fraction`; a box is settled by the sign of its margin's
-lower numerator; the proof's leaves are sorted by exact int keys
+The arithmetic stays on int numerators, through `Interval` and `Box`.  A
+point tried in a box is its coordinates' int numerators over one shared
+denominator, built from the box's endpoint numerators; the region test
+cross-multiplies, and the point margin is the formula evaluated on point
+intervals, whose sign is read off a numerator.  A box is settled by the sign
+of its margin's lower numerator; `Box.split` picks the widest coordinate by
+cross-multiplying; the proof's leaves are sorted by exact int keys
 (`Box.sort_keys`); and replay compares endpoints by cross-multiplying
 (`Interval.inside`, `==`).  `Fraction`s are built for what is printed: a
 counterexample point, a replayed margin.
@@ -33,9 +36,41 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from math import lcm
 
-from emclab.intervals import Box, Certificate, Interval
+from emclab.intervals import Box, Certificate, Interval, _iv
 from emclab.scalars import D1, FOUR, c_coeff, mu_beta
+
+# ---------------------------------------------------------------------------
+# points: int numerators over one shared denominator
+# ---------------------------------------------------------------------------
+
+# A point the prover tries: each coordinate's int numerator, over one shared
+# denominator d > 0.  The certificate's `Fraction` dict is built from it only
+# for a counterexample, and replay reads a recorded point back into it.
+_Point = tuple[dict[str, int], int]
+
+
+def _fractions(pt: _Point) -> dict[str, Fraction]:
+    nums, d = pt
+    return {n: Fraction(v, d) for n, v in nums.items()}
+
+
+def _shared(pt: dict[str, Fraction]) -> _Point:
+    """A rational point over the lcm of its denominators."""
+    d = lcm(*(v.denominator for v in pt.values()))
+    return {n: v.numerator * (d // v.denominator) for n, v in pt.items()}, d
+
+
+def _at(pt: _Point, name: str) -> Interval:
+    """Coordinate `name` of `pt` as a point interval."""
+    v = pt[0][name]
+    return _iv(v, v, pt[1])
+
+
+def _at_most(v: int, d: int, r: Fraction) -> bool:
+    """v/d <= r, for d > 0."""
+    return v * r.denominator <= r.numerator * d
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +80,11 @@ from emclab.scalars import D1, FOUR, c_coeff, mu_beta
 _X_LOW = Fraction(5, 8)      # the x-pieces of `calculate` end at 5/8, 2/3, 3/4
 _X_MID = Fraction(2, 3)
 _X_MAX = Fraction(3, 4)
+# the margin's scalar factors, built once
+_FOUR3 = FOUR**3
+_P_LOW = 52 * _FOUR3        # p = 52 (4-d)^3 x^3 z^3 for x <= 5/8
+_P_HIGH = _FOUR3 / 8100     # p = (4-d)^3 x^3 / 8100 for x > 5/8
+_H_MID = 3 * D1 * FOUR      # h's extra term for 5/8 < x <= 2/3
 
 
 def eval_calculate_margin(x, y, z, mutation: str | None = None) -> Fraction:
@@ -53,24 +93,8 @@ def eval_calculate_margin(x, y, z, mutation: str | None = None) -> Fraction:
 
     Evaluated on point intervals, whose int numerators are never reduced;
     only the margin itself becomes a `Fraction`."""
-    x = Fraction(x)
-    px, y, z = Interval.point(x), Interval.point(y), Interval.point(z)
-    if x <= _X_LOW:
-        h = FOUR**3 * px**3 - (FOUR * px - y) ** 3
-        p = 52 * FOUR**3 * px**3 * z**3
-    else:
-        h = (27 * y * px**2 - 9 * y**2 * px + y**3).max_with(27 * y**3)
-        if x <= _X_MID:
-            h += 3 * D1 * FOUR * y**2 * px
-        p = FOUR**3 * px**3 / 8100
-    lead = D1 * (FOUR * px - y) ** 3
-    if mutation == "negate-lead":
-        lead = -lead
-    elif mutation == "flip-p-sign":
-        p = -p
-    elif mutation is not None:
-        raise ValueError(f"unknown mutation {mutation!r}")
-    return (lead - (FOUR * px - 3 * y) * (h + p)).lo
+    pt = _shared({"x": Fraction(x), "y": Fraction(y), "z": Fraction(z)})
+    return _calc_point_margin(pt, mutation).lo
 
 
 def _calc_roots(z_max: Fraction) -> list[Box]:
@@ -89,13 +113,13 @@ def _calc_margin_box(box: Box, mutation: str | None) -> Interval:
     x = box.coords["x"]
     z = box.coords["z"]
     if box.region_tag == "x<=5/8":
-        h = FOUR**3 - (FOUR - mu) ** 3
-        p = 52 * FOUR**3 * z**3
+        h = _FOUR3 - (FOUR - mu) ** 3
+        p = _P_LOW * z**3
     else:
         h = (27 * mu - 9 * mu**2 + mu**3).max_with(27 * mu**3)
         if box.region_tag == "5/8<x<=2/3":
-            h = h + 3 * D1 * FOUR * mu**2
-        p = FOUR**3 / 8100
+            h = h + _H_MID * mu**2
+        p = _P_HIGH
     lead = D1 * (FOUR - mu) ** 3
     if mutation == "negate-lead":
         lead = -lead
@@ -104,20 +128,44 @@ def _calc_margin_box(box: Box, mutation: str | None) -> Interval:
     return lead - x * (FOUR - 3 * mu) * (h + p)
 
 
-def _calc_point(box: Box) -> dict[str, Fraction]:
-    """The box's (mu, x) midpoint, with z as large as the box and 5z < y allow."""
-    x = box.coords["x"].mid
-    y = box.coords["mu"].mid * x
-    return {"x": x, "y": y, "z": min(box.coords["z"].hi, y / 6)}
+def _calc_point(box: Box) -> _Point:
+    """The box's (mu, x) midpoint, with z as large as the box and 5z < y
+    allow: x = mid x, y = (mid mu) x and z = min(z.hi, y/6), over
+    24 d_mu d_x d_z."""
+    mu, x, z = box.coords["mu"], box.coords["x"], box.coords["z"]
+    d = 24 * mu._d * x._d * z._d
+    xs = x._a + x._b                      # x = xs / (2 d_x)
+    y6 = (mu._a + mu._b) * xs * z._d      # y/6 = y6 / d
+    return {"x": 12 * xs * mu._d * z._d, "y": 6 * y6, "z": min(24 * z._b * mu._d * x._d, y6)}, d
 
 
-def _calc_point_margin(pt: dict[str, Fraction], mutation: str | None) -> Fraction:
-    return eval_calculate_margin(pt["x"], pt["y"], pt["z"], mutation)
+def _calc_point_margin(pt: _Point, mutation: str | None) -> Interval:
+    """The cubic margin at the point, as a point interval."""
+    x, d = pt[0]["x"], pt[1]
+    px, y, z = _at(pt, "x"), _at(pt, "y"), _at(pt, "z")
+    if _at_most(x, d, _X_LOW):
+        h = _FOUR3 * px**3 - (FOUR * px - y) ** 3
+        p = _P_LOW * px**3 * z**3
+    else:
+        h = (27 * y * px**2 - 9 * y**2 * px + y**3).max_with(27 * y**3)
+        if _at_most(x, d, _X_MID):
+            h += _H_MID * y**2 * px
+        p = _P_HIGH * px**3
+    lead = D1 * (FOUR * px - y) ** 3
+    if mutation == "negate-lead":
+        lead = -lead
+    elif mutation == "flip-p-sign":
+        p = -p
+    elif mutation is not None:
+        raise ValueError(f"unknown mutation {mutation!r}")
+    return lead - (FOUR * px - 3 * y) * (h + p)
 
 
-def _in_calc_region(pt: dict[str, Fraction], z_max: Fraction) -> bool:
+def _in_calc_region(pt: _Point, z_max: Fraction) -> bool:
     """5z < y <= x <= 3/4 and 0 < z <= z_max."""
-    return 0 < pt["z"] <= z_max and 5 * pt["z"] < pt["y"] <= pt["x"] <= _X_MAX
+    nums, d = pt
+    x, y, z = nums["x"], nums["y"], nums["z"]
+    return 0 < z and _at_most(z, d, z_max) and 5 * z < y <= x and _at_most(x, d, _X_MAX)
 
 
 # ---------------------------------------------------------------------------
@@ -146,29 +194,35 @@ def _maxvalue_margin_box(box: Box, mutation: str | None) -> Interval:
     return c_coeff(i, alpha, mu, beta, mutation)
 
 
-def _maxvalue_point(box: Box) -> dict[str, Fraction]:
-    """The box's midpoint, taken back to (a, b) through a = 1 - mu*(1-b)."""
-    mu = box.coords["mu"].mid
-    b = box.coords["b"].mid
-    return {"i": Fraction(int(box.region_tag[1:])), "alpha": box.coords["alpha"].mid,
-            "a": 1 - mu * (1 - b), "b": b}
+def _maxvalue_point(box: Box) -> _Point:
+    """The box's midpoint, taken back to (a, b) through a = 1 - mu*(1-b),
+    over 4 d_alpha d_mu d_b."""
+    alpha, mu, b = box.coords["alpha"], box.coords["mu"], box.coords["b"]
+    d = 4 * alpha._d * mu._d * b._d
+    bs = b._a + b._b                      # b = bs / (2 d_b)
+    return {"i": int(box.region_tag[1:]) * d, "alpha": 2 * (alpha._a + alpha._b) * mu._d * b._d,
+            "a": alpha._d * (4 * mu._d * b._d - (mu._a + mu._b) * (2 * b._d - bs)),
+            "b": 2 * bs * alpha._d * mu._d}, d
 
 
-def _maxvalue_point_margin(pt: dict[str, Fraction], mutation: str | None) -> Fraction:
-    """C_i at the point, evaluated on point intervals."""
-    mu, beta = mu_beta(pt["a"], pt["b"])
-    return c_coeff(int(pt["i"]), Interval.point(pt["alpha"]), Interval.point(mu),
-                   Interval.point(beta), mutation).lo
+def _maxvalue_point_margin(pt: _Point, mutation: str | None) -> Interval:
+    """C_i at the point, as a point interval."""
+    mu, beta = mu_beta(_at(pt, "a"), _at(pt, "b"))
+    return c_coeff(pt[0]["i"] // pt[1], _at(pt, "alpha"), mu, beta, mutation)
 
 
-def _in_maxvalue_region(pt: dict[str, Fraction], z_max: None) -> bool:
+def _in_maxvalue_region(pt: _Point, z_max: None) -> bool:
     """i in 1..5, alpha in [0, 1/(4-d)] and b <= a < 1 with b in the range
     of C_i."""
-    i = pt["i"]
-    if not (i.denominator == 1 and 1 <= i <= 5):
+    nums, d = pt
+    i, rest = divmod(nums["i"], d)
+    if rest or not 1 <= i <= 5:
         return False
-    b_lo, b_hi = _B_RANGES[int(i)]
-    return 0 <= pt["alpha"] <= _ALPHA_MAX and b_lo <= pt["b"] <= b_hi and pt["b"] <= pt["a"] < 1
+    b_lo, b_hi = _B_RANGES[i]
+    alpha, a, b = nums["alpha"], nums["a"], nums["b"]
+    return (0 <= alpha and _at_most(alpha, d, _ALPHA_MAX)
+            and b_lo.numerator * d <= b * b_lo.denominator and _at_most(b, d, b_hi)
+            and b <= a < d)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +236,9 @@ class _Target:
     roots: Callable[[Fraction | None], list[Box]]       # raises on a bad z_max
     margin: Callable[[Box, str | None], Interval]       # (box, mutation)
     # the point tried in a box whose margin is not positive
-    point: Callable[[Box], dict[str, Fraction]]
-    point_margin: Callable[[dict[str, Fraction], str | None], Fraction]   # exact
-    in_region: Callable[[dict[str, Fraction], Fraction | None], bool]
+    point: Callable[[Box], _Point]
+    point_margin: Callable[[_Point, str | None], Interval]   # exact: a point interval
+    in_region: Callable[[_Point, Fraction | None], bool]
     coords: tuple[str, ...]      # the point's coordinates, sorted
     mutations: tuple[str, ...]   # deliberately broken margins, to test that the prover can fail
     takes_zmax: bool
@@ -242,8 +296,8 @@ def _prove(target: str, z_max: Fraction | None, mutation: str | None,
             leaves.append((box, margin))
             continue
         pt = rec.point(box)
-        if rec.in_region(pt, z_max) and rec.point_margin(pt, mutation) <= 0:
-            return make("counterexample", (), splits, pt)
+        if rec.in_region(pt, z_max) and not rec.point_margin(pt, mutation).positive():
+            return make("counterexample", (), splits, _fractions(pt))
         if depth >= max_depth:
             # cannot settle this box, but a counterexample may still hide
             # elsewhere — keep scanning the remaining boxes
@@ -335,12 +389,12 @@ def replay_certificate(cert: Certificate) -> dict:
         pt = cert.counterexample
         if pt is None or sorted(pt) != list(rec.coords):
             failures.append(f"point must give {', '.join(rec.coords)}")
-        elif not rec.in_region(pt, cert.zmax):
+        elif not rec.in_region(point := _shared(pt), cert.zmax):
             failures.append(f"point outside the region of target {cert.target}")
         elif cert.mutation not in (None, *rec.mutations):
             failures.append(f"unknown mutation {cert.mutation!r} for target {cert.target}")
         else:
-            margin = rec.point_margin(pt, cert.mutation)
+            margin = rec.point_margin(point, cert.mutation).lo
             report["margin"] = str(margin)
             if margin > 0:
                 failures.append(f"margin {margin} > 0 at the point: not a counterexample")

@@ -269,7 +269,7 @@ def profile(path, s, epsilon):
               help="box budget for calculate and maxvalue (default 10^7)")
 @click.option("--mutation", type=str, default=None)
 @click.option("--out", "-o", type=click.Path(), default=None,
-              help="write the certificate to this file")
+              help="write the certificate of calculate or maxvalue to this file")
 def verify_ineq(target, zmax, depth, max_boxes, mutation, out):
     """Certify an inequality by interval branch-and-prune."""
     if zmax is not None and target != "calculate":
@@ -277,7 +277,7 @@ def verify_ineq(target, zmax, depth, max_boxes, mutation, out):
     if target == "convex":
         if mutation is not None:
             raise click.UsageError(f"unknown mutation {mutation!r} for target convex")
-        for flag, value in (("--depth", depth), ("--max-boxes", max_boxes)):
+        for flag, value in (("--depth", depth), ("--max-boxes", max_boxes), ("--out", out)):
             if value is not None:
                 raise click.UsageError(f"{flag} does not apply to target convex")
         from emclab.scalars import check_convexity, eval_f_lemma_convex

@@ -10,7 +10,8 @@ when both operands straddle 0 are all four endpoint products formed.  The
 result equals the four-product hull exactly.  An `int` or `Fraction` operand
 of `+`, `-` and `*` enters as its numerator and denominator, never wrapped
 into a point interval.  Sign, containment and order tests (`positive`,
-`inside`, `==`, `Box.sort_keys`) compare numerators, never `Fraction`s.
+`inside`, `==`, `Box.sort_keys`, `Box.widest`) compare numerators, never
+`Fraction`s.
 
 A Certificate records the root region and a finite box subdivision of it
 together with a verified margin interval per leaf; it serializes to a
@@ -179,6 +180,10 @@ class Interval:
     def width(self) -> Fraction:
         return Fraction(self._b - self._a, self._d)
 
+    def _width_ratio(self) -> tuple[int, int]:
+        """The width as an unreduced numerator and its positive denominator."""
+        return self._b - self._a, self._d
+
     @property
     def mid(self) -> Fraction:
         return Fraction(self._a + self._b, 2 * self._d)
@@ -216,9 +221,10 @@ def _fill(iv: Interval, p: int, q: int, r: int, s: int) -> Interval:
 
 def _ratio(v) -> tuple[int, int]:
     """The numerator and positive denominator of a rational scalar."""
-    if type(v) is int:
+    t = type(v)
+    if t is int:
         return v, 1
-    if not isinstance(v, Fraction):
+    if t is not Fraction:
         v = Fraction(v)
     return v.numerator, v.denominator
 
@@ -278,7 +284,14 @@ class Box:
         return keys
 
     def widest(self) -> str:
-        return max(self.coords, key=lambda n: (self.coords[n].width, n))
+        """The coordinate of greatest width, widths compared by
+        cross-multiplying; a tie goes to the greatest name."""
+        best = None
+        for n, iv in self.coords.items():
+            w, d = iv._width_ratio()
+            if best is None or w * best_d > best_w * d or (w * best_d == best_w * d and n > best):
+                best, best_w, best_d = n, w, d
+        return best
 
     def split(self) -> tuple["Box", "Box"]:
         name = self.widest()

@@ -1,9 +1,17 @@
 """Exact evaluators for the scalar functions behind the stability analysis.
 
 All binomials here are generalized (falling-factorial) binomials, defined for
-rational upper arguments: C(r, j) = r(r-1)...(r-j+1)/j!.  Everything returns
-`fractions.Fraction`; piecewise functions report both branches at a region
-boundary instead of silently picking one.
+rational upper arguments: C(r, j) = r(r-1)...(r-j+1)/j!.  Every public
+function returns `fractions.Fraction`s, except that `mu_beta` and `c_coeff`
+given `Interval`s return `Interval`s; piecewise functions report both
+branches at a region boundary instead of silently picking one.
+
+`genbinom`, the convexity lemma's f and h_j, and `mu_beta` are evaluated on
+int numerators, which are never reduced: with x = p/q and a = c/d the load
+(1-a)s/(1-x) is L/M for ints L and M > 0, a generalized binomial of it is a
+falling product of ints over j! M^j, and `mu_beta` runs on point intervals.
+Only the value returned becomes a `Fraction`, as does each second
+difference of `check_convexity`.
 """
 
 from __future__ import annotations
@@ -12,9 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
+from emclab.intervals import Interval
+
 DELTA = Fraction(1, 10**10)
 FOUR = 4 - DELTA
 D1 = 1 - DELTA
+_D1_3 = 3 * D1          # c_coeff's constant term, built once
+
+
+def _falling(top: int, den: int, j: int) -> int:
+    """(top)(top - den)...(top - (j-1)den) = j! den^j C(top/den, j), for j >= 0."""
+    num = 1
+    for i in range(j):
+        num *= top - i * den
+    return num
 
 
 def genbinom(r, j: int) -> Fraction:
@@ -22,36 +41,51 @@ def genbinom(r, j: int) -> Fraction:
     if j < 0:
         return Fraction(0)
     r = Fraction(r)
-    num = Fraction(1)
-    for i in range(j):
-        num *= r - i
-    return num / factorial(j)
+    q = r.denominator
+    return Fraction(_falling(r.numerator, q, j), factorial(j) * q**j)
 
 
 # ---------------------------------------------------------------------------
 # convexity lemma pieces
 # ---------------------------------------------------------------------------
 
+def _load(x, s, a) -> tuple[int, int]:
+    """The load (1-a)s/(1-x) as L/M: L = (d-c)sq and M = d(q-p) for
+    x = p/q, a = c/d; M > 0 iff x < 1."""
+    x = Fraction(x)
+    a = Fraction(a)
+    q, d = x.denominator, a.denominator
+    return (d - a.numerator) * s * q, d * (q - x.numerator)
+
+
 def eval_f_lemma_convex(x, m: int, k: int, s: int, a) -> Fraction:
     """f(x) = max{C(m,k-1) - C(m - (1-a)s/(1-x), k-1),
                   C((k-1)(1-a)s/(1-x) + k-2, k-1)}."""
-    x = Fraction(x)
-    a = Fraction(a)
-    if x >= 1:
+    load, den = _load(x, s, a)
+    if den <= 0:
         raise ValueError("x must be < 1")
-    load = (1 - a) * s / (1 - x)
-    first = genbinom(m, k - 1) - genbinom(m - load, k - 1)
-    second = genbinom((k - 1) * load + k - 2, k - 1)
-    return max(first, second)
+    j = k - 1
+    if j < 0:
+        return Fraction(0)
+    # both branches over j! den^j, so the max compares numerators
+    first = _falling(m * den, den, j) - _falling(m * den - load, den, j)
+    second = _falling(j * load + (k - 2) * den, den, j)
+    return Fraction(max(first, second), factorial(j) * den**j)
+
+
+def _hj(load: int, den: int, m: int, k: int, j: int) -> Fraction:
+    """h_j at the load load/den: (m-j)den/((m-j)den - load) - k/(k-2) over
+    one denominator."""
+    if den == 0:
+        raise ZeroDivisionError("x = 1")
+    rest = (m - j) * den - load
+    return Fraction((m - j) * den * (k - 2) - k * rest, rest * (k - 2))
 
 
 def eval_hj(x, m: int, k: int, s: int, a, j: int) -> Fraction:
     """h_j(x) = (m-j)/(m-j - (1-a)s/(1-x)) - k/(k-2); nonpositive on
     [0, (1+a)/2] whenever m >= ks + k - 2."""
-    x = Fraction(x)
-    a = Fraction(a)
-    load = (1 - a) * s / (1 - x)
-    return Fraction(m - j) / (m - j - load) - Fraction(k, k - 2)
+    return _hj(*_load(x, s, a), m, k, j)
 
 
 @dataclass(frozen=True)
@@ -62,6 +96,13 @@ class ConvexityReport:
     min_second_diff: Fraction
     hj_values: tuple[tuple[Fraction, ...], ...] | None
     hj_all_nonpos: bool | None
+
+
+def _second_diff(u: Fraction, v: Fraction, w: Fraction) -> Fraction:
+    """u - 2v + w, as one `Fraction`."""
+    a, b, c = u.denominator, v.denominator, w.denominator
+    return Fraction(u.numerator * b * c - 2 * v.numerator * a * c + w.numerator * a * b,
+                    a * b * c)
 
 
 def check_convexity(f, lo, hi, grid_points: int, hj_params=None) -> ConvexityReport:
@@ -75,20 +116,22 @@ def check_convexity(f, lo, hi, grid_points: int, hj_params=None) -> ConvexityRep
         raise ValueError("need at least 3 grid points")
     lo = Fraction(lo)
     hi = Fraction(hi)
-    step = (hi - lo) / (grid_points - 1)
-    grid = tuple(lo + i * step for i in range(grid_points))
+    # grid point i is lo + i(hi - lo)/(grid_points - 1), over one denominator
+    q, t, n = lo.denominator, hi.denominator, grid_points - 1
+    start = lo.numerator * t * n
+    step = hi.numerator * q - lo.numerator * t
+    grid = tuple(Fraction(start + i * step, q * t * n) for i in range(grid_points))
     vals = [f(x) for x in grid]
-    diffs = tuple(vals[i - 1] - 2 * vals[i] + vals[i + 1]
-                  for i in range(1, grid_points - 1))
+    diffs = tuple(_second_diff(*vals[i - 1:i + 2]) for i in range(1, grid_points - 1))
     hj_values = None
     hj_ok = None
     if hj_params is not None:
         m, k, s, a = hj_params
         a = Fraction(a)
         cap = (1 + a) / 2
-        hj_values = tuple(
-            tuple(eval_hj(x, m, k, s, a, j) for x in grid if x <= cap)
-            for j in range(k - 1))
+        loads = [_load(x, s, a) for x in grid if x <= cap]
+        hj_values = tuple(tuple(_hj(load, den, m, k, j) for load, den in loads)
+                          for j in range(k - 1))
         hj_ok = all(v <= 0 for row in hj_values for v in row)
     return ConvexityReport(grid=grid, second_diffs=diffs,
                            all_nonneg=all(d >= 0 for d in diffs),
@@ -133,10 +176,20 @@ def _link_bound(m: int, s: Fraction, mu: Fraction, general: bool) -> Fraction:
 # piecewise h0 / h and the m^4 coefficients
 # ---------------------------------------------------------------------------
 
-def mu_beta(a: Fraction, b: Fraction) -> tuple[Fraction | None, Fraction]:
-    """mu = (1-a)/(1-b), None when b = 1, and beta = 1 - delta + 3a - (4-delta)b."""
-    mu = (1 - a) / (1 - b) if b != 1 else None
-    return mu, D1 + 3 * a - FOUR * b
+def mu_beta(a, b):
+    """mu = (1-a)/(1-b), None when b = 1, and beta = 1 - delta + 3a - (4-delta)b.
+
+    Evaluated on point intervals: rationals a, b give `Fraction`s, and point
+    `Interval`s (the certifier's point path) give point intervals."""
+    point = isinstance(a, Interval)
+    if not point:
+        a, b = Interval.point(a), Interval.point(b)
+    rest = 1 - b
+    mu = None if rest.contains(0) else (1 - a) / rest
+    beta = D1 + 3 * a - FOUR * b
+    if point:
+        return mu, beta
+    return (None if mu is None else mu.lo), beta.lo
 
 
 _BRANCHES = ("b>=3/8", "1/3<=b<3/8", "1/4<=b<1/3")
@@ -239,17 +292,17 @@ def c_coeff(i: int, alpha, mu, beta, mutation: str | None = None):
         return (beta + D1) * (6 * mu**2 * alpha**2 - 9 * mu * alpha + 3)
     if i == 2:
         return (6 * alpha**2 * (27 * beta - 45 * beta * mu + (beta + D1) * mu**2)
-                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + 3 * D1)
+                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + _D1_3)
     if i == 3:
         return (6 * alpha**2 * (-36 * beta * mu + (27 * beta + D1) * mu**2)
-                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + 3 * D1)
+                + 9 * alpha * (4 * beta - 1 + DELTA) * mu + _D1_3)
     if i == 4:
         return (6 * alpha**2 * (27 * beta - 9 * beta * mu + (beta + D1) * mu**2)
-                - 9 * alpha * D1 * mu + 3 * D1)
+                - 9 * alpha * D1 * mu + _D1_3)
     if i == 5:
         sign = -1 if mutation == "negate-c5-term" else 1
         return (6 * alpha**2 * (sign * 27 * beta * mu**2 + D1 * mu**2)
-                - 9 * alpha * D1 * mu + 3 * D1)
+                - 9 * alpha * D1 * mu + _D1_3)
     raise ValueError("i must be 1..5")
 
 

@@ -166,7 +166,9 @@ class TestVerifyIneq:
     def test_convex(self, runner):
         result = run(runner, ["verify-ineq", "--target", "convex"])
         assert result.exit_code == 0
-        assert payload(result)["all_nonneg"]
+        out = payload(result)
+        assert out["all_nonneg"] and out["hj_all_nonpos"]
+        assert out["min_second_diff"] == "698258049067245/7654030375733264"
 
     def test_mutation_exit_one(self, runner):
         result = run(runner, ["verify-ineq", "--target", "calculate",
@@ -564,6 +566,7 @@ class TestUsageErrors:
         "verify-ineq-depth-convex": ["verify-ineq", "--target", "convex", "--depth", "60"],
         "verify-ineq-max-boxes-convex": ["verify-ineq", "--target", "convex",
                                          "--max-boxes", "100"],
+        "verify-ineq-out-convex": ["verify-ineq", "--target", "convex", "-o", "{out}"],
         "gen-unread-options": ["gen", "--family", "complete", "--n", "6", "--k", "2",
                                "--s", "5", "--i", "7", "-o", "{out}"],
         "gen-p-hi": ["gen", "--family", "hi", "--n", "9", "--k", "3", "--s", "2",

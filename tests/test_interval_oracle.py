@@ -4,9 +4,10 @@
 int numerators over a shared denominator: every operation reduces its
 `Fraction` endpoints.  Both classes must give the same rational interval
 for every operation, and so the same margin enclosure on every box the
-prover can reach.  The exact point margins and region tests, which now run
-on point intervals, are checked the same way against the `Fraction`
-formulas and comparisons they replaced.
+prover can reach, and the same widest coordinate in `Box.split`.  The
+prover's points, region tests and exact point margins, which now run on int
+numerators over one shared denominator and on point intervals, are checked
+the same way against the `Fraction` formulas and comparisons they replaced.
 """
 
 import random
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emclab.certify import TARGETS, eval_calculate_margin
+from emclab.certify import TARGETS, _fractions, _shared, eval_calculate_margin
 from emclab.intervals import Box, Interval
-from emclab.scalars import D1, FOUR, c_coeff, mu_beta
+from emclab.scalars import D1, FOUR, c_coeff
 
 
 class FractionInterval:
@@ -112,6 +113,11 @@ class FractionInterval:
     def width(self):
         return self.hi - self.lo
 
+    def _width_ratio(self):
+        """The width as a numerator and denominator, as `Box.widest` reads it."""
+        w = self.width
+        return w.numerator, w.denominator
+
     @property
     def mid(self):
         return (self.lo + self.hi) / 2
@@ -165,6 +171,19 @@ def test_margins_match_fraction_reference(target):
             assert _ends(rec.margin(box, mutation)) == _ends(rec.margin(ref, mutation))
 
 
+def test_widest_ties_across_denominators():
+    """Equal widths over different denominators tie, and the tie goes to the
+    greatest name, in both classes; a strictly wider coordinate wins."""
+    third = (Fraction(0), Fraction(1, 3))        # width 1/3 over 3
+    sixths = (Fraction(1, 6), Fraction(1, 2))    # width 2/6 over 6
+    assert (Interval(*third)._width_ratio(), Interval(*sixths)._width_ratio()) == ((1, 3), (2, 6))
+    for cls in (Interval, FractionInterval):
+        for names in (("a", "b"), ("b", "a")):
+            assert Box({names[0]: cls(*third), names[1]: cls(*sixths)}).widest() == "b"
+        wide = Box({"a": cls(Fraction(1, 4), Fraction(3, 4)), "b": cls(*third), "c": cls(*sixths)})
+        assert wide.widest() == "a"
+
+
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=64)
 scalars = st.one_of(st.integers(min_value=-5, max_value=5), rationals)
 
@@ -197,6 +216,18 @@ def test_every_operation_matches_fraction_reference(x, y, c, exp):
         assert p.inside(q) == (rq.lo <= rp.lo < rp.hi <= rq.hi)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(interval_pairs(), min_size=1, max_size=4))
+def test_widest_matches_fraction_widths(pairs):
+    """`Box.widest` picks the coordinate the `Fraction` widths pick, ties
+    going to the greatest name."""
+    names = "cadb"[:len(pairs)]
+    box = Box({n: iv for n, (iv, _) in zip(names, pairs)})
+    ref = Box({n: rv for n, (_, rv) in zip(names, pairs)})
+    want = max(names, key=lambda n: (ref.coords[n].width, n))
+    assert box.widest() == ref.widest() == want
+
+
 # ---------------------------------------------------------------------------
 # the exact point path against the Fraction formulas it replaced
 # ---------------------------------------------------------------------------
@@ -222,8 +253,10 @@ def _fraction_calculate_margin(x, y, z, mutation=None):
 
 
 def _fraction_maxvalue_margin(pt, mutation):
-    """C_i on `Fraction`s: `c_coeff` is ring operations only."""
-    mu, beta = mu_beta(pt["a"], pt["b"])
+    """C_i on `Fraction`s: `c_coeff` is ring operations only, and mu and
+    beta are `mu_beta`'s formulas."""
+    a, b = pt["a"], pt["b"]
+    mu, beta = (1 - a) / (1 - b), D1 + 3 * a - FOUR * b
     return c_coeff(int(pt["i"]), pt["alpha"], mu, beta, mutation)
 
 
@@ -270,8 +303,8 @@ def _maxvalue_points(rng, z_max):
         point = {"i": Fraction(i), "alpha": _between(rng, 0, 1 / FOUR), "b": b,
                  "a": _between(rng, b, Fraction(1 - Fraction(1, 10**9)))}
         yield "inside", point
-        yield "boundary", {**point, "b": rng.choice((Fraction(1, 3), Fraction(3, 8))),
-                           "a": Fraction(1, 2),
+        b_edge = rng.choice((Fraction(1, 3), Fraction(3, 8)))
+        yield "boundary", {**point, "b": b_edge, "a": rng.choice((Fraction(1, 2), b_edge)),
                            "alpha": rng.choice((Fraction(0), 1 / FOUR, point["alpha"]))}
         edit = rng.choice((("i", Fraction(rng.choice((0, 6)))), ("i", Fraction(5, 2)),
                            ("alpha", 1 / FOUR + Fraction(1, 10**12)), ("alpha", Fraction(-1, 7)),
@@ -291,27 +324,70 @@ REFERENCE = {
 @pytest.mark.parametrize("target", sorted(TARGETS))
 def test_point_path_matches_fraction_reference(target):
     """At seeded points inside each target's region, on its piece and range
-    boundaries (x = 5/8, 2/3, 3/4; b = 1/3, 3/8) and outside it, the region
-    test is the `Fraction` comparisons' and, under every mutation, the exact
-    margin is the `Fraction` formula's value, as a `Fraction`."""
+    boundaries (x = 5/8, 2/3, 3/4 with y = x and z = z_max; b = 1/3, 3/8
+    with b = a and alpha = 0, 1/(4-d)) and outside it (5z = y among the
+    edits), the region test on the point's int numerators is the `Fraction`
+    comparisons' and, under every mutation, the point margin is a point
+    interval at the `Fraction` formula's value."""
     rec = TARGETS[target]
     points, in_region, margin = REFERENCE[target]
     rng = random.Random(f"point-oracle-{target}")
     kinds = {"inside": 0, "boundary": 0, "outside": 0}
     for z_max in ((Fraction(1, 10**5), Fraction(1, 200000)) if rec.takes_zmax else (None,)):
         for kind, pt in points(rng, z_max):
-            got = rec.in_region(pt, z_max)
+            shared = _shared(pt)
+            assert _fractions(shared) == pt
+            got = rec.in_region(shared, z_max)
             assert got == in_region(pt, z_max), (kind, pt)
             kinds[kind] += got
             if target == "maxvalue" and not (pt["i"] in range(1, 6) and pt["b"] != 1):
                 continue          # C_i needs i in 1..5, and mu needs b != 1
             for mutation in (None, *rec.mutations):
                 want = margin(pt, mutation)
-                got = rec.point_margin(pt, mutation)
-                assert type(got) is Fraction and got == want, (kind, pt, mutation)
+                got = rec.point_margin(shared, mutation)
+                assert got.lo == got.hi == want, (kind, pt, mutation)
+                assert got.positive() == (want > 0)
                 if target == "calculate":
-                    assert eval_calculate_margin(pt["x"], pt["y"], pt["z"], mutation) == want
+                    got = eval_calculate_margin(pt["x"], pt["y"], pt["z"], mutation)
+                    assert type(got) is Fraction and got == want
     # the points are where they are meant to be
     per_zmax = 2 if rec.takes_zmax else 1
     assert kinds == {"inside": POINTS * per_zmax, "boundary": POINTS * per_zmax,
                      "outside": 0}
+
+
+def _fraction_point(target, box):
+    """The point the prover tries in `box`, on `Fraction`s."""
+    mid = {n: iv.mid for n, iv in box.coords.items()}
+    if target == "calculate":
+        y = mid["mu"] * mid["x"]
+        return {"x": mid["x"], "y": y, "z": min(box.coords["z"].hi, y / 6)}
+    return {"i": Fraction(int(box.region_tag[1:])), "alpha": mid["alpha"],
+            "a": 1 - mid["mu"] * (1 - mid["b"]), "b": mid["b"]}
+
+
+@pytest.mark.parametrize("target", sorted(TARGETS))
+def test_box_points_match_fraction_reference(target):
+    """On boxes reached by random bisection paths from the roots, the point
+    the prover tries is the `Fraction` midpoint formula's (z = z_max or
+    y/6 for calculate, a = 1 - mu(1-b) for maxvalue), and its region test
+    and point margin under every mutation are the references'."""
+    rec = TARGETS[target]
+    _, in_region, margin = REFERENCE[target]
+    rng = random.Random(f"box-point-oracle-{target}")
+    inside = 0
+    for z_max in ((Fraction(1, 10**5), Fraction(1, 200000)) if rec.takes_zmax else (None,)):
+        roots = rec.roots(z_max)
+        for _ in range(BOXES):
+            box = rng.choice(roots)
+            for _ in range(rng.randint(0, MAX_DEPTH)):
+                box = box.split()[rng.randrange(2)]
+            pt = rec.point(box)
+            want = _fraction_point(target, box)
+            assert _fractions(pt) == want
+            assert rec.in_region(pt, z_max) == in_region(want, z_max)
+            inside += in_region(want, z_max)
+            for mutation in (None, *rec.mutations):
+                got = rec.point_margin(pt, mutation)
+                assert got.lo == got.hi == margin(want, mutation)
+    assert inside > BOXES // 2

@@ -6,12 +6,143 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emclab.hypergraph import binom
-from emclab.scalars import (DELTA, c45_identity_check, check_convexity,
-                            eval_C_coeffs, eval_Cp_Cq, eval_f_lemma_convex,
-                            eval_h0_h, eval_hj, eval_prebound, finite_diff_check,
-                            genbinom)
+from emclab.scalars import (D1, DELTA, FOUR, ConvexityReport, c45_identity_check,
+                            check_convexity, eval_C_coeffs, eval_Cp_Cq,
+                            eval_f_lemma_convex, eval_h0_h, eval_hj, eval_prebound,
+                            finite_diff_check, genbinom, mu_beta)
 
 HALF = Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the `Fraction` bodies the int-numerator evaluators replaced: the reference
+# ---------------------------------------------------------------------------
+
+def ref_genbinom(r, j):
+    if j < 0:
+        return Fraction(0)
+    r = Fraction(r)
+    num = Fraction(1)
+    for i in range(j):
+        num *= r - i
+    return num / factorial(j)
+
+
+def ref_f_lemma_convex(x, m, k, s, a):
+    x = Fraction(x)
+    a = Fraction(a)
+    if x >= 1:
+        raise ValueError("x must be < 1")
+    load = (1 - a) * s / (1 - x)
+    first = ref_genbinom(m, k - 1) - ref_genbinom(m - load, k - 1)
+    second = ref_genbinom((k - 1) * load + k - 2, k - 1)
+    return max(first, second)
+
+
+def ref_hj(x, m, k, s, a, j):
+    x = Fraction(x)
+    a = Fraction(a)
+    load = (1 - a) * s / (1 - x)
+    return Fraction(m - j) / (m - j - load) - Fraction(k, k - 2)
+
+
+def ref_mu_beta(a, b):
+    mu = (1 - a) / (1 - b) if b != 1 else None
+    return mu, D1 + 3 * a - FOUR * b
+
+
+def ref_check_convexity(f, lo, hi, grid_points, hj_params=None):
+    lo = Fraction(lo)
+    hi = Fraction(hi)
+    step = (hi - lo) / (grid_points - 1)
+    grid = tuple(lo + i * step for i in range(grid_points))
+    vals = [f(x) for x in grid]
+    diffs = tuple(vals[i - 1] - 2 * vals[i] + vals[i + 1]
+                  for i in range(1, grid_points - 1))
+    hj_values = None
+    hj_ok = None
+    if hj_params is not None:
+        m, k, s, a = hj_params
+        a = Fraction(a)
+        cap = (1 + a) / 2
+        hj_values = tuple(
+            tuple(ref_hj(x, m, k, s, a, j) for x in grid if x <= cap)
+            for j in range(k - 1))
+        hj_ok = all(v <= 0 for row in hj_values for v in row)
+    return ConvexityReport(grid=grid, second_diffs=diffs,
+                           all_nonneg=all(d >= 0 for d in diffs),
+                           min_second_diff=min(diffs),
+                           hj_values=hj_values, hj_all_nonpos=hj_ok)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+units = st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda v: v < 1)
+small = st.integers(min_value=0, max_value=8)
+
+
+class TestFractionReference:
+    """The int-numerator evaluators give the reference's `Fraction`s, and
+    raise where it raises."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(min_value=-20, max_value=20, max_denominator=10**4),
+           st.integers(min_value=-2, max_value=8))
+    def test_genbinom(self, r, j):
+        got = genbinom(r, j)
+        assert type(got) is Fraction and got == ref_genbinom(r, j)
+
+    @settings(max_examples=300, deadline=None)
+    @given(units, units, st.integers(min_value=0, max_value=40), small, small)
+    def test_f_and_hj(self, x, a, m, k, s):
+        got = eval_f_lemma_convex(x, m, k, s, a)
+        assert type(got) is Fraction and got == ref_f_lemma_convex(x, m, k, s, a)
+        for j in range(-1, k):
+            assert outcome(eval_hj, x, m, k, s, a, j) == outcome(ref_hj, x, m, k, s, a, j)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fractions(min_value=1, max_value=3, max_denominator=100), units,
+           small, small, small)
+    def test_x_at_least_one(self, x, a, m, k, s):
+        assert outcome(eval_f_lemma_convex, x, m, k, s, a) is ValueError
+        assert outcome(eval_hj, x, m, k, s, a, 0) == outcome(ref_hj, x, m, k, s, a, 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+           st.one_of(st.just(Fraction(1)),
+                     st.fractions(min_value=-2, max_value=2, max_denominator=10**6)))
+    def test_mu_beta(self, a, b):
+        got = mu_beta(a, b)
+        assert got == ref_mu_beta(a, b)
+        assert all(type(v) is Fraction for v in got if v is not None)
+
+    @pytest.mark.parametrize("points", [41, 101])
+    def test_convexity_report(self, points):
+        """The 41-point test cell and the 101-point cell of `verify-ineq
+        --target convex` give the reference's report."""
+        def f(x):
+            return eval_f_lemma_convex(x, 30, 4, 5, HALF)
+        assert check_convexity(f, 0, Fraction(3, 4), points, hj_params=(30, 4, 5, HALF)) == \
+            ref_check_convexity(f, 0, Fraction(3, 4), points, hj_params=(30, 4, 5, HALF))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.fractions(min_value=-3, max_value=3, max_denominator=50),
+           st.fractions(min_value=-3, max_value=3, max_denominator=50),
+           st.integers(min_value=3, max_value=12), small)
+    def test_second_differences(self, lo, hi, points, c):
+        """Any f, any grid: one `Fraction` per second difference, the
+        reference's values."""
+        def f(x):
+            return x**3 - c * x + Fraction(1, 7)
+        got = check_convexity(f, lo, hi, points)
+        assert got == ref_check_convexity(f, lo, hi, points)
+        assert all(type(v) is Fraction for v in got.grid + got.second_diffs)
 
 
 class TestGenbinom:
