@@ -12,9 +12,10 @@ cost) is used as it is; any other input is read through `fractions.Fraction`
 and scaled to integers.  `Fraction` otherwise appears only in the optimum
 the solver returns.  Every optimum comes with a primal and dual
 certificate, checked in integer arithmetic before it is returned.
-The row builders below write their 0/1 coefficients as ints, so only truly
-rational entries (a pinned optimum, a cover chain's costs, 1 - a_v) take the
-`Fraction` path.
+One builder, `_incidence`, lays out every LP table as 0/1 int rows, so only
+truly rational entries (a pinned optimum, a cover chain's costs, 1 - a_v)
+take the `Fraction` path.  A ground set past `MAX_LP_VERTICES` is refused
+with `HypergraphError` before anything of its size is built.
 
 Beyond the plain optima this module provides the two constructive pieces the
 stability machinery needs: the lexicographic load-maximizing fractional
@@ -22,11 +23,11 @@ matching (a chain of LPs, each pinning the last maximized load by an `==`
 row, which stops once the pinned loads, a vertex counted once, sum to
 k * target), and its extension to a perfect fractional matching on a graph
 with a full-degree apex prefix.  The packing LP has one entry,
-`fractional_matching_and_cover`.  `tau_star` and
-`min_cover_sorted` (the lexicographically greatest minimum cover) solve LP
-duals over one set of cover rows, with one `<=` row per vertex: the monotone
-rows on a stable family on [n], one row per edge on any other; the choice
-and the rows read one cached pass, `Hypergraph.maximal_edges`.
+`fractional_matching_and_cover`.  `tau_star` and `min_cover_sorted` (the
+lexicographically greatest minimum cover) solve the cover LP's dual in the
+form `_cover_lp` builds it, one `<=` row per vertex: the packing LP itself,
+except on a stable family on [n], whose columns are the monotone cover rows;
+the choice and the columns read one cached pass, `Hypergraph.maximal_edges`.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from math import lcm
 from operator import add, gt, itemgetter, mul
 from typing import Iterable, Sequence
 
-from emclab.hypergraph import Hypergraph, binom, is_stable
+from emclab.hypergraph import Hypergraph, HypergraphError, binom, is_stable
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,6 +49,9 @@ _FLIP = {"<=": ">=", ">=": "<=", "==": "=="}
 _INT = frozenset({int})
 _BINARY = frozenset({0, 1})
 _products = partial(map, mul)
+# the largest ground set an LP entry takes: its tables hold a row per vertex,
+# and the largest LP the tests solve has 27 rows
+MAX_LP_VERTICES = 1024
 
 
 class LPError(Exception):
@@ -349,7 +353,16 @@ class FractionalCover:
         return [e for e in sets if sum(map(weight, e)) >= scale]
 
 
+def _check_lp_size(h: Hypergraph) -> None:
+    """Refuse a ground set past MAX_LP_VERTICES, before anything of its
+    size is built."""
+    if len(h.vertices) > MAX_LP_VERTICES:
+        raise HypergraphError(f"an LP takes at most {MAX_LP_VERTICES} vertices, "
+                              f"got {len(h.vertices)}")
+
+
 def make_fractional_matching(h: Hypergraph, weights: dict[tuple[int, ...], Fraction]) -> FractionalMatching:
+    _check_lp_size(h)
     loads = {v: ZERO for v in h.vertices}
     size = ZERO
     clean = {}
@@ -372,20 +385,26 @@ def make_fractional_matching(h: Hypergraph, weights: dict[tuple[int, ...], Fract
     return FractionalMatching(weights=clean, loads=loads, size=size)
 
 
-def _matching_rows(h: Hypergraph):
-    """One row per vertex v of h, its 0/1 incidence over h.edges <= 1,
-    built in one pass over the edges."""
-    incidence = {v: [0] * len(h.edges) for v in h.vertices}
-    for j, e in enumerate(h.edges):
+def _incidence(vertices: Sequence[int], edges: Sequence[Sequence[int]]) -> list[list[int]]:
+    """One 0/1 int row per vertex, in order, with a 1 in column j iff
+    edges[j] holds the vertex; built in one pass over the edges."""
+    rows = {v: [0] * len(edges) for v in vertices}
+    for j, e in enumerate(edges):
         for v in e:
-            incidence[v][j] = 1
-    return [(coeffs, "<=", 1) for coeffs in incidence.values()]
+            rows[v][j] = 1
+    return list(rows.values())
+
+
+def _matching_rows(h: Hypergraph):
+    """The packing rows of h: each vertex's incidence over h.edges <= 1."""
+    return [(coeffs, "<=", 1) for coeffs in _incidence(h.vertices, h.edges)]
 
 
 def fractional_matching_and_cover(h: Hypergraph, trace=None
                                   ) -> tuple[Fraction, FractionalMatching, FractionalCover]:
     """One solve of the edge-packing LP: its optimum, a maximum fractional
     matching and, from the duals, a minimum fractional cover."""
+    _check_lp_size(h)
     if not h.edges:
         return (ZERO, FractionalMatching(weights={}, loads={v: ZERO for v in h.vertices},
                                          size=ZERO),
@@ -462,6 +481,7 @@ def lex_max_fractional_matching(h: Hypergraph, order: Sequence[int],
     stops.  A target below 0 raises `Infeasible` before any solve; above nu*,
     only the first LP fails, and nu* is solved to name it.
     """
+    _check_lp_size(h)
     target = Fraction(target_size)
     if target < 0:
         raise Infeasible(f"target size {target} is negative")
@@ -513,6 +533,7 @@ def extend_to_perfect_fm(h: Hypergraph, t: int, fm: FractionalMatching) -> Fract
     N/4 - t on H restricted to [N] \\ [t] with nonincreasing loads whose
     fractional boundary is a contiguous block of at most 4 vertices.
     """
+    _check_lp_size(h)
     if h.k != 4:
         raise PerfectExtensionError("uniformity", f"k must be 4, got {h.k}")
     n_total = len(h.vertices)
@@ -577,12 +598,11 @@ def extend_to_perfect_fm(h: Hypergraph, t: int, fm: FractionalMatching) -> Fract
             raise PerfectExtensionError("boundary", f"p = t+4s*-q = {p} outside [1,{ell - 1}]")
         b_set = list(range(q + ell + 1, top + 4))  # |B| = p + 3 - ell
         a_vals = {v: fm.loads[v] for v in frac}
-        e0 = [tuple(sorted((1, *sub, *b_set))) for sub in combinations(frac, ell - p)]
-        # feasibility LP for the boundary equation system, weights in [0,1]
-        rows = []
-        for j, v in enumerate(frac):
-            coeffs = [1 if v in e else 0 for e in e0]
-            rows.append((coeffs, "==", 1 - a_vals[v]))
+        subs = list(combinations(frac, ell - p))
+        e0 = [tuple(sorted((1, *sub, *b_set))) for sub in subs]
+        # feasibility LP for the boundary equation system, weights in [0,1];
+        # an edge of e0 meets the fractional block in its sub
+        rows = [(coeffs, "==", 1 - a_vals[v]) for v, coeffs in zip(frac, _incidence(frac, subs))]
         for idx in range(len(e0)):
             coeffs = [0] * len(e0)
             coeffs[idx] = 1
@@ -610,69 +630,62 @@ def extend_to_perfect_fm(h: Hypergraph, t: int, fm: FractionalMatching) -> Fract
 # tau* and min_cover_sorted: one cover LP, solved as its n-row dual
 # ---------------------------------------------------------------------------
 
-def _cover_rows(h: Hypergraph) -> list:
-    """The cover rows (coeffs over h.vertices, ">=", r_j) of h.  On a stable
-    family on [n] they are the monotone rows over w_1..w_n: w(e) >= 1 for
-    each dominance-maximal edge e, then w_i - w_{i+1} >= 0.  Those are exact
+def _cover_lp(h: Hypergraph) -> tuple[list[int], list]:
+    """(r, rows) for `solve_lp`: max r.x subject to sum_j a_jv x_j <= 1 per
+    vertex v, the dual of min sum(w) over w(a_j) >= r_j.  On a stable family
+    on [n] the columns a_j are the monotone cover rows: w(e) >= 1 for each
+    dominance-maximal edge e, then w_i - w_{i+1} >= 0.  Those are exact
     there: swapping a smaller earlier weight with a larger later one keeps a
     cover, because an edge through the later vertex but not the earlier one
     shifts to an edge of the family, so the lexicographically greatest
     minimum cover is nonincreasing; and under nonincreasing weights a
     dominated edge is covered whenever its dominating edge is.  On any other
-    family there is one row w(e) >= 1 per edge."""
-    verts = h.vertices
-    maximal = h.maximal_edges if verts == range(1, h.n + 1) else None
-    rows = [([1 if v in e else 0 for v in verts], ">=", 1)
-            for e in (h.edges if maximal is None else maximal)]
-    if maximal is not None:
-        n = h.n
-        rows += [([0] * i + [1, -1] + [0] * (n - i - 2), ">=", 0) for i in range(n - 1)]
-    return rows
-
-
-def _cover_value(rows) -> Fraction:
-    """min sum(w) over the covers w >= 0 of `rows`, by its dual: max r.x
-    subject to sum_j a_jv x_j <= 1 at each vertex v, x >= 0.  On one row
-    per edge this is the packing LP."""
-    coeffs, _, r = zip(*rows)
-    return solve_lp(list(r), [(list(col), "<=", 1) for col in zip(*coeffs)], maximize=True)[0]
+    family this is the packing LP, a column per edge."""
+    maximal = h.maximal_edges if h.vertices == range(1, h.n + 1) else None
+    if maximal is None:
+        return [1] * len(h.edges), _matching_rows(h)
+    n = h.n
+    rows = _incidence(h.vertices, maximal)
+    for u, coeffs in enumerate(rows):
+        coeffs += [(u == i) - (u == i + 1) for i in range(n - 1)]
+    return [1] * len(maximal) + [0] * (n - 1), [(coeffs, "<=", 1) for coeffs in rows]
 
 
 def tau_star(h: Hypergraph) -> Fraction:
-    """tau* (= nu*): `_cover_value` of the `_cover_rows` of h."""
+    """tau* (= nu*): the optimum of `_cover_lp`."""
+    _check_lp_size(h)
     if not h.edges:
         return ZERO
-    return _cover_value(_cover_rows(h))
+    return solve_lp(*_cover_lp(h), maximize=True)[0]
 
 
 def min_cover_sorted(h: Hypergraph) -> FractionalCover:
     """Minimum fractional cover whose weight vector is lexicographically
-    greatest: over `_cover_rows`, maximize w(1), w(2), ... in turn.
+    greatest: over the columns of `_cover_lp`, maximize w(1), w(2), ... in turn.
 
-    Step i pins the earlier weights, which leaves rows r'_j and the budget
+    Step i pins the earlier weights, which leaves costs r'_j and the budget
     T = tau* - fixed; every cover weighs at least tau*, so the step is max w_i
     over the covers of total at most T.  It is solved as its dual, one `<=`
-    row per free vertex u and at most one artificial: minimize
-    T*lam - sum_j r'_j x_j subject to sum_j a_ju x_j - lam <= -[u = i].
+    row per free vertex u, its `_cover_lp` row, and at most one artificial:
+    minimize T*lam - sum_j r'_j x_j subject to sum_j a_ju x_j - lam <= -[u = i].
     The assembled vector must cover every edge and weigh tau*, else LPError.
     """
+    _check_lp_size(h)
     verts = h.vertices
     weights = dict.fromkeys(verts, ZERO)
     if not h.edges:
         return FractionalCover(weights=weights)
-    rows = _cover_rows(h)
-    tau = _cover_value(rows)
-    coeffs, _, r = zip(*rows)
+    r, rows = _cover_lp(h)
+    tau = solve_lp(r, rows, maximize=True)[0]
     fixed = ZERO
     for i, v in enumerate(verts):
-        step = [([a[u] for a in coeffs] + [-1], "<=", -1 if u == i else 0)
-                for u in range(i, len(verts))]
+        step = [(rows[u][0] + [-1], "<=", -1 if u == i else 0) for u in range(i, len(verts))]
         value, _, _ = solve_lp([-rj for rj in r] + [tau - fixed], step)
         weights[v] = value
         fixed += value
         if fixed == tau:
             break  # the remaining weights are forced to zero
-        r = [rj - a[i] * value for rj, a in zip(r, coeffs)]
+        r = [rj - a * value for rj, a in zip(r, rows[i][0])]
     fc = _checked_cover(h, FractionalCover(weights=weights), "sorted cover")
     if fc.size != tau:
         raise LPError(f"sorted cover weighs {fc.size}, not tau* = {tau}")

@@ -4,9 +4,9 @@ Both are branch-and-bound searches over bitmask edge families (see
 ``kernel``); inputs therefore need at most 63 vertices.  Certified upper
 bounds usually pin the matching number before any search happens: the
 vertex count and a greedy integral cover, then, unless those already meet
-the greedy lower bound, the exact tau* from ``lp.tau_star`` (one cover LP
-solved as its dual, with a row per vertex: monotone cover rows from the
-cached `Hypergraph.maximal_edges` on stable families, else one row per edge).
+the greedy lower bound, the exact tau* from ``lp.tau_star`` (one solve of
+the cover LP's dual, a row per vertex: the packing LP, or on a stable family
+the monotone cover rows from the cached `Hypergraph.maximal_edges`).
 """
 
 from __future__ import annotations

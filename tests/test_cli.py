@@ -13,6 +13,7 @@ import emclab
 from emclab.certify import _calc_margin_box
 from emclab.cli import RATIONAL, cli, main
 from emclab.intervals import Box, Interval, _token_ratio, parse_certificate
+from emclab.lp import MAX_LP_VERTICES
 
 
 @pytest.fixture()
@@ -508,20 +509,28 @@ class TestUsageErrors:
         assert ei.value.code == 3
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
-    def test_huge_valid_khg_reaches_the_kernel_bound(self, tmp_path):
+    @pytest.mark.parametrize("command, text, error", [
+        (["nu"], "1000000000 2 1\n1 999999999\n", "n <= 63"),
+        (["nufrac"], "1000000000 2 1\n1 999999999\n", f"at most {MAX_LP_VERTICES} vertices"),
+        (["profile", "--s", "1", "--epsilon", "1/100"], "1000000000 4 1\n1 2 3 4\n",
+         f"at most {MAX_LP_VERTICES} vertices"),
+    ], ids=["nu", "nufrac", "profile"])
+    def test_huge_valid_khg_reaches_the_kernel_bound(self, tmp_path, command, text, error):
         # a valid file on [10^9] parses in a child capped at 1 GiB; nu then
-        # refuses n > 63 as a usage error
+        # refuses n > 63 (the kernel's bound) and the LP commands a ground
+        # set past MAX_LP_VERTICES, each as a usage error
         import resource
 
         def cap():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         src = tmp_path / "huge.khg"
-        src.write_text("1000000000 2 1\n1 999999999\n")
+        src.write_text(text)
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(emclab.__file__)))
-        proc = subprocess.run([sys.executable, "-m", "emclab.cli", "nu", str(src)], env=env,
+        proc = subprocess.run([sys.executable, "-m", "emclab.cli", command[0], str(src),
+                               *command[1:]], env=env,
                               preexec_fn=cap, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 3, proc.stderr
-        assert "n <= 63" in proc.stderr
+        assert error in proc.stderr
 
     def test_hpuw_needs_p(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as ei:

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 import emclab.lp
 from emclab.constructions import build_Hi
-from emclab.hypergraph import (Hypergraph, complete_hypergraph, induced, is_stable,
-                               new_hypergraph)
-from emclab.lp import (FractionalCover, Infeasible, LPError, PerfectExtensionError,
-                       Unbounded, _check_certificate, _cover_rows, _exact, _matching_rows,
-                       _scaled, check_complementary_slackness, extend_to_perfect_fm,
+from emclab.hypergraph import (Hypergraph, HypergraphError, complete_hypergraph, induced,
+                               is_stable, new_hypergraph)
+from emclab.lp import (MAX_LP_VERTICES, FractionalCover, FractionalMatching, Infeasible,
+                       LPError, PerfectExtensionError, Unbounded, _check_certificate,
+                       _cover_lp, _exact, _matching_rows, _scaled,
+                       check_complementary_slackness, extend_to_perfect_fm,
                        fractional_cover_number, fractional_matching_and_cover,
                        fractional_matching_number, full_degree_vertices,
                        has_perfect_fm, lex_max_fractional_matching,
@@ -245,8 +246,10 @@ class TestIntInputs:
 
     def test_row_builders_emit_ints(self, lp_inputs):
         h = build_Hi(9, 4, 1, 1)
-        rows = _matching_rows(h) + _cover_rows(h)
+        r, cover_rows = _cover_lp(h)
+        rows = _matching_rows(h) + cover_rows
         assert all(type(v) is int for coeffs, _, rhs in rows for v in (*coeffs, rhs))
+        assert all(type(v) is int for v in r)
         nu_star, _, _ = fractional_matching_and_cover(h)
         lex_max_fractional_matching(h, tuple(range(1, 10)), nu_star)
         lex_max_fractional_matching(h, (), nu_star)
@@ -890,6 +893,28 @@ class TestPerfectExtension:
         h2 = new_hypergraph(8, 4, [e for e in h.edges if e != (1, 2, 3, 4)])
         assert not full_degree_vertices(h2, 1)
 
+    def test_boundary_rows_are_the_incidence(self, monkeypatch):
+        # K(12,4), apex t = 1: loads 1 on 2..8 and 1/3 on the block 9, 10,
+        # 11, so p = 1 and e0 is 1, 12 and two of the block; each `==` row
+        # is a block vertex's incidence over e0, and every weight is 1/3
+        h = complete_hypergraph(12, 4)
+        third = F(1, 3)
+        fm = make_fractional_matching(h, {(5, 6, 7, 8): 1, (2, 3, 4, 9): third,
+                                          (2, 3, 4, 10): third, (2, 3, 4, 11): third})
+        seen = []
+        real = emclab.lp.solve_lp
+
+        def spy(c, rows, maximize=False, trace=None):
+            seen.append([(list(coeffs), sense, rhs) for coeffs, sense, rhs in rows])
+            return real(c, rows, maximize=maximize, trace=trace)
+        monkeypatch.setattr(emclab.lp, "solve_lp", spy)
+        out = extend_to_perfect_fm(h, 1, fm)
+        e0 = [(1, 9, 10, 12), (1, 9, 11, 12), (1, 10, 11, 12)]
+        [rows] = seen
+        assert rows[:3] == [([int(v in e) for e in e0], "==", 1 - third) for v in (9, 10, 11)]
+        assert rows[3:] == [([int(i == j) for j in range(3)], "<=", 1) for i in range(3)]
+        assert [out.weights[e] for e in e0] == [third] * 3
+
     def test_non_divisible_rejected(self):
         h = complete_hypergraph(7, 4)
         fm = make_fractional_matching(h, {})
@@ -904,6 +929,39 @@ class TestHasPerfectFM:
 
     def test_star(self):
         assert not has_perfect_fm(new_hypergraph(4, 2, [(1, 2), (1, 3), (1, 4)]))
+
+
+class TestGroundSetBound:
+    """Every LP entry refuses a ground set past MAX_LP_VERTICES before it
+    builds anything of its size, an empty family included."""
+
+    ENTRIES = [
+        fractional_matching_and_cover, tau_star, min_cover_sorted,
+        lambda h: make_fractional_matching(h, {}),
+        lambda h: lex_max_fractional_matching(h, (), 0),
+        lambda h: extend_to_perfect_fm(h, 0, FractionalMatching({}, {}, F(0))),
+    ]
+
+    @pytest.mark.parametrize("entry", ENTRIES, ids=[
+        "packing", "tau_star", "min_cover_sorted", "make", "lex_max", "extend"])
+    def test_refused_past_the_bound(self, entry):
+        for edges in ([], [(1, 2, 3, 4)]):
+            h = new_hypergraph(MAX_LP_VERTICES + 1, 4, edges)
+            with pytest.raises(HypergraphError, match=f"at most {MAX_LP_VERTICES} vertices"):
+                entry(h)
+
+    def test_bound_itself_is_taken(self):
+        h = new_hypergraph(MAX_LP_VERTICES, 4, [])
+        assert fractional_matching_and_cover(h)[0] == tau_star(h) == 0
+        assert len(min_cover_sorted(h).weights) == MAX_LP_VERTICES
+        assert len(make_fractional_matching(h, {}).loads) == MAX_LP_VERTICES
+
+
+def packing_form(rows):
+    """The cover rows `rows`, (coeffs over the vertices, ">=", r_j), as the
+    dual `solve_lp` takes: (r, one `<= 1` row per vertex over the rows)."""
+    coeffs, _, r = zip(*rows)
+    return list(r), [(list(col), "<=", 1) for col in zip(*coeffs)]
 
 
 def monotone_rows(h):
@@ -926,7 +984,7 @@ class TestMonotoneCoverBound:
     def test_matches_lp_on_hi(self):
         for k, s in [(2, 2), (3, 1), (4, 1)]:
             h = build_Hi(k * (s + 1) + 2, k, s, 1)
-            assert _cover_rows(h) == monotone_rows(h)
+            assert _cover_lp(h) == packing_form(monotone_rows(h))
             nu_star, _ = fractional_matching_number(h)
             assert tau_star(h) == nu_star == s
 
@@ -937,18 +995,37 @@ class TestMonotoneCoverBound:
         for _ in range(30):
             h = random_stable(rng, rng.randint(4, 9), rng.choice([2, 3]),
                               rng.randint(1, 12))
-            assert _cover_rows(h) == monotone_rows(h)
+            assert _cover_lp(h) == packing_form(monotone_rows(h))
             nu_star, _ = fractional_matching_number(h)
             assert tau_star(h) == nu_star
 
+    def test_packing_lp_off_stable_families(self):
+        # on a non-stable family, or one on a proper subset of [n], the
+        # cover LP is the packing LP itself
+        rng = random.Random(56)
+        checked = 0
+        for _ in range(40):
+            h = random_hypergraph(rng, rng.randint(4, 9), rng.choice([2, 3]),
+                                  rng.randint(1, 12))
+            if rng.random() < 0.5:
+                h = induced(h, sorted(rng.sample(h.vertices, rng.randint(h.k, h.n))))
+            if h.vertices == range(1, h.n + 1) and is_stable(h):
+                continue
+            assert _cover_lp(h) == ([1] * len(h.edges), _matching_rows(h))
+            checked += 1
+        assert checked >= 20
+
     def test_maximal_edges(self):
-        # the rows read the family's cached answer: its maximal edges when
-        # stable, one row per edge otherwise
+        # the columns read the family's cached answer: its maximal edges
+        # when stable, one column per edge otherwise
         h = build_Hi(8, 2, 1, 1)  # star at vertex 1 on 8 vertices
-        rows = _cover_rows(h)
+        r, rows = _cover_lp(h)
         assert vars(h)["maximal_edges"] == ((1, 8),)
-        assert rows[0] == ([1, 0, 0, 0, 0, 0, 0, 1], ">=", 1) and len(rows) == 1 + 7
+        # one column for the edge (1, 8), then w_i - w_{i+1} >= 0 for i < 8
+        assert r == [1] + [0] * 7 and len(rows) == 8
+        assert rows[0] == ([1, 1, 0, 0, 0, 0, 0, 0], "<=", 1)
+        assert rows[7] == ([1, 0, 0, 0, 0, 0, 0, -1], "<=", 1)
         star = new_hypergraph(8, 2, [(2, v) for v in range(3, 9)])
-        assert _cover_rows(star) == [([int(v in e) for v in range(1, 9)], ">=", 1)
-                                     for e in star.edges]
+        assert _cover_lp(star) == packing_form([([int(v in e) for v in range(1, 9)], ">=", 1)
+                                                for e in star.edges])
         assert vars(star)["maximal_edges"] is None
