@@ -6,15 +6,15 @@
    counts are identical.  _kernel_py keeps its edge sets as index bitsets in
    Python ints; this file keeps them as index arrays.  Vertex v is bit v-1
    of an edge mask, so n <= 63.  One matching search, find(), runs over
-   indices into one mask array: all of them, or the down-set search's
-   closure.  That search keeps the successor lists in one flat array (CSR
-   layout); every successor index must exceed its predecessor's, as in a
-   linear extension, and both kernels reject any other. */
+   indices into one mask array: all of them, or the part of the down-set
+   search's closure inside [k(s+1)] (see search()).  That search keeps the
+   successor lists in one flat array (CSR layout); every successor index
+   must exceed its predecessor's, as in a linear extension, and both kernels
+   reject any other. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <stdlib.h>
-#include <string.h>
 
 typedef unsigned long long u64;
 
@@ -163,6 +163,7 @@ typedef struct {
     int *trail, n_trail;    /* j excluded, or -j-1 included */
     int *stack;             /* exclude's cascade: at most 1 + off[m] entries */
     int *closure, *witness;
+    int *inside, n_inside;  /* the indices search() hands find() from */
     int *hits;              /* `need` slots per search depth */
     int m, k, need;
     int excluded;           /* entries of status that are 2 */
@@ -276,7 +277,17 @@ static void undo(Downset *d, int mark)
    edge of any (s+1)-matching found inside the current candidate closure.
    A closure no larger than d->best, which starts at the caller's `lower`,
    cannot improve on it.  Each level excludes one more element, so
-   depth <= m.  0 done, -1 out of memory. */
+   depth <= m.  0 done, -1 out of memory.
+
+   find() sees only the closure's masks inside [k(s+1)], d->inside.  Lemma:
+   a down-set of the dominance order on the k-subsets of [n] with s+1
+   pairwise disjoint edges has s+1 such edges inside [k(s+1)].  Proof: map
+   the matching's k(s+1) vertices in order onto [k(s+1)]; each vertex moves
+   down, so each image edge is dominated by its edge and lies in the
+   down-set.  Every closure is such a down-set when the contract's
+   precondition holds: masks are all the k-subsets of [n] and succs are the
+   dominance covers.  A closure with no matching there has none at all, so
+   its size and witness are the whole closure, every index not excluded. */
 static int search(Downset *d, int depth)
 {
     int *branch = d->hits + (size_t)depth * d->need;
@@ -287,14 +298,17 @@ static int search(Downset *d, int depth)
     }
     if (d->m - d->excluded <= d->best)
         return 0;
-    for (i = 0; i < d->m; i++)
-        if (d->status[i] != 2)
-            d->closure[n_closure++] = i;
+    for (i = 0; i < d->n_inside; i++)
+        if (d->status[d->inside[i]] != 2)
+            d->closure[n_closure++] = d->inside[i];
     rc = find(d->masks, d->k, d->need, d->closure, n_closure, branch);
     if (rc <= 0) {
         if (rc == 0) {
-            d->best = d->n_witness = n_closure;
-            memcpy(d->witness, d->closure, n_closure * sizeof(int));
+            d->n_witness = 0;
+            for (i = 0; i < d->m; i++)
+                if (d->status[i] != 2)
+                    d->witness[d->n_witness++] = i;
+            d->best = d->n_witness;
         }
         return rc;
     }
@@ -321,7 +335,8 @@ static PyObject *downset_max_edges(PyObject *self, PyObject *args, PyObject *kwd
     static char *kwlist[] = {"masks", "succs", "s", "budget", "lower", NULL};
     PyObject *masks_obj, *succs_obj, *witness, *res = NULL;
     Downset d = {.exhausted = 1};
-    int s, rc = -1;
+    int s, i, rc = -1;
+    u64 below = ~0ULL;
     Py_ssize_t m;
     if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOiLi:downset_max_edges", kwlist,
                                      &masks_obj, &succs_obj, &s, &d.budget, &d.best))
@@ -332,13 +347,21 @@ static PyObject *downset_max_edges(PyObject *self, PyObject *args, PyObject *kwd
     d.k = m ? popcount64(d.masks[0]) : 1;
     d.need = s < 0 ? 0 : s >= MAX_NEED ? MAX_NEED + 1 : s + 1;
     d.status = calloc(m + 1, 1);
-    /* one block: trail, closure and witness (m each), stack, hits */
-    d.trail = malloc((3 * m + d.off[m] + 1 + (m + 1) * d.need) * sizeof(int));
+    /* one block: trail, closure, witness and inside (m each), stack, hits */
+    d.trail = malloc((4 * m + d.off[m] + 1 + (m + 1) * d.need) * sizeof(int));
     if (d.status != NULL && d.trail != NULL) {
         d.closure = d.trail + m;
         d.witness = d.closure + m;
-        d.stack = d.witness + m;
+        d.inside = d.witness + m;
+        d.stack = d.inside + m;
         d.hits = d.stack + d.off[m] + 1;
+        /* inside: the masks below bit k(s+1); every mask when s < 0 or
+           k(s+1) >= 64, where no shift is taken */
+        if (d.need > 0 && d.k * d.need < 64)
+            below = (1ULL << (d.k * d.need)) - 1;
+        for (i = 0; i < d.m; i++)
+            if (!(d.masks[i] & ~below))
+                d.inside[d.n_inside++] = i;
         rc = search(&d, 0);
     }
     if (rc < 0)

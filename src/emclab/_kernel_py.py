@@ -16,11 +16,11 @@ masks[i] past its least one; masks with the same m & (m - 1) share one list.
 The down-set search also keeps ``up[i]``, the index bitset of the up-set of
 masks[i] in the dominance order.  It is built eagerly, from the last index to
 the first, before the first node: one int per candidate, about C(n,k)^2/8
-bytes in all, whatever the budget.  One matching search,
-``_find``, runs over an index bitset: all of the masks, or the down-set
-search's closure.  The compiled twin in ``_kernel.c`` runs the same DFS over
-index arrays, so answers, witnesses and node counts are identical;
-``kernel.py`` picks one at import.
+bytes in all, whatever the budget.  One matching search, ``_find``, runs
+over an index bitset: all of the masks, or the part of the down-set search's
+closure inside [k(s+1)] (see ``downset_max_edges``).  The compiled twin in
+``_kernel.c`` runs the same DFS over index arrays, so answers, witnesses and
+node counts are identical; ``kernel.py`` picks one at import.
 """
 
 from __future__ import annotations
@@ -161,6 +161,18 @@ def downset_max_edges(masks, succs, s, budget, lower):
     Branch-and-bound: every feasible down-set must exclude (with its whole
     up-set) at least one edge of any (s+1)-matching found inside the current
     candidate closure.
+
+    Each node seeks that matching among the closure's masks inside [k(s+1)]
+    only, below bit k(s+1).  Lemma: a down-set of the dominance order on
+    the k-subsets of [n] with s+1 pairwise disjoint edges has s+1 such edges
+    inside [k(s+1)].  Proof: map the matching's k(s+1) vertices in order
+    onto [k(s+1)]; each vertex moves down, so each image edge is dominated
+    by its edge and lies in the down-set.  Every closure is such a down-set
+    when the contract's precondition holds: masks are all the k-subsets of
+    [n] and succs are the dominance covers.  A closure with no matching
+    there has none at all, so its size and witness are the whole closure.
+    When k(s+1) is at least the masks' width the restriction is the
+    identity and is skipped.
     """
     _check_masks(masks)
     m_count = len(masks)
@@ -168,6 +180,16 @@ def downset_max_edges(masks, succs, s, budget, lower):
     by_vertex, above = _tables(masks)
     k = bin(masks[0]).count("1") if masks else 1
     need = s + 1
+    # inside: the index bitset of the masks below bit k(s+1), one pass over
+    # the columns past it; those columns are dropped, as no mask inside
+    # holds their vertex
+    inside = None
+    if 0 < need and k * need < len(by_vertex):
+        outside = 0
+        for col in by_vertex[k * need:]:
+            outside |= col
+        inside = ((1 << m_count) - 1) ^ outside
+        by_vertex = by_vertex[:k * need]
     best = lower
     witness: list[int] = []
     nodes = 0
@@ -184,7 +206,8 @@ def downset_max_edges(masks, succs, s, budget, lower):
         size = alive.bit_count()
         if size <= best:
             return
-        hit = _find(by_vertex, above, k, need, alive)
+        hit = _find(by_vertex, above, k, need,
+                    alive if inside is None else alive & inside)
         if hit is None:
             best = size
             witness = [i for i, c in enumerate(bin(alive)[:1:-1]) if c == "1"]

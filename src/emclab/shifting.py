@@ -29,18 +29,26 @@ def _from_masks(h: Hypergraph, masks: set[int]) -> Hypergraph:
     return Hypergraph(n=h.n, k=h.k, edges=edges, vertices=h.vertices)
 
 
-def _shift_masks(masks: set[int], i: int, j: int) -> bool:
-    """Apply the (i,j)-shift to `masks` in place; True iff an edge moved."""
-    bi, bj = 1 << (i - 1), 1 << (j - 1)
-    swap = bi | bj
-    moved = False
-    for m in [m for m in masks if m & swap == bj]:
+def _shift_masks(masks: set[int], held: list[int], i: int, j: int) -> list[int]:
+    """Apply the (i,j)-shift to `masks` in place, given `held`, the masks
+    holding j; return those that still hold j, the ones that did not move."""
+    bi = 1 << (i - 1)
+    swap = bi | 1 << (j - 1)
+    kept = []
+    for m in held:
         f = m ^ swap
-        if f not in masks:
+        if m & bi or f in masks:
+            kept.append(m)
+        else:
             masks.remove(m)
             masks.add(f)
-            moved = True
-    return moved
+    return kept
+
+
+def _holding(masks: set[int], j: int) -> list[int]:
+    """The masks holding vertex j."""
+    bj = 1 << (j - 1)
+    return [m for m in masks if m & bj]
 
 
 def shift_ij(h: Hypergraph, i: int, j: int) -> Hypergraph:
@@ -48,7 +56,7 @@ def shift_ij(h: Hypergraph, i: int, j: int) -> Hypergraph:
     if not (1 <= i < j):
         raise HypergraphError(f"shift needs 1 <= i < j, got ({i}, {j})")
     masks = set(map(kernel.edge_mask, h.edges))
-    _shift_masks(masks, i, j)
+    _shift_masks(masks, _holding(masks, j), i, j)
     return _from_masks(h, masks)
 
 
@@ -63,22 +71,29 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, list[tuple[int, int]]]:
     effective (i,j) shifts, in the order applied.
 
     Sweeps the pairs i < j with j outer and i inner, and repeats the sweep
-    after every full pass with a change; the result depends on this fixed
-    order, which is chosen once for determinism.
+    until the family is stable; the result depends on this fixed order,
+    which is chosen once for determinism.  The family is tested after each
+    sweep, so no sweep runs only to find nothing to move; a sweep that moves
+    nothing on an unstable family is an internal error.  Within a sweep the
+    masks holding j are listed once per j; the (i,j)-shifts only remove
+    masks from that list.
     """
     if h.vertices != range(1, h.n + 1):
         raise HypergraphError("stabilize expects the full ground set [n]")
     log: list[tuple[int, int]] = []
     masks = set(map(kernel.edge_mask, h.edges))
-    changed = True
-    while changed:
-        changed = False
+    moved = True
+    while moved:
+        moved = False
         for j in range(2, h.n + 1):
+            held = _holding(masks, j)
             for i in range(1, j):
-                if _shift_masks(masks, i, j):
+                kept = _shift_masks(masks, held, i, j)
+                if len(kept) < len(held):
                     log.append((i, j))
-                    changed = True
-    out = _from_masks(h, masks)
-    if not is_stable(out):
-        raise RuntimeError("stabilization did not converge (internal error)")
-    return out, log
+                    moved = True
+                held = kept
+        out = _from_masks(h, masks)
+        if is_stable(out):
+            return out, log
+    raise RuntimeError("stabilization did not converge (internal error)")

@@ -14,6 +14,12 @@ must be a down-set, and a pigeonhole cover certificate must show nu <= s
 so s+1 disjoint edges cannot fit).  The certificate is linear in the edge
 count and reads no LP and no search kernel, so the incumbent is checked by
 something simpler than the code that computes matching numbers.
+
+The search takes at most ``MAX_SEARCH_CANDIDATES`` candidate k-sets,
+C(n,k) of them, and refuses a larger cell before it lists any: the
+pure-Python kernel's up-set table costs about C(n,k)^2/8 bytes whatever the
+budget (52 MiB at C(20,5), 261 MiB at C(24,5)), so the cap holds it to
+about 128 MiB.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ from emclab.lp import ZERO, FractionalCover, min_cover_sorted
 from emclab.matching import matching_number
 from emclab.scalars import mu_beta
 from emclab.shifting import stabilize
+
+MAX_SEARCH_CANDIDATES = 1 << 15
 
 
 def _candidates(n: int, k: int) -> tuple[list[int], list[list[int]]]:
@@ -86,6 +94,10 @@ def _search(n: int, k: int, s: int, budget: int
         raise HypergraphError(f"need 1 <= k <= n, got n={n}, k={k}")
     if budget < 0:
         raise HypergraphError(f"budget must be nonnegative, got {budget}")
+    kernel.check_ground_set(n)  # first: C(n,k) of a huge n is itself costly
+    if binom(n, k) > MAX_SEARCH_CANDIDATES:
+        raise HypergraphError(f"the down-set search takes at most {MAX_SEARCH_CANDIDATES} "
+                              f"candidate k-sets, got C({n},{k}) = {binom(n, k)}")
     masks, succs = _candidates(n, k)
     incumbent = _incumbent(n, k, s, masks, succs)
     lower = incumbent[1].num_edges if incumbent else 0

@@ -14,6 +14,7 @@ from emclab.certify import _calc_margin_box
 from emclab.cli import RATIONAL, cli, main
 from emclab.intervals import Box, Interval, _token_ratio, parse_certificate
 from emclab.lp import MAX_LP_VERTICES
+from emclab.verifier import MAX_SEARCH_CANDIDATES
 
 
 @pytest.fixture()
@@ -531,6 +532,23 @@ class TestUsageErrors:
                               preexec_fn=cap, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 3, proc.stderr
         assert error in proc.stderr
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+    def test_verify_emc_refuses_past_the_candidate_cap(self):
+        # C(30,5) = 142,506 candidates: the pure-Python kernel's up-set table
+        # alone would take about 2.5 GB, whatever the budget, so the cell is
+        # refused in a child capped at 1 GiB before any candidate is listed
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(emclab.__file__)))
+        proc = subprocess.run([sys.executable, "-m", "emclab.cli", "verify-emc", "--n", "30",
+                               "--k", "5", "--s", "2", "--budget", "5"], env=env,
+                              preexec_fn=cap, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr
+        assert f"at most {MAX_SEARCH_CANDIDATES} candidate k-sets" in proc.stderr
+        assert "C(30,5) = 142506" in proc.stderr
 
     def test_hpuw_needs_p(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as ei:

@@ -7,9 +7,12 @@ import.  Both kernels must agree exactly: answers, witnesses and node counts,
 at every incumbent size `lower` tested.  Malformed input must raise the same
 exception in both kernels, never crash or hang either.  The exact cells of
 the acceptance grid, with their node counts, are pinned in
-``tests/test_verifier.py`` for whichever kernel runs.
+``tests/test_verifier.py`` for whichever kernel runs.  The down-set search
+seeks each node's matching inside [k(s+1)] only; ``downset_reference``, the
+search over the whole closure, checks that rule and the lemma behind it.
 """
 
+import functools
 import importlib.util
 import inspect
 import os
@@ -24,8 +27,9 @@ import pytest
 
 from emclab import _kernel_py, kernel
 from emclab.constructions import emc_bound
-from emclab.hypergraph import HypergraphError, new_hypergraph
+from emclab.hypergraph import HypergraphError, binom, new_hypergraph
 from emclab.matching import matching_number
+from emclab.shifting import stabilize
 from emclab.verifier import _candidates, _incumbent, max_edges_given_nu
 
 C_SOURCE = Path(_kernel_py.__file__).with_name("_kernel.c")
@@ -377,3 +381,101 @@ class TestCompiledRejectsMalformedInput:
         masks, succs = _candidates(6, 2)
         assert compiled.downset_max_edges(masks, succs, 100, 10, 0) == \
             _kernel_py.downset_max_edges(masks, succs, 100, 10, 0)
+
+
+@functools.cache
+def downset_reference(n, k, s, budget, lower):
+    """(best, exhausted) of the (n, k) down-set search with each node's
+    matching sought over the whole closure, not only inside [k(s+1)]: the
+    same branch and bound over the pure-Python kernel's tables."""
+    masks, succs = _candidates(n, k)
+    up = _kernel_py._up_sets(succs, len(masks))
+    by_vertex, above = _kernel_py._tables(masks)
+    state = {"best": lower, "nodes": 0, "exhausted": True}
+
+    def search(alive, included):
+        state["nodes"] += 1
+        if state["nodes"] > budget:
+            state["exhausted"] = False
+            return
+        if alive.bit_count() <= state["best"]:
+            return
+        hit = _kernel_py._find(by_vertex, above, k, s + 1, alive)
+        if hit is None:
+            state["best"] = alive.bit_count()
+            return
+        branch = [f for f in hit if not included >> f & 1]
+        for pos, f in enumerate(branch):
+            if up[f] & included:
+                continue
+            sub = alive ^ (alive & up[f])
+            inc = included
+            for g in branch[:pos]:
+                if not sub >> g & 1:
+                    break
+                inc |= 1 << g
+            else:
+                search(sub, inc)
+                if not state["exhausted"]:
+                    return
+
+    search((1 << len(masks)) - 1, 0)
+    return state["best"], state["exhausted"]
+
+
+# n <= 10, k <= 5, s <= 3, with no incumbent and with a third of the k-sets;
+# a seeded quarter of them, with and without the restriction to [k(s+1)]
+SMALL_CELLS = [(n, k, s, lower) for n in range(1, 11) for k in range(1, min(5, n) + 1)
+               for s in range(4) for lower in (0, binom(n, k) // 3)]
+REFERENCE_CELLS = random.Random(30).sample(SMALL_CELLS, 80)
+
+
+class TestMatchingInsideKS1:
+    """Each node's (s+1)-matching is sought among the closure's masks inside
+    [k(s+1)]; a down-set has one there iff it has one at all."""
+
+    def test_cells_cover_both_rules(self):
+        restricted = [n > k * (s + 1) for n, k, s, _ in REFERENCE_CELLS]
+        assert 20 <= sum(restricted) <= 60
+
+    @pytest.mark.parametrize("n,k,s,lower", REFERENCE_CELLS)
+    def test_agrees_with_whole_closure_search(self, impl, n, k, s, lower):
+        masks, succs = _candidates(n, k)
+        best, witness, exhausted, _ = impl.downset_max_edges(masks, succs, s, 10**6, lower)
+        assert (best, exhausted) == downset_reference(n, k, s, 10**6, lower)
+        if best == lower:
+            assert witness == []
+            return
+        # the witness is the whole closure: a down-set of size best with no
+        # (s+1)-matching anywhere in it
+        held = set(witness)
+        assert len(held) == best
+        assert not any(t in held for j in range(len(masks)) if j not in held
+                       for t in succs[j])
+        assert _kernel_py.find_matching([masks[i] for i in witness], k, s + 1) is None
+
+    def test_lemma_on_stabilized_families(self, impl):
+        rng = random.Random(31)
+        outcomes = set()
+        for _ in range(150):
+            n = rng.randint(6, 14)
+            k = rng.choice([2, 3, 4])
+            all_e = list(combinations(range(1, n + 1), k))
+            edges = rng.sample(all_e, min(len(all_e), rng.randint(1, 60)))
+            g, _ = stabilize(new_hypergraph(n, k, edges))
+            masks = kernel.edge_masks(n, g.edges)
+            for s in range(n // k):
+                inside = [m for m in masks if m < 1 << k * (s + 1)]
+                whole = impl.find_matching(masks, k, s + 1) is not None
+                assert whole == (impl.find_matching(inside, k, s + 1) is not None), \
+                    (n, k, s, g.edges)
+                outcomes.add((whole, len(inside) < len(masks)))
+        # both answers occur where the restriction drops edges
+        assert {(True, True), (False, True)} <= outcomes
+
+    def test_lemma_needs_a_down_set(self, impl):
+        # {2,3} and {4,5} are disjoint, but only {2,3} lies inside [4]: the
+        # family misses {1,2}, so it is no down-set
+        masks = kernel.edge_masks(5, [(2, 3), (4, 5)])
+        assert impl.find_matching(masks, 2, 2) == [0, 1]
+        assert impl.find_matching([m for m in masks if m < 1 << 4], 2, 2) is None

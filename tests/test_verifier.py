@@ -7,14 +7,14 @@ import pytest
 
 import emclab.verifier
 from emclab.constructions import build_Hi
-from emclab.hypergraph import (binom, complete_hypergraph, is_stable,
-                               new_hypergraph, trace_family)
+from emclab.hypergraph import (HypergraphError, binom, complete_hypergraph,
+                               is_stable, new_hypergraph, trace_family)
 from emclab.lp import (fractional_cover_number, fractional_matching_number,
                        min_cover_sorted, solve_lp)
 from emclab.shifting import stabilize
-from emclab.verifier import (MatchingTooLarge, extremal_profile, is_close_400,
-                             max_edges_given_nu, saturate_by_cover,
-                             stability_scan, verify_emc)
+from emclab.verifier import (MAX_SEARCH_CANDIDATES, MatchingTooLarge,
+                             extremal_profile, is_close_400, max_edges_given_nu,
+                             saturate_by_cover, stability_scan, verify_emc)
 
 
 class TestOracle:
@@ -55,19 +55,23 @@ class TestOracle:
         assert rep["match"] and rep["oracle"] == 10
 
     # the acceptance grid k = 4, s <= 3, n <= 16 and k = 5, s <= 2, n <= 15,
-    # from n = k(s+1) - 1 up; below n = k(s+1) there is no incumbent (None)
+    # from n = k(s+1) - 1 up; below n = k(s+1) there is no incumbent (None).
+    # Each node seeks its matching inside [k(s+1)] only, so past n = k(s+1)
+    # the counts fall with n; the last three cells lie in the paper's
+    # n >= 5s regime
     @pytest.mark.parametrize("n,k,s,family,nodes", [
-        (7, 4, 1, None, 1), (8, 4, 1, "H_1", 143), (9, 4, 1, "H_1", 99),
-        (10, 4, 1, "H_1", 250), (11, 4, 1, "H_1", 633), (12, 4, 1, "H_1", 1410),
-        (13, 4, 1, "H_1", 2761), (14, 4, 1, "H_1", 5379), (15, 4, 1, "H_1", 10063),
-        (16, 4, 1, "H_1", 17678),
-        (11, 4, 2, None, 1), (12, 4, 2, "H_k", 1149), (13, 4, 2, "H_1", 3660),
-        (14, 4, 2, "H_1", 7190), (15, 4, 2, "H_1", 19732), (16, 4, 2, "H_1", 55772),
+        (7, 4, 1, None, 1), (8, 4, 1, "H_1", 143), (9, 4, 1, "H_1", 27),
+        (10, 4, 1, "H_1", 17), (11, 4, 1, "H_1", 13), (12, 4, 1, "H_1", 11),
+        (13, 4, 1, "H_1", 11), (14, 4, 1, "H_1", 11), (15, 4, 1, "H_1", 11),
+        (16, 4, 1, "H_1", 7),
+        (11, 4, 2, None, 1), (12, 4, 2, "H_k", 1149), (13, 4, 2, "H_1", 907),
+        (14, 4, 2, "H_1", 294), (15, 4, 2, "H_1", 193), (16, 4, 2, "H_1", 142),
         (15, 4, 3, None, 1), (16, 4, 3, "H_k", 8314),
-        (9, 5, 1, None, 1), (10, 5, 1, "H_1", 74289), (11, 5, 1, "H_1", 1691),
-        (12, 5, 1, "H_1", 1662), (13, 5, 1, "H_1", 4403), (14, 5, 1, "H_1", 12060),
-        (15, 5, 1, "H_1", 29177),
+        (9, 5, 1, None, 1), (10, 5, 1, "H_1", 74289), (11, 5, 1, "H_1", 415),
+        (12, 5, 1, "H_1", 85), (13, 5, 1, "H_1", 49), (14, 5, 1, "H_1", 41),
+        (15, 5, 1, "H_1", 35),
         (14, 5, 2, None, 1),
+        (18, 4, 3, "H_1", 8772), (20, 4, 3, "H_1", 2802), (20, 5, 2, "H_1", 2440),
     ])
     def test_exact_cells_from_incumbent(self, n, k, s, family, nodes):
         rep = verify_emc(n, k, s)
@@ -76,6 +80,15 @@ class TestOracle:
         assert rep["nodes_expanded"] == nodes
         want = family and {"family": family, "edges": rep["formula"]}
         assert rep["incumbent"] == want
+
+    def test_candidate_cap(self):
+        # C(22,5) = 26,334 is under the cap and C(23,5) = 33,649 past it;
+        # the refusal comes before any candidate is listed
+        assert binom(22, 5) <= MAX_SEARCH_CANDIDATES < binom(23, 5)
+        with pytest.raises(HypergraphError, match="C\\(23,5\\) = 33649"):
+            max_edges_given_nu(23, 5, 2, budget=0)
+        with pytest.raises(HypergraphError, match="candidate k-sets"):
+            verify_emc(63, 31, 1)
 
     def test_budgeted_probe_reports_incumbent(self):
         rep = verify_emc(16, 4, 3, budget=50)
