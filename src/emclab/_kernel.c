@@ -7,10 +7,10 @@
    Python ints; this file keeps them as index arrays.  Vertex v is bit v-1
    of an edge mask, so n <= 63.  One matching search, find(), runs over
    indices into one mask array: all of them, or the part of the down-set
-   search's closure inside [k(s+1)] (see search()).  That search keeps the
-   successor lists in one flat array (CSR layout); every successor index
-   must exceed its predecessor's, as in a linear extension, and both kernels
-   reject any other. */
+   search's closure inside [k(s+1)] (see search()).  That search takes
+   (n, k) and builds its own candidates, the k-subsets of [n] in
+   itertools.combinations order, with their dominance covers as successor
+   lists in one flat array (CSR layout; see build_candidates()). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -21,6 +21,10 @@ typedef unsigned long long u64;
 /* More than 64 disjoint nonempty edges cannot fit in 64 bits, so find()
    fails on any larger need exactly as it fails on MAX_NEED + 1. */
 #define MAX_NEED 64
+
+/* The cap on C(n,k) of the down-set search, kernel.MAX_SEARCH_CANDIDATES:
+   the pure-Python twin's up-set table costs about C(n,k)^2/8 bytes. */
+#define MAX_SEARCH_CANDIDATES (1 << 15)
 
 /* one step per set bit; portable to any C compiler */
 static int popcount64(u64 x)
@@ -172,60 +176,46 @@ typedef struct {
     int exhausted;
 } Downset;
 
-/* Copies the successor lists into d: the successors of j are
-   d->succ[d->off[j] .. d->off[j + 1]), each larger than j as in a linear
-   extension.  The caller frees both arrays. */
-static int read_succs(PyObject *seq, Py_ssize_t m, Downset *d)
+/* C(a, b), 0 <= b <= a, or a value past the cap: C(a-b+i, i) never falls
+   as i grows, so stopping past the cap keeps every product small. */
+static long long binom(int a, int b)
 {
-    PyObject *fast = PySequence_Fast(seq, "succs must be a sequence"), *row = NULL;
-    Py_ssize_t i, j, len, cap = 0, nnz = 0;
-    int *grown, rc = -1;
-    long v;
-    if (fast == NULL)
-        return -1;
-    if (PySequence_Fast_GET_SIZE(fast) != m) {
-        PyErr_SetString(PyExc_ValueError, "succs needs one successor list per mask");
-        goto done;
-    }
-    if ((d->off = malloc((m + 1) * sizeof(int))) == NULL)
-        goto nomem;
-    d->off[0] = 0;
-    for (j = 0; j < m; j++) {
-        row = PySequence_Fast(PySequence_Fast_GET_ITEM(fast, j), "succs entries must be sequences");
-        if (row == NULL)
-            goto done;
-        len = PySequence_Fast_GET_SIZE(row);
-        if (nnz + len > cap) {
-            cap = 2 * (nnz + len);
-            if ((grown = realloc(d->succ, cap * sizeof(int))) == NULL)
-                goto nomem;
-            d->succ = grown;
+    long long c = 1;
+    int i;
+    for (i = 1; i <= b && c <= MAX_SEARCH_CANDIDATES; i++)
+        c = c * (a - b + i) / i;
+    return c;
+}
+
+/* The k-subsets of [n] in lex order, the order of itertools.combinations,
+   into d->masks, and their dominance covers into d->off and d->succ: the
+   successors of j are d->succ[d->off[j] .. d->off[j + 1]).  A cover moves
+   one vertex v up to v+1, where v+1 is not in the set; if v is the p-th
+   least vertex of the set (from 0), that raises the lex rank by
+   C(n-v-1, k-p-1), so every successor index exceeds its predecessor's.
+   a[] holds the current set as 0-based vertices. */
+static void build_candidates(Downset *d, int n)
+{
+    int a[64], i, p, q, nnz = 0, k = d->k;
+    for (p = 0; p < k; p++)
+        a[p] = p;
+    for (i = 0; i < d->m; i++) {
+        d->masks[i] = 0;
+        d->off[i] = nnz;
+        for (p = 0; p < k; p++) {
+            d->masks[i] |= 1ULL << a[p];
+            if (a[p] + 1 < n && (p == k - 1 || a[p + 1] > a[p] + 1))
+                d->succ[nnz++] = i + (int)binom(n - a[p] - 2, k - p - 1);
         }
-        for (i = 0; i < len; i++) {
-            v = PyLong_AsLong(PySequence_Fast_GET_ITEM(row, i));
-            if (v == -1 && PyErr_Occurred())
-                goto done;
-            if (v < 0 || v >= m) {
-                PyErr_SetString(PyExc_IndexError, "successor index out of range");
-                goto done;
-            }
-            if (v <= j) {
-                PyErr_SetString(PyExc_ValueError, "successor index not after its predecessor");
-                goto done;
-            }
-            d->succ[nnz++] = (int)v;
-        }
-        Py_CLEAR(row);
-        d->off[j + 1] = (int)nnz;
+        /* the next set: raise the last vertex that can rise, and pack the
+           ones after it right above it */
+        for (p = k - 1; p >= 0 && a[p] == n - k + p; p--)
+            ;
+        if (p >= 0)
+            for (a[p]++, q = p + 1; q < k; q++)
+                a[q] = a[q - 1] + 1;
     }
-    rc = 0;
-nomem:
-    if (rc < 0)
-        PyErr_NoMemory();
-done:
-    Py_XDECREF(row);
-    Py_DECREF(fast);
-    return rc;
+    d->off[d->m] = nnz;
 }
 
 /* cascade over the up-set; fails on an already-included element */
@@ -284,10 +274,10 @@ static void undo(Downset *d, int mark)
    pairwise disjoint edges has s+1 such edges inside [k(s+1)].  Proof: map
    the matching's k(s+1) vertices in order onto [k(s+1)]; each vertex moves
    down, so each image edge is dominated by its edge and lies in the
-   down-set.  Every closure is such a down-set when the contract's
-   precondition holds: masks are all the k-subsets of [n] and succs are the
-   dominance covers.  A closure with no matching there has none at all, so
-   its size and witness are the whole closure, every index not excluded. */
+   down-set.  The candidates are all the k-subsets of [n] and the successor
+   lists their dominance covers, so every closure is such a down-set.  A
+   closure with no matching there has none at all, so its size and witness
+   are the whole closure, every index not excluded. */
 static int search(Downset *d, int depth)
 {
     int *branch = d->hits + (size_t)depth * d->need;
@@ -332,32 +322,42 @@ static int search(Downset *d, int depth)
 
 static PyObject *downset_max_edges(PyObject *self, PyObject *args, PyObject *kwds)
 {
-    static char *kwlist[] = {"masks", "succs", "s", "budget", "lower", NULL};
-    PyObject *masks_obj, *succs_obj, *witness, *res = NULL;
+    static char *kwlist[] = {"n", "k", "s", "budget", "lower", NULL};
+    PyObject *witness, *res = NULL;
     Downset d = {.exhausted = 1};
-    int s, i, rc = -1;
+    int n, s, i, rc = -1;
+    long long m;
+    size_t n_succ;
     u64 below = ~0ULL;
-    Py_ssize_t m;
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOiLi:downset_max_edges", kwlist,
-                                     &masks_obj, &succs_obj, &s, &d.budget, &d.best))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "iiiLi:downset_max_edges", kwlist,
+                                     &n, &d.k, &s, &d.budget, &d.best))
         return NULL;
-    if ((d.masks = read_masks(masks_obj, &m)) == NULL || read_succs(succs_obj, m, &d) < 0)
-        goto done;
+    if (!(1 <= d.k && d.k <= n && n <= 63))
+        return PyErr_Format(PyExc_ValueError, "need 1 <= k <= n <= 63, got n=%d, k=%d", n, d.k);
+    if ((m = binom(n, d.k)) > MAX_SEARCH_CANDIDATES)
+        return PyErr_Format(PyExc_ValueError, "C(%d,%d) is past the cap of %d candidate k-sets",
+                            n, d.k, MAX_SEARCH_CANDIDATES);
     d.m = (int)m;
-    d.k = m ? popcount64(d.masks[0]) : 1;
     d.need = s < 0 ? 0 : s >= MAX_NEED ? MAX_NEED + 1 : s + 1;
-    d.status = calloc(m + 1, 1);
-    /* one block: trail, closure, witness and inside (m each), stack, hits */
-    d.trail = malloc((4 * m + d.off[m] + 1 + (m + 1) * d.need) * sizeof(int));
-    if (d.status != NULL && d.trail != NULL) {
+    n_succ = (size_t)m * (d.k < n - d.k ? d.k : n - d.k); /* at most min(k, n-k) covers each */
+    /* one zeroed block: masks; off, succ, trail, closure, witness, inside,
+       stack and hits; status */
+    d.masks = calloc(1, m * sizeof(u64) + (6 * m + 2 * n_succ + 2 + (m + 1) * d.need) * sizeof(int)
+                        + m + 1);
+    if (d.masks != NULL) {
+        d.off = (int *)(d.masks + m);
+        d.succ = d.off + m + 1;
+        d.trail = d.succ + n_succ;
         d.closure = d.trail + m;
         d.witness = d.closure + m;
         d.inside = d.witness + m;
         d.stack = d.inside + m;
-        d.hits = d.stack + d.off[m] + 1;
+        d.hits = d.stack + n_succ + 1;
+        d.status = (char *)(d.hits + (m + 1) * d.need);
+        build_candidates(&d, n);
         /* inside: the masks below bit k(s+1); every mask when s < 0 or
-           k(s+1) >= 64, where no shift is taken */
-        if (d.need > 0 && d.k * d.need < 64)
+           k(s+1) >= n */
+        if (d.need > 0 && d.k * d.need < n)
             below = (1ULL << (d.k * d.need)) - 1;
         for (i = 0; i < d.m; i++)
             if (!(d.masks[i] & ~below))
@@ -368,12 +368,7 @@ static PyObject *downset_max_edges(PyObject *self, PyObject *args, PyObject *kwd
         PyErr_NoMemory();
     else if ((witness = int_list(d.witness, d.n_witness)) != NULL)
         res = Py_BuildValue("(iNOL)", d.best, witness, d.exhausted ? Py_True : Py_False, d.nodes);
-done:
     free(d.masks);
-    free(d.off);
-    free(d.succ);
-    free(d.status);
-    free(d.trail);
     return res;
 }
 
@@ -382,10 +377,11 @@ done:
 static PyMethodDef methods[] = {
     {METHOD(find_matching), "find_matching(masks, k, need)\n--\n\n"
      "Indices of `need` pairwise-disjoint edges, or None."},
-    {METHOD(downset_max_edges), "downset_max_edges(masks, succs, s, budget, lower)\n--\n\n"
-     "Maximize family size over dominance down-sets with matching number <= s,\n"
-     "counting only families larger than `lower`, the size of a feasible family\n"
-     "the caller already holds.\n\n"
+    {METHOD(downset_max_edges), "downset_max_edges(n, k, s, budget, lower)\n--\n\n"
+     "Maximize family size over down-sets of the dominance order on the k-subsets\n"
+     "of [n] with matching number <= s, counting only families larger than\n"
+     "`lower`, the size of a feasible family the caller already holds.\n"
+     "Candidate i is the i-th k-subset of [n] in itertools.combinations order.\n\n"
      "Returns (best, witness_indices, exhausted, nodes); best >= lower, and the\n"
      "witness is [] when no family larger than `lower` was found."},
     {NULL, NULL, 0, NULL},

@@ -13,11 +13,10 @@ passes: every mask is written once as little-endian bytes into one blob, and
 column b is that blob's byte b >> 3 of every record, translated to "0"/"1"
 digits and read as one base-2 int.  ``above[i]`` lists the vertex bits of
 masks[i] past its least one; masks with the same m & (m - 1) share one list.
-The down-set search also keeps ``up[i]``, the index bitset of the up-set of
-masks[i] in the dominance order.  It is built eagerly, from the last index to
-the first, before the first node: one int per candidate, about C(n,k)^2/8
-bytes in all, whatever the budget.  One matching search, ``_find``, runs
-over an index bitset: all of the masks, or the part of the down-set search's
+The down-set search builds its candidates from (n, k) with ``up[i]``, the
+index bitset of the up-set of masks[i] in the dominance order, eagerly,
+before the first node: about C(n,k)^2/8 bytes, whatever the budget, hence
+``MAX_SEARCH_CANDIDATES``.  One matching search, ``_find``, runs over an index bitset: all of the masks, or the part of the down-set search's
 closure inside [k(s+1)] (see ``downset_max_edges``).  The compiled twin in
 ``_kernel.c`` runs the same DFS over index arrays, so answers, witnesses and
 node counts are identical; ``kernel.py`` picks one at import.
@@ -25,7 +24,11 @@ node counts are identical; ``kernel.py`` picks one at import.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
 IMPL = "python"
+MAX_SEARCH_CANDIDATES = 1 << 15  # C(n,k) cap; up[] is 128 MiB there
 
 
 def _check_masks(masks):
@@ -117,41 +120,43 @@ def _find(by_vertex, above, k, need, avail):
     return _find(by_vertex, above, k, need, rest)
 
 
-def _up_sets(succs, m_count):
-    """up[i]: the index bitset of the up-set of i.  Successors must come
-    after their predecessor, as they do in a linear extension."""
-    if len(succs) != m_count:
-        raise ValueError("succs needs one successor list per mask")
-    up = [0] * m_count
-    for i in range(m_count - 1, -1, -1):
+def _candidates(n, k):
+    """(masks, up) of the k-subsets of [n]: masks in `combinations` order,
+    and up[i] the index bitset of the up-set of masks[i], built from the
+    last index to the first.  Refuses, as the compiled kernel does, a cell
+    outside 1 <= k <= n <= 63 or past the cap.
+
+    A cover moves one vertex v up to v+1 not in the set: the set bits of
+    m & ~(m >> 1) below bit n-1.  If v is the p-th least vertex of the set
+    (from 0), that raises the lex rank by C(n-v-1, k-p-1)."""
+    if not 1 <= k <= n <= 63:
+        raise ValueError(f"need 1 <= k <= n <= 63, got n={n}, k={k}")
+    if comb(n, k) > MAX_SEARCH_CANDIDATES:
+        raise ValueError(f"C({n},{k}) is past the cap of {MAX_SEARCH_CANDIDATES} candidate k-sets")
+    masks = list(map(sum, combinations([1 << b for b in range(n)], k)))
+    # step[b][p]: the rank step of moving vertex b+1, the p-th least, up
+    step = [[comb(n - b - 2, k - p - 1) for p in range(k)] for b in range(n - 1)]
+    below_top = (1 << (n - 1)) - 1
+    up = [0] * len(masks)
+    for i in range(len(masks) - 1, -1, -1):
+        m = masks[i]
         acc = 1 << i
-        for j in succs[i]:
-            if not i < j < m_count:
-                _refuse_succs(succs, m_count)
-            acc |= up[j]
+        movable = m & ~(m >> 1) & below_top
+        while movable:
+            low = movable & -movable
+            acc |= up[i + step[low.bit_length() - 1][(m & (low - 1)).bit_count()]]
+            movable ^= low
         up[i] = acc
-    return up
+    return masks, up
 
 
-def _refuse_succs(succs, m_count):
-    """Raise for the first bad successor index in row order, as the
-    compiled kernel does: IndexError out of range, else ValueError."""
-    for i, row in enumerate(succs):
-        for j in row:
-            if not 0 <= j < m_count:
-                raise IndexError("successor index out of range")
-            if j <= i:
-                raise ValueError("successor index not after its predecessor")
+def downset_max_edges(n, k, s, budget, lower):
+    """Maximize family size over down-sets of the dominance order on the
+    k-subsets of [n] with matching number <= s, counting only families
+    larger than `lower`.
 
-
-def downset_max_edges(masks, succs, s, budget, lower):
-    """Maximize family size over down-sets of the dominance order with
-    matching number <= s, counting only families larger than `lower`.
-
-    masks: bitmasks of all candidate k-sets in a linear extension order
-    succs: immediate successor indices (covers in the dominance order),
-    each larger than its predecessor's index
-    s: matching bound; budget: node expansion cap
+    Candidate i is the i-th k-subset of [n] in `itertools.combinations`
+    order.  s: matching bound; budget: node expansion cap
     lower: size of a feasible family the caller already holds; the search
     starts with it as the incumbent, so it prunes every branch that cannot
     beat it
@@ -160,31 +165,29 @@ def downset_max_edges(masks, succs, s, budget, lower):
     `lower`; the witness is [] when no family larger than `lower` was found.
     Branch-and-bound: every feasible down-set must exclude (with its whole
     up-set) at least one edge of any (s+1)-matching found inside the current
-    candidate closure.
+    candidate closure.  Raises ValueError outside 1 <= k <= n <= 63 or past
+    MAX_SEARCH_CANDIDATES candidates.
 
     Each node seeks that matching among the closure's masks inside [k(s+1)]
     only, below bit k(s+1).  Lemma: a down-set of the dominance order on
     the k-subsets of [n] with s+1 pairwise disjoint edges has s+1 such edges
     inside [k(s+1)].  Proof: map the matching's k(s+1) vertices in order
     onto [k(s+1)]; each vertex moves down, so each image edge is dominated
-    by its edge and lies in the down-set.  Every closure is such a down-set
-    when the contract's precondition holds: masks are all the k-subsets of
-    [n] and succs are the dominance covers.  A closure with no matching
-    there has none at all, so its size and witness are the whole closure.
-    When k(s+1) is at least the masks' width the restriction is the
-    identity and is skipped.
+    by its edge and lies in the down-set.  The candidates are all the
+    k-subsets of [n] and the up-sets come from their dominance covers, so
+    every closure is such a down-set.  A closure with no matching there has
+    none at all, so its size and witness are the whole closure.  When
+    k(s+1) >= n the restriction is the identity and is skipped.
     """
-    _check_masks(masks)
+    masks, up = _candidates(n, k)
     m_count = len(masks)
-    up = _up_sets(succs, m_count)
     by_vertex, above = _tables(masks)
-    k = bin(masks[0]).count("1") if masks else 1
     need = s + 1
     # inside: the index bitset of the masks below bit k(s+1), one pass over
     # the columns past it; those columns are dropped, as no mask inside
     # holds their vertex
     inside = None
-    if 0 < need and k * need < len(by_vertex):
+    if 0 < need and k * need < n:
         outside = 0
         for col in by_vertex[k * need:]:
             outside |= col

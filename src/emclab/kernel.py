@@ -7,15 +7,17 @@ same DFS, the C one over index arrays and the Python one over index bitsets
 held in Python ints, so they return identical answers, witnesses and node
 counts.  ``IMPL`` says which one runs: ``"c"`` or ``"python"``.
 
-``downset_max_edges`` requires, as its contract says, that the masks be all
-the k-subsets of [n] and the successors their dominance covers.  Then every
-closure the search visits is a down-set of the dominance order, and each
-node seeks its (s+1)-matching only among the closure's masks inside
-[k(s+1)].  Lemma: a down-set with s+1 pairwise disjoint edges has s+1 such
-edges inside [k(s+1)].  Proof: map the matching's k(s+1) vertices in order
-onto [k(s+1)]; each vertex moves down, so each image edge is dominated by
-its edge and lies in the down-set.  A closure with no matching there has
-none at all, so its size and witness are the whole closure.
+``downset_max_edges(n, k, s, budget, lower)`` builds the k-subsets of [n]
+(candidate i is the i-th in ``itertools.combinations`` order) and their
+dominance covers, and refuses (ValueError) a cell outside 1 <= k <= n <= 63
+or past ``MAX_SEARCH_CANDIDATES``.  So every closure the search visits is a
+down-set of the dominance order, and each node seeks its (s+1)-matching
+only among the closure's masks inside [k(s+1)].  Lemma: a down-set with s+1
+pairwise disjoint edges has s+1 such edges inside [k(s+1)].  Proof: map the
+matching's k(s+1) vertices in order onto [k(s+1)]; each vertex moves down,
+so each image edge is dominated by its edge and lies in the down-set.  A
+closure with no matching there has none at all, so its size and witness are
+the whole closure.
 
 The contract is the two searches; ``greedy_matching`` is one Python loop
 outside it, over masks of any size.
@@ -23,6 +25,7 @@ outside it, over masks of any size.
 
 from __future__ import annotations
 
+from emclab._kernel_py import MAX_SEARCH_CANDIDATES
 from emclab.hypergraph import HypergraphError
 
 try:

@@ -4,22 +4,24 @@ cover-derived diagnostics used in the stability analysis.
 The oracle maximizes e(G) over all G on [n] with matching number at most s.
 Compression (see ``shifting``) lets the search range over stable families
 only, i.e. down-sets of the coordinatewise dominance order on k-subsets of
-[n]; the kernel explores that lattice with an honest node budget.
+[n]; the kernel explores that lattice with an honest node budget.  It takes
+(n, k), and its candidate i is the i-th k-subset in ``combinations`` order.
 
 When n >= k(s+1) the search starts from an incumbent: the larger of the two
 conjectured extremal families, the cover construction H_1 and the clique H_k.
 The incumbent is checked in the same run, never taken from the formula: it
-must be a down-set, and a pigeonhole cover certificate must show nu <= s
-(every edge meets P = [i(s+1)-1] in at least i vertices, and |P| < i(s+1),
-so s+1 disjoint edges cannot fit).  The certificate is linear in the edge
-count and reads no LP and no search kernel, so the incumbent is checked by
-something simpler than the code that computes matching numbers.
+must be a down-set (no k-set outside it has a one-step-up move into it), and
+a pigeonhole cover certificate must show nu <= s (every edge meets
+P = [i(s+1)-1] in at least i vertices, and |P| < i(s+1), so s+1 disjoint
+edges cannot fit).  Both checks are linear in the edge count and read no LP
+and no search kernel, so the incumbent is checked by something simpler than
+the code that computes matching numbers.
 
-The search takes at most ``MAX_SEARCH_CANDIDATES`` candidate k-sets,
-C(n,k) of them, and refuses a larger cell before it lists any: the
-pure-Python kernel's up-set table costs about C(n,k)^2/8 bytes whatever the
-budget (52 MiB at C(20,5), 261 MiB at C(24,5)), so the cap holds it to
-about 128 MiB.
+The search takes at most ``kernel.MAX_SEARCH_CANDIDATES`` candidate k-sets,
+C(n,k) of them, and refuses a larger cell before the incumbent lists any
+mask: the pure-Python kernel's up-set table costs about C(n,k)^2/8 bytes
+whatever the budget (52 MiB at C(20,5), 261 MiB at C(24,5)), so the cap holds
+it to about 128 MiB.
 """
 
 from __future__ import annotations
@@ -34,51 +36,30 @@ from emclab import kernel
 from emclab.constructions import build_Hi, emc_bound
 from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
                                is_stable, new_hypergraph)
+from emclab.kernel import MAX_SEARCH_CANDIDATES
 from emclab.lp import ZERO, FractionalCover, min_cover_sorted
 from emclab.matching import matching_number
 from emclab.scalars import mu_beta
 from emclab.shifting import stabilize
 
-MAX_SEARCH_CANDIDATES = 1 << 15
-
-
-def _candidates(n: int, k: int) -> tuple[list[int], list[list[int]]]:
-    """Masks of all k-subsets of [n] in lex order, with the indices of each
-    one's immediate dominance successors (one vertex v moved up to v+1).
-
-    Vertex v moves up exactly when bit v-1 of m is set and bit v is clear,
-    i.e. at the set bits of m & ~(m >> 1) below bit n-1, and the move adds
-    that bit's value to m (m - 2^(v-1) + 2^v).  Successors come in
-    ascending order of v."""
-    kernel.check_ground_set(n)
-    masks = list(map(sum, combinations([1 << b for b in range(n)], k)))
-    index = dict(zip(masks, range(len(masks))))
-    below_top = (1 << (n - 1)) - 1
-    succs = []
-    for m in masks:
-        row = []
-        movable = m & ~(m >> 1) & below_top
-        while movable:
-            low = movable & -movable
-            row.append(index[m + low])
-            movable ^= low
-        succs.append(row)
-    return masks, succs
-
-
-def _incumbent(n: int, k: int, s: int, masks: list[int], succs: list[list[int]]
-               ) -> tuple[str, Hypergraph] | None:
+def _incumbent(n: int, k: int, s: int) -> tuple[str, Hypergraph] | None:
     """The larger of H_1 and H_k as (name, family), or None when n < k(s+1).
     Raises RuntimeError unless the family is a down-set with a cover
-    certificate for nu <= s."""
+    certificate for nu <= s.  Down-set: each member's one-step-down moves
+    (v to v-1 not in it, at the set bits of m & ~(m << 1) past bit 0) stay
+    in the family, so no k-set outside has a one-step-up move into it."""
     if n < k * (s + 1):
         return None
     i, name = (k, "H_k") if emc_bound(n, k, s).winner == "clique" else (1, "H_1")
     family = build_Hi(n, k, s, i)
     held = set(kernel.edge_masks(n, family.edges))
-    member = list(map(held.__contains__, masks))
-    if any(member[t] for j, row in enumerate(succs) if not member[j] for t in row):
-        raise RuntimeError(f"incumbent {name} is not a down-set (internal error)")
+    for m in held:
+        movable = m & ~(m << 1) & ~1
+        while movable:
+            low = movable & -movable
+            if m - (low >> 1) not in held:
+                raise RuntimeError(f"incumbent {name} is not a down-set (internal error)")
+            movable ^= low
     prefix = (1 << (i * (s + 1) - 1)) - 1  # P = [i(s+1)-1], so |P| < i(s+1)
     if any((m & prefix).bit_count() < i for m in held):
         raise RuntimeError(f"incumbent {name} fails its cover certificate (internal error)")
@@ -98,11 +79,12 @@ def _search(n: int, k: int, s: int, budget: int
     if binom(n, k) > MAX_SEARCH_CANDIDATES:
         raise HypergraphError(f"the down-set search takes at most {MAX_SEARCH_CANDIDATES} "
                               f"candidate k-sets, got C({n},{k}) = {binom(n, k)}")
-    masks, succs = _candidates(n, k)
-    incumbent = _incumbent(n, k, s, masks, succs)
+    incumbent = _incumbent(n, k, s)
     lower = incumbent[1].num_edges if incumbent else 0
-    best, wit_idx, exhausted, nodes = kernel.downset_max_edges(masks, succs, s, budget, lower)
-    witness = (new_hypergraph(n, k, [kernel.mask_edge(masks[i]) for i in wit_idx])
+    best, wit_idx, exhausted, nodes = kernel.downset_max_edges(n, k, s, budget, lower)
+    chosen = set(wit_idx)  # candidate i: the i-th k-subset in combinations order
+    witness = (new_hypergraph(n, k, [e for i, e in enumerate(combinations(range(1, n + 1), k))
+                                     if i in chosen])
                if wit_idx or not incumbent else incumbent[1])
     report = incumbent and {"family": incumbent[0], "edges": lower}
     return best, witness, exhausted, nodes, report
@@ -122,7 +104,11 @@ def max_edges_given_nu(n: int, k: int, s: int, budget: int = 10**7
 
 
 def verify_emc(n: int, k: int, s: int, budget: int = 10**7) -> dict:
-    """Compare the brute-force oracle against the closed-form bound."""
+    """Compare the brute-force oracle against the closed-form bound, for
+    n >= k(s+1) - 1: below it C(sk+k-1,k) > C(n,k), so no family can match."""
+    if n < k * (s + 1) - 1:
+        raise HypergraphError(f"verify-emc compares with the formula only for "
+                              f"n >= k(s+1) - 1 = {k * (s + 1) - 1}, got n={n}")
     t0 = time.monotonic()
     oracle, witness, exhausted, nodes, incumbent = _search(n, k, s, budget)
     report = emc_bound(n, k, s)

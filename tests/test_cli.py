@@ -579,6 +579,8 @@ class TestUsageErrors:
         "greedy": ["greedy", "{bad}"],
         "verify-emc-k0": ["verify-emc", "--n", "3", "--k", "0", "--s", "1"],
         "verify-emc-k-1": ["verify-emc", "--n", "3", "--k", "-1", "--s", "1"],
+        # below n = k(s+1) - 1 no family reaches the clique term C(7,4)
+        "verify-emc-below-range": ["verify-emc", "--n", "6", "--k", "4", "--s", "1"],
         "verify-ineq-zmax-maxvalue": ["verify-ineq", "--target", "maxvalue", "--zmax", "1"],
         "verify-ineq-zmax-convex": ["verify-ineq", "--target", "convex", "--zmax", "1"],
         "gen-u-size": ["gen", "--family", "huw", "--n", "5", "--k", "3", "--u-size", "9",

@@ -30,7 +30,7 @@ from emclab.constructions import emc_bound
 from emclab.hypergraph import HypergraphError, binom, new_hypergraph
 from emclab.matching import matching_number
 from emclab.shifting import stabilize
-from emclab.verifier import _candidates, _incumbent, max_edges_given_nu
+from emclab.verifier import _incumbent, max_edges_given_nu
 
 C_SOURCE = Path(_kernel_py.__file__).with_name("_kernel.c")
 IMPL_AT_IMPORT = kernel.IMPL
@@ -44,9 +44,19 @@ DOWNSET_CELLS = [
 
 
 def seeded(n, k, s):
-    """Candidates of the (n, k) down-set search and its verified incumbent."""
-    masks, succs = _candidates(n, k)
-    return masks, succs, _incumbent(n, k, s, masks, succs)[1].edges
+    """The verified incumbent of the (n, k, s) down-set search."""
+    return _incumbent(n, k, s)[1].edges
+
+
+def tuple_successors(n, k):
+    """The k-subsets of [n] as tuples in `combinations` order, and for each
+    the indices of its dominance covers by brute force: one vertex v moved
+    to v+1 not in the set, listed by increasing v."""
+    cands = list(combinations(range(1, n + 1), k))
+    position = {e: i for i, e in enumerate(cands)}
+    succs = [[position[tuple(sorted(set(e) - {v} | {v + 1}))]
+              for v in range(1, n) if v in e and v + 1 not in e] for e in cands]
+    return cands, succs
 
 
 def random_families(count=300, seed=2026):
@@ -138,32 +148,22 @@ class TestContract:
             max_edges_given_nu(64, 32, 1)
 
     def test_candidates_are_lex_with_dominance_successors(self):
-        masks, succs = _candidates(5, 2)
+        masks, up = _kernel_py._candidates(5, 2)
         cands = list(combinations(range(1, 6), 2))
         assert masks == [kernel.edge_mask(e) for e in cands]
-        for e, out in zip(cands, succs):
-            ups = [tuple(sorted(e[:i] + (a + 1,) + e[i + 1:]))
-                   for i, a in enumerate(e) if a + 1 <= 5 and a + 1 not in e]
-            assert [cands[j] for j in out] == ups
-
+        # {2,4} lies above {1,2}, {1,3}, {1,4}, {2,3} and itself only
+        below = [i for i, row in enumerate(up) if row >> cands.index((2, 4)) & 1]
+        assert [cands[i] for i in below] == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_candidates_match_brute_force(self, n):
-        # successor f of e: f = e with one vertex v moved to v+1 not in e,
-        # listed by increasing v
-        for k in range(0, n + 1):
-            cands = list(combinations(range(1, n + 1), k))
-            masks, succs = _candidates(n, k)
-            assert masks == [kernel.edge_mask(e) for e in cands]
-            position = {e: i for i, e in enumerate(cands)}
-            for e, out in zip(cands, succs):
-                ups = [tuple(sorted(set(e) - {v} | {v + 1}))
-                       for v in range(1, n) if v in e and v + 1 not in e]
-                assert out == [position[f] for f in ups]
+        for k in range(1, n + 1):
+            masks, _ = _kernel_py._candidates(n, k)
+            assert masks == [kernel.edge_mask(e) for e in combinations(range(1, n + 1), k)]
 
     def test_candidates_reject_past_63(self):
-        with pytest.raises(HypergraphError, match="search kernels support n <= 63"):
-            _candidates(64, 2)
+        with pytest.raises(ValueError, match="need 1 <= k <= n <= 63"):
+            _kernel_py._candidates(64, 2)
 
 
 def greedy_reference(edges):
@@ -243,8 +243,8 @@ class TestPythonTables:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_tables_on_candidates(self, n):
-        for k in range(n + 1):
-            masks, _ = _candidates(n, k)
+        for k in range(1, n + 1):
+            masks, _ = _kernel_py._candidates(n, k)
             assert _kernel_py._tables(masks) == tables_reference(masks), (n, k)
 
     def test_tables_on_random_masks(self):
@@ -261,19 +261,13 @@ class TestPythonTables:
         assert above == [[1, 3], [2, 3], [3], [3]]
         assert above[0] is not above[1] and above[2] is above[3]
 
-    @pytest.mark.parametrize("n", range(1, 10))
+    @pytest.mark.parametrize("n", range(1, 11))
     def test_up_sets_on_candidates(self, n):
-        for k in range(n + 1):
-            masks, succs = _candidates(n, k)
-            assert _kernel_py._up_sets(succs, len(masks)) == closure_reference(succs)
-
-    def test_up_sets_on_random_orders(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            m_count = rng.randint(0, 30)
-            succs = [rng.sample(range(i + 1, m_count), rng.randint(0, min(4, m_count - i - 1)))
-                     for i in range(m_count)]
-            assert _kernel_py._up_sets(succs, m_count) == closure_reference(succs)
+        # the rank step C(n-v-1, k-p-1) against the closure of the
+        # brute-force tuple successors
+        for k in range(1, n + 1):
+            _, up = _kernel_py._candidates(n, k)
+            assert up == closure_reference(tuple_successors(n, k)[1]), (n, k)
 
 
 class TestCompiledMatchesPython:
@@ -285,19 +279,18 @@ class TestCompiledMatchesPython:
 
     @pytest.mark.parametrize("n,k,s,budget", DOWNSET_CELLS)
     def test_downset_max_edges(self, compiled, n, k, s, budget):
-        masks, succs, seed = seeded(n, k, s)
-        want = _kernel_py.downset_max_edges(masks, succs, s, budget, len(seed))
-        assert compiled.downset_max_edges(masks, succs, s, budget, len(seed)) == want
+        seed = seeded(n, k, s)
+        want = _kernel_py.downset_max_edges(n, k, s, budget, len(seed))
+        assert compiled.downset_max_edges(n, k, s, budget, len(seed)) == want
         assert want[0] >= len(seed)
 
     @pytest.mark.parametrize("n,k,s,budget", DOWNSET_CELLS)
     def test_downset_above_optimum(self, compiled, n, k, s, budget):
         # no family beats lower = formula + 1 (the optimum on the exhaustive
         # cells), so best stays lower and the witness is []
-        masks, succs = _candidates(n, k)
         lower = emc_bound(n, k, s).emc_bound + 1
-        want = _kernel_py.downset_max_edges(masks, succs, s, budget, lower)
-        assert compiled.downset_max_edges(masks, succs, s, budget, lower) == want
+        want = _kernel_py.downset_max_edges(n, k, s, budget, lower)
+        assert compiled.downset_max_edges(n, k, s, budget, lower) == want
         assert want[:2] == (lower, [])
 
     def test_same_signatures(self, compiled):
@@ -305,7 +298,7 @@ class TestCompiledMatchesPython:
             assert inspect.signature(getattr(compiled, name)) == \
                 inspect.signature(getattr(_kernel_py, name)), name
         assert list(inspect.signature(compiled.downset_max_edges).parameters) == \
-            ["masks", "succs", "s", "budget", "lower"]
+            ["n", "k", "s", "budget", "lower"]
 
     def test_find_matching(self, compiled):
         outcomes = set()
@@ -328,47 +321,30 @@ class TestCompiledRejectsMalformedInput:
     def test_negative_mask(self, impl):
         with pytest.raises(OverflowError):
             impl.find_matching([3, -1], 2, 1)
-        with pytest.raises(OverflowError):
-            impl.downset_max_edges([-3], [[]], 1, 10, 0)
         # a mask of 2**64 or more does not fit the compiled kernel's word,
         # so both kernels refuse it
         with pytest.raises(OverflowError):
             impl.find_matching([1 << 64, 1], 1, 1)
-        with pytest.raises(OverflowError):
-            impl.downset_max_edges([1 << 64], [[]], 1, 10, 0)
 
-    def test_successor_out_of_range(self, impl):
-        masks, succs = _candidates(5, 2)
-        for bad in (len(masks), -1):
-            with pytest.raises(IndexError):
-                impl.downset_max_edges(masks, succs[:-1] + [[bad]], 1, 10, 0)
+    @pytest.mark.parametrize("n,k", [(64, 2), (63, 64), (5, 0), (5, -1), (3, 4), (0, 0),
+                                     (-1, 1)])
+    def test_cell_outside_the_kernel(self, impl, n, k):
+        with pytest.raises(ValueError, match="need 1 <= k <= n <= 63"):
+            impl.downset_max_edges(n, k, 1, 10, 0)
 
-    def test_succs_length_mismatch(self, impl):
-        masks, succs = _candidates(5, 2)
-        for bad in (succs[:-1], succs + [[]]):
-            with pytest.raises(ValueError):
-                impl.downset_max_edges(masks, bad, 1, 10, 0)
+    def test_candidate_cap(self, impl):
+        # C(23,5) = 33,649 is past the cap: refused before anything is built
+        assert binom(22, 5) <= kernel.MAX_SEARCH_CANDIDATES < binom(23, 5)
+        with pytest.raises(ValueError, match="C\\(23,5\\)"):
+            impl.downset_max_edges(23, 5, 2, 0, 0)
+        with pytest.raises(ValueError, match="C\\(63,31\\)"):
+            impl.downset_max_edges(63, 31, 1, 0, 0)
 
-    def test_successor_not_after_predecessor(self, impl):
-        # a linear extension puts every successor after its predecessor;
-        # a self-loop or a backward index would corrupt the up-sets
-        masks, succs = _candidates(5, 2)
-        for row, bad in ((3, 3), (3, 2), (len(masks) - 1, 0)):
-            broken = succs[:row] + [succs[row] + [bad]] + succs[row + 1:]
-            with pytest.raises(ValueError):
-                impl.downset_max_edges(masks, broken, 1, 10, 0)
-
-    def test_first_bad_successor_names_the_error(self, impl):
-        # the pure-Python up-sets are built from the last row to the first,
-        # but both kernels raise for the first bad index in row order
-        masks, succs = _candidates(5, 2)
-        last = len(masks) - 1
-        backward_then_out = succs[:2] + [succs[2] + [1]] + succs[3:last] + [[len(masks)]]
-        with pytest.raises(ValueError):
-            impl.downset_max_edges(masks, backward_then_out, 1, 10, 0)
-        out_then_backward = succs[:2] + [[-1]] + succs[3:last] + [[0]]
-        with pytest.raises(IndexError):
-            impl.downset_max_edges(masks, out_then_backward, 1, 10, 0)
+    def test_compiled_cap_boundary(self, compiled):
+        # C(22,5) = 26,334 is under the cap: the compiled kernel builds it and
+        # stops at the first node.  The pure-Python up[] alone would take
+        # about 87 MB, so it is not run here
+        assert compiled.downset_max_edges(22, 5, 2, 0, 0) == (0, [], False, 1)
 
     def test_huge_need(self, compiled):
         masks = kernel.edge_masks(8, [(1, 2), (3, 4), (5, 6)])
@@ -378,9 +354,8 @@ class TestCompiledRejectsMalformedInput:
             assert _kernel_py.find_matching(masks, 2, need) is None
         with pytest.raises(OverflowError):
             compiled.find_matching(masks, 2, 2**64)
-        masks, succs = _candidates(6, 2)
-        assert compiled.downset_max_edges(masks, succs, 100, 10, 0) == \
-            _kernel_py.downset_max_edges(masks, succs, 100, 10, 0)
+        assert compiled.downset_max_edges(6, 2, 100, 10, 0) == \
+            _kernel_py.downset_max_edges(6, 2, 100, 10, 0)
 
 
 @functools.cache
@@ -388,8 +363,7 @@ def downset_reference(n, k, s, budget, lower):
     """(best, exhausted) of the (n, k) down-set search with each node's
     matching sought over the whole closure, not only inside [k(s+1)]: the
     same branch and bound over the pure-Python kernel's tables."""
-    masks, succs = _candidates(n, k)
-    up = _kernel_py._up_sets(succs, len(masks))
+    masks, up = _kernel_py._candidates(n, k)
     by_vertex, above = _kernel_py._tables(masks)
     state = {"best": lower, "nodes": 0, "exhausted": True}
 
@@ -440,19 +414,20 @@ class TestMatchingInsideKS1:
 
     @pytest.mark.parametrize("n,k,s,lower", REFERENCE_CELLS)
     def test_agrees_with_whole_closure_search(self, impl, n, k, s, lower):
-        masks, succs = _candidates(n, k)
-        best, witness, exhausted, _ = impl.downset_max_edges(masks, succs, s, 10**6, lower)
+        best, witness, exhausted, _ = impl.downset_max_edges(n, k, s, 10**6, lower)
         assert (best, exhausted) == downset_reference(n, k, s, 10**6, lower)
         if best == lower:
             assert witness == []
             return
         # the witness is the whole closure: a down-set of size best with no
         # (s+1)-matching anywhere in it
+        cands, succs = tuple_successors(n, k)
         held = set(witness)
         assert len(held) == best
-        assert not any(t in held for j in range(len(masks)) if j not in held
+        assert not any(t in held for j in range(len(cands)) if j not in held
                        for t in succs[j])
-        assert _kernel_py.find_matching([masks[i] for i in witness], k, s + 1) is None
+        masks = kernel.edge_masks(n, [cands[i] for i in witness])
+        assert _kernel_py.find_matching(masks, k, s + 1) is None
 
     def test_lemma_on_stabilized_families(self, impl):
         rng = random.Random(31)

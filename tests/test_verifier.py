@@ -54,6 +54,15 @@ class TestOracle:
         assert rep["incumbent"] is None
         assert rep["match"] and rep["oracle"] == 10
 
+    def test_formula_range(self):
+        # below n = k(s+1) - 1 the clique term C(sk+k-1,k) exceeds C(n,k):
+        # verify_emc refuses the cell, the oracle still answers it
+        for n, k, s in [(6, 4, 1), (8, 4, 100)]:
+            with pytest.raises(HypergraphError, match=f"n >= k\\(s\\+1\\) - 1 = {k * (s + 1) - 1}"):
+                verify_emc(n, k, s)
+        best, witness, exhausted, _ = max_edges_given_nu(6, 4, 1)
+        assert (best, witness.num_edges, exhausted) == (15, 15, True)
+
     # the acceptance grid k = 4, s <= 3, n <= 16 and k = 5, s <= 2, n <= 15,
     # from n = k(s+1) - 1 up; below n = k(s+1) there is no incumbent (None).
     # Each node seeks its matching inside [k(s+1)] only, so past n = k(s+1)
