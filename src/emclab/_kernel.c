@@ -22,8 +22,8 @@ typedef unsigned long long u64;
    fails on any larger need exactly as it fails on MAX_NEED + 1. */
 #define MAX_NEED 64
 
-/* The cap on C(n,k) of the down-set search, kernel.MAX_SEARCH_CANDIDATES:
-   the pure-Python twin's up-set table costs about C(n,k)^2/8 bytes. */
+/* The cap on C(n,k) of the down-set search, kernel.MAX_SEARCH_CANDIDATES;
+   kernel.py says what it bounds. */
 #define MAX_SEARCH_CANDIDATES (1 << 15)
 
 /* one step per set bit; portable to any C compiler */

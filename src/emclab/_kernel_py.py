@@ -13,13 +13,13 @@ passes: every mask is written once as little-endian bytes into one blob, and
 column b is that blob's byte b >> 3 of every record, translated to "0"/"1"
 digits and read as one base-2 int.  ``above[i]`` lists the vertex bits of
 masks[i] past its least one; masks with the same m & (m - 1) share one list.
-The down-set search builds its candidates from (n, k) with ``up[i]``, the
-index bitset of the up-set of masks[i] in the dominance order, eagerly,
-before the first node: about C(n,k)^2/8 bytes, whatever the budget, hence
-``MAX_SEARCH_CANDIDATES``.  One matching search, ``_find``, runs over an index bitset: all of the masks, or the part of the down-set search's
-closure inside [k(s+1)] (see ``downset_max_edges``).  The compiled twin in
-``_kernel.c`` runs the same DFS over index arrays, so answers, witnesses and
-node counts are identical; ``kernel.py`` picks one at import.
+The down-set search builds its candidates from (n, k) and the n*k threshold
+columns of ``_at_most``; it ANDs k of them into the up-set of masks[f] in
+the dominance order only when it branches on f (``_up``).  One matching
+search, ``_find``, runs over an index bitset: all of the masks, or the part
+of the down-set search's closure inside [k(s+1)] (see ``downset_max_edges``).
+The compiled twin in ``_kernel.c`` runs the same DFS over index arrays, so
+answers, witnesses and node counts are identical; ``kernel.py`` picks one.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import combinations
 from math import comb
 
 IMPL = "python"
-MAX_SEARCH_CANDIDATES = 1 << 15  # C(n,k) cap; up[] is 128 MiB there
+MAX_SEARCH_CANDIDATES = 1 << 15  # the cap on C(n,k); kernel.py says why
 
 
 def _check_masks(masks):
@@ -121,33 +121,33 @@ def _find(by_vertex, above, k, need, avail):
 
 
 def _candidates(n, k):
-    """(masks, up) of the k-subsets of [n]: masks in `combinations` order,
-    and up[i] the index bitset of the up-set of masks[i], built from the
-    last index to the first.  Refuses, as the compiled kernel does, a cell
-    outside 1 <= k <= n <= 63 or past the cap.
-
-    A cover moves one vertex v up to v+1 not in the set: the set bits of
-    m & ~(m >> 1) below bit n-1.  If v is the p-th least vertex of the set
-    (from 0), that raises the lex rank by C(n-v-1, k-p-1)."""
+    """The masks of the k-subsets of [n] in `combinations` order; refuses, as
+    the compiled kernel does, a cell outside 1 <= k <= n <= 63 or past the
+    cap."""
     if not 1 <= k <= n <= 63:
         raise ValueError(f"need 1 <= k <= n <= 63, got n={n}, k={k}")
     if comb(n, k) > MAX_SEARCH_CANDIDATES:
         raise ValueError(f"C({n},{k}) is past the cap of {MAX_SEARCH_CANDIDATES} candidate k-sets")
-    masks = list(map(sum, combinations([1 << b for b in range(n)], k)))
-    # step[b][p]: the rank step of moving vertex b+1, the p-th least, up
-    step = [[comb(n - b - 2, k - p - 1) for p in range(k)] for b in range(n - 1)]
-    below_top = (1 << (n - 1)) - 1
-    up = [0] * len(masks)
-    for i in range(len(masks) - 1, -1, -1):
-        m = masks[i]
-        acc = 1 << i
-        movable = m & ~(m >> 1) & below_top
-        while movable:
-            low = movable & -movable
-            acc |= up[i + step[low.bit_length() - 1][(m & (low - 1)).bit_count()]]
-            movable ^= low
-        up[i] = acc
-    return masks, up
+    return list(map(sum, combinations([1 << b for b in range(n)], k)))
+
+
+def _at_most(by_vertex, k, full):
+    """at_most[v][p], for p < k: the index bitset of the masks with at most p
+    vertex bits below bit v.  Column v moves a mask holding bit v up one p."""
+    rows = [[full] * k]
+    for col in by_vertex[:-1]:
+        row, off = rows[-1], ~col
+        rows.append([row[0] & off] + [row[p] & off | row[p - 1] & col for p in range(1, k)])
+    return rows
+
+
+def _up(at_most, m, rest):
+    """The index bitset of the up-set of mask m, whose bits past the least are
+    `rest`: B dominates m iff, for each p, B has at most p bits below m's."""
+    up = at_most[(m & -m).bit_length() - 1][0]
+    for p, b in enumerate(rest, 1):
+        up &= at_most[b][p]
+    return up
 
 
 def downset_max_edges(n, k, s, budget, lower):
@@ -174,24 +174,22 @@ def downset_max_edges(n, k, s, budget, lower):
     inside [k(s+1)].  Proof: map the matching's k(s+1) vertices in order
     onto [k(s+1)]; each vertex moves down, so each image edge is dominated
     by its edge and lies in the down-set.  The candidates are all the
-    k-subsets of [n] and the up-sets come from their dominance covers, so
-    every closure is such a down-set.  A closure with no matching there has
-    none at all, so its size and witness are the whole closure.  When
-    k(s+1) >= n the restriction is the identity and is skipped.
+    k-subsets of [n] and each branch drops a whole up-set of the dominance
+    order, so every closure is such a down-set.  A closure with no matching
+    there has none at all, so its size and witness are the whole closure.
+    When k(s+1) >= n the restriction is the identity and is skipped.
     """
-    masks, up = _candidates(n, k)
-    m_count = len(masks)
+    masks = _candidates(n, k)
     by_vertex, above = _tables(masks)
+    full = (1 << len(masks)) - 1
+    at_most = _at_most(by_vertex, k, full)
     need = s + 1
-    # inside: the index bitset of the masks below bit k(s+1), one pass over
-    # the columns past it; those columns are dropped, as no mask inside
-    # holds their vertex
+    # inside: the index bitset of the masks below bit k(s+1), those with
+    # more than k - 1 bits below it; the columns past it are dropped, as no
+    # mask inside holds their vertex
     inside = None
     if 0 < need and k * need < n:
-        outside = 0
-        for col in by_vertex[k * need:]:
-            outside |= col
-        inside = ((1 << m_count) - 1) ^ outside
+        inside = full ^ at_most[k * need][k - 1]
         by_vertex = by_vertex[:k * need]
     best = lower
     witness: list[int] = []
@@ -218,9 +216,10 @@ def downset_max_edges(n, k, s, budget, lower):
         branch = [f for f in hit if not included >> f & 1]
         # branch == []: an (s+1)-matching is already forced in
         for pos, f in enumerate(branch):
-            if up[f] & included:
+            up = _up(at_most, masks[f], above[f])
+            if up & included:
                 continue
-            sub = alive ^ (alive & up[f])
+            sub = alive ^ (alive & up)
             # include the earlier branch edges; one excluded with f fails
             inc = included
             for g in branch[:pos]:
@@ -232,5 +231,5 @@ def downset_max_edges(n, k, s, budget, lower):
                 if not exhausted:
                     return
 
-    search((1 << m_count) - 1, 0)
+    search(full, 0)
     return best, witness, exhausted, nodes

@@ -8,9 +8,13 @@ held in Python ints, so they return identical answers, witnesses and node
 counts.  ``IMPL`` says which one runs: ``"c"`` or ``"python"``.
 
 ``downset_max_edges(n, k, s, budget, lower)`` builds the k-subsets of [n]
-(candidate i is the i-th in ``itertools.combinations`` order) and their
-dominance covers, and refuses (ValueError) a cell outside 1 <= k <= n <= 63
-or past ``MAX_SEARCH_CANDIDATES``.  So every closure the search visits is a
+(candidate i is the i-th in ``itertools.combinations`` order) and the
+dominance order on them: cover lists in C, threshold columns in Python.  It
+refuses (ValueError) a cell outside 1 <= k <= n <= 63 or past
+``MAX_SEARCH_CANDIDATES`` = 2^15 candidates.  Neither kernel holds a
+C(n,k)^2-bit up-set table; the cap bounds what still grows with C(n,k): the
+set-up and each node's bitset operations, and the incumbent and the witness,
+which list up to C(n,k) k-sets.  Every closure the search visits is a
 down-set of the dominance order, and each node seeks its (s+1)-matching
 only among the closure's masks inside [k(s+1)].  Lemma: a down-set with s+1
 pairwise disjoint edges has s+1 such edges inside [k(s+1)].  Proof: map the

@@ -19,9 +19,7 @@ the code that computes matching numbers.
 
 The search takes at most ``kernel.MAX_SEARCH_CANDIDATES`` candidate k-sets,
 C(n,k) of them, and refuses a larger cell before the incumbent lists any
-mask: the pure-Python kernel's up-set table costs about C(n,k)^2/8 bytes
-whatever the budget (52 MiB at C(20,5), 261 MiB at C(24,5)), so the cap holds
-it to about 128 MiB.
+mask (``kernel.py`` says what the cap bounds).
 """
 
 from __future__ import annotations

@@ -535,9 +535,8 @@ class TestUsageErrors:
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
     def test_verify_emc_refuses_past_the_candidate_cap(self):
-        # C(30,5) = 142,506 candidates: the pure-Python kernel's up-set table
-        # alone would take about 2.5 GB, whatever the budget, so the cell is
-        # refused in a child capped at 1 GiB before any candidate is listed
+        # C(30,5) = 142,506 candidates, past the cap: the cell is refused in
+        # a child capped at 1 GiB before any candidate is listed
         import resource
 
         def cap():

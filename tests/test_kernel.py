@@ -9,7 +9,8 @@ exception in both kernels, never crash or hang either.  The exact cells of
 the acceptance grid, with their node counts, are pinned in
 ``tests/test_verifier.py`` for whichever kernel runs.  The down-set search
 seeks each node's matching inside [k(s+1)] only; ``downset_reference``, the
-search over the whole closure, checks that rule and the lemma behind it.
+search over the whole closure with up-sets from vertex tuples, checks that
+rule and the lemma behind it.
 """
 
 import functools
@@ -18,6 +19,7 @@ import inspect
 import os
 import random
 import shutil
+import subprocess
 import sys
 import sysconfig
 from itertools import combinations
@@ -40,6 +42,9 @@ IMPL_AT_IMPORT = kernel.IMPL
 DOWNSET_CELLS = [
     (11, 4, 1, 10**7), (12, 3, 3, 10**7), (12, 4, 1, 10**7), (13, 3, 2, 10**7),
     (13, 3, 3, 10**7), (15, 5, 2, 300), (16, 4, 3, 50),
+    # C(22,5) = 26,334 candidates, under the cap: an eager up-set table
+    # there would take about 87 MB
+    (22, 5, 2, 200),
 ]
 
 
@@ -57,6 +62,24 @@ def tuple_successors(n, k):
     succs = [[position[tuple(sorted(set(e) - {v} | {v + 1}))]
               for v in range(1, n) if v in e and v + 1 not in e] for e in cands]
     return cands, succs
+
+
+@functools.cache
+def dominance_up_sets(n, k):
+    """up[i], the index bitset of the k-subsets of [n] that dominate the i-th
+    in `combinations` order, by coordinatewise >= of sorted tuples."""
+    cands = list(combinations(range(1, n + 1), k))
+    return [sum(1 << j for j, b in enumerate(cands) if all(map(int.__ge__, b, a)))
+            for a in cands]
+
+
+def kernel_up_sets(n, k):
+    """The pure-Python kernel's up-set of every candidate, from its
+    threshold columns."""
+    masks = _kernel_py._candidates(n, k)
+    by_vertex, above = _kernel_py._tables(masks)
+    at_most = _kernel_py._at_most(by_vertex, k, (1 << len(masks)) - 1)
+    return [_kernel_py._up(at_most, m, rest) for m, rest in zip(masks, above)]
 
 
 def random_families(count=300, seed=2026):
@@ -148,17 +171,21 @@ class TestContract:
             max_edges_given_nu(64, 32, 1)
 
     def test_candidates_are_lex_with_dominance_successors(self):
-        masks, up = _kernel_py._candidates(5, 2)
+        masks = _kernel_py._candidates(5, 2)
         cands = list(combinations(range(1, 6), 2))
         assert masks == [kernel.edge_mask(e) for e in cands]
+        up = kernel_up_sets(5, 2)
         # {2,4} lies above {1,2}, {1,3}, {1,4}, {2,3} and itself only
         below = [i for i, row in enumerate(up) if row >> cands.index((2, 4)) & 1]
         assert [cands[i] for i in below] == [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)]
+        # and below {3,5}, {4,5} and itself
+        assert [cands[j] for j in range(len(cands)) if up[cands.index((2, 4))] >> j & 1] \
+            == [(2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_candidates_match_brute_force(self, n):
         for k in range(1, n + 1):
-            masks, _ = _kernel_py._candidates(n, k)
+            masks = _kernel_py._candidates(n, k)
             assert masks == [kernel.edge_mask(e) for e in combinations(range(1, n + 1), k)]
 
     def test_candidates_reject_past_63(self):
@@ -231,8 +258,8 @@ def closure_reference(succs):
 
 
 class TestPythonTables:
-    """The pure-Python kernel's column and up-set tables against per-bit
-    references."""
+    """The pure-Python kernel's column tables, threshold columns and up-sets
+    against per-bit and per-tuple references."""
 
     @pytest.mark.parametrize("masks", [
         [], [0], [0, 0], [1 << 63], [1 << 63 | 1, 1 << 63, 1, 0],
@@ -244,7 +271,7 @@ class TestPythonTables:
     @pytest.mark.parametrize("n", range(1, 11))
     def test_tables_on_candidates(self, n):
         for k in range(1, n + 1):
-            masks, _ = _kernel_py._candidates(n, k)
+            masks = _kernel_py._candidates(n, k)
             assert _kernel_py._tables(masks) == tables_reference(masks), (n, k)
 
     def test_tables_on_random_masks(self):
@@ -262,11 +289,23 @@ class TestPythonTables:
         assert above[0] is not above[1] and above[2] is above[3]
 
     @pytest.mark.parametrize("n", range(1, 11))
-    def test_up_sets_on_candidates(self, n):
-        # the rank step C(n-v-1, k-p-1) against the closure of the
-        # brute-force tuple successors
+    def test_at_most_on_candidates(self, n):
+        # at_most[v][p] against a popcount of the bits below v, per mask
         for k in range(1, n + 1):
-            _, up = _kernel_py._candidates(n, k)
+            masks = _kernel_py._candidates(n, k)
+            by_vertex, _ = _kernel_py._tables(masks)
+            at_most = _kernel_py._at_most(by_vertex, k, (1 << len(masks)) - 1)
+            assert at_most == [
+                [sum(1 << i for i, m in enumerate(masks) if (m & (1 << v) - 1).bit_count() <= p)
+                 for p in range(k)] for v in range(n)], (n, k)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_up_sets_on_candidates(self, n):
+        # the AND of k threshold columns against coordinatewise >= of the
+        # tuples, and against the closure of the brute-force tuple covers
+        for k in range(1, n + 1):
+            up = kernel_up_sets(n, k)
+            assert up == dominance_up_sets(n, k), (n, k)
             assert up == closure_reference(tuple_successors(n, k)[1]), (n, k)
 
 
@@ -341,10 +380,29 @@ class TestCompiledRejectsMalformedInput:
             impl.downset_max_edges(63, 31, 1, 0, 0)
 
     def test_compiled_cap_boundary(self, compiled):
-        # C(22,5) = 26,334 is under the cap: the compiled kernel builds it and
-        # stops at the first node.  The pure-Python up[] alone would take
-        # about 87 MB, so it is not run here
-        assert compiled.downset_max_edges(22, 5, 2, 0, 0) == (0, [], False, 1)
+        # C(22,5) = 26,334 is under the cap: both kernels build it and stop
+        # at the first node
+        for impl in (compiled, _kernel_py):
+            assert impl.downset_max_edges(22, 5, 2, 0, 0) == (0, [], False, 1), impl.IMPL
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
+    def test_python_kernel_at_the_cap_in_96_mib(self):
+        # (22,5,2) at budget 200 on the pure-Python kernel, in a child capped
+        # at 96 MiB of address space: the search builds no C(n,k)^2/8-byte
+        # up-set table (about 87 MB here), so it stops at the budget, exit 2
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20))
+        code = ("import sys; sys.modules['emclab._kernel'] = None\n"
+                "from emclab import kernel; assert kernel.IMPL == 'python'\n"
+                "from emclab.cli import main; main(sys.argv[1:])")
+        env = dict(os.environ, PYTHONPATH=str(C_SOURCE.parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code, "verify-emc", "--n", "22", "--k", "5",
+                               "--s", "2", "--budget", "200"], env=env, preexec_fn=cap,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        assert '"nodes_expanded": 201' in proc.stdout
 
     def test_huge_need(self, compiled):
         masks = kernel.edge_masks(8, [(1, 2), (3, 4), (5, 6)])
@@ -362,8 +420,10 @@ class TestCompiledRejectsMalformedInput:
 def downset_reference(n, k, s, budget, lower):
     """(best, exhausted) of the (n, k) down-set search with each node's
     matching sought over the whole closure, not only inside [k(s+1)]: the
-    same branch and bound over the pure-Python kernel's tables."""
-    masks, up = _kernel_py._candidates(n, k)
+    same branch and bound, with up-sets from coordinatewise >= of tuples and
+    the pure-Python kernel's matching search."""
+    masks = kernel.edge_masks(n, combinations(range(1, n + 1), k))
+    up = dominance_up_sets(n, k)
     by_vertex, above = _kernel_py._tables(masks)
     state = {"best": lower, "nodes": 0, "exhausted": True}
 
