@@ -8,11 +8,15 @@ kernels require n <= 63.
 A set of edges is one Python int over indices into the mask array: bit i
 stands for masks[i].  ``by_vertex[b]`` is the index bitset of the masks that
 hold vertex bit b, so dropping every edge that meets a given edge takes one
-AND and one XOR per vertex of it.  ``_tables`` builds it in whole-column
-passes: every mask is written once as little-endian bytes into one blob, and
-column b is that blob's byte b >> 3 of every record, translated to "0"/"1"
-digits and read as one base-2 int.  ``above[i]`` lists the vertex bits of
-masks[i] past its least one; masks with the same m & (m - 1) share one list.
+AND and one XOR per vertex of it.  ``_columns`` builds it for both
+searches in whole-column passes: every mask is written once as
+little-endian bytes into one blob, and column b is that blob's byte b >> 3
+of every record, translated to "0"/"1" digits and read as one base-2 int.
+``above[i]`` lists the vertex bits of masks[i] past its least one.  For
+``find_matching``'s masks, masks with the same m & (m - 1) share one list;
+the down-set search takes its rows from ``combinations`` instead
+(``_rows``): its candidate i is the i-th tuple c of
+``combinations(range(n), k)``, so above[i] is c[1:], with no bit loop.
 The down-set search builds its candidates from (n, k) and the n*k threshold
 columns of ``_at_most``; it ANDs k of them into the up-set of masks[f] in
 the dominance order only when it branches on f (``_up``).  One matching
@@ -42,20 +46,30 @@ def _check_masks(masks):
 _DIGIT = [(b"0" * (1 << j) + b"1" * (1 << j)) * (128 >> j) for j in range(8)]
 
 
-def _tables(masks):
-    """(by_vertex, above): by_vertex[b] is the index bitset of the masks
-    holding vertex bit b; above[i] lists the vertex bits of masks[i] other
-    than its least one."""
+def _columns(masks):
+    """by_vertex[b], for b below the widest mask's length: the index bitset
+    of the masks holding vertex bit b."""
     width = max(masks, default=0).bit_length()
     nb = (width + 7) >> 3
     # blob[b >> 3::nb] is byte b >> 3 of every mask; its bit-(b & 7) digits,
     # last mask first, are by_vertex[b] in base 2
     blob = b"".join([m.to_bytes(nb, "little") for m in masks])
-    by_vertex = [int(blob[b >> 3::nb].translate(_DIGIT[b & 7])[::-1], 2)
-                 for b in range(width)]
+    return [int(blob[b >> 3::nb].translate(_DIGIT[b & 7])[::-1], 2) for b in range(width)]
+
+
+def _tables(masks):
+    """(by_vertex, above): by_vertex is `_columns(masks)`; above[i] lists the
+    vertex bits of masks[i] other than its least one."""
     rests = [m & (m - 1) for m in masks]
     rows = {rest: _bits(rest) for rest in set(rests)}
-    return by_vertex, [rows[rest] for rest in rests]
+    return _columns(masks), [rows[rest] for rest in rests]
+
+
+def _rows(n, k):
+    """above for the candidates of (n, k): candidate i is the i-th tuple c of
+    `combinations(range(n), k)`, its vertex bits ascending, so its bits past
+    the least one are c[1:]."""
+    return [c[1:] for c in combinations(range(n), k)]
 
 
 def _bits(m):
@@ -180,7 +194,7 @@ def downset_max_edges(n, k, s, budget, lower):
     When k(s+1) >= n the restriction is the identity and is skipped.
     """
     masks = _candidates(n, k)
-    by_vertex, above = _tables(masks)
+    by_vertex, above = _columns(masks), _rows(n, k)
     full = (1 << len(masks)) - 1
     at_most = _at_most(by_vertex, k, full)
     need = s + 1

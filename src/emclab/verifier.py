@@ -9,17 +9,20 @@ only, i.e. down-sets of the coordinatewise dominance order on k-subsets of
 
 When n >= k(s+1) the search starts from an incumbent: the larger of the two
 conjectured extremal families, the cover construction H_1 and the clique H_k.
-The incumbent is checked in the same run, never taken from the formula: it
-must be a down-set (no k-set outside it has a one-step-up move into it), and
-a pigeonhole cover certificate must show nu <= s (every edge meets
-P = [i(s+1)-1] in at least i vertices, and |P| < i(s+1), so s+1 disjoint
-edges cannot fit).  Both checks are linear in the edge count and read no LP
-and no search kernel, so the incumbent is checked by something simpler than
-the code that computes matching numbers.
+The incumbent is checked in the same run, never taken from the formula:
+its edges must be distinct ascending k-subsets of [n]; a pigeonhole cover
+certificate must show nu <= s (every edge meets P = [i(s+1)-1] in at least
+i vertices, and |P| < i(s+1), so s+1 disjoint edges cannot fit); and it
+must be a down-set, shown by a count: it has sum over j >= i of
+C(|P|,j) C(n-|P|,k-j) edges, as many as T = {e : |e & P| >= i}, so the
+first two checks make it T, and T is a down-set (``_incumbent`` has the
+proof).  Each check is a pass over whole columns of the edge tuples and
+reads no LP and no search kernel, so the incumbent is checked by something
+simpler than the code that computes matching numbers.
 
 The search takes at most ``kernel.MAX_SEARCH_CANDIDATES`` candidate k-sets,
 C(n,k) of them, and refuses a larger cell before the incumbent lists any
-mask (``kernel.py`` says what the cap bounds).
+edge (``kernel.py`` says what the cap bounds).
 """
 
 from __future__ import annotations
@@ -29,11 +32,12 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from emclab import kernel
 from emclab.constructions import build_Hi, emc_bound
-from emclab.hypergraph import (Hypergraph, HypergraphError, binom, closeness,
-                               is_stable, new_hypergraph)
+from emclab.hypergraph import (Hypergraph, HypergraphError, _bulk_canonical, binom,
+                               closeness, is_stable, new_hypergraph)
 from emclab.kernel import MAX_SEARCH_CANDIDATES
 from emclab.lp import ZERO, FractionalCover, min_cover_sorted
 from emclab.matching import matching_number
@@ -42,25 +46,34 @@ from emclab.shifting import stabilize
 
 def _incumbent(n: int, k: int, s: int) -> tuple[str, Hypergraph] | None:
     """The larger of H_1 and H_k as (name, family), or None when n < k(s+1).
-    Raises RuntimeError unless the family is a down-set with a cover
-    certificate for nu <= s.  Down-set: each member's one-step-down moves
-    (v to v-1 not in it, at the set bits of m & ~(m << 1) past bit 0) stay
-    in the family, so no k-set outside has a one-step-up move into it."""
+    Raises RuntimeError unless the family F is T = {e : |e & P| >= i}, for
+    P = [p] and p = i(s+1) - 1, checked by counting in whole-column passes
+    over its edge tuples:
+
+    - k-sets: `_bulk_canonical` returns the edges unchanged, so they are
+      distinct, ascending k-subsets of [n];
+    - cover certificate: the i-th column is at most p, so every edge meets P
+      in at least i vertices (for an ascending edge the two are the same),
+      and |P| < i(s+1) leaves no room for s+1 disjoint edges: nu <= s;
+    - down-set: |F| = sum over j >= i of C(p,j) C(n-p,k-j), which is |T|.
+
+    The first two give F <= T, so the third gives F = T.  T is a down-set:
+    moving a vertex of an edge down never lowers |e & P|.  So each member's
+    one-step-down moves (v to v-1 not in it) stay in F, and no k-set outside
+    F has a one-step-up move into it: the count implies the per-move check."""
     if n < k * (s + 1):
         return None
     i, name = (k, "H_k") if emc_bound(n, k, s).winner == "clique" else (1, "H_1")
     family = build_Hi(n, k, s, i)
-    held = set(kernel.edge_masks(n, family.edges))
-    for m in held:
-        movable = m & ~(m << 1) & ~1
-        while movable:
-            low = movable & -movable
-            if m - (low >> 1) not in held:
-                raise RuntimeError(f"incumbent {name} is not a down-set (internal error)")
-            movable ^= low
-    prefix = (1 << (i * (s + 1) - 1)) - 1  # P = [i(s+1)-1], so |P| < i(s+1)
-    if any((m & prefix).bit_count() < i for m in held):
+    edges, p = family.edges, i * (s + 1) - 1
+    cols = list(zip(*edges))
+    if not set(map(len, edges)) <= {k} or _bulk_canonical(n, k, None, cols, edges) != edges:
+        raise RuntimeError(f"incumbent {name} is not a set of distinct k-subsets of [n] "
+                           f"(internal error)")
+    if cols and max(cols[i - 1]) > p:
         raise RuntimeError(f"incumbent {name} fails its cover certificate (internal error)")
+    if len(edges) != sum(comb(p, j) * comb(n - p, k - j) for j in range(i, k + 1)):
+        raise RuntimeError(f"incumbent {name} is not a down-set (internal error)")
     return name, family
 
 

@@ -283,6 +283,15 @@ class TestPythonTables:
             masks += rng.choices(masks, k=rng.randint(0, 5))
             assert _kernel_py._tables(masks) == tables_reference(masks), masks
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_search_rows_on_candidates(self, n):
+        # the down-set search's rows, read off `combinations`, against the
+        # bit loop of `_tables` on the same candidates
+        for k in range(1, n + 1):
+            rows = _kernel_py._rows(n, k)
+            assert list(map(list, rows)) == _kernel_py._tables(_kernel_py._candidates(n, k))[1], \
+                (n, k)
+
     def test_above_rows_shared(self):
         _, above = _kernel_py._tables([0b1011, 0b1110, 0b1010, 0b1100])
         assert above == [[1, 3], [2, 3], [3], [3]]

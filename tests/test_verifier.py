@@ -7,7 +7,7 @@ import pytest
 
 import emclab.verifier
 from emclab.constructions import build_Hi
-from emclab.hypergraph import (HypergraphError, binom, complete_hypergraph,
+from emclab.hypergraph import (Hypergraph, HypergraphError, binom, complete_hypergraph,
                                is_stable, new_hypergraph, trace_family)
 from emclab.lp import (fractional_cover_number, fractional_matching_number,
                        min_cover_sorted, solve_lp)
@@ -128,6 +128,31 @@ class TestIncumbentIsChecked:
                    lambda edges, s, k: edges + [tuple(range(s + 1, s + k + 1))])
         with pytest.raises(RuntimeError, match="cover certificate"):
             max_edges_given_nu(11, 4, 1)
+
+    # Each tamper, applied to H_i's edges as they stand (no canonicalizing),
+    # is caught by one check only and names it: the lowest edge dropped
+    # leaves F a proper subset of T, so only the count fails; a repeated or
+    # a reversed edge is no set of distinct ascending k-sets; the lowest
+    # edge swapped for the last k-set {n-k+1..n}, which lies outside T,
+    # keeps the order and the count and fails the cover certificate only.
+    TAMPERS = {
+        "drop": (lambda n, k, edges: edges[1:], "not a down-set"),
+        "repeat": (lambda n, k, edges: edges[:1] + edges, "distinct k-subsets"),
+        "swap": (lambda n, k, edges: edges[1:] + (tuple(range(n - k + 1, n + 1)),),
+                 "cover certificate"),
+        "reverse": (lambda n, k, edges: (edges[0][::-1],) + edges[1:], "distinct k-subsets"),
+    }
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    @pytest.mark.parametrize("n, k, s", [(11, 4, 1), (12, 3, 3), (15, 5, 2)])
+    def test_tampered_incumbent(self, monkeypatch, n, k, s, tamper):
+        edit, message = self.TAMPERS[tamper]
+
+        def tampered(n, k, s, i):
+            return Hypergraph(n=n, k=k, edges=edit(n, k, build_Hi(n, k, s, i).edges))
+        monkeypatch.setattr(emclab.verifier, "build_Hi", tampered)
+        with pytest.raises(RuntimeError, match=message):
+            verify_emc(n, k, s, budget=0)
 
 
 def primal_chain(h):
