@@ -9,9 +9,11 @@ beta = (1-b)*(4 - delta - 3*mu) substituted, avoiding the 0/0 corner of the
 (a, b) parametrization at a = b = 1.
 
 Proving strict positivity on the closed boxes proves it on the open regions
-they cover.  Counterexamples are always exact rational point evaluations in
-the original coordinates, so a reported violation is real, not an interval
-artifact; replay re-evaluates the recorded point under the recorded mutation.
+they cover.  Counterexamples are always exact: a `calculate` one is reported
+in (x, y, z) and computed as x^3 times the homogenized margin, a `maxvalue`
+one is C_i at (alpha, a, b).  So a reported violation is real, not an
+interval artifact; replay re-evaluates the recorded point under the recorded
+mutation.
 
 `TARGETS` is the one place a target is defined: one record per inequality
 holds its roots, its margin on a box and at a point, the point tried in a box
@@ -82,14 +84,15 @@ _X_MID = Fraction(2, 3)
 _X_MAX = Fraction(3, 4)
 # the margin's scalar factors, built once
 _FOUR3 = FOUR**3
-_P_LOW = 52 * _FOUR3        # p = 52 (4-d)^3 x^3 z^3 for x <= 5/8
-_P_HIGH = _FOUR3 / 8100     # p = (4-d)^3 x^3 / 8100 for x > 5/8
+_P_LOW = 52 * _FOUR3        # p/x^3 = 52 (4-d)^3 z^3 for x <= 5/8
+_P_HIGH = _FOUR3 / 8100     # p/x^3 = (4-d)^3 / 8100 for x > 5/8
 _H_MID = 3 * D1 * FOUR      # h's extra term for 5/8 < x <= 2/3
 
 
 def eval_calculate_margin(x, y, z, mutation: str | None = None) -> Fraction:
-    """Exact margin of the cubic inequality at a point: positive iff the
-    inequality holds.  Region: 5z < y <= x <= 3/4, 0 < z < 10^-5.
+    """Exact margin of the cubic inequality at a point with x != 0: positive
+    iff the inequality holds.  Region: 5z < y <= x <= 3/4, 0 < z < 10^-5.
+    Raises ValueError at x = 0, which has no homogenized form.
 
     Evaluated on point intervals, whose int numerators are never reduced;
     only the margin itself becomes a `Fraction`."""
@@ -125,6 +128,8 @@ def _calc_margin_box(box: Box, mutation: str | None) -> Interval:
         lead = -lead
     elif mutation == "flip-p-sign":
         p = -p
+    elif mutation is not None:
+        raise ValueError(f"unknown mutation {mutation!r}")
     return lead - x * (FOUR - 3 * mu) * (h + p)
 
 
@@ -140,25 +145,18 @@ def _calc_point(box: Box) -> _Point:
 
 
 def _calc_point_margin(pt: _Point, mutation: str | None) -> Interval:
-    """The cubic margin at the point, as a point interval."""
-    x, d = pt[0]["x"], pt[1]
-    px, y, z = _at(pt, "x"), _at(pt, "y"), _at(pt, "z")
-    if _at_most(x, d, _X_LOW):
-        h = _FOUR3 * px**3 - (FOUR * px - y) ** 3
-        p = _P_LOW * px**3 * z**3
-    else:
-        h = (27 * y * px**2 - 9 * y**2 * px + y**3).max_with(27 * y**3)
-        if _at_most(x, d, _X_MID):
-            h += _H_MID * y**2 * px
-        p = _P_HIGH * px**3
-    lead = D1 * (FOUR * px - y) ** 3
-    if mutation == "negate-lead":
-        lead = -lead
-    elif mutation == "flip-p-sign":
-        p = -p
-    elif mutation is not None:
-        raise ValueError(f"unknown mutation {mutation!r}")
-    return lead - (FOUR * px - 3 * y) * (h + p)
+    """The cubic margin at the point, x != 0, as a point interval: x^3 times
+    the homogenized margin on the point box (mu, x, z) = (y/x, x, z), tagged
+    with the x-piece that holds x."""
+    nums, d = pt
+    x, y = nums["x"], nums["y"]
+    if x == 0:
+        raise ValueError("x = 0 has no homogenized form")
+    mu = _iv(y, y, x) if x > 0 else _iv(-y, -y, -x)
+    tag = ("x<=5/8" if _at_most(x, d, _X_LOW) else
+           "5/8<x<=2/3" if _at_most(x, d, _X_MID) else "2/3<x<=3/4")
+    px = _at(pt, "x")
+    return px**3 * _calc_margin_box(Box({"mu": mu, "x": px, "z": _at(pt, "z")}, tag), mutation)
 
 
 def _in_calc_region(pt: _Point, z_max: Fraction) -> bool:

@@ -39,7 +39,10 @@ class Hypergraph:
     def __post_init__(self):
         full = range(1, self.n + 1)
         v = self.vertices
-        if v is None or (len(v) == self.n and all(map(eq, v, full))):
+        # a range compares as a range, whatever n; any other sequence
+        # element by element
+        if v is None or (v == full if isinstance(v, range)
+                         else len(v) == self.n and all(map(eq, v, full))):
             object.__setattr__(self, "vertices", full)
 
     @property

@@ -31,7 +31,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, takewhile
 from math import comb
 
 from emclab import kernel
@@ -180,9 +180,13 @@ def _profile_of(g: Hypergraph, s: int, epsilon: Fraction,
 
 def saturate_by_cover(g: Hypergraph, cover: dict[int, Fraction]) -> Hypergraph:
     """Add every k-set whose cover weight already sums to at least 1; the
-    cover stays feasible, so the fractional matching number is unchanged."""
+    cover stays feasible, so the fractional matching number is unchanged.
+    A covered k-set holds a vertex of positive weight, so its least vertex is
+    at most the last such vertex: only that lex prefix of the k-sets is read."""
+    last = max((v for v, w in cover.items() if w > 0), default=0)
+    prefix = takewhile(lambda e: e[0] <= last, combinations(g.vertices, g.k))
     edges = set(g.edges)
-    edges.update(FractionalCover(weights=cover).covered(combinations(g.vertices, g.k)))
+    edges.update(FractionalCover(weights=cover).covered(prefix))
     return new_hypergraph(g.n, g.k, sorted(edges), vertices=g.vertices)
 
 

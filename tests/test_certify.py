@@ -81,6 +81,11 @@ class TestCalculateLemma:
         with pytest.raises(ValueError):
             eval_calculate_margin(1, 1, Fraction(1, 10**6), mutation="wat")
 
+    def test_x_zero_refused(self):
+        # x = 0 has no homogenized form; it lies outside the region
+        with pytest.raises(ValueError, match="x = 0"):
+            eval_calculate_margin(0, Fraction(1, 3), Fraction(1, 10))
+
 
 class TestMaxvalueCoeffs:
     def test_proved(self, maxvalue_cert):

@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations
 
@@ -300,6 +301,16 @@ class TestTraceAndInduced:
         assert g.vertices == range(1, 7)
         assert induced(h, range(1, 7)) == h
         assert Hypergraph(n=6, k=3, edges=(), vertices=(1, 2, 3, 4, 5)).vertices == (1, 2, 3, 4, 5)
+
+    def test_range_ground_set_compared_as_a_range(self):
+        # a huge [n] passed as a range is not walked element by element
+        n = 10**12
+        t0 = time.perf_counter()
+        g = Hypergraph(n=n, k=2, edges=((1, 2),), vertices=range(1, n + 1))
+        assert time.perf_counter() - t0 < 1
+        h = Hypergraph(n=n, k=2, edges=((1, 2),))
+        assert g == h and hash(g) == hash(h)
+        assert Hypergraph(n=6, k=2, edges=(), vertices=range(1, 6)).vertices == range(1, 6)
 
     def test_empty_ground_set_stays_empty(self):
         h = complete_hypergraph(6, 3)

@@ -328,7 +328,9 @@ def test_point_path_matches_fraction_reference(target):
     with b = a and alpha = 0, 1/(4-d)) and outside it (5z = y among the
     edits), the region test on the point's int numerators is the `Fraction`
     comparisons' and, under every mutation, the point margin is a point
-    interval at the `Fraction` formula's value."""
+    interval at the `Fraction` formula's value.  For maxvalue the box margin
+    on the point box is that value too, so its beta is checked against the
+    paper's."""
     rec = TARGETS[target]
     points, in_region, margin = REFERENCE[target]
     rng = random.Random(f"point-oracle-{target}")
@@ -350,6 +352,13 @@ def test_point_path_matches_fraction_reference(target):
                 if target == "calculate":
                     got = eval_calculate_margin(pt["x"], pt["y"], pt["z"], mutation)
                     assert type(got) is Fraction and got == want
+                else:
+                    # the box margin's beta = (1-b)(4-d-3mu) is mu_beta's
+                    # 1-d+3a-(4-d)b on the point box (alpha, (1-a)/(1-b), b)
+                    box = Box({"alpha": Interval.point(pt["alpha"]),
+                               "mu": Interval.point((1 - pt["a"]) / (1 - pt["b"])),
+                               "b": Interval.point(pt["b"])}, f"C{pt['i']}")
+                    assert _ends(rec.margin(box, mutation)) == (want, want), (kind, pt, mutation)
     # the points are where they are meant to be
     per_zmax = 2 if rec.takes_zmax else 1
     assert kinds == {"inside": POINTS * per_zmax, "boundary": POINTS * per_zmax,

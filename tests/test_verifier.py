@@ -335,17 +335,20 @@ class TestExtremalProfile:
         assert nu_h == nu_s
 
     def test_saturation_matches_fraction_sums(self):
-        # the integer cover check against the plain Fraction sum per k-set,
-        # on seeded covers with missing vertices and mixed denominators
+        # the integer cover check on the k-sets up to the last positive
+        # vertex against the plain Fraction sum over every k-set, on seeded
+        # covers with missing vertices and mixed denominators, each also
+        # zeroed, and on a cover weighted only on the last vertex
         rng = random.Random(33)
         for _ in range(60):
             n, k = rng.randint(5, 9), rng.choice([2, 3, 4])
             h = new_hypergraph(n, k, rng.sample(list(combinations(range(1, n + 1), k)), 2))
-            cover = {v: Fraction(rng.randint(0, 4), rng.choice([1, 2, 3, 4, 6]))
-                     for v in rng.sample(range(1, n + 1), rng.randint(0, n))}
-            want = set(h.edges) | {e for e in combinations(range(1, n + 1), k)
-                                   if sum(cover.get(v, Fraction(0)) for v in e) >= 1}
-            assert saturate_by_cover(h, cover) == new_hypergraph(n, k, sorted(want))
+            seeded = {v: Fraction(rng.randint(0, 4), rng.choice([1, 2, 3, 4, 6]))
+                      for v in rng.sample(range(1, n + 1), rng.randint(0, n))}
+            for cover in (seeded, dict.fromkeys(seeded, Fraction(0)), {n: Fraction(1)}):
+                want = set(h.edges) | {e for e in combinations(range(1, n + 1), k)
+                                       if sum(cover.get(v, Fraction(0)) for v in e) >= 1}
+                assert saturate_by_cover(h, cover) == new_hypergraph(n, k, sorted(want))
 
     def test_matching_too_large(self):
         h = complete_hypergraph(12, 4)  # nu* = 3 > 1
