@@ -7,10 +7,11 @@
    Python ints; this file keeps them as index arrays.  Vertex v is bit v-1
    of an edge mask, so n <= 63.  One matching search, find(), runs over
    indices into one mask array: all of them, or the part of the down-set
-   search's closure inside [k(s+1)] (see search()).  That search takes
-   (n, k) and builds its own candidates, the k-subsets of [n] in
-   itertools.combinations order, with their dominance covers as successor
-   lists in one flat array (CSR layout; see build_candidates()). */
+   search's closure inside [k(s+1)], where it skips partners that provably
+   fail (see search()).  That search takes (n, k) and builds its own
+   candidates, the k-subsets of [n] in itertools.combinations order, with
+   their dominance covers as successor lists in one flat array (CSR layout;
+   see build_candidates()). */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -35,14 +36,28 @@ static int popcount64(u64 x)
     return c;
 }
 
+/* 1 when a <= b in the dominance order, for masks with as many vertices:
+   the p-th least vertex of a is at most that of b, for each p */
+static int dominated(u64 a, u64 b)
+{
+    for (; b; a &= a - 1, b &= b - 1)
+        if ((a & (~a + 1)) > (b & (~b + 1)))
+            return 0;
+    return 1;
+}
+
 /* Indices of `need` pairwise-disjoint edges among avail[0..n_avail), in
    out[0..need): 1 found, 0 none, -1 out of memory.  Deterministic DFS
    branching on the least active vertex; prunes branches where the surviving
-   vertices cannot host enough disjoint edges. */
-static int find(const u64 *masks, int k, int need, const int *avail, int n_avail, int *out)
+   vertices cannot host enough disjoint edges.  down: 1 when search() calls
+   it, where avail is a down-set of the k-subsets of need*k vertices; then
+   it skips each partner dominated by one that failed, which fails too (see
+   search()), and returns the same answer. */
+static int find(const u64 *masks, int k, int need, const int *avail, int n_avail, int down,
+                int *out)
 {
-    u64 acc = 0, v_bit, m;
-    int i, j, n_rest, n_sub, rc;
+    u64 acc = 0, v_bit, m, *failed;
+    int i, j, n_rest, n_sub, n_failed = 0, rc;
     int *rest, *sub;
     if (need == 0)
         return 1;
@@ -52,9 +67,10 @@ static int find(const u64 *masks, int k, int need, const int *avail, int n_avail
     if (acc == 0 || popcount64(acc) < (long long)need * k)
         return 0;
     v_bit = acc & (~acc + 1); /* least active vertex */
-    rest = malloc(2 * (size_t)n_avail * sizeof(int));
-    if (rest == NULL)
+    failed = malloc((size_t)n_avail * (sizeof(u64) + 2 * sizeof(int)));
+    if (failed == NULL)
         return -1;
+    rest = (int *)(failed + n_avail);
     sub = rest + n_avail;
     n_rest = 0;
     for (i = 0; i < n_avail; i++)
@@ -66,21 +82,27 @@ static int find(const u64 *masks, int k, int need, const int *avail, int n_avail
         m = masks[avail[i]];
         if (!(m & v_bit))
             continue;
+        for (j = 0; j < n_failed && !dominated(m, failed[j]); j++)
+            ;
+        if (j < n_failed)
+            continue;
         n_sub = 0;
         for (j = 0; j < n_rest; j++)
             if (!(masks[rest[j]] & m))
                 sub[n_sub++] = rest[j];
-        rc = find(masks, k, need - 1, sub, n_sub, out + 1);
+        rc = find(masks, k, need - 1, sub, n_sub, down, out + 1);
         if (rc != 0) {
             if (rc == 1)
                 out[0] = avail[i];
-            free(rest);
+            free(failed);
             return rc;
         }
+        if (down)
+            failed[n_failed++] = m;
     }
     /* least vertex left unmatched */
-    rc = find(masks, k, need, rest, n_rest, out);
-    free(rest);
+    rc = find(masks, k, need, rest, n_rest, down, out);
+    free(failed);
     return rc;
 }
 
@@ -149,7 +171,7 @@ static PyObject *find_matching(PyObject *self, PyObject *args, PyObject *kwds)
     avail = (int *)(masks + n);
     for (i = 0; i < n; i++)
         avail[i] = (int)i;
-    rc = find(masks, k, (int)need, avail, (int)n, out);
+    rc = find(masks, k, (int)need, avail, (int)n, 0, out);
     if (rc < 0)
         PyErr_NoMemory();
     else if (rc == 0)
@@ -277,7 +299,18 @@ static void undo(Downset *d, int mark)
    down-set.  The candidates are all the k-subsets of [n] and the successor
    lists their dominance covers, so every closure is such a down-set.  A
    closure with no matching there has none at all, so its size and witness
-   are the whole closure, every index not excluded. */
+   are the whole closure, every index not excluded.
+
+   So find() runs on a down-set of the k-subsets of need*k free vertices,
+   [k(s+1)] less the partners chosen above it, and three facts hold there
+   (kernel.py).  Count prune: an edge A holding u but not a free w < u
+   dominates A - u + w, so the active vertices are an initial segment of
+   the free ones.  No fallback: need disjoint k-sets on need*k vertices
+   cover the least one, v.  Dominated partners: if partners j <= i in
+   dominance, the map of free - j onto free - i in order moves each vertex
+   down, so it takes a matching on free - j to one on free - i, and when i
+   fails, j fails.  find() uses only the third with down = 1, the one that
+   measured faster here; _kernel_py uses all three. */
 static int search(Downset *d, int depth)
 {
     int *branch = d->hits + (size_t)depth * d->need;
@@ -291,7 +324,7 @@ static int search(Downset *d, int depth)
     for (i = 0; i < d->n_inside; i++)
         if (d->status[d->inside[i]] != 2)
             d->closure[n_closure++] = d->inside[i];
-    rc = find(d->masks, d->k, d->need, d->closure, n_closure, branch);
+    rc = find(d->masks, d->k, d->need, d->closure, n_closure, 1, branch);
     if (rc <= 0) {
         if (rc == 0) {
             d->n_witness = 0;

@@ -19,11 +19,13 @@ the down-set search takes its rows from ``combinations`` instead
 ``combinations(range(n), k)``, so above[i] is c[1:], with no bit loop.
 The down-set search builds its candidates from (n, k) and the n*k threshold
 columns of ``_at_most``; it ANDs k of them into the up-set of masks[f] in
-the dominance order only when it branches on f (``_up``).  One matching
-search, ``_find``, runs over an index bitset: all of the masks, or the part
-of the down-set search's closure inside [k(s+1)] (see ``downset_max_edges``).
-The compiled twin in ``_kernel.c`` runs the same DFS over index arrays, so
-answers, witnesses and node counts are identical; ``kernel.py`` picks one.
+the dominance order only when it branches on f (``_up``).  Two matching
+searches run the same DFS over an index bitset: ``_find`` over any masks,
+and ``_find_down`` over a down-set, the part of the down-set search's
+closure inside [k(s+1)], where it skips only branches that provably fail
+(see ``downset_max_edges``).  The compiled twin in ``_kernel.c`` runs the
+same searches over index arrays, so answers, witnesses and node counts are
+identical; ``kernel.py`` picks one.
 """
 
 from __future__ import annotations
@@ -134,6 +136,37 @@ def _find(by_vertex, above, k, need, avail):
     return _find(by_vertex, above, k, need, rest)
 
 
+def _find_down(by_vertex, above, at_most, masks, need, avail, free):
+    """`_find`'s answer when `avail` is a down-set: free holds the need*k
+    vertex bits still open, and `avail` is a down-set of the dominance order
+    on the k-subsets of free.  The same DFS, without the branches that
+    `downset_max_edges` proves fail: a count prune of one AND, no fallback,
+    and no partner dominated by one that failed."""
+    # the active vertices are an initial segment of free
+    if not avail & by_vertex[free.bit_length() - 1]:
+        return None
+    with_v = avail & by_vertex[(free & -free).bit_length() - 1]
+    if need == 1:
+        return [with_v.bit_length() - 1]
+    rest = avail ^ with_v
+    while with_v:
+        i = with_v.bit_length() - 1
+        with_v ^= 1 << i
+        sub = rest
+        for b in above[i]:
+            sub ^= sub & by_vertex[b]
+        res = _find_down(by_vertex, above, at_most, masks, need - 1, sub, free ^ masks[i])
+        if res:
+            return [i] + res
+        # keep the partners i does not dominate: each shares v, i's least
+        # vertex, and some later vertex lies above i's vertex of that rank
+        keep = 0
+        for p, b in enumerate(above[i], 1):
+            keep |= at_most[b + 1][p]
+        with_v &= keep
+    return None
+
+
 def _candidates(n, k):
     """The masks of the k-subsets of [n] in `combinations` order; refuses, as
     the compiled kernel does, a cell outside 1 <= k <= n <= 63 or past the
@@ -146,10 +179,11 @@ def _candidates(n, k):
 
 
 def _at_most(by_vertex, k, full):
-    """at_most[v][p], for p < k: the index bitset of the masks with at most p
-    vertex bits below bit v.  Column v moves a mask holding bit v up one p."""
+    """at_most[v][p], for p < k and v up to len(by_vertex): the index bitset
+    of the masks with at most p vertex bits below bit v.  Column v moves a
+    mask holding bit v up one p."""
     rows = [[full] * k]
-    for col in by_vertex[:-1]:
+    for col in by_vertex:
         row, off = rows[-1], ~col
         rows.append([row[0] & off] + [row[p] & off | row[p - 1] & col for p in range(1, k)])
     return rows
@@ -191,18 +225,46 @@ def downset_max_edges(n, k, s, budget, lower):
     k-subsets of [n] and each branch drops a whole up-set of the dominance
     order, so every closure is such a down-set.  A closure with no matching
     there has none at all, so its size and witness are the whole closure.
-    When k(s+1) >= n the restriction is the identity and is skipped.
+    When k(s+1) >= n the restriction is the identity.
+
+    `_find_down` seeks it with `_find`'s DFS on free = [k(s+1)], need =
+    s + 1.  Each call gets a down-set `avail` of the k-subsets of a vertex
+    set free of exactly need*k vertices, in the dominance order of free's
+    vertices in their order: so is the partner i's `sub`, the part of
+    `avail` inside free - i.
+    The DFS branches on the least active vertex v, and tries v's partners
+    by falling index.  Three facts skip only branches that fail, so it
+    returns `_find`'s answer:
+    - Count prune: if an edge A of `avail` holds u and a free vertex w < u
+      is not in A, A - u + w is dominated by A, so it lies in `avail`.  The
+      active vertices are an initial segment of free, so all need*k of them
+      are active, as `_find`'s count asks, iff the top free vertex is, and
+      then v is the least free vertex.
+    - No fallback: need disjoint k-sets inside need*k free vertices cover
+      them all, v too, so when every partner of v fails there is no
+      matching, and `_find`'s search of the edges without v finds none.
+    - Dominated partners: let partners j <= i in dominance.  For every t,
+      j has at least as many vertices <= t as i, so free - i has at least
+      as many as free - j, and the map of free - j onto free - i in order
+      moves each vertex down.  It takes a matching of `avail` in free - j to
+      one in free - i, each image edge dominated by its edge.  So when i
+      fails, every j that i dominates fails; such j come after i, below it
+      in `combinations` order.  B <= A iff, for each rank p from 0, B has
+      more than p vertices up to A's vertex a_p of rank p, that is B is in
+      no at_most[a_p + 1][p].
     """
     masks = _candidates(n, k)
     by_vertex, above = _columns(masks), _rows(n, k)
     full = (1 << len(masks)) - 1
     at_most = _at_most(by_vertex, k, full)
     need = s + 1
-    # inside: the index bitset of the masks below bit k(s+1), those with
-    # more than k - 1 bits below it; the columns past it are dropped, as no
-    # mask inside holds their vertex
-    inside = None
-    if 0 < need and k * need < n:
+    # room: need >= 1 disjoint k-sets fit in [n]; free is [k(s+1)]
+    room = 0 < need and k * need <= n
+    if room:
+        free = (1 << k * need) - 1
+        # inside: the index bitset of the masks below bit k(s+1), those with
+        # more than k - 1 bits below it; the columns past it are dropped, as
+        # no mask inside holds their vertex
         inside = full ^ at_most[k * need][k - 1]
         by_vertex = by_vertex[:k * need]
     best = lower
@@ -221,8 +283,11 @@ def downset_max_edges(n, k, s, budget, lower):
         size = alive.bit_count()
         if size <= best:
             return
-        hit = _find(by_vertex, above, k, need,
-                    alive if inside is None else alive & inside)
+        if room:
+            hit = _find_down(by_vertex, above, at_most, masks, need, alive & inside, free)
+        else:
+            # need <= 0: the empty matching; k(s+1) > n: no room for one
+            hit = [] if need <= 0 else None
         if hit is None:
             best = size
             witness = [i for i, c in enumerate(bin(alive)[:1:-1]) if c == "1"]

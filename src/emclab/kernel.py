@@ -23,6 +23,24 @@ so each image edge is dominated by its edge and lies in the down-set.  A
 closure with no matching there has none at all, so its size and witness are
 the whole closure.
 
+The search's matching step runs ``find_matching``'s DFS on such a part: a
+down-set of the k-subsets of a set `free` of exactly need*k vertices, first
+[k(s+1)], then [k(s+1)] less the partners chosen so far.  Three facts skip
+only branches that fail, so the step returns ``find_matching``'s answer:
+- Count prune: an edge A holding u but not a free w < u dominates
+  A - u + w, so the active vertices are an initial segment of `free`; all
+  need*k are active, as the count asks, iff the top free vertex is, and the
+  least active vertex v is the least free vertex.
+- No fallback: need disjoint k-sets on need*k vertices cover v, so when
+  every partner of v fails, the search of the edges without v fails too.
+- Dominated partners: if partners j <= i in dominance, the map of
+  free - j onto free - i in order moves each vertex down (j has at least
+  as many vertices <= t as i, for every t), so it takes a matching on
+  free - j to one on free - i; when i fails, j fails.
+The pure-Python kernel uses all three.  The compiled one uses only the
+third: the other two measured no faster in C, where the count is one pass
+that also finds v, and the fallback ends at that count.
+
 The contract is the two searches; ``greedy_matching`` is one Python loop
 outside it, over masks of any size.
 """

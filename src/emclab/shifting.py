@@ -76,16 +76,19 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, list[tuple[int, int]]]:
     sweep, so no sweep runs only to find nothing to move; a sweep that moves
     nothing on an unstable family is an internal error.  Within a sweep the
     masks holding j are listed once per j; the (i,j)-shifts only remove
-    masks from that list.
+    masks from that list.  j runs only up to the largest vertex of any
+    edge: no edge holds a larger j, and shifts only move vertices down, so
+    the pairs past it would move nothing and the log is the same.
     """
     if h.vertices != range(1, h.n + 1):
         raise HypergraphError("stabilize expects the full ground set [n]")
     log: list[tuple[int, int]] = []
     masks = set(map(kernel.edge_mask, h.edges))
+    top = max(masks, default=0).bit_length()
     moved = True
     while moved:
         moved = False
-        for j in range(2, h.n + 1):
+        for j in range(2, top + 1):
             held = _holding(masks, j)
             for i in range(1, j):
                 kept = _shift_masks(masks, held, i, j)

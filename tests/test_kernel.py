@@ -10,9 +10,11 @@ the acceptance grid, with their node counts, are pinned in
 ``tests/test_verifier.py`` for whichever kernel runs.  The down-set search
 seeks each node's matching inside [k(s+1)] only; ``downset_reference``, the
 search over the whole closure with up-sets from vertex tuples, checks that
-rule and the lemma behind it.
+rule and the lemma behind it, and ``_find`` checks the search's matching
+step, ``_find_down``.
 """
 
+import collections
 import functools
 import importlib.util
 import inspect
@@ -306,7 +308,7 @@ class TestPythonTables:
             at_most = _kernel_py._at_most(by_vertex, k, (1 << len(masks)) - 1)
             assert at_most == [
                 [sum(1 << i for i, m in enumerate(masks) if (m & (1 << v) - 1).bit_count() <= p)
-                 for p in range(k)] for v in range(n)], (n, k)
+                 for p in range(k)] for v in range(n + 1)], (n, k)
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_up_sets_on_candidates(self, n):
@@ -523,3 +525,75 @@ class TestMatchingInsideKS1:
         masks = kernel.edge_masks(5, [(2, 3), (4, 5)])
         assert impl.find_matching(masks, 2, 2) == [0, 1]
         assert impl.find_matching([m for m in masks if m < 1 << 4], 2, 2) is None
+
+
+class TestFindDown:
+    """`_find_down`, the down-set search's matching step, returns exactly
+    `_find`'s answer on a closure's part inside [k*need], with free =
+    [k*need]; `find_matching` keeps `_find`, fallback and all."""
+
+    def test_matches_find_on_closures(self):
+        # closures made by excluding seeded random up-sets from all the
+        # k-subsets of [n], at n = k*need and past it
+        rng = random.Random(36)
+        outcomes = set()
+        for _ in range(600):
+            need = rng.randint(1, 4)
+            k = rng.randint(1, 4)
+            n = k * need + rng.choice([0, 0, 1, 2, 3])
+            if binom(n, k) > 3000:
+                continue
+            masks = _kernel_py._candidates(n, k)
+            by_vertex, above = _kernel_py._columns(masks), _kernel_py._rows(n, k)
+            full = (1 << len(masks)) - 1
+            at_most = _kernel_py._at_most(by_vertex, k, full)
+            alive = full
+            for f in rng.sample(range(len(masks)), rng.randint(0, min(6, len(masks)))):
+                alive &= ~_kernel_py._up(at_most, masks[f], above[f])
+            avail = alive & (full ^ at_most[k * need][k - 1])
+            want = _kernel_py._find(by_vertex, above, k, need, avail)
+            got = _kernel_py._find_down(by_vertex[:k * need], above, at_most, masks, need,
+                                        avail, (1 << k * need) - 1)
+            assert got == want, (n, k, need, alive)
+            outcomes.add((want is None, n > k * need, need))
+        # found and not found, at n = k*need and past it, for each need
+        assert outcomes == {(none, past, need) for none in (True, False)
+                            for past in (True, False) for need in range(1, 5)}
+
+    def test_rules_cut_the_search(self, monkeypatch):
+        # calls of the two DFSs, counted through the module's names, which
+        # their recursion reads.  H_1(12,4,2) on free = [12], the 4-sets
+        # meeting {1,2}, has no 3-matching.  Vertex 1's first partner
+        # {1,10,11,12} fails and dominates the rest, and so on one level
+        # down: 3 calls and no fallback into `_find`, against 242 calls of
+        # `_find`
+        n, k, need = 12, 4, 3
+        masks = _kernel_py._candidates(n, k)
+        by_vertex, above = _kernel_py._columns(masks), _kernel_py._rows(n, k)
+        at_most = _kernel_py._at_most(by_vertex, k, (1 << len(masks)) - 1)
+        avail = sum(1 << i for i, m in enumerate(masks) if m & 0b11)
+        calls = collections.Counter()
+        for name in ("_find", "_find_down"):
+            def counted(*args, _name=name, _search=getattr(_kernel_py, name)):
+                calls[_name] += 1
+                return _search(*args)
+            monkeypatch.setattr(_kernel_py, name, counted)
+        assert _kernel_py._find_down(by_vertex, above, at_most, masks, need, avail,
+                                     (1 << k * need) - 1) is None
+        assert calls == {"_find_down": 3}
+        calls.clear()
+        assert _kernel_py._find(by_vertex, above, k, need, avail) is None
+        assert calls == {"_find": 242}
+        # the 4-sets inside [11]: vertex 12 is idle, so the count prune
+        # ends the search at once
+        calls.clear()
+        avail = sum(1 << i for i, m in enumerate(masks) if m < 1 << 11)
+        assert _kernel_py._find_down(by_vertex, above, at_most, masks, need, avail,
+                                     (1 << k * need) - 1) is None
+        assert calls == {"_find_down": 1}
+
+    def test_find_matching_keeps_the_fallback(self, impl):
+        # {1,2,3} is vertex 1's only partner and meets both other edges: the
+        # matching leaves vertex 1 unmatched, which no down-set search needs
+        masks = kernel.edge_masks(7, [(1, 2, 3), (2, 4, 5), (3, 6, 7)])
+        assert impl.find_matching(masks, 3, 2) == [1, 2]

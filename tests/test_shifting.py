@@ -1,9 +1,15 @@
+import ast
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import emclab
 from emclab.hypergraph import (Hypergraph, HypergraphError, complete_hypergraph,
                                is_stable, new_hypergraph)
 from emclab.matching import matching_number
@@ -131,6 +137,28 @@ class TestStabilize:
         h = new_hypergraph(5, 2, [(1, 2)])  # vertex 5 never used is fine
         out, _ = stabilize(h)
         assert is_stable(out)
+
+    def test_huge_ground_set(self):
+        # the sweep stops at the largest vertex of any edge, so a family on
+        # [10^9] stabilizes as on [9], with the same log.  A sweep up to n
+        # would not end, so the calls run in a child with a time limit
+        families = [[(1, 2)], [(3, 7), (5, 9), (2, 8)], [(4, 5), (1, 9)]]
+        code = ("from emclab.hypergraph import new_hypergraph\n"
+                "from emclab.shifting import stabilize\n"
+                f"for edges in {families!r}:\n"
+                "    out, log = stabilize(new_hypergraph(10**9, 2, edges))\n"
+                "    print(repr((out.n, out.edges, log)))")
+        env = dict(os.environ, PYTHONPATH=str(Path(emclab.__file__).parent.parent))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        got = list(map(ast.literal_eval, proc.stdout.splitlines()))
+        want = []
+        for edges in families:
+            out, log = reference_stabilize(new_hypergraph(9, 2, edges))
+            want.append((10**9, out.edges, log))
+        assert got == want
+        assert [len(log) for _, _, log in got] == [0, 6, 3]
 
     def test_property_suite(self):
         # stability, edge count, matching number monotone non-increasing,

@@ -66,7 +66,7 @@ class TestOracle:
     # the acceptance grid k = 4, s <= 3, n <= 16 and k = 5, s <= 2, n <= 15,
     # from n = k(s+1) - 1 up; below n = k(s+1) there is no incumbent (None).
     # Each node seeks its matching inside [k(s+1)] only, so past n = k(s+1)
-    # the counts fall with n; the last six cells lie in the paper's
+    # the counts fall with n; the last nine cells lie in the paper's
     # n >= 5s regime
     @pytest.mark.parametrize("n,k,s,family,nodes", [
         (7, 4, 1, None, 1), (8, 4, 1, "H_1", 143), (9, 4, 1, "H_1", 27),
@@ -82,6 +82,7 @@ class TestOracle:
         (14, 5, 2, None, 1),
         (18, 4, 3, "H_1", 8772), (20, 4, 3, "H_1", 2802), (20, 5, 2, "H_1", 2440),
         (22, 4, 3, "H_1", 1363), (24, 4, 3, "H_1", 870), (22, 5, 2, "H_1", 1452),
+        (17, 4, 3, "H_1", 106430), (20, 4, 4, "H_k", 48522), (17, 5, 2, "H_1", 133990),
     ])
     def test_exact_cells_from_incumbent(self, n, k, s, family, nodes):
         rep = verify_emc(n, k, s)
