@@ -1,9 +1,9 @@
-"""Pure-Python search kernels over bitmask edge families.
+"""Pure-Python search kernel over bitmask edge families.
 
 The kernel contract's two searches: ``find_matching``, the hot loop of the
 exact matching number, and ``downset_max_edges``, the stable-family
 edge-count maximizer.  Vertex v maps to bit v-1 of an edge mask, so these
-kernels require n <= 63.
+searches require n <= 63.
 
 A set of edges is one Python int over indices into the mask array: bit i
 stands for masks[i].  ``by_vertex[b]`` is the index bitset of the masks that
@@ -23,9 +23,9 @@ the dominance order only when it branches on f (``_up``).  Two matching
 searches run the same DFS over an index bitset: ``_find`` over any masks,
 and ``_find_down`` over a down-set, the part of the down-set search's
 closure inside [k(s+1)], where it skips only branches that provably fail
-(see ``downset_max_edges``).  The compiled twin in ``_kernel.c`` runs the
-same searches over index arrays, so answers, witnesses and node counts are
-identical; ``kernel.py`` picks one.
+(see ``downset_max_edges``).  ``downset_max_edges`` is the one down-set
+search.  ``_kernel.c`` compiles ``find_matching`` alone, the same DFS over
+index arrays with the same answers; ``kernel.py`` picks one.
 """
 
 from __future__ import annotations
@@ -168,9 +168,8 @@ def _find_down(by_vertex, above, at_most, masks, need, avail, free):
 
 
 def _candidates(n, k):
-    """The masks of the k-subsets of [n] in `combinations` order; refuses, as
-    the compiled kernel does, a cell outside 1 <= k <= n <= 63 or past the
-    cap."""
+    """The masks of the k-subsets of [n] in `combinations` order; refuses a
+    cell outside 1 <= k <= n <= 63 or past the cap."""
     if not 1 <= k <= n <= 63:
         raise ValueError(f"need 1 <= k <= n <= 63, got n={n}, k={k}")
     if comb(n, k) > MAX_SEARCH_CANDIDATES:

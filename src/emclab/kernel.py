@@ -1,63 +1,40 @@
-"""The bitmask search kernel: one contract, two implementations.
+"""The bitmask search kernel: the contract's two searches.
 
 Vertex v maps to bit v-1 of an edge mask, so the kernel handles n <= 63.
-The compiled ``_kernel`` (built from the hand-written ``_kernel.c``) is used
-when it imports and the pure-Python ``_kernel_py`` otherwise.  Both run the
-same DFS, the C one over index arrays and the Python one over index bitsets
-held in Python ints, so they return identical answers, witnesses and node
-counts.  ``IMPL`` says which one runs: ``"c"`` or ``"python"``.
 
-``downset_max_edges(n, k, s, budget, lower)`` builds the k-subsets of [n]
-(candidate i is the i-th in ``itertools.combinations`` order) and the
-dominance order on them: cover lists in C, threshold columns in Python.  It
-refuses (ValueError) a cell outside 1 <= k <= n <= 63 or past
-``MAX_SEARCH_CANDIDATES`` = 2^15 candidates.  Neither kernel holds a
-C(n,k)^2-bit up-set table; the cap bounds what still grows with C(n,k): the
-set-up and each node's bitset operations, and the incumbent and the witness,
-which list up to C(n,k) k-sets.  Every closure the search visits is a
-down-set of the dominance order, and each node seeks its (s+1)-matching
-only among the closure's masks inside [k(s+1)].  Lemma: a down-set with s+1
-pairwise disjoint edges has s+1 such edges inside [k(s+1)].  Proof: map the
-matching's k(s+1) vertices in order onto [k(s+1)]; each vertex moves down,
-so each image edge is dominated by its edge and lies in the down-set.  A
-closure with no matching there has none at all, so its size and witness are
-the whole closure.
+``find_matching(masks, k, need)`` has two implementations of one DFS: the
+compiled ``_kernel`` (built from the hand-written ``_kernel.c``) when it
+imports, and the pure-Python ``_kernel_py`` otherwise.  They return the
+same indices.  ``IMPL`` says which one runs: ``"c"`` or ``"python"``.
 
-The search's matching step runs ``find_matching``'s DFS on such a part: a
-down-set of the k-subsets of a set `free` of exactly need*k vertices, first
-[k(s+1)], then [k(s+1)] less the partners chosen so far.  Three facts skip
-only branches that fail, so the step returns ``find_matching``'s answer:
-- Count prune: an edge A holding u but not a free w < u dominates
-  A - u + w, so the active vertices are an initial segment of `free`; all
-  need*k are active, as the count asks, iff the top free vertex is, and the
-  least active vertex v is the least free vertex.
-- No fallback: need disjoint k-sets on need*k vertices cover v, so when
-  every partner of v fails, the search of the edges without v fails too.
-- Dominated partners: if partners j <= i in dominance, the map of
-  free - j onto free - i in order moves each vertex down (j has at least
-  as many vertices <= t as i, for every t), so it takes a matching on
-  free - j to one on free - i; when i fails, j fails.
-The pure-Python kernel uses all three.  The compiled one uses only the
-third: the other two measured no faster in C, where the count is one pass
-that also finds v, and the fallback ends at that count.
+``downset_max_edges(n, k, s, budget, lower)`` has one implementation,
+``_kernel_py.downset_max_edges``, whichever ``find_matching`` runs.  Its
+docstring proves the [k(s+1)] lemma and the three skip rules of its
+matching step.  It builds the k-subsets of [n] (candidate i is the i-th in
+``itertools.combinations`` order) and their n*k threshold columns of the
+dominance order.  It refuses (ValueError) a cell outside
+1 <= k <= n <= 63 or past ``MAX_SEARCH_CANDIDATES`` = 2^15 candidates.
+It holds no C(n,k)^2-bit up-set table; the cap bounds what still grows
+with C(n,k): the set-up and each node's bitset operations, and the
+incumbent and the witness, which list up to C(n,k) k-sets.
 
-The contract is the two searches; ``greedy_matching`` is one Python loop
-outside it, over masks of any size.
+``greedy_matching`` is one Python loop outside the contract, over masks of
+any size.
 """
 
 from __future__ import annotations
 
-from emclab._kernel_py import MAX_SEARCH_CANDIDATES
+from emclab import _kernel_py
+from emclab._kernel_py import MAX_SEARCH_CANDIDATES, downset_max_edges
 from emclab.hypergraph import HypergraphError
 
 try:
     from emclab import _kernel as _impl  # type: ignore[attr-defined]
 except ImportError:
-    from emclab import _kernel_py as _impl
+    _impl = _kernel_py
 
 IMPL: str = _impl.IMPL
 find_matching = _impl.find_matching
-downset_max_edges = _impl.downset_max_edges
 
 MAX_KERNEL_VERTICES = 63
 

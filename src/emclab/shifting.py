@@ -17,6 +17,9 @@ the family before the shift would give.
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 from emclab import kernel
 from emclab.hypergraph import Hypergraph, HypergraphError, is_stable
 
@@ -76,25 +79,33 @@ def stabilize(h: Hypergraph) -> tuple[Hypergraph, list[tuple[int, int]]]:
     sweep, so no sweep runs only to find nothing to move; a sweep that moves
     nothing on an unstable family is an internal error.  Within a sweep the
     masks holding j are listed once per j; the (i,j)-shifts only remove
-    masks from that list.  j runs only up to the largest vertex of any
-    edge: no edge holds a larger j, and shifts only move vertices down, so
-    the pairs past it would move nothing and the log is the same.
+    masks from that list.  A sweep visits only the vertices j > 1 that some
+    edge holds at its start, and ends j's i-loop once no mask holds j: a
+    shift at j only puts in vertices i < j, so some mask holds j when the
+    sweep reaches j iff one held it at the start, and every pair the sweep
+    skips would move nothing.  The log is the same as over all pairs.
     """
     if h.vertices != range(1, h.n + 1):
         raise HypergraphError("stabilize expects the full ground set [n]")
     log: list[tuple[int, int]] = []
     masks = set(map(kernel.edge_mask, h.edges))
-    top = max(masks, default=0).bit_length()
     moved = True
     while moved:
         moved = False
-        for j in range(2, top + 1):
+        # the bits of the vertices j > 1 that some edge holds, ascending
+        todo = reduce(or_, masks, 0) & ~1
+        while todo:
+            bj = todo & -todo
+            todo ^= bj
+            j = bj.bit_length()
             held = _holding(masks, j)
             for i in range(1, j):
                 kept = _shift_masks(masks, held, i, j)
                 if len(kept) < len(held):
                     log.append((i, j))
                     moved = True
+                    if not kept:
+                        break
                 held = kept
         out = _from_masks(h, masks)
         if is_stable(out):

@@ -1,17 +1,18 @@
-"""The kernel contract, and a differential test of its two implementations.
+"""The kernel contract: ``find_matching``, in two implementations, and the
+one down-set search, ``_kernel_py.downset_max_edges``.
 
-The compiled kernel is built from ``_kernel.c`` into a temporary directory,
-with warnings as errors, and loaded without registering it as a module, so
-the rest of the session keeps whichever kernel ``emclab.kernel`` picked at
-import.  Both kernels must agree exactly: answers, witnesses and node counts,
-at every incumbent size `lower` tested.  Malformed input must raise the same
-exception in both kernels, never crash or hang either.  The exact cells of
-the acceptance grid, with their node counts, are pinned in
-``tests/test_verifier.py`` for whichever kernel runs.  The down-set search
-seeks each node's matching inside [k(s+1)] only; ``downset_reference``, the
-search over the whole closure with up-sets from vertex tuples, checks that
-rule and the lemma behind it, and ``_find`` checks the search's matching
-step, ``_find_down``.
+The compiled ``find_matching`` is built from ``_kernel.c`` into a temporary
+directory, with warnings as errors, and loaded without registering it as a
+module, so the rest of the test run keeps whichever ``find_matching``
+``emclab.kernel`` picked at import.  Both must return the same indices, and
+each must agree with ``matching_reference``, a search over vertex tuples.
+Malformed input must raise the same exception in both, never crash or hang
+either.  The exact cells of the acceptance grid, with their node counts,
+are pinned in ``tests/test_verifier.py``.  The down-set search seeks each
+node's matching inside [k(s+1)] only; ``downset_reference``, the search
+over the whole closure with up-sets from vertex tuples and the matching
+step of either ``find_matching``, checks that rule and the lemma behind it,
+and ``_find`` checks the search's matching step, ``_find_down``.
 """
 
 import collections
@@ -327,28 +328,27 @@ class TestCompiledMatchesPython:
         assert sys.modules.get("emclab._kernel") is not compiled
         assert getattr(sys.modules["emclab"], "_kernel", None) is not compiled
 
-    @pytest.mark.parametrize("n,k,s,budget", DOWNSET_CELLS)
-    def test_downset_max_edges(self, compiled, n, k, s, budget):
-        seed = seeded(n, k, s)
-        want = _kernel_py.downset_max_edges(n, k, s, budget, len(seed))
-        assert compiled.downset_max_edges(n, k, s, budget, len(seed)) == want
-        assert want[0] >= len(seed)
-
-    @pytest.mark.parametrize("n,k,s,budget", DOWNSET_CELLS)
-    def test_downset_above_optimum(self, compiled, n, k, s, budget):
-        # no family beats lower = formula + 1 (the optimum on the exhaustive
-        # cells), so best stays lower and the witness is []
-        lower = emc_bound(n, k, s).emc_bound + 1
-        want = _kernel_py.downset_max_edges(n, k, s, budget, lower)
-        assert compiled.downset_max_edges(n, k, s, budget, lower) == want
-        assert want[:2] == (lower, [])
-
     def test_same_signatures(self, compiled):
-        for name in ("find_matching", "downset_max_edges"):
-            assert inspect.signature(getattr(compiled, name)) == \
-                inspect.signature(getattr(_kernel_py, name)), name
-        assert list(inspect.signature(compiled.downset_max_edges).parameters) == \
-            ["n", "k", "s", "budget", "lower"]
+        assert inspect.signature(compiled.find_matching) == \
+            inspect.signature(_kernel_py.find_matching)
+        # the compiled module holds find_matching alone
+        assert {name for name in dir(compiled) if not name.startswith("__")} == \
+            {"find_matching", "IMPL"}
+
+    def test_one_downset_search(self, compiled, monkeypatch):
+        # emclab.kernel run afresh with and without the compiled module:
+        # find_matching follows the import, the down-set search does not.
+        # An in-place build is also an attribute of the package; hide it
+        monkeypatch.delattr(sys.modules["emclab"], "_kernel", raising=False)
+        for ext, impl in ((compiled, "c"), (None, "python")):
+            monkeypatch.setitem(sys.modules, "emclab._kernel", ext)
+            spec = importlib.util.spec_from_file_location("kernel_aside", kernel.__file__)
+            aside = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(aside)
+            assert aside.IMPL == impl
+            assert aside.find_matching is (ext or _kernel_py).find_matching
+            assert aside.downset_max_edges is _kernel_py.downset_max_edges
+        assert kernel.downset_max_edges is _kernel_py.downset_max_edges
 
     def test_find_matching(self, compiled):
         outcomes = set()
@@ -367,6 +367,79 @@ class TestCompiledMatchesPython:
             assert _kernel_py.find_matching([], k, 1) is None
 
 
+def matching_reference(edges, need):
+    """Whether `need` pairwise-disjoint edges lie among the vertex tuples
+    `edges`: the first edge is in such a matching, or it is not."""
+    if need <= 0:
+        return True
+    if len(edges) < need:
+        return False
+    first, rest = edges[0], edges[1:]
+    return (matching_reference([e for e in rest if set(first).isdisjoint(e)], need - 1)
+            or matching_reference(rest, need))
+
+
+class TestFindMatching:
+    def test_against_tuple_reference(self, impl):
+        # a witness is `need` distinct pairwise-disjoint edges, and None
+        # means the reference finds no such matching
+        outcomes = set()
+        for n, k, masks in FAMILIES:
+            edges = [kernel.mask_edge(m) for m in masks]
+            for need in range(n // k + 2):
+                got = impl.find_matching(masks, k, need)
+                assert (got is not None) == matching_reference(edges, need), (edges, need)
+                if got is not None:
+                    assert len(set(got)) == len(got) == need
+                    assert all(set(edges[a]).isdisjoint(edges[b])
+                               for a, b in combinations(got, 2)), (edges, need, got)
+                outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+
+class TestDownsetSearch:
+    """The one down-set search on the emc-frontier cells and at the
+    kernel's limits."""
+
+    @pytest.mark.parametrize("n,k,s,budget", DOWNSET_CELLS)
+    def test_downset_max_edges(self, n, k, s, budget):
+        seed = seeded(n, k, s)
+        want = _kernel_py.downset_max_edges(n, k, s, budget, len(seed))
+        assert want[0] >= len(seed)
+
+    @pytest.mark.parametrize("n,k,s,budget", DOWNSET_CELLS)
+    def test_downset_above_optimum(self, n, k, s, budget):
+        # no family beats lower = formula + 1 (the optimum on the exhaustive
+        # cells), so best stays lower and the witness is []
+        lower = emc_bound(n, k, s).emc_bound + 1
+        want = _kernel_py.downset_max_edges(n, k, s, budget, lower)
+        assert want[:2] == (lower, [])
+
+    @pytest.mark.parametrize("n,k", [(64, 2), (63, 64), (5, 0), (5, -1), (3, 4), (0, 0),
+                                     (-1, 1)])
+    def test_cell_outside_the_kernel(self, n, k):
+        with pytest.raises(ValueError, match="need 1 <= k <= n <= 63"):
+            _kernel_py.downset_max_edges(n, k, 1, 10, 0)
+
+    def test_candidate_cap(self):
+        # C(23,5) = 33,649 is past the cap: refused before anything is built
+        assert binom(22, 5) <= kernel.MAX_SEARCH_CANDIDATES < binom(23, 5)
+        with pytest.raises(ValueError, match="C\\(23,5\\)"):
+            _kernel_py.downset_max_edges(23, 5, 2, 0, 0)
+        with pytest.raises(ValueError, match="C\\(63,31\\)"):
+            _kernel_py.downset_max_edges(63, 31, 1, 0, 0)
+
+    def test_cap_boundary(self):
+        # C(22,5) = 26,334 is under the cap: the search builds it and stops
+        # at the first node
+        assert _kernel_py.downset_max_edges(22, 5, 2, 0, 0) == (0, [], False, 1)
+
+    def test_huge_s(self):
+        # k(s+1) > n: no (s+1)-matching fits, so the root's closure, all
+        # C(6,2) = 15 pairs, is the answer
+        assert _kernel_py.downset_max_edges(6, 2, 100, 10, 0) == (15, list(range(15)), True, 1)
+
+
 class TestCompiledRejectsMalformedInput:
     def test_negative_mask(self, impl):
         with pytest.raises(OverflowError):
@@ -375,26 +448,6 @@ class TestCompiledRejectsMalformedInput:
         # so both kernels refuse it
         with pytest.raises(OverflowError):
             impl.find_matching([1 << 64, 1], 1, 1)
-
-    @pytest.mark.parametrize("n,k", [(64, 2), (63, 64), (5, 0), (5, -1), (3, 4), (0, 0),
-                                     (-1, 1)])
-    def test_cell_outside_the_kernel(self, impl, n, k):
-        with pytest.raises(ValueError, match="need 1 <= k <= n <= 63"):
-            impl.downset_max_edges(n, k, 1, 10, 0)
-
-    def test_candidate_cap(self, impl):
-        # C(23,5) = 33,649 is past the cap: refused before anything is built
-        assert binom(22, 5) <= kernel.MAX_SEARCH_CANDIDATES < binom(23, 5)
-        with pytest.raises(ValueError, match="C\\(23,5\\)"):
-            impl.downset_max_edges(23, 5, 2, 0, 0)
-        with pytest.raises(ValueError, match="C\\(63,31\\)"):
-            impl.downset_max_edges(63, 31, 1, 0, 0)
-
-    def test_compiled_cap_boundary(self, compiled):
-        # C(22,5) = 26,334 is under the cap: both kernels build it and stop
-        # at the first node
-        for impl in (compiled, _kernel_py):
-            assert impl.downset_max_edges(22, 5, 2, 0, 0) == (0, [], False, 1), impl.IMPL
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS")
     def test_python_kernel_at_the_cap_in_96_mib(self):
@@ -423,19 +476,31 @@ class TestCompiledRejectsMalformedInput:
             assert _kernel_py.find_matching(masks, 2, need) is None
         with pytest.raises(OverflowError):
             compiled.find_matching(masks, 2, 2**64)
-        assert compiled.downset_max_edges(6, 2, 100, 10, 0) == \
-            _kernel_py.downset_max_edges(6, 2, 100, 10, 0)
+
+
+def closure_matching(impl, masks, k, need):
+    """impl's find_matching as a function of an index bitset over masks; the
+    pure-Python one runs its DFS, `_find`, on tables built once."""
+    if impl is _kernel_py:
+        by_vertex, above = _kernel_py._tables(masks)
+        return lambda alive: _kernel_py._find(by_vertex, above, k, need, alive)
+
+    def find(alive):
+        idx = [i for i in range(len(masks)) if alive >> i & 1]
+        hit = impl.find_matching([masks[i] for i in idx], k, need)
+        return hit and [idx[j] for j in hit]
+    return find
 
 
 @functools.cache
-def downset_reference(n, k, s, budget, lower):
+def downset_reference(impl, n, k, s, budget, lower):
     """(best, exhausted) of the (n, k) down-set search with each node's
     matching sought over the whole closure, not only inside [k(s+1)]: the
     same branch and bound, with up-sets from coordinatewise >= of tuples and
-    the pure-Python kernel's matching search."""
+    `impl`'s find_matching."""
     masks = kernel.edge_masks(n, combinations(range(1, n + 1), k))
     up = dominance_up_sets(n, k)
-    by_vertex, above = _kernel_py._tables(masks)
+    find = closure_matching(impl, masks, k, s + 1)
     state = {"best": lower, "nodes": 0, "exhausted": True}
 
     def search(alive, included):
@@ -445,7 +510,7 @@ def downset_reference(n, k, s, budget, lower):
             return
         if alive.bit_count() <= state["best"]:
             return
-        hit = _kernel_py._find(by_vertex, above, k, s + 1, alive)
+        hit = find(alive)
         if hit is None:
             state["best"] = alive.bit_count()
             return
@@ -485,8 +550,9 @@ class TestMatchingInsideKS1:
 
     @pytest.mark.parametrize("n,k,s,lower", REFERENCE_CELLS)
     def test_agrees_with_whole_closure_search(self, impl, n, k, s, lower):
-        best, witness, exhausted, _ = impl.downset_max_edges(n, k, s, 10**6, lower)
-        assert (best, exhausted) == downset_reference(n, k, s, 10**6, lower)
+        # the one down-set search against a reference on impl's matching
+        best, witness, exhausted, _ = kernel.downset_max_edges(n, k, s, 10**6, lower)
+        assert (best, exhausted) == downset_reference(impl, n, k, s, 10**6, lower)
         if best == lower:
             assert witness == []
             return
@@ -498,7 +564,7 @@ class TestMatchingInsideKS1:
         assert not any(t in held for j in range(len(cands)) if j not in held
                        for t in succs[j])
         masks = kernel.edge_masks(n, [cands[i] for i in witness])
-        assert _kernel_py.find_matching(masks, k, s + 1) is None
+        assert impl.find_matching(masks, k, s + 1) is None
 
     def test_lemma_on_stabilized_families(self, impl):
         rng = random.Random(31)

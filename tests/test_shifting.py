@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import emclab
+from emclab import shifting
 from emclab.hypergraph import (Hypergraph, HypergraphError, complete_hypergraph,
                                is_stable, new_hypergraph)
 from emclab.matching import matching_number
@@ -139,26 +140,45 @@ class TestStabilize:
         assert is_stable(out)
 
     def test_huge_ground_set(self):
-        # the sweep stops at the largest vertex of any edge, so a family on
-        # [10^9] stabilizes as on [9], with the same log.  A sweep up to n
+        # a sweep visits only the vertices some edge holds, so a family on
+        # [10^9] stabilizes as on [9], with the same log, and the edge
+        # {1, 10^9} moves to {1, 2} in one shift.  A sweep over every pair
         # would not end, so the calls run in a child with a time limit
         families = [[(1, 2)], [(3, 7), (5, 9), (2, 8)], [(4, 5), (1, 9)]]
         code = ("from emclab.hypergraph import new_hypergraph\n"
                 "from emclab.shifting import stabilize\n"
                 f"for edges in {families!r}:\n"
                 "    out, log = stabilize(new_hypergraph(10**9, 2, edges))\n"
-                "    print(repr((out.n, out.edges, log)))")
+                "    print(repr((out.n, out.edges, log)))\n"
+                "out, log = stabilize(new_hypergraph(10**9, 2, [(1, 10**9)]))\n"
+                "print(repr((out.edges, log)))")
         env = dict(os.environ, PYTHONPATH=str(Path(emclab.__file__).parent.parent))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        got = list(map(ast.literal_eval, proc.stdout.splitlines()))
+        *got, top = map(ast.literal_eval, proc.stdout.splitlines())
         want = []
         for edges in families:
             out, log = reference_stabilize(new_hypergraph(9, 2, edges))
             want.append((10**9, out.edges, log))
         assert got == want
         assert [len(log) for _, _, log in got] == [0, 6, 3]
+        assert top == (((1, 2),), [(2, 10**9)])
+
+    def test_sweeps_only_held_vertices(self, monkeypatch):
+        # one edge {1, 2000}: the sweep visits j = 2000 alone, and its i-loop
+        # ends once the edge has moved to {1, 2}.  `_shift_masks`, counted
+        # through the module's name, which `stabilize` reads, runs twice; a
+        # sweep over every pair i < j <= 2000 calls it about 2M times
+        calls = []
+
+        def counted(masks, held, i, j, _shift=shifting._shift_masks):
+            calls.append((i, j))
+            return _shift(masks, held, i, j)
+        monkeypatch.setattr(shifting, "_shift_masks", counted)
+        out, log = stabilize(new_hypergraph(2000, 2, [(1, 2000)]))
+        assert (out.edges, log) == (((1, 2),), [(2, 2000)])
+        assert calls == [(1, 2000), (2, 2000)]
 
     def test_property_suite(self):
         # stability, edge count, matching number monotone non-increasing,
