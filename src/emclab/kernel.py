@@ -1,6 +1,7 @@
 """The bitmask search kernel: the contract's two searches.
 
 Vertex v maps to bit v-1 of an edge mask, so the kernel handles n <= 63.
+``edge_masks`` builds the masks ``find_matching`` takes.
 
 ``find_matching(masks, k, need)`` has two implementations of one DFS: the
 compiled ``_kernel`` (built from the hand-written ``_kernel.c``) when it
@@ -18,8 +19,8 @@ It holds no C(n,k)^2-bit up-set table; the cap bounds what still grows
 with C(n,k): the set-up and each node's bitset operations, and the
 incumbent and the witness, which list up to C(n,k) k-sets.
 
-``greedy_matching`` is one Python loop outside the contract, over masks of
-any size.
+``greedy_matching`` is one Python loop outside the contract, over vertex
+tuples with any labels: the only greedy matching.
 """
 
 from __future__ import annotations
@@ -39,16 +40,15 @@ find_matching = _impl.find_matching
 MAX_KERNEL_VERTICES = 63
 
 
-def greedy_matching(masks) -> list[int]:
-    """Lexicographic greedy maximal matching over masks of any size; returns
-    the chosen indices.  A negative mask raises OverflowError."""
-    if masks and min(masks) < 0:
-        raise OverflowError("masks must be nonnegative")
-    out, used = [], 0
-    for i, m in enumerate(masks):
-        if not (m & used):
+def greedy_matching(edges) -> list[int]:
+    """Lexicographic greedy maximal matching over vertex tuples; returns the
+    indices of the edges that meet no earlier chosen edge.  It costs O(m*k)
+    whatever the labels."""
+    out, used = [], set()
+    for i, e in enumerate(edges):
+        if used.isdisjoint(e):
             out.append(i)
-            used |= m
+            used.update(e)
     return out
 
 

@@ -1,12 +1,13 @@
 """Exact integral matching number and vertex cover number.
 
-Both are branch-and-bound searches over bitmask edge families (see
-``kernel``); inputs therefore need at most 63 vertices.  Certified upper
-bounds usually pin the matching number before any search happens: the
-vertex count and a greedy integral cover, then, unless those already meet
-the greedy lower bound, the exact tau* from ``lp.tau_star`` (one solve of
-the cover LP's dual, a row per vertex: the packing LP, or on a stable family
-the monotone cover rows from the cached `Hypergraph.maximal_edges`).
+Both are branch-and-bound searches: nu's over the bitmask edge families of
+``kernel.find_matching``, tau's over lists of edge tuples.  Both refuse
+inputs past the kernel's 63 vertices.  Certified upper bounds usually pin
+the matching number before any search happens: the vertex count and a
+greedy integral cover, then, unless those already meet the greedy lower
+bound, the exact tau* from ``lp.tau_star`` (one solve of the cover LP's
+dual, a row per vertex: the packing LP, or on a stable family the monotone
+cover rows from the cached `Hypergraph.maximal_edges`).
 """
 
 from __future__ import annotations
@@ -28,36 +29,30 @@ class MatchingWitness:
     size: int
 
 
-def _max_degree_bit(masks: list[int], bits: dict[int, list[int]]) -> int:
-    """The bit of a vertex of maximum degree, the least label on ties (bit
-    v-1 sorts like vertex v).  `bits` maps each mask to its one-bit masks."""
-    deg = Counter(chain.from_iterable(map(bits.__getitem__, masks)))
+def _max_degree_vertex(deg: Counter) -> int:
+    """A vertex of maximum degree in `deg`, the least label on ties."""
     top = max(deg.values())
-    return min(b for b, d in deg.items() if d == top)
+    return min(v for v, d in deg.items() if d == top)
 
 
 def _greedy_cover_size(edges: Sequence[tuple[int, ...]]) -> int:
-    """Integral cover by repeated max-degree vertex, the least label on ties;
-    an upper bound on tau.  Degrees are counted once and the covered edges'
-    vertices subtracted at each step, which drops the vertices left with no
-    edge."""
+    """Integral cover by repeated `_max_degree_vertex`; an upper bound on
+    tau.  Degrees are counted once and the covered edges' vertices
+    subtracted at each step, which drops the vertices left with no edge."""
     deg = Counter(chain.from_iterable(edges))
     size = 0
     while edges:
-        v = min(deg, key=lambda u: (-deg[u], u))
+        v = _max_degree_vertex(deg)
         deg -= Counter(chain.from_iterable([e for e in edges if v in e]))
         edges = [e for e in edges if v not in e]
         size += 1
     return size
 
 
-def _upper_bound(h: Hypergraph, masks: list[int], lb: int) -> int:
+def _upper_bound(h: Hypergraph, lb: int) -> int:
     """An upper bound on nu; skips the tau* solve when the cheap bounds
     already meet the lower bound `lb`."""
-    active = 0
-    for m in masks:
-        active |= m
-    ub = bin(active).count("1") // h.k
+    ub = len(set(chain.from_iterable(h.edges))) // h.k
     ub = min(ub, _greedy_cover_size(h.edges))
     if ub <= lb:
         return ub
@@ -82,9 +77,9 @@ def matching_number(h: Hypergraph) -> tuple[int, MatchingWitness]:
     masks = kernel.edge_masks(h.n, h.edges)
     if not masks:
         return 0, MatchingWitness(edges=(), size=0)
-    lb_idx = kernel.greedy_matching(masks)
+    lb_idx = kernel.greedy_matching(h.edges)
     lb = len(lb_idx)
-    ub = _upper_bound(h, masks, lb)
+    ub = _upper_bound(h, lb)
     best = lb_idx
     size = lb
     while size < ub:
@@ -98,13 +93,12 @@ def matching_number(h: Hypergraph) -> tuple[int, MatchingWitness]:
 
 def cover_number(h: Hypergraph) -> int:
     """Exact minimum vertex cover size, by branching on a max-degree vertex."""
-    masks = kernel.edge_masks(h.n, h.edges)
-    if not masks:
+    kernel.check_ground_set(h.n)
+    if not h.edges:
         return 0
     best = _greedy_cover_size(h.edges)
-    bits = {m: [1 << (v - 1) for v in e] for m, e in zip(masks, h.edges)}
 
-    def search(rem: list[int], size: int):
+    def search(rem: Sequence[tuple[int, ...]], size: int):
         # `size` vertices are chosen so far, and none of them lies on `rem`
         nonlocal best
         if not rem:
@@ -112,16 +106,13 @@ def cover_number(h: Hypergraph) -> int:
             return
         if size + len(kernel.greedy_matching(rem)) >= best:
             return
-        pivot = _max_degree_bit(rem, bits)
+        pivot = _max_degree_vertex(Counter(chain.from_iterable(rem)))
         # either cover with the pivot vertex ...
-        search([m for m in rem if not (m & pivot)], size + 1)
+        search([e for e in rem if pivot not in e], size + 1)
         # ... or cover the first pivot edge with another of its vertices
-        e = next(m for m in rem if m & pivot)
-        mm = e & ~pivot
-        while mm:
-            b = mm & -mm
-            search([m for m in rem if not (m & b)], size + 1)
-            mm ^= b
+        for v in next(e for e in rem if pivot in e):
+            if v != pivot:
+                search([e for e in rem if v not in e], size + 1)
 
-    search(masks, 0)
+    search(h.edges, 0)
     return best

@@ -6,7 +6,9 @@ multiple of k, partitioned as T^i = [t] ∩ R^i, V^i = ([t+s] \\ [t]) ∩ R^i,
 W^i = R^i \\ T^i, and (given a perfect fractional matching per copy) rounded
 into a sparse spanning subgraph.  Everything is deterministic given the
 seed; per-copy generators are derived as seed * 1000003 + i so copies can be
-regenerated independently.
+regenerated independently.  The greedy near-perfect matching is
+`kernel.greedy_matching`, over vertex tuples, so its cost is O(m*k) whatever
+the labels (`emclab greedy` takes files on [10^9]).
 
 Randomness source: Python's Mersenne Twister (`random.Random`), identifier
 "mt19937-python"; its output is stable across platforms and versions.
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
+from emclab import kernel
 from emclab.hypergraph import Hypergraph, HypergraphError
 from emclab.lp import FractionalMatching
 from emclab.matching import MatchingWitness
@@ -151,20 +154,11 @@ def round_to_sparse(h: Hypergraph, batch: SampleBatch,
 
 
 def greedy_near_perfect_matching(h: Hypergraph) -> tuple[MatchingWitness, int]:
-    """Greedy maximal matching in lexicographic edge order; returns the
-    witness and the number of uncovered vertices.
-
-    This is `kernel.greedy_matching` over vertex sets, kept so that its cost
-    is O(m*k) whatever the vertex labels: an edge's mask has as many bits as
-    its largest vertex, and `emclab greedy` takes files on [10^9]."""
-    used: set[int] = set()
-    chosen = []
-    for e in h.edges:
-        if not (set(e) & used):
-            chosen.append(e)
-            used.update(e)
-    uncovered = len(h.vertices) - len(used)
-    return MatchingWitness(edges=tuple(chosen), size=len(chosen)), uncovered
+    """`kernel.greedy_matching` on h's edges; returns the witness and the
+    number of uncovered vertices (its chosen edges are disjoint k-sets)."""
+    chosen = tuple(h.edges[i] for i in kernel.greedy_matching(h.edges))
+    uncovered = len(h.vertices) - h.k * len(chosen)
+    return MatchingWitness(edges=chosen, size=len(chosen)), uncovered
 
 
 def degree_histogram(h: Hypergraph) -> dict:

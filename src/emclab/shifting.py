@@ -55,9 +55,12 @@ def _holding(masks: set[int], j: int) -> list[int]:
 
 
 def shift_ij(h: Hypergraph, i: int, j: int) -> Hypergraph:
-    """Replace j by i in each edge with j but not i, unless blocked."""
+    """Replace j by i in each edge with j but not i, unless blocked; both
+    must lie in h's ground set."""
     if not (1 <= i < j):
         raise HypergraphError(f"shift needs 1 <= i < j, got ({i}, {j})")
+    if i not in h.vertices or j not in h.vertices:
+        raise HypergraphError(f"shift ({i}, {j}) leaves the ground set")
     masks = set(map(kernel.edge_mask, h.edges))
     _shift_masks(masks, _holding(masks, j), i, j)
     return _from_masks(h, masks)

@@ -209,12 +209,12 @@ def greedy_reference(edges):
 
 class TestGreedy:
     """`kernel.greedy_matching`, one Python loop outside both kernels, over
-    masks of any size."""
+    vertex tuples with any labels."""
 
     def test_matches_tuple_greedy(self):
         for _n, _k, masks in FAMILIES:
             edges = [kernel.mask_edge(m) for m in masks]
-            assert kernel.greedy_matching(masks) == greedy_reference(edges), masks
+            assert kernel.greedy_matching(edges) == greedy_reference(edges), edges
 
     def test_past_63_vertices(self):
         rng = random.Random(64)
@@ -223,16 +223,20 @@ class TestGreedy:
             k = rng.randint(1, 5)
             edges = [tuple(sorted(rng.sample(range(1, n + 1), k)))
                      for _ in range(rng.randint(0, 40))]
-            masks = [kernel.edge_mask(e) for e in edges]
-            assert kernel.greedy_matching(masks) == greedy_reference(edges), edges
+            assert kernel.greedy_matching(edges) == greedy_reference(edges), edges
+
+    def test_labels_near_a_billion(self):
+        rng = random.Random(10**9)
+        for _ in range(100):
+            k = rng.randint(1, 5)
+            edges = [tuple(sorted(rng.sample(range(10**9 - 30, 10**9 + 1), k)))
+                     for _ in range(rng.randint(0, 40))]
+            assert kernel.greedy_matching(edges) == greedy_reference(edges), edges
 
     def test_examples(self):
         assert kernel.greedy_matching([]) == []
-        assert kernel.greedy_matching([0b11, 0b110, 0b1100, 0, 1 << 69]) == [0, 2, 3, 4]
-
-    def test_negative_mask(self):
-        with pytest.raises(OverflowError):
-            kernel.greedy_matching([3, -1])
+        assert kernel.greedy_matching([(1, 2), (2, 3), (3, 4), (), (70,)]) == [0, 2, 3, 4]
+        assert kernel.greedy_matching([(1, 10**9), (2, 10**9), (2, 3)]) == [0, 2]
 
 
 def tables_reference(masks):

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+from collections import Counter
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from emclab import kernel
 from emclab.constructions import build_Hi
 from emclab.hypergraph import HypergraphError, complete_hypergraph, new_hypergraph
-from emclab.matching import (_greedy_cover_size, _max_degree_bit, cover_number,
+from emclab.matching import (_greedy_cover_size, _max_degree_vertex, cover_number,
                              has_matching_of_size, matching_number)
 
 
@@ -144,6 +145,16 @@ class TestGreedyCover:
             assert _greedy_cover_size(h.edges) == _old_greedy_cover_size(masks), h
 
 
+def cover_reference(edges):
+    """The least number of vertices meeting every edge, by enumerating the
+    subsets of the vertices on edges, smallest first."""
+    verts = sorted(set(chain.from_iterable(edges)))
+    for size in range(len(verts) + 1):
+        for cand in combinations(verts, size):
+            if all(set(cand) & set(e) for e in edges):
+                return size
+
+
 class TestCoverNumber:
     def test_triangle(self):
         assert cover_number(new_hypergraph(3, 2, [(1, 2), (1, 3), (2, 3)])) == 2
@@ -157,10 +168,10 @@ class TestCoverNumber:
     def test_branch_vertex_is_the_least_of_maximum_degree(self):
         # tau's branch vertex: vertices 3 and 4 both have degree 3, so 3
         edges = [(1, 3), (2, 3), (2, 4), (3, 5), (4, 5), (4, 6)]
-        masks = kernel.edge_masks(6, edges)
-        bits = {m: [1 << (v - 1) for v in e] for m, e in zip(masks, edges)}
-        assert _max_degree_bit(masks, bits) == 1 << 2
-        assert _max_degree_bit(masks[1:], bits) == 1 << 3
+        assert _max_degree_vertex(Counter(chain.from_iterable(edges))) == 3
+        assert _max_degree_vertex(Counter(chain.from_iterable(edges[1:]))) == 4
+        # labels past the kernel's 63 sort the same way
+        assert _max_degree_vertex(Counter({10**9: 2, 70: 2, 5: 1})) == 70
 
     def test_exhaustive_oracle(self):
         # compare against subset enumeration on small instances
@@ -169,15 +180,27 @@ class TestCoverNumber:
             n = rng.randint(3, 7)
             k = rng.choice([2, 3])
             h = random_hypergraph(rng, n, k, rng.randint(1, 10))
-            best = n
-            for size in range(n + 1):
-                found = False
-                for cand in combinations(range(1, n + 1), size):
-                    cs = set(cand)
-                    if all(cs & set(e) for e in h.edges):
-                        found = True
-                        break
-                if found:
-                    best = size
-                    break
-            assert cover_number(h) == best
+            assert cover_number(h) == cover_reference(h.edges)
+
+    def test_oracle_with_k4_and_labels_up_to_63(self):
+        # k = 4 on [n], then k = 2..5 on a few vertices of [63] that include 63
+        rng = random.Random(78)
+        families = [random_hypergraph(rng, rng.randint(5, 10), 4, rng.randint(1, 18))
+                    for _ in range(200)]
+        for _ in range(100):
+            k = rng.randint(2, 5)
+            verts = rng.sample(range(1, 63), rng.randint(k, 10)) + [63]
+            families.append(new_hypergraph(63, k, [rng.sample(verts, k)
+                                                   for _ in range(rng.randint(1, 18))]))
+        gaps = 0
+        for h in families:
+            tau = cover_reference(h.edges)
+            assert cover_number(h) == tau, h
+            gaps += _greedy_cover_size(h.edges) > tau
+        # the search must beat the greedy cover it starts from, not just keep it
+        assert gaps >= 4, gaps
+
+    def test_rejects_past_63(self):
+        for edges in ([(1, 64)], []):
+            with pytest.raises(HypergraphError, match="n <= 63"):
+                cover_number(new_hypergraph(64, 2, edges))

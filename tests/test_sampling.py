@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 
-from emclab import kernel
 from emclab.hypergraph import HypergraphError, complete_hypergraph, induced, new_hypergraph
 from emclab.lp import make_fractional_matching
 from emclab.sampling import (GENERATOR_ID, P_EXPONENT, SampleBatch, _copy_hosts,
@@ -284,12 +283,16 @@ class TestRounding:
             round_to_sparse(h, batch, [], seed=0)
 
 
-def greedy_over_masks(h):
-    """`kernel.greedy_matching` over edge masks: the chosen edges are pairwise
-    disjoint k-sets, so they cover k vertices each."""
-    picked = kernel.greedy_matching(list(map(kernel.edge_mask, h.edges)))
-    chosen = tuple(h.edges[i] for i in picked)
-    return chosen, len(h.vertices) - h.k * len(chosen)
+def greedy_over_vertex_sets(h):
+    """The lexicographic greedy matching written out over vertex sets: its
+    chosen edges and the number of ground-set vertices they miss."""
+    used: set[int] = set()
+    chosen = []
+    for e in h.edges:
+        if not (set(e) & used):
+            chosen.append(e)
+            used.update(e)
+    return tuple(chosen), sum(1 for v in h.vertices if v not in used)
 
 
 class TestGreedyAndHistogram:
@@ -305,7 +308,7 @@ class TestGreedyAndHistogram:
             sub = induced(h, rng.sample(range(1, n + 1), rng.randint(0, n)))
             for g in (h, sub):
                 w, uncovered = greedy_near_perfect_matching(g)
-                assert (w.edges, uncovered) == greedy_over_masks(g), g
+                assert (w.edges, uncovered) == greedy_over_vertex_sets(g), g
                 assert w.size == len(w.edges)
 
     def test_greedy_on_empty_family(self):

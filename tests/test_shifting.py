@@ -12,7 +12,7 @@ import pytest
 import emclab
 from emclab import shifting
 from emclab.hypergraph import (Hypergraph, HypergraphError, complete_hypergraph,
-                               is_stable, new_hypergraph)
+                               induced, is_stable, new_hypergraph)
 from emclab.matching import matching_number
 from emclab.shifting import label_sum, shift_ij, stabilize
 
@@ -112,6 +112,17 @@ class TestShiftIJ:
     def test_i_must_be_smaller(self):
         with pytest.raises(HypergraphError):
             shift_ij(new_hypergraph(4, 2, []), 3, 2)
+
+    def test_pair_outside_the_ground_set(self):
+        # {2, 3, 4} lacks 1: the shift would put 1 into edges
+        sub = induced(new_hypergraph(5, 2, [(2, 3), (3, 4)]), [2, 3, 4])
+        for i, j in ((1, 3), (2, 5), (1, 6)):
+            with pytest.raises(HypergraphError, match="leaves the ground set"):
+                shift_ij(sub, i, j)
+        with pytest.raises(HypergraphError, match="leaves the ground set"):
+            shift_ij(new_hypergraph(4, 2, [(2, 3)]), 1, 5)
+        assert shift_ij(sub, 2, 3) == reference_shift_ij(sub, 2, 3)
+        assert shift_ij(sub, 2, 3).edges == ((2, 3), (2, 4))
 
     def test_count_preserved(self):
         rng = random.Random(4)
