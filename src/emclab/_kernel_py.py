@@ -98,8 +98,6 @@ def find_matching(masks, k, need):
 
 
 def _find(by_vertex, above, k, need, avail):
-    if need <= 0:
-        return []
     if not avail:
         return None
     target = need * k
@@ -293,21 +291,16 @@ def downset_max_edges(n, k, s, budget, lower):
             return
         branch = [f for f in hit if not included >> f & 1]
         # branch == []: an (s+1)-matching is already forced in
-        for pos, f in enumerate(branch):
+        inc = included
+        for f in branch:
             up = _up(at_most, masks[f], above[f])
-            if up & included:
-                continue
-            sub = alive ^ (alive & up)
-            # include the earlier branch edges; one excluded with f fails
-            inc = included
-            for g in branch[:pos]:
-                if not sub >> g & 1:
-                    break
-                inc |= 1 << g
-            else:
-                search(sub, inc)
+            if not up & included:
+                search(alive ^ (alive & up), inc)
                 if not exhausted:
                     return
+            # later branches include f; no edge before f lies in up(f), as
+            # `_find_down` returns its edges by least vertex
+            inc |= 1 << f
 
     search(full, 0)
     return best, witness, exhausted, nodes

@@ -23,13 +23,13 @@ it cannot settle, its region and its mutations.  `_prove` and
 The arithmetic stays on int numerators, through `Interval` and `Box`.  A
 point tried in a box is its coordinates' int numerators over one shared
 denominator, built from the box's endpoint numerators; the region test
-cross-multiplies, and the point margin is the formula evaluated on point
-intervals, whose sign is read off a numerator.  A box is settled by the sign
-of its margin's lower numerator; `Box.split` picks the widest coordinate by
-cross-multiplying; the proof's leaves are sorted by exact int keys
-(`Box.sort_keys`); and replay compares endpoints by cross-multiplying
-(`Interval.inside`, `==`).  `Fraction`s are built for what is printed: a
-counterexample point, a replayed margin.
+cross-multiplies, and the point margin is the box margin on the point box
+(times x^3 for `calculate`), a point interval whose sign is read off a
+numerator.  A box is settled by the sign of its margin's lower numerator;
+`Box.split` picks the widest coordinate by cross-multiplying; the proof's
+leaves are sorted by exact int keys (`Box.sort_keys`); and replay compares
+endpoints by cross-multiplying (`Interval.inside`, `==`).  `Fraction`s are
+built for what is printed: a counterexample point, a replayed margin.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
+from math import gcd, lcm
 
 from emclab.intervals import Box, Certificate, Interval, _iv
-from emclab.scalars import D1, FOUR, c_coeff, mu_beta
+from emclab.scalars import D1, FOUR, c_coeff
 
 # ---------------------------------------------------------------------------
 # points: int numerators over one shared denominator
@@ -204,9 +204,18 @@ def _maxvalue_point(box: Box) -> _Point:
 
 
 def _maxvalue_point_margin(pt: _Point, mutation: str | None) -> Interval:
-    """C_i at the point, as a point interval."""
-    mu, beta = mu_beta(_at(pt, "a"), _at(pt, "b"))
-    return c_coeff(pt[0]["i"] // pt[1], _at(pt, "alpha"), mu, beta, mutation)
+    """C_i at the point, b != 1, as a point interval: the box margin on the
+    point box (alpha, mu, b), mu = (1-a)/(1-b), where the box's
+    (1-b)(4-d-3mu) is the paper's beta = 1-d+3a-(4-d)b.  The prover and
+    replay call it only inside the region, where b < 1."""
+    nums, d = pt
+    top, bot = d - nums["a"], d - nums["b"]
+    g = gcd(top, bot)
+    if bot < 0:          # past b = 1: g takes bot's sign, so mu's d is > 0
+        g = -g
+    box = Box({"alpha": _at(pt, "alpha"), "mu": _iv(top // g, top // g, bot // g),
+               "b": _at(pt, "b")}, f"C{nums['i'] // d}")
+    return _maxvalue_margin_box(box, mutation)
 
 
 def _in_maxvalue_region(pt: _Point, z_max: None) -> bool:

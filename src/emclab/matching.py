@@ -1,13 +1,13 @@
 """Exact integral matching number and vertex cover number.
 
 Both are branch-and-bound searches: nu's over the bitmask edge families of
-``kernel.find_matching``, tau's over lists of edge tuples.  Both refuse
-inputs past the kernel's 63 vertices.  Certified upper bounds usually pin
-the matching number before any search happens: the vertex count and a
-greedy integral cover, then, unless those already meet the greedy lower
-bound, the exact tau* from ``lp.tau_star`` (one solve of the cover LP's
-dual, a row per vertex: the packing LP, or on a stable family the monotone
-cover rows from the cached `Hypergraph.maximal_edges`).
+``kernel.find_matching``, which refuses inputs past the kernel's 63
+vertices, and tau's over lists of edge tuples, on any labels.  Certified
+upper bounds usually pin the matching number before any search happens: the
+vertex count and a greedy integral cover, then, unless those already meet
+the greedy lower bound, the exact tau* from ``lp.tau_star`` (one solve of
+the cover LP's dual, a row per vertex: the packing LP, or on a stable family
+the monotone cover rows from the cached `Hypergraph.maximal_edges`).
 """
 
 from __future__ import annotations
@@ -93,7 +93,6 @@ def matching_number(h: Hypergraph) -> tuple[int, MatchingWitness]:
 
 def cover_number(h: Hypergraph) -> int:
     """Exact minimum vertex cover size, by branching on a max-degree vertex."""
-    kernel.check_ground_set(h.n)
     if not h.edges:
         return 0
     best = _greedy_cover_size(h.edges)

@@ -2,16 +2,15 @@
 
 All binomials here are generalized (falling-factorial) binomials, defined for
 rational upper arguments: C(r, j) = r(r-1)...(r-j+1)/j!.  Every public
-function returns `fractions.Fraction`s, except that `mu_beta` and `c_coeff`
-given `Interval`s return `Interval`s; piecewise functions report both
+function returns `fractions.Fraction`s, except that `c_coeff` given
+`Interval`s returns an `Interval`; piecewise functions report both
 branches at a region boundary instead of silently picking one.
 
-`genbinom`, the convexity lemma's f and h_j, and `mu_beta` are evaluated on
-int numerators, which are never reduced: with x = p/q and a = c/d the load
-(1-a)s/(1-x) is L/M for ints L and M > 0, a generalized binomial of it is a
-falling product of ints over j! M^j, and `mu_beta` runs on point intervals.
-Only the value returned becomes a `Fraction`, as does each second
-difference of `check_convexity`.
+`genbinom` and the convexity lemma's f and h_j are evaluated on int
+numerators, which are never reduced: with x = p/q and a = c/d the load
+(1-a)s/(1-x) is L/M for ints L and M > 0, and a generalized binomial of it
+is a falling product of ints over j! M^j.  Only the value returned becomes
+a `Fraction`, as does each second difference of `check_convexity`.
 """
 
 from __future__ import annotations
@@ -19,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-
-from emclab.intervals import Interval
 
 DELTA = Fraction(1, 10**10)
 FOUR = 4 - DELTA
@@ -177,19 +174,10 @@ def _link_bound(m: int, s: Fraction, mu: Fraction, general: bool) -> Fraction:
 # ---------------------------------------------------------------------------
 
 def mu_beta(a, b):
-    """mu = (1-a)/(1-b), None when b = 1, and beta = 1 - delta + 3a - (4-delta)b.
-
-    Evaluated on point intervals: rationals a, b give `Fraction`s, and point
-    `Interval`s (the certifier's point path) give point intervals."""
-    point = isinstance(a, Interval)
-    if not point:
-        a, b = Interval.point(a), Interval.point(b)
-    rest = 1 - b
-    mu = None if rest.contains(0) else (1 - a) / rest
-    beta = D1 + 3 * a - FOUR * b
-    if point:
-        return mu, beta
-    return (None if mu is None else mu.lo), beta.lo
+    """mu = (1-a)/(1-b), None when b = 1, and beta = 1 - delta + 3a - (4-delta)b."""
+    a, b = Fraction(a), Fraction(b)
+    mu = None if b == 1 else (1 - a) / (1 - b)
+    return mu, D1 + 3 * a - FOUR * b
 
 
 _BRANCHES = ("b>=3/8", "1/3<=b<3/8", "1/4<=b<1/3")

@@ -562,7 +562,7 @@ class TestUsageErrors:
         "gen": ["gen", "--family", "hi", "--n", "3", "--k", "3", "--s", "2",
                 "-o", "{out}"],
         "nu": ["nu", "{wide}"],
-        "tau": ["tau", "{wide}"],
+        "tau": ["tau", "{bad}"],
         "nufrac": ["nufrac", "{bad}"],
         "shift": ["shift", "{bad}"],
         "verify-emc": ["verify-emc", "--n", "64", "--k", "2", "--s", "1"],

@@ -183,3 +183,19 @@ class TestDegreeThresholds:
     ])
     def test_hpsko_values(self, k, d, expect):
         assert hpsko_threshold_coefficient(k, d) == expect
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_Hi(10, 3, -1, 1), "s must be nonnegative"),
+    (lambda: build_HpUW([1, 2], [2, 3], 2, 1), "U and W must be disjoint"),
+    (lambda: construction1(complete_hypergraph(8, 3), 1, Fraction(0)), "expects k = 4"),
+    (lambda: construction1(complete_hypergraph(8, 4), 3, Fraction(0)), r"t = floor\(-4/3\) < 0"),
+    (lambda: degree_threshold_formula(10, 3, 0, 1), "1 <= d <= k-1"),
+    (lambda: degree_threshold_formula(10, 3, 1, -1), "0 <= s <= n/k"),
+    (lambda: degree_threshold_formula(10, 3, 1, 4), "0 <= s <= n/k"),
+    (lambda: kot_asymptotic(10, 3, 3, 1), "1 <= d <= k-1"),
+    (lambda: hpsko_threshold_coefficient(3, 0), "1 <= d <= k-1"),
+])
+def test_refusals(call, message):
+    with pytest.raises(HypergraphError, match=message):
+        call()

@@ -288,6 +288,10 @@ class TestTraceAndInduced:
         with pytest.raises(HypergraphError):
             trace_family(new_hypergraph(4, 2, []), (1,), (2,))
 
+    def test_a_larger_than_k(self):
+        with pytest.raises(HypergraphError, match="at most k"):
+            trace_family(new_hypergraph(4, 2, []), (1, 2, 3), (1, 2, 3))
+
     def test_induced(self):
         h = complete_hypergraph(5, 2)
         sub = induced(h, (2, 3, 4))
@@ -355,6 +359,10 @@ class TestMinDegree:
         with pytest.raises(HypergraphError):
             min_d_degree(complete_hypergraph(5, 3), 3)
 
+    def test_ground_set_smaller_than_d(self):
+        with pytest.raises(HypergraphError, match="ground set smaller than d"):
+            min_d_degree(induced(complete_hypergraph(5, 4), [1]), 2)
+
 
 class TestKhgFormat:
     def test_round_trip_canonical(self):
@@ -366,6 +374,16 @@ class TestKhgFormat:
     def test_comments_and_blanks(self):
         text = "# family\n\n3 2 1\n1 3\n"
         assert parse_khg(text).edges == ((1, 3),)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "empty .khg input"),
+        ("# only a comment\n\n", "empty .khg input"),
+        ("3 2\n1 2\n", "bad header line: '3 2'"),
+        ("3 2 1 0\n1 2\n", "bad header line"),
+    ])
+    def test_empty_or_bad_header(self, text, message):
+        with pytest.raises(HypergraphError, match=message):
+            parse_khg(text)
 
     def test_header_mismatch(self):
         with pytest.raises(HypergraphError, match="declares"):

@@ -873,6 +873,14 @@ class TestNoEdgeSet:
         assert not full_degree_vertices(h, 9)
 
 
+def _hand_built(n, t, ones, fracs=()):
+    """A `FractionalMatching` on [n] with no weights and size n/4 - t, whose
+    loads are 1 on t+1..t+ones, then `fracs`, then 0."""
+    loads = [F(1)] * ones + list(fracs)
+    loads += [F(0)] * (n - t - len(loads))
+    return FractionalMatching({}, dict(zip(range(t + 1, n + 1), loads)), F(n, 4) - t)
+
+
 class TestPerfectExtension:
     def test_wrong_k(self):
         h = complete_hypergraph(6, 3)
@@ -920,6 +928,48 @@ class TestPerfectExtension:
         fm = make_fractional_matching(h, {})
         with pytest.raises(PerfectExtensionError, match="divisibility"):
             extend_to_perfect_fm(h, 0, fm)
+
+    # (precondition, H, t, fm on H); from "load-pattern" on the loads are
+    # not those of the weights, so only a hand-built matching gets there
+    PRECONDITIONS = [
+        ("uniformity", complete_hypergraph(6, 3), 0, {}),
+        ("ground-set", induced(complete_hypergraph(9, 4), range(2, 10)), 0, {}),
+        ("divisibility", complete_hypergraph(7, 4), 0, {}),
+        ("stability", new_hypergraph(8, 4, [(5, 6, 7, 8)]), 0, {}),
+        # stable: the up-set of (1, 6, 7, 8) is gone, so vertex 1 misses it
+        ("full-degree", new_hypergraph(8, 4, [e for e in combinations(range(1, 9), 4)
+                                              if e[1:] != (6, 7, 8)]), 1, {}),
+        # N/4 - t = -1
+        ("size", complete_hypergraph(8, 4), 3, {}),
+        ("size", complete_hypergraph(8, 4), 0, {(1, 2, 3, 4): 1}),
+        ("support", complete_hypergraph(8, 4), 1, {(1, 2, 3, 4): 1}),
+        ("monotone-loads", complete_hypergraph(8, 4), 1, {(2, 3, 4, 6): 1}),
+        # loads 4/5 on the block 6..10
+        ("boundary", complete_hypergraph(12, 4), 1,
+         {(2, 3, 4, 5): 1, **{e: F(1, 5) for e in combinations(range(6, 11), 4)}}),
+        ("load-pattern", complete_hypergraph(8, 4), 0,
+         FractionalMatching({}, {1: F(2), **{v: F(1) for v in range(2, 8)}, 8: F(0)}, F(2))),
+        # no block, and q = 4 != t + 4s* = 5
+        ("boundary", complete_hypergraph(8, 4), 1, _hand_built(8, 1, 3)),
+        ("apex", complete_hypergraph(8, 4), 0, _hand_built(8, 0, 6, (F(1, 2), F(1, 2)))),
+        # p = t + 4s* - q = 9 - 9 = 0
+        ("boundary", complete_hypergraph(12, 4), 1, _hand_built(12, 1, 8, (F(1, 2), F(1, 2)))),
+        # p = 1: x0 + x1 = x0 + x2 = 1/10 and x1 + x2 = 9/10 need x0 < 0
+        ("boundary-system", complete_hypergraph(12, 4), 1,
+         _hand_built(12, 1, 7, (F(9, 10), F(9, 10), F(1, 10)))),
+        # p = 1: three weights of 1/4
+        ("boundary-system", complete_hypergraph(12, 4), 1, _hand_built(12, 1, 7, (F(1, 2),) * 3)),
+        ("perfection", complete_hypergraph(8, 4), 0, _hand_built(8, 0, 8)),
+    ]
+
+    @pytest.mark.parametrize("precondition, h, t, fm", PRECONDITIONS,
+                             ids=[f"{c[0]}-{j}" for j, c in enumerate(PRECONDITIONS)])
+    def test_precondition_refused(self, precondition, h, t, fm):
+        if isinstance(fm, dict):
+            fm = make_fractional_matching(h, fm)
+        with pytest.raises(PerfectExtensionError) as ei:
+            extend_to_perfect_fm(h, t, fm)
+        assert ei.value.precondition == precondition, ei.value
 
 
 class TestHasPerfectFM:

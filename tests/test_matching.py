@@ -200,7 +200,15 @@ class TestCoverNumber:
         # the search must beat the greedy cover it starts from, not just keep it
         assert gaps >= 4, gaps
 
-    def test_rejects_past_63(self):
-        for edges in ([(1, 64)], []):
-            with pytest.raises(HypergraphError, match="n <= 63"):
-                cover_number(new_hypergraph(64, 2, edges))
+    def test_labels_past_63(self):
+        # tau searches edge tuples, so labels past the kernel's 63 and near
+        # 10^9 are answered like small ones
+        rng = random.Random(79)
+        for n in (64, 70, 10**9):
+            for _ in range(20):
+                k = rng.randint(2, 4)
+                verts = [1, n] + rng.sample(range(max(2, n - 40), n), 6)
+                edges = [rng.sample(verts, k) for _ in range(rng.randint(1, 12))]
+                h = new_hypergraph(n, k, edges)
+                assert cover_number(h) == cover_reference(h.edges), h
+        assert cover_number(new_hypergraph(64, 2, [])) == 0

@@ -374,6 +374,10 @@ class TestCCoeffs:
             eval_C_coeffs(Fraction(1, 2), HALF, Fraction(2, 5), 1)  # alpha too big
         with pytest.raises(ValueError):
             eval_C_coeffs(0, HALF, Fraction(2, 5), 6)
+        # b below 1/4, and b above a
+        for b in (Fraction(1, 5), Fraction(3, 5)):
+            with pytest.raises(ValueError, match="1/4 <= b <= a < 1"):
+                eval_C_coeffs(0, HALF, b, 1)
 
 
 class TestFiniteDiff:

@@ -149,6 +149,8 @@ class TestStabilize:
         h = new_hypergraph(5, 2, [(1, 2)])  # vertex 5 never used is fine
         out, _ = stabilize(h)
         assert is_stable(out)
+        with pytest.raises(HypergraphError, match="full ground set"):
+            stabilize(induced(h, [1, 2, 3]))
 
     def test_huge_ground_set(self):
         # a sweep visits only the vertices some edge holds, so a family on

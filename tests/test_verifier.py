@@ -101,6 +101,10 @@ class TestOracle:
         with pytest.raises(HypergraphError, match="candidate k-sets"):
             verify_emc(63, 31, 1)
 
+    def test_negative_s(self):
+        with pytest.raises(HypergraphError, match="s must be nonnegative"):
+            max_edges_given_nu(6, 2, -1)
+
     def test_budgeted_probe_reports_incumbent(self):
         rep = verify_emc(16, 4, 3, budget=50)
         assert not rep["exhausted"] and not rep["match"]
@@ -361,6 +365,12 @@ class TestExtremalProfile:
         h = new_hypergraph(9, 4, [(6, 7, 8, 9)])
         with pytest.raises(Exception, match="stable"):
             extremal_profile(h, 1, Fraction(1, 100))
+
+    @pytest.mark.parametrize("s", [-1, 8, 9])
+    def test_s_out_of_range(self, s):
+        # [9] needs 0 <= s < n - 1 = 8
+        with pytest.raises(HypergraphError, match="need 0 <= s < n - 1"):
+            extremal_profile(complete_hypergraph(9, 4), s, Fraction(1, 100))
 
 
 class TestIsClose400:
